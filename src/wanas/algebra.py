@@ -60,10 +60,6 @@ def vec_scale(s: PolyLike, a: Vec3) -> Vec3:
     return (s * a[0], s * a[1], s * a[2])
 
 
-def vec_is_zero(a: Vec3) -> bool:
-    return all(x.is_zero() for x in a)
-
-
 @dataclass(frozen=True)
 class MetricSignature:
     """Diagonal metric g(e_i, e_j) = eps[i] * delta_ij with eps entries +-1."""
@@ -246,23 +242,33 @@ class LieAlgebraSpec:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> LieAlgebraSpec:
-        brackets = data["brackets"]
+        """Inverse of to_json_dict; a malformed document raises ValueError."""
+        if not isinstance(data, Mapping) or not isinstance(data.get("brackets"), Mapping):
+            raise ValueError("an algebra spec must be a JSON object with a 'brackets' object")
+        signature = data.get("signature", (1, 1, -1))
+        cons = data.get("constraints", {})
+        if not isinstance(signature, (list, tuple)) or not isinstance(cons, Mapping):
+            raise ValueError("'signature' must be a list and 'constraints' an object")
+
+        def polys(what: str, value) -> list[Poly]:
+            if not isinstance(value, (list, tuple)) or not all(isinstance(s, str) for s in value):
+                raise ValueError(f"{what} must be a list of polynomial strings")
+            return [parse_poly(s) for s in value]
+
         def vec(key: str) -> Vec3:
-            comps = brackets.get(key, ["0", "0", "0"])
+            comps = polys(f"bracket {key}", data["brackets"].get(key, ["0", "0", "0"]))
             if len(comps) != 3:
                 raise ValueError(f"bracket {key} needs 3 components")
-            return vec3(*(parse_poly(s) for s in comps))
+            return vec3(*comps)
 
         constants = StructureConstants.from_brackets(
             vec("e1,e2"), vec("e1,e3"), vec("e2,e3")
         )
-        signature = MetricSignature(tuple(data.get("signature", (1, 1, -1))))
-        cons = data.get("constraints", {})
         constraints = tuple(
-            [Constraint("eq", parse_poly(s)) for s in cons.get("eq", ())]
-            + [Constraint("neq", parse_poly(s)) for s in cons.get("neq", ())]
+            [Constraint("eq", p) for p in polys("constraints eq", cons.get("eq", ()))]
+            + [Constraint("neq", p) for p in polys("constraints neq", cons.get("neq", ()))]
         )
-        return cls(constants, signature, constraints)
+        return cls(constants, MetricSignature(tuple(signature)), constraints)
 
 
 def load_spec_file(path: str) -> LieAlgebraSpec:

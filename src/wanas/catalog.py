@@ -136,9 +136,6 @@ class Catalog:
             )
         return self.groups[gid]
 
-    def claimed_tensors(self, group_id: str) -> ClaimedTensors:
-        return self.get_group(group_id).claimed
-
     def theorem_claim(self, group_id: str, kind: SolitonKind) -> TheoremClaim:
         """The claim for (group, kind), with same-as-first resolved to cases."""
         entry = self.get_group(group_id)

@@ -174,6 +174,13 @@ def _cmd_check(args, catalog: Catalog) -> int:
 # -- classify ------------------------------------------------------------------
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of the grid point bounds: a vacuous grid is refused."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def _parse_ladder(text: str) -> tuple[Fraction, ...]:
     try:
         values = tuple(parse_rational(x) for x in text.split(",") if x.strip())
@@ -204,8 +211,10 @@ def _cmd_classify(args, catalog: Catalog) -> int:
             f"  DISAGREE at {rec.sigma_str()}: computed {rec.computed.describe()}; "
             f"expected {rec.expected.describe()}"
         )
+    if not report.total:
+        lines.append("  the grid has no admissible points: nothing was checked")
     _emit(args, payload, "\n".join(lines))
-    return 0 if report.total == report.agreements else 1
+    return 0 if report.total and report.total == report.agreements else 1
 
 
 # -- verify-paper ----------------------------------------------------------------
@@ -302,8 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", required=True)
     p.add_argument("--kind", required=True, choices=("first", "second"))
     p.add_argument("--grid-ladder", help="comma-separated rationals overriding the ladder")
-    p.add_argument("--min-points", type=int, default=200)
-    p.add_argument("--max-points", type=int, default=5000)
+    p.add_argument("--min-points", type=_positive_int, default=200)
+    p.add_argument("--max-points", type=_positive_int, default=5000)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_classify)
 
@@ -317,8 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--out", help="write the JSON report to this path")
     p.add_argument("--grid-ladder", help="comma-separated rationals overriding the ladder")
-    p.add_argument("--min-points", type=int, default=200)
-    p.add_argument("--max-points", type=int, default=5000)
+    p.add_argument("--min-points", type=_positive_int, default=200)
+    p.add_argument("--max-points", type=_positive_int, default=5000)
     p.add_argument("--json", action="store_true", help="print the JSON report to stdout")
     p.set_defaults(func=_cmd_verify_paper)
 
@@ -335,13 +344,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        catalog = load_catalog()
-    except CatalogError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        return args.func(args, catalog)
-    except _CliError as exc:
+        return args.func(args, load_catalog())
+    except (_CliError, CatalogError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InvalidAssignmentError as exc:

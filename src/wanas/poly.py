@@ -226,7 +226,7 @@ class Poly:
             return NotImplemented
         return self._terms == other._terms
 
-    __hash__ = None  # mutable-dict backed; identity hashing would be a trap
+    __hash__ = None  # equal to ints and Fractions under __eq__, so a hash would have to match theirs
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -517,7 +517,3 @@ def parse_poly(text: str, names: Mapping[str, Poly] | None = None) -> Poly:
     if parser.peek() is not None:
         raise PolyParseError(f"trailing input at {parser.peek()!r} in {text!r}")
     return result
-
-
-ZERO = _ZERO
-ONE = _ONE

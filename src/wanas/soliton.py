@@ -67,7 +67,8 @@ class AffineEquation:
         lhs = format_rational(self.constant)
         if self.slope:
             sign = "+" if self.slope > 0 else "-"
-            lhs += f" {sign} {format_rational(abs(self.slope))}*c"
+            mag = abs(self.slope)
+            lhs += f" {sign} c" if mag == 1 else f" {sign} {format_rational(mag)}*c"
         return f"residual(e{i + 1},e{j + 1})[e{self.component + 1}]: {lhs} = 0"
 
     def to_json_dict(self) -> dict:
@@ -125,65 +126,76 @@ class SolitonVerdict:
         return f"no soliton ({lines})"
 
 
-def _numeric_matrix(m: Mat3) -> tuple[tuple[Fraction, ...], ...]:
-    return tuple(tuple(p.constant_value() for p in row) for row in m)
+def solve_affine(pairs: Sequence[tuple[Fraction, Fraction]]):
+    """Solve constant + slope*x = 0 over (constant, slope) Fraction pairs.
+
+    Returns ("one", x, witness), ("any", None, ()) or ("none", None, witness).
+    The witness holds indices into ``pairs``: for "one" the equation that
+    fixed x; for "none" the first two flat contradictions, else the first
+    sloped equation and the first one disagreeing with it, else the first
+    flat contradiction and the first sloped equation.
+    """
+    sloped = [k for k, (_, slope) in enumerate(pairs) if slope]
+    flat_bad = [k for k, (constant, slope) in enumerate(pairs) if constant and not slope]
+    if not sloped:
+        if flat_bad:
+            return ("none", None, tuple(flat_bad[:2]))
+        return ("any", None, ())
+    first = sloped[0]
+    x = -pairs[first][0] / pairs[first][1]
+    for k in sloped[1:]:
+        if -pairs[k][0] / pairs[k][1] != x:
+            return ("none", None, (first, k))
+    if flat_bad:
+        return ("none", None, (flat_bad[0], first))
+    return ("one", x, (first,))
 
 
 def soliton_decide(spec: LieAlgebraSpec, kind: SolitonKind, wan: Mat3) -> SolitonVerdict:
     """Decide solitonhood at a numeric point, exactly.
 
     ``spec`` must be a numeric algebra (constant structure polynomials) and
-    ``wan`` the matching numeric decision operator for ``kind``.  Substituting
-    D = wan - c*Id into the derivation residual leaves nine equations affine
-    in c: residual(D) = residual(wan) + c*[e_i, e_j].
+    ``wan`` the matching numeric decision operator for ``kind``.
     """
-    wan_num = _numeric_matrix(wan)
-    struct = {
-        (i, j): tuple(p.constant_value() for p in spec.constants[i, j]) for i, j in PAIRS
-    }
+    brackets = tuple(
+        tuple(p.constant_value() for p in spec.constants[i, j]) for i, j in PAIRS
+    )
+    return _decide(brackets, tuple(tuple(p.constant_value() for p in row) for row in wan))
 
-    equations: list[AffineEquation] = []
-    for i, j in PAIRS:
-        cij = struct[(i, j)]
+
+def _decide(brackets, wan) -> SolitonVerdict:
+    """The decision on Fraction values: ``brackets`` holds the upper brackets
+    [e_i, e_j] in PAIRS order, ``wan`` the operator (row i = image of e_i).
+
+    Substituting D = wan - c*Id into the derivation residual leaves nine
+    equations affine in c: residual(D) = residual(wan) + c*[e_i, e_j].
+    """
+    table = [[(Fraction(0),) * 3] * 3 for _ in range(3)]
+    for (i, j), v in zip(PAIRS, brackets):
+        table[i][j], table[j][i] = v, tuple(-x for x in v)
+
+    pairs = []
+    for (i, j), cij in zip(PAIRS, brackets):
         for l in range(3):
-            constant = Fraction(0)
-            for k in range(3):
-                constant += cij[k] * wan_num[k][l]
-                constant -= wan_num[i][k] * _struct_lookup(struct, k, j, l)
-                constant -= wan_num[j][k] * _struct_lookup(struct, i, k, l)
-            equations.append(AffineEquation((i, j), l, constant, cij[l]))
+            constant = sum(
+                cij[k] * wan[k][l] - wan[i][k] * table[k][j][l] - wan[j][k] * table[i][k][l]
+                for k in range(3)
+            )
+            pairs.append((constant, cij[l]))
 
-    sloped = [eq for eq in equations if eq.slope]
-    flat_bad = [eq for eq in equations if not eq.slope and eq.constant]
-
-    if not sloped:
-        if flat_bad:
-            return SolitonVerdict("no_soliton", witness=tuple(flat_bad[:2]))
-        wan_poly = tuple(tuple(Poly.const(x) for x in row) for row in wan_num)
+    outcome, c_value, witness = solve_affine(pairs)
+    if outcome == "none":
+        witness = tuple(AffineEquation(PAIRS[k // 3], k % 3, *pairs[k]) for k in witness)
+        return SolitonVerdict("no_soliton", witness=witness)
+    if outcome == "any":
+        wan_poly = tuple(tuple(Poly.const(x) for x in row) for row in wan)
         family = mat_sub(wan_poly, scalar_matrix(Poly.var("c")))
         return SolitonVerdict("any_c", d_family=family)
-
-    first = sloped[0]
-    c_value = -first.constant / first.slope
-    for eq in sloped[1:]:
-        if -eq.constant / eq.slope != c_value:
-            return SolitonVerdict("no_soliton", witness=(first, eq))
-    if flat_bad:
-        return SolitonVerdict("no_soliton", witness=(flat_bad[0], first))
-
     d = tuple(
-        tuple(wan_num[i][j] - (c_value if i == j else 0) for j in range(3))
+        tuple(wan[i][j] - (c_value if i == j else 0) for j in range(3))
         for i in range(3)
     )
     return SolitonVerdict("soliton", c=c_value, d=d)
-
-
-def _struct_lookup(struct, i: int, j: int, l: int) -> Fraction:
-    if i == j:
-        return Fraction(0)
-    if (i, j) in struct:
-        return struct[(i, j)][l]
-    return -struct[(j, i)][l]
 
 
 def residual_system(spec: LieAlgebraSpec, kind: SolitonKind) -> tuple[Poly, ...]:
@@ -204,23 +216,15 @@ def solve_affine_in_c(equations: Sequence[Poly], sigma: Mapping[str, Fraction]):
     Returns ("any", None), ("one", c), or ("none", None).  Used to compare a
     residual system against an independently printed system at sampled points.
     """
-    candidates: list[Fraction] = []
+    pairs = []
     for eq in equations:
         if eq.degree_in("c") > 1:
             raise ValueError(f"equation is not affine in c: {eq}")
-        at0 = eq.substitute({"c": Poly.const(0)}).evaluate(sigma)
-        at1 = eq.substitute({"c": Poly.const(1)}).evaluate(sigma)
-        slope = at1 - at0
-        if slope == 0:
-            if at0 != 0:
-                return ("none", None)
-        else:
-            candidates.append(-at0 / slope)
-    if not candidates:
-        return ("any", None)
-    if any(c != candidates[0] for c in candidates[1:]):
-        return ("none", None)
-    return ("one", candidates[0])
+        at0 = eq.evaluate({**sigma, "c": Fraction(0)})
+        at1 = eq.evaluate({**sigma, "c": Fraction(1)})
+        pairs.append((at0, at1 - at0))
+    outcome, c_value, _ = solve_affine(pairs)
+    return (outcome, c_value)
 
 
 ETA_RELATION = Poly.var("eta") ** 2 - 1

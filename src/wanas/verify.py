@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .algebra import Assignment, Constraint, LieAlgebraSpec
+from .algebra import PAIRS, Assignment, Constraint, InvalidAssignmentError, LieAlgebraSpec
 from .catalog import (
     ALL_GROUPS,
     Catalog,
@@ -27,12 +27,14 @@ from .catalog import (
     predicate_eval,
 )
 from .geometry import compute_tensors
-from .poly import Poly, format_rational
+from .poly import Poly, UnsupportedRelationError, format_rational
 from .soliton import (
+    ETA_RELATION,
     SolitonKind,
     SolitonVerdict,
+    _decide,
     check_claimed_solution,
-    soliton_decide,
+    solve_affine,
     wan_for_kind,
 )
 
@@ -95,7 +97,7 @@ def _binomial_relation(con: Constraint) -> tuple[Poly, str] | None:
     """
     if con.kind != "eq":
         return None
-    if con.poly == Poly.var("eta") ** 2 - 1:
+    if con.poly == ETA_RELATION:
         return None
     terms = con.poly.terms
     if not 1 <= len(terms) <= 2:
@@ -103,7 +105,7 @@ def _binomial_relation(con: Constraint) -> tuple[Poly, str] | None:
     for leading in con.poly.variables():
         try:
             Poly.const(1).reduce(con.poly, leading)
-        except Exception:
+        except UnsupportedRelationError:
             continue
         return (con.poly, leading)
     return None
@@ -111,7 +113,7 @@ def _binomial_relation(con: Constraint) -> tuple[Poly, str] | None:
 
 def _normalize_eta(p: Poly) -> Poly:
     if "eta" in p.variables():
-        return p.reduce(Poly.var("eta") ** 2 - 1, "eta")
+        return p.reduce(ETA_RELATION, "eta")
     return p
 
 
@@ -220,17 +222,11 @@ def generate_grid(spec: LieAlgebraSpec, grid: GridSpec) -> list[dict[str, Fracti
         if solved_var is None:
             candidates = [dict(sigma)]
         else:
-            consts = {v: Poly.const(x) for v, x in sigma.items()}
-            residual = solve_eq.substitute(consts)
-            at0 = residual.substitute({solved_var: Poly.const(0)}).constant_value()
-            at1 = residual.substitute({solved_var: Poly.const(1)}).constant_value()
-            slope = at1 - at0
-            if slope != 0:
-                candidates = [dict(sigma, **{solved_var: -at0 / slope})]
-            elif at0 == 0:
-                candidates = [dict(sigma, **{solved_var: x}) for x in domain(solved_var)]
-            else:
-                candidates = []
+            at0 = solve_eq.evaluate({**sigma, solved_var: Fraction(0)})
+            at1 = solve_eq.evaluate({**sigma, solved_var: Fraction(1)})
+            outcome, x, _ = solve_affine([(at0, at1 - at0)])
+            values = [x] if outcome == "one" else domain(solved_var) if outcome == "any" else []
+            candidates = [dict(sigma, **{solved_var: v}) for v in values]
         for candidate in candidates:
             if not spec.validate_assignment(candidate):
                 points.append(candidate)
@@ -330,16 +326,20 @@ def classify_grid(
     claim: TheoremClaim,
 ) -> ClassificationReport:
     """Decide every grid point from recomputed tensors and compare with the
-    theorem predicate."""
-    wan_sym = wan_for_kind(entry.spec, kind)
+    theorem predicate: the symbolic brackets and Wan operator, evaluated at
+    the point, go to the same decision that ``soliton_decide`` makes."""
+    spec = entry.spec
+    wan_sym = wan_for_kind(spec, kind)
+    brackets_sym = [spec.constants[i, j] for i, j in PAIRS]
     records = []
     for sigma in points:
         sigma = dict(sigma)
-        numeric_spec = entry.spec.evaluate(sigma)
-        wan_num = tuple(
-            tuple(Poly.const(p.evaluate(sigma)) for p in row) for row in wan_sym
-        )
-        computed = soliton_decide(numeric_spec, kind, wan_num)
+        violations = spec.validate_assignment(sigma)
+        if violations:
+            raise InvalidAssignmentError(violations)
+        brackets = tuple(tuple(p.evaluate(sigma) for p in v) for v in brackets_sym)
+        wan = tuple(tuple(p.evaluate(sigma) for p in row) for row in wan_sym)
+        computed = _decide(brackets, wan)
         expected = predicate_eval(claim, sigma)
         records.append(
             PointRecord(sigma, computed, expected, verdicts_equal(computed, expected))
@@ -350,25 +350,11 @@ def classify_grid(
 # -- reproduction -------------------------------------------------------------
 
 
-def _sample_variety_points(entry: GroupEntry, want: int = 50) -> list[dict[str, Fraction]]:
-    ladder = list(BASE_LADDER)
-    extension = _ladder_extension()
-    best: list[dict[str, Fraction]] | None = None
-    while True:
-        pts = generate_grid(entry.spec, GridSpec(entry.id, tuple(ladder), max_points=want))
-        if len(pts) >= want:
-            return pts
-        if best is not None and len(pts) <= len(best):
-            return best
-        best = pts
-        ladder.append(next(extension))
-
-
 def reproduce_group(entry: GroupEntry) -> list[DiscrepancyReport]:
     """Recompute the full pipeline and compare entrywise against the claims."""
     bundle = compute_tensors(entry.spec)
     claimed = entry.claimed
-    samples = _sample_variety_points(entry)
+    _, samples = default_grid(entry, min_points=50, max_points=50)
     reports: list[DiscrepancyReport] = []
 
     def emit(item: str, location: tuple, computed: Poly, claimed_p: Poly):

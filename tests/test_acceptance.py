@@ -8,6 +8,7 @@ pipeline.
 
 from __future__ import annotations
 
+import hashlib
 import random
 import time
 from fractions import Fraction
@@ -31,7 +32,6 @@ from wanas.poly import Poly, VARIABLES
 from wanas.soliton import (
     SolitonKind,
     derivation_residual,
-    soliton_decide,
     wan_for_kind,
 )
 from wanas.verify import (
@@ -39,12 +39,15 @@ from wanas.verify import (
     MATCH_ON_VARIETY,
     MISMATCH,
     check_theorem_cases,
+    classify_grid,
     default_grid,
     reproduce_group,
     verify_paper,
 )
 
 UNIMODULAR = ("g1", "g2", "g3", "g4")
+# SHA-256 of the full `verify-paper --out` report: its bytes must never change
+REPORT_SHA256 = "0db433fced7be93f28a38a4671032846efa9fdfb675803aa5bb5b7b5b592addb"
 ETA_RELATION = Poly.var("eta") ** 2 - 1
 
 
@@ -208,13 +211,14 @@ def test_criterion_7_property_suites(catalog):
         _, points = default_grid(entry)
         for kind in SolitonKind:
             wan_sym = wan_for_kind(entry.spec, kind)
-            for sigma in points[:40]:
-                numeric = entry.spec.evaluate(sigma)
-                wan = tuple(
-                    tuple(Poly.const(p.evaluate(sigma)) for p in row) for row in wan_sym
-                )
-                verdict = soliton_decide(numeric, kind, wan)
+            report = classify_grid(entry, kind, points[:40], catalog.theorem_claim(gid, kind))
+            for rec in report.points:
+                sigma, verdict = rec.sigma, rec.computed
                 if verdict.outcome == "soliton":
+                    numeric = entry.spec.evaluate(sigma)
+                    wan = tuple(
+                        tuple(Poly.const(p.evaluate(sigma)) for p in row) for row in wan_sym
+                    )
                     d = tuple(tuple(Poly.const(x) for x in row) for row in verdict.d)
                     resid = derivation_residual(d, numeric)
                     soundness_ok = soundness_ok and all(
@@ -262,4 +266,6 @@ def test_criterion_8_determinism(tmp_path, capsys):
     capsys.readouterr()
     identical = a.read_bytes() == b.read_bytes()
     _report(8, "two consecutive verify-paper --out runs are byte-identical", identical)
+    digest = hashlib.sha256(a.read_bytes()).hexdigest()
+    _report(8, "the verify-paper --out report has its pinned SHA-256", digest == REPORT_SHA256)
     _report(8, "both full verification runs exit 0", code_a == 0 and code_b == 0)

@@ -229,6 +229,22 @@ def test_classify_g4_includes_both_eta_branches(capsys):
     assert data["disagree"] == 0
 
 
+def test_classify_empty_grid_exits_1(capsys):
+    # alpha != 0 in g1, so a ladder of zeros leaves no admissible point
+    code, out, _ = run(capsys, "classify", "--group", "g1", "--kind", "first", "--grid-ladder", "0")
+    assert code == 1
+    assert "0 grid points" in out
+
+
+@pytest.mark.parametrize("command", (["classify", "--group", "g2", "--kind", "first"], ["verify-paper"]))
+@pytest.mark.parametrize("flag", ("--min-points", "--max-points"))
+@pytest.mark.parametrize("value", ("0", "-1"))
+def test_vacuous_grid_bounds_exit_2(command, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(command + [flag, value])
+    assert exc.value.code == 2
+
+
 def test_classify_bad_ladder_exits_2(capsys):
     code, _, err = run(
         capsys, "classify", "--group", "g2", "--kind", "first", "--grid-ladder", "0.5,1"
@@ -314,6 +330,33 @@ def test_spec_file_and_group_are_exclusive(capsys, tmp_path):
     )
     assert code == 2
     assert "mutually exclusive" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ["tensors", "--group", "g9", "--tensor", "wan"],
+        ["check", "--group", "g9", "--kind", "first", "--at", "alpha=1"],
+        ["classify", "--group", "g9", "--kind", "first"],
+        ["jacobi", "--group", "g9"],
+        ["jacobi", "--spec-file", "[1, 2]"],
+        ["check", "--spec-file", '{"signature": [1, 1, -1]}', "--kind", "first", "--at", "alpha=1"],
+        ["tensors", "--spec-file", '{"brackets": {"e1,e2": 5}}', "--tensor", "wan"],
+        ["jacobi", "--spec-file", '{"brackets": {}, "constraints": []}'],
+    ),
+)
+def test_bad_group_or_spec_file_exits_2(capsys, tmp_path, argv):
+    """An unknown group or a structurally bad spec document (given inline
+    here and written to a file) is one error line and exit 2, no traceback."""
+    argv = list(argv)
+    if "--spec-file" in argv:
+        k = argv.index("--spec-file") + 1
+        path = tmp_path / "spec.json"
+        path.write_text(argv[k])
+        argv[k] = str(path)
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 # -- catalog override -------------------------------------------------------------------

@@ -12,10 +12,12 @@ from wanas.algebra import LORENTZ, LieAlgebraSpec, StructureConstants, vec3
 from wanas.geometry import mat_sub, scalar_matrix
 from wanas.poly import Poly, parse_poly
 from wanas.soliton import (
+    AffineEquation,
     SolitonKind,
     check_claimed_solution,
     derivation_residual,
     residual_system,
+    solve_affine,
     solve_affine_in_c,
     soliton_decide,
     wan_for_kind,
@@ -160,6 +162,29 @@ def test_decide_flat_infeasible_equation_witness():
     verdict = soliton_decide(spec, SolitonKind.FIRST, wan)
     assert verdict.outcome == "no_soliton"
     assert any(eq.slope == 0 and eq.constant for eq in verdict.witness)
+
+
+def test_solve_affine_outcomes_and_witnesses():
+    assert solve_affine([(F(2), F(-1)), (F(0), F(0)), (F(4), F(-2))]) == ("one", F(2), (0,))
+    assert solve_affine([(F(0), F(0))] * 3) == ("any", None, ())
+    assert solve_affine([]) == ("any", None, ())
+    # the first two flat contradictions, when nothing is sloped
+    assert solve_affine([(F(1), F(0)), (F(0), F(0)), (F(2), F(0)), (F(3), F(0))]) == ("none", None, (0, 2))
+    assert solve_affine([(F(0), F(0)), (F(1), F(0))]) == ("none", None, (1,))
+    # the first sloped equation and the first one disagreeing with it, before any flat one
+    assert solve_affine([(F(1), F(0)), (F(1), F(1)), (F(2), F(2)), (F(1), F(2))]) == ("none", None, (1, 3))
+    # else the first flat contradiction and the first sloped equation
+    assert solve_affine([(F(1), F(1)), (F(5), F(0))]) == ("none", None, (1, 0))
+
+
+def test_affine_equation_describe():
+    def text(constant, slope):
+        return AffineEquation((0, 1), 2, F(constant), F(slope)).describe()
+
+    assert text(2, 1) == "residual(e1,e2)[e3]: 2 + c = 0"
+    assert text(2, -1) == "residual(e1,e2)[e3]: 2 - c = 0"
+    assert text(F(1, 2), F(-3, 2)) == "residual(e1,e2)[e3]: 1/2 - 3/2*c = 0"
+    assert text(-1, 0) == "residual(e1,e2)[e3]: -1 = 0"
 
 
 # -- residual systems -----------------------------------------------------------------

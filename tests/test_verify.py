@@ -243,21 +243,24 @@ def test_classify_detects_wrong_claim(catalog):
 
 def test_symbolic_evaluation_commutes_with_numeric_pipeline(catalog):
     """classify_grid evaluates the symbolic Wan at each point; that must agree
-    with running the whole pipeline on the numeric algebra."""
+    with running the whole pipeline on the numeric algebra, and so must its
+    verdicts."""
     from wanas.poly import Poly
-    from wanas.soliton import wan_for_kind
+    from wanas.soliton import soliton_decide, wan_for_kind
 
     for gid in ("g2", "g4", "g6"):
         entry = catalog.get_group(gid)
         _, points = default_grid(entry)
         for kind in SolitonKind:
             wan_sym = wan_for_kind(entry.spec, kind)
-            for sigma in points[:8]:
+            report = classify_grid(entry, kind, points[:8], catalog.theorem_claim(gid, kind))
+            for sigma, rec in zip(points[:8], report.points):
                 numeric = entry.spec.evaluate(sigma)
                 direct = wan_for_kind(numeric, kind)
                 for i in range(3):
                     for j in range(3):
                         assert direct[i][j] == Poly.const(wan_sym[i][j].evaluate(sigma))
+                assert rec.computed == soliton_decide(numeric, kind, direct)
 
 
 def test_verdicts_equal_semantics():
