@@ -12,12 +12,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from .poly import (
     MissingVariableError,
     Poly,
     PolyLike,
+    VARIABLES,
     as_poly,
     format_rational,
     parse_poly,
@@ -141,14 +143,16 @@ class LieAlgebraSpec:
 
     def variables(self) -> tuple[str, ...]:
         """All parameters occurring in brackets or constraints, canonical order."""
+        return self._variables
+
+    @cached_property
+    def _variables(self) -> tuple[str, ...]:
         seen: set[str] = set()
         for i, j in PAIRS:
             for comp in self.constants[i, j]:
                 seen.update(comp.variables())
         for con in self.constraints:
             seen.update(con.poly.variables())
-        from .poly import VARIABLES
-
         return tuple(v for v in VARIABLES if v in seen)
 
     # -- bracket and Jacobi --------------------------------------------
@@ -288,8 +292,6 @@ def parse_assignment(text: str) -> dict[str, Fraction]:
             raise ValueError(f"expected name=p/q, got {chunk!r}")
         name, value = chunk.split("=", 1)
         name = name.strip()
-        from .poly import VARIABLES
-
         if name not in VARIABLES:
             raise ValueError(f"unknown parameter {name!r}; expected one of {', '.join(VARIABLES)}")
         if name in sigma:

@@ -64,6 +64,19 @@ def _load_algebra(args, catalog: Catalog | None) -> tuple[str, LieAlgebraSpec]:
     return (entry.id, entry.spec)
 
 
+def _require_jacobi(gid: str, spec: LieAlgebraSpec) -> None:
+    """Refuse a spec-file bracket table that is not a Lie algebra (at the
+    --at point when one is given): its tensors and verdicts would mean nothing."""
+    if gid != "spec-file":
+        return
+    residual = spec.jacobi_residual()
+    if any(residual):
+        _fail(
+            "the spec-file brackets violate the Jacobi identity: "
+            f"residual {render_vector(residual)}"
+        )
+
+
 def _parse_at(spec: LieAlgebraSpec, text: str) -> dict[str, Fraction]:
     try:
         sigma = parse_assignment(text)
@@ -96,6 +109,7 @@ def _cmd_tensors(args, catalog: Catalog) -> int:
     sigma = _parse_at(spec, args.at) if args.at else None
     if sigma is not None:
         spec = spec.evaluate(sigma)
+    _require_jacobi(gid, spec)
 
     base = "levi-civita" if args.tensor == "levi-civita" else args.connection_kind
     bundle = compute_tensors(spec, base)
@@ -159,6 +173,7 @@ def _cmd_check(args, catalog: Catalog) -> int:
     sigma = _parse_at(spec, args.at)
     kind = SolitonKind(args.kind)
     numeric = spec.evaluate(sigma)
+    _require_jacobi(gid, numeric)
     wan = wan_for_kind(numeric, kind)
     verdict = soliton_decide(numeric, kind, wan)
     payload = {

@@ -129,11 +129,17 @@ def nabla_j(conn: Conn, j: Mat3) -> tuple[tuple[Vec3, ...], ...]:
     return tuple(table)
 
 
-def canonical_connection(spec: LieAlgebraSpec, j: Mat3 | None = None) -> Conn:
-    """nabla0_X Y = nabla_X Y - (1/2)(nabla_X J)(J Y), from the Koszul nabla."""
+def canonical_connection(
+    spec: LieAlgebraSpec, j: Mat3 | None = None, lc: Conn | None = None
+) -> Conn:
+    """nabla0_X Y = nabla_X Y - (1/2)(nabla_X J)(J Y), from the Koszul nabla.
+
+    ``lc`` is the Levi-Civita table of ``spec`` when the caller already has it.
+    """
     if j is None:
         j = standard_product_structure()
-    lc = levi_civita(spec)
+    if lc is None:
+        lc = levi_civita(spec)
     nj = nabla_j(lc, j)
     table = []
     for i in range(3):
@@ -304,7 +310,7 @@ def compute_tensors(spec: LieAlgebraSpec, connection_kind: str = "canonical") ->
     """
     lc = levi_civita(spec)
     if connection_kind == "canonical":
-        conn = canonical_connection(spec)
+        conn = canonical_connection(spec, lc=lc)
     elif connection_kind == "levi-civita":
         conn = lc
     else:

@@ -15,8 +15,9 @@ string output is canonical and usable as a wire format ("3/2*alpha^2*beta",
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 VARIABLES = ("alpha", "beta", "gamma", "delta", "eta", "c")
 _VAR_INDEX = {name: i for i, name in enumerate(VARIABLES)}
@@ -99,7 +100,7 @@ class Poly:
         value = Fraction(value)
         if not value:
             return _ZERO
-        return cls({_ZERO_MONO: value})
+        return _raw({_ZERO_MONO: value})
 
     @classmethod
     def var(cls, name: str) -> Poly:
@@ -111,7 +112,7 @@ class Poly:
             ) from None
         mono = [0] * _NVARS
         mono[idx] = 1
-        return cls({tuple(mono): Fraction(1)})
+        return _raw({tuple(mono): _F1})
 
     # -- inspection ---------------------------------------------------
 
@@ -363,6 +364,7 @@ def _raw(terms: dict[Mono, Fraction]) -> Poly:
 
 
 _F0 = Fraction(0)
+_F1 = Fraction(1)
 _ZERO = Poly()
 _ONE = Poly.const(1)
 
@@ -373,6 +375,58 @@ def as_poly(value: PolyLike) -> Poly:
     if isinstance(value, (int, Fraction)):
         return Poly.const(value)
     raise TypeError(f"cannot coerce {type(value).__name__} to Poly")
+
+
+class IntegerEvaluator:
+    """A fixed list of polynomials compiled for exact evaluation in integers.
+
+    Compiling scales every coefficient by ``scale``, the lcm of their
+    denominators.  At a point x_v = p_v/q_v (lowest terms, q_v > 0) the
+    values are integer numerators over one positive denominator
+    ``scale * prod_v q_v^d_v``, where d_v is the largest degree of v in the
+    list: a term k * prod_v x_v^e_v contributes k * scale * prod_v
+    p_v^e_v * q_v^(d_v - e_v).  The variables are those occurring in the
+    list, in canonical order.
+    """
+
+    __slots__ = ("variables", "degrees", "scale", "_monos", "_rows")
+
+    def __init__(self, polys: Sequence[Poly]):
+        names = {v for p in polys for v in p.variables()}
+        self.variables = tuple(v for v in VARIABLES if v in names)
+        slots = [_VAR_INDEX[v] for v in self.variables]
+        self.degrees = tuple(max(m[i] for p in polys for m in p._terms) for i in slots)
+        self.scale = math.lcm(*(c.denominator for p in polys for c in p._terms.values()))
+        monos: dict[tuple[int, ...], int] = {}  # exponents over self.variables -> index
+        rows = []
+        for p in polys:
+            row = []
+            for mono, coeff in p._terms.items():
+                index = monos.setdefault(tuple(mono[i] for i in slots), len(monos))
+                row.append((index, coeff.numerator * (self.scale // coeff.denominator)))
+            rows.append(tuple(row))
+        self._monos = tuple(monos)
+        self._rows = tuple(rows)
+
+    def __call__(self, assignment: Mapping[str, Scalar]) -> tuple[list[int], int]:
+        """(numerators, denominator) of every polynomial at the point."""
+        missing = [v for v in self.variables if v not in assignment]
+        if missing:
+            raise MissingVariableError(missing)
+        powers = []
+        den = self.scale
+        for v, d in zip(self.variables, self.degrees):
+            x = assignment[v]
+            p, q = x.numerator, x.denominator
+            powers.append([p**e * q ** (d - e) for e in range(d + 1)])
+            den *= q**d
+        values = []
+        for mono in self._monos:
+            value = 1
+            for table, e in zip(powers, mono):
+                value *= table[e]
+            values.append(value)
+        return [sum(k * values[m] for m, k in row) for row in self._rows], den
 
 
 def format_rational(value: Scalar) -> str:

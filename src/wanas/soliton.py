@@ -14,11 +14,11 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
-from .algebra import PAIRS, LieAlgebraSpec, Vec3
+from .algebra import PAIRS, Assignment, LieAlgebraSpec, Vec3
 from .geometry import Mat3, compute_tensors, mat_sub, matrix_json, scalar_matrix
-from .poly import Poly, format_rational
+from .poly import IntegerEvaluator, Poly, Scalar, format_rational
 
 
 class SolitonKind(enum.Enum):
@@ -126,9 +126,12 @@ class SolitonVerdict:
         return f"no soliton ({lines})"
 
 
-def solve_affine(pairs: Sequence[tuple[Fraction, Fraction]]):
-    """Solve constant + slope*x = 0 over (constant, slope) Fraction pairs.
+def solve_affine(pairs: Sequence[tuple[Scalar, Scalar]]):
+    """Solve constant + slope*x = 0 over (constant, slope) pairs.
 
+    The pairs are Fractions, or integer numerators over one shared positive
+    denominator: values are only tested for zero and compared by
+    cross-multiplication, so both give the same outcome and witness.
     Returns ("one", x, witness), ("any", None, ()) or ("none", None, witness).
     The witness holds indices into ``pairs``: for "one" the equation that
     fixed x; for "none" the first two flat contradictions, else the first
@@ -142,13 +145,13 @@ def solve_affine(pairs: Sequence[tuple[Fraction, Fraction]]):
             return ("none", None, tuple(flat_bad[:2]))
         return ("any", None, ())
     first = sloped[0]
-    x = -pairs[first][0] / pairs[first][1]
+    constant, slope = pairs[first]
     for k in sloped[1:]:
-        if -pairs[k][0] / pairs[k][1] != x:
+        if pairs[k][0] * slope != constant * pairs[k][1]:
             return ("none", None, (first, k))
     if flat_bad:
         return ("none", None, (flat_bad[0], first))
-    return ("one", x, (first,))
+    return ("one", Fraction(-constant, slope), (first,))
 
 
 def soliton_decide(spec: LieAlgebraSpec, kind: SolitonKind, wan: Mat3) -> SolitonVerdict:
@@ -160,12 +163,37 @@ def soliton_decide(spec: LieAlgebraSpec, kind: SolitonKind, wan: Mat3) -> Solito
     brackets = tuple(
         tuple(p.constant_value() for p in spec.constants[i, j]) for i, j in PAIRS
     )
-    return _decide(brackets, tuple(tuple(p.constant_value() for p in row) for row in wan))
+    wan = tuple(tuple(p.constant_value() for p in row) for row in wan)
+    return _verdict(_affine_pairs(brackets, wan), wan)
 
 
-def _decide(brackets, wan) -> SolitonVerdict:
-    """The decision on Fraction values: ``brackets`` holds the upper brackets
-    [e_i, e_j] in PAIRS order, ``wan`` the operator (row i = image of e_i).
+def compile_decision(
+    spec: LieAlgebraSpec, kind: SolitonKind
+) -> Callable[[Assignment], SolitonVerdict]:
+    """``soliton_decide`` at any admissible point of ``spec``, compiled once.
+
+    The nine residual constants (the derivation residual of Wan), the nine
+    slopes (the bracket components) and the nine Wan entries go into one
+    ``IntegerEvaluator``; each call evaluates them in integers and builds the
+    verdict.  The point is not validated.
+    """
+    wan = wan_for_kind(spec, kind)
+    constants = [comp for vec in derivation_residual(wan, spec) for comp in vec]
+    slopes = [comp for i, j in PAIRS for comp in spec.constants[i, j]]
+    evaluate = IntegerEvaluator(constants + slopes + [p for row in wan for p in row])
+
+    def decide(sigma: Assignment) -> SolitonVerdict:
+        values, den = evaluate(sigma)
+        pairs = list(zip(values[:9], values[9:18]))
+        return _verdict(pairs, (values[18:21], values[21:24], values[24:27]), den)
+
+    return decide
+
+
+def _affine_pairs(brackets, wan) -> list[tuple[Fraction, Fraction]]:
+    """The nine (constant, slope) pairs on Fraction values: ``brackets``
+    holds the upper brackets [e_i, e_j] in PAIRS order, ``wan`` the operator
+    (row i = image of e_i).
 
     Substituting D = wan - c*Id into the derivation residual leaves nine
     equations affine in c: residual(D) = residual(wan) + c*[e_i, e_j].
@@ -182,11 +210,23 @@ def _decide(brackets, wan) -> SolitonVerdict:
                 for k in range(3)
             )
             pairs.append((constant, cij[l]))
+    return pairs
 
+
+def _verdict(pairs, wan, den: int = 1) -> SolitonVerdict:
+    """The verdict from the nine affine pairs and the Wan rows, all values
+    over the positive denominator ``den`` (1 for Fraction values).  Fractions
+    are made only for what the verdict holds: c, D, the witness, D(c)."""
     outcome, c_value, witness = solve_affine(pairs)
     if outcome == "none":
-        witness = tuple(AffineEquation(PAIRS[k // 3], k % 3, *pairs[k]) for k in witness)
+        witness = tuple(
+            AffineEquation(
+                PAIRS[k // 3], k % 3, Fraction(pairs[k][0], den), Fraction(pairs[k][1], den)
+            )
+            for k in witness
+        )
         return SolitonVerdict("no_soliton", witness=witness)
+    wan = tuple(tuple(Fraction(x, den) for x in row) for row in wan)
     if outcome == "any":
         wan_poly = tuple(tuple(Poly.const(x) for x in row) for row in wan)
         family = mat_sub(wan_poly, scalar_matrix(Poly.var("c")))

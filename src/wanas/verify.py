@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .algebra import PAIRS, Assignment, Constraint, InvalidAssignmentError, LieAlgebraSpec
+from .algebra import Assignment, Constraint, InvalidAssignmentError, LieAlgebraSpec
 from .catalog import (
     ALL_GROUPS,
     Catalog,
@@ -32,8 +32,8 @@ from .soliton import (
     ETA_RELATION,
     SolitonKind,
     SolitonVerdict,
-    _decide,
     check_claimed_solution,
+    compile_decision,
     solve_affine,
     wan_for_kind,
 )
@@ -326,20 +326,17 @@ def classify_grid(
     claim: TheoremClaim,
 ) -> ClassificationReport:
     """Decide every grid point from recomputed tensors and compare with the
-    theorem predicate: the symbolic brackets and Wan operator, evaluated at
-    the point, go to the same decision that ``soliton_decide`` makes."""
+    theorem predicate: the decision is ``soliton_decide``'s, compiled once
+    from the symbolic brackets and Wan operator and run in integers."""
     spec = entry.spec
-    wan_sym = wan_for_kind(spec, kind)
-    brackets_sym = [spec.constants[i, j] for i, j in PAIRS]
+    decide = compile_decision(spec, kind)
     records = []
     for sigma in points:
         sigma = dict(sigma)
         violations = spec.validate_assignment(sigma)
         if violations:
             raise InvalidAssignmentError(violations)
-        brackets = tuple(tuple(p.evaluate(sigma) for p in v) for v in brackets_sym)
-        wan = tuple(tuple(p.evaluate(sigma) for p in row) for row in wan_sym)
-        computed = _decide(brackets, wan)
+        computed = decide(sigma)
         expected = predicate_eval(claim, sigma)
         records.append(
             PointRecord(sigma, computed, expected, verdicts_equal(computed, expected))
@@ -463,7 +460,13 @@ class PaperReport:
 
     @property
     def ok(self) -> bool:
-        return not self.mismatches and self.disagreement_count == 0
+        """No mismatch, no disagreement, and no classification left empty:
+        a grid without admissible points checks nothing."""
+        return (
+            not self.mismatches
+            and self.disagreement_count == 0
+            and all(c.total for c in self.classifications)
+        )
 
     def summary_counts(self) -> dict:
         counts = {MATCH: 0, MATCH_ON_VARIETY: 0, MISMATCH: 0}
@@ -513,9 +516,12 @@ class PaperReport:
                 f"computed {r.computed} vs claimed {r.claimed}"
             )
         for c in self.classifications:
-            status = "all agree" if c.total == c.agreements else (
-                f"{c.total - c.agreements} DISAGREE"
-            )
+            if not c.total:
+                status = "NOTHING CHECKED (no admissible grid point)"
+            elif c.total == c.agreements:
+                status = "all agree"
+            else:
+                status = f"{c.total - c.agreements} DISAGREE"
             lines.append(
                 f"classification {c.group} {c.kind.value} kind: "
                 f"{c.total} points, {status}"

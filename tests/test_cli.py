@@ -275,6 +275,15 @@ def test_verify_paper_reports_are_byte_identical(capsys, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_verify_paper_empty_grid_exits_1(capsys):
+    # alpha != 0 in g1, so a ladder of zeros leaves no admissible point
+    code, out, _ = run(capsys, "verify-paper", "--group", "g1", "--grid-ladder", "0")
+    assert code == 1
+    assert "0 points, NOTHING CHECKED" in out
+    assert "all agree" not in out
+    assert "RESULT: FAILURES found" in out
+
+
 def test_verify_paper_unknown_group_exits_2(capsys):
     code, _, err = run(capsys, "verify-paper", "--group", "g9")
     assert code == 2
@@ -332,6 +341,9 @@ def test_spec_file_and_group_are_exclusive(capsys, tmp_path):
     assert "mutually exclusive" in err
 
 
+NON_LIE = '{"brackets": {"e1,e2": ["1", "0", "0"], "e1,e3": ["0", "1", "0"]}}'
+
+
 @pytest.mark.parametrize(
     "argv",
     (
@@ -343,6 +355,9 @@ def test_spec_file_and_group_are_exclusive(capsys, tmp_path):
         ["check", "--spec-file", '{"signature": [1, 1, -1]}', "--kind", "first", "--at", "alpha=1"],
         ["tensors", "--spec-file", '{"brackets": {"e1,e2": 5}}', "--tensor", "wan"],
         ["jacobi", "--spec-file", '{"brackets": {}, "constraints": []}'],
+        # brackets that violate the Jacobi identity: not a Lie algebra
+        ["check", "--spec-file", NON_LIE, "--kind", "first", "--at", ""],
+        ["tensors", "--spec-file", NON_LIE, "--tensor", "wan"],
     ),
 )
 def test_bad_group_or_spec_file_exits_2(capsys, tmp_path, argv):

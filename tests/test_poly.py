@@ -7,7 +7,9 @@ from fractions import Fraction
 
 import pytest
 
+from wanas.algebra import PAIRS
 from wanas.poly import (
+    IntegerEvaluator,
     MissingVariableError,
     Poly,
     PolyParseError,
@@ -17,6 +19,7 @@ from wanas.poly import (
     parse_poly,
     parse_rational,
 )
+from wanas.soliton import SolitonKind, derivation_residual, wan_for_kind
 
 P = parse_poly
 ALPHA, BETA, GAMMA = Poly.var("alpha"), Poly.var("beta"), Poly.var("gamma")
@@ -304,3 +307,41 @@ def test_reduce_idempotent_and_congruent_randomized():
             assert p.evaluate(sigma) == reduced.evaluate(sigma)
         # no monomial divisible by eta^2 survives
         assert reduced.degree_in("eta") <= 1
+
+
+# -- the integer evaluator -------------------------------------------------------------
+
+
+def test_integer_evaluator_shares_one_denominator():
+    polys = [P("1/2*alpha^2*beta - 3"), P("2/3*beta"), Poly.zero(), P("7"), P("-alpha")]
+    evaluate = IntegerEvaluator(polys)
+    assert evaluate.variables == ("alpha", "beta")
+    assert evaluate.degrees == (2, 1)
+    assert evaluate.scale == 6
+    sigma = {"alpha": Fraction(-2, 3), "beta": Fraction(5, 7), "gamma": Fraction(9)}
+    numerators, den = evaluate(sigma)
+    assert den == 6 * 3**2 * 7
+    assert [Fraction(n, den) for n in numerators] == [p.evaluate(sigma) for p in polys]
+    assert evaluate({"alpha": 2, "beta": -1}) == ([-30, -4, 0, 42, -12], 6)
+    with pytest.raises(MissingVariableError):
+        evaluate({"alpha": Fraction(1)})
+    assert IntegerEvaluator([])({}) == ([], 1)
+
+
+def test_integer_evaluator_matches_evaluate_on_catalog_groups(groups, height_points):
+    """Exactly Poly.evaluate on every polynomial the grid decision uses (and
+    the constraints), at seeded points of height <= 1000 with 0, negative
+    values and the large solved coordinate of g5-g7."""
+    for gid, entry in groups.items():
+        spec = entry.spec
+        polys = [p for i, j in PAIRS for p in spec.constants[i, j]]
+        polys += [con.poly for con in spec.constraints]
+        for kind in SolitonKind:
+            wan = wan_for_kind(spec, kind)
+            polys += [p for row in wan for p in row]
+            polys += [p for vec in derivation_residual(wan, spec) for p in vec]
+        evaluate = IntegerEvaluator(polys)
+        for sigma in height_points[gid]:
+            numerators, den = evaluate(sigma)
+            assert den > 0
+            assert [Fraction(n, den) for n in numerators] == [p.evaluate(sigma) for p in polys]

@@ -177,6 +177,49 @@ def test_solve_affine_outcomes_and_witnesses():
     assert solve_affine([(F(1), F(1)), (F(5), F(0))]) == ("none", None, (1, 0))
 
 
+def test_solve_affine_integer_pairs_over_common_denominator():
+    """Integer numerators over a shared positive denominator decide exactly
+    like the Fractions they stand for: same outcome, value and witness."""
+    rng = random.Random(31337)
+    outcomes = set()
+    for _ in range(500):
+        x = F(rng.randint(-5, 5), rng.randint(1, 4))
+        pairs = []
+        for _ in range(rng.randint(0, 9)):
+            pick = rng.random()
+            if pick < 0.3:
+                pairs.append((0, 0))
+            elif pick < 0.4:
+                pairs.append((rng.choice((-3, 2, 7)), 0))
+            elif pick < 0.9:
+                m = rng.choice((-6, -1, 1, 2, 5))
+                pairs.append((-x.numerator * m, x.denominator * m))
+            else:
+                pairs.append((rng.randint(-9, 9), rng.randint(-9, 9)))
+        den = rng.randint(1, 60)
+        result = solve_affine(pairs)
+        assert result == solve_affine([(F(a, den), F(b, den)) for a, b in pairs])
+        outcome, x, witness = result
+        if outcome == "any":
+            assert affine_roots(pairs) is None
+        elif outcome == "one":
+            assert affine_roots(pairs) == {x}
+        else:
+            contradiction = affine_roots([pairs[k] for k in witness])
+            assert contradiction is not None and len(contradiction) != 1
+        outcomes.add(outcome)
+    assert outcomes == {"one", "any", "none"}
+
+
+def affine_roots(pairs):
+    """Oracle: the solutions of a + b*x = 0 for all pairs as a set of
+    candidate roots (infeasible when empty or larger than one), None for all x."""
+    if any(a and not b for a, b in pairs):
+        return set()
+    roots = {F(-a, b) for a, b in pairs if b}
+    return roots or None
+
+
 def test_affine_equation_describe():
     def text(constant, slope):
         return AffineEquation((0, 1), 2, F(constant), F(slope)).describe()

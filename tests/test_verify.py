@@ -263,6 +263,28 @@ def test_symbolic_evaluation_commutes_with_numeric_pipeline(catalog):
                 assert rec.computed == soliton_decide(numeric, kind, direct)
 
 
+def test_classify_grid_equals_numeric_pipeline_at_height_points(catalog, height_points):
+    """The integer kernel in classify_grid gives exactly soliton_decide's
+    verdict (whole dataclass, witness included) on the full numeric
+    pipeline, for every group and both kinds, at seeded points of height
+    <= 1000 with 0, negative values and the large solved coordinate."""
+    from wanas.soliton import soliton_decide, wan_for_kind
+
+    outcomes = set()
+    for gid in ALL_GROUPS:
+        entry = catalog.get_group(gid)
+        points = height_points[gid]
+        for kind in SolitonKind:
+            report = classify_grid(entry, kind, points, catalog.theorem_claim(gid, kind))
+            assert report.total == len(points)
+            for sigma, rec in zip(points, report.points):
+                numeric = entry.spec.evaluate(sigma)
+                direct = soliton_decide(numeric, kind, wan_for_kind(numeric, kind))
+                assert rec.computed == direct, (gid, kind, sigma)
+                outcomes.add(direct.outcome)
+    assert outcomes == {"soliton", "no_soliton"}
+
+
 def test_verdicts_equal_semantics():
     a = SolitonVerdict("soliton", c=F(1), d=((F(0),) * 3,) * 3)
     b = SolitonVerdict("soliton", c=F(1), d=((F(0),) * 3,) * 3)
