@@ -16,6 +16,7 @@ from functools import cached_property
 from typing import Mapping, Sequence
 
 from .poly import (
+    IntegerEvaluator,
     MissingVariableError,
     Poly,
     PolyLike,
@@ -197,14 +198,22 @@ class LieAlgebraSpec:
         missing = [v for v in self.variables() if v not in sigma]
         if missing:
             raise MissingVariableError(missing)
+        values, den = self._constraint_values(sigma)
         violations = []
-        for con in self.constraints:
-            value = con.poly.evaluate(sigma)
-            if con.kind == "eq" and value != 0:
-                violations.append(f"{con.poly} = {format_rational(value)}, expected 0")
-            elif con.kind == "neq" and value == 0:
+        for con, value in zip(self.constraints, values):
+            if con.kind == "eq" and value:
+                violations.append(
+                    f"{con.poly} = {format_rational(Fraction(value, den))}, expected 0"
+                )
+            elif con.kind == "neq" and not value:
                 violations.append(f"{con.poly} = 0, expected nonzero")
         return violations
+
+    @cached_property
+    def _constraint_values(self) -> IntegerEvaluator:
+        """The constraint polynomials compiled once: a value is zero exactly
+        when its integer numerator is."""
+        return IntegerEvaluator([con.poly for con in self.constraints])
 
     def evaluate(self, sigma: Assignment) -> LieAlgebraSpec:
         """The numeric algebra at sigma (constraints checked, then dropped)."""

@@ -17,6 +17,7 @@ import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from importlib import resources
 from typing import Mapping, Sequence
 
@@ -32,7 +33,7 @@ from .algebra import (
     vec3,
 )
 from .geometry import Conn, Mat3, Tor, Tri
-from .poly import Poly, parse_poly
+from .poly import IntegerEvaluator, Poly, parse_poly
 from .soliton import SolitonKind, SolitonVerdict
 
 ALL_GROUPS = ("g1", "g2", "g3", "g4", "g5", "g6", "g7")
@@ -89,16 +90,31 @@ class TheoremCase:
 
     def matches(self, sigma: Assignment) -> bool:
         """Whether the point satisfies this case's defining conditions."""
-        for var, expr in self.subs:
-            if Fraction(sigma[var]) != expr.evaluate(sigma):
-                return False
-        for eq in self.extra_eq:
-            if eq.evaluate(sigma) != 0:
-                return False
-        for nz in self.neq:
-            if nz.evaluate(sigma) == 0:
-                return False
-        return True
+        values, _ = self._conditions(sigma)
+        vanishing = len(self.subs) + len(self.extra_eq)
+        return not any(values[:vanishing]) and all(values[vanishing:])
+
+    def solution_at(
+        self, sigma: Assignment
+    ) -> tuple[Fraction, tuple[tuple[Fraction, ...], ...]]:
+        """The case's c and D at the point (not for an any_c case)."""
+        values, den = self._solution(sigma)
+        c_val, *d_vals = (Fraction(x, den) for x in values)
+        return c_val, tuple(tuple(d_vals[3 * i : 3 * i + 3]) for i in range(3))
+
+    @cached_property
+    def _conditions(self) -> IntegerEvaluator:
+        """The conditions compiled once: each subs as var - expr and each
+        extra_eq must vanish, then each neq must not."""
+        return IntegerEvaluator(
+            [Poly.var(var) - expr for var, expr in self.subs]
+            + list(self.extra_eq)
+            + list(self.neq)
+        )
+
+    @cached_property
+    def _solution(self) -> IntegerEvaluator:
+        return IntegerEvaluator([self.c] + [p for row in self.d for p in row])
 
 
 @dataclass(frozen=True)
@@ -351,12 +367,11 @@ def predicate_eval(claim: TheoremClaim, sigma: Assignment) -> SolitonVerdict:
     if not matched:
         return SolitonVerdict("no_soliton")
     case = matched[0]
-    numeric = {v: Fraction(x) for v, x in sigma.items()}
     if case.any_c:
+        numeric = {v: Fraction(x) for v, x in sigma.items()}
         family = tuple(tuple(p.substitute({v: Poly.const(x) for v, x in numeric.items()}) for p in row) for row in case.d)
         return SolitonVerdict("any_c", d_family=family)
-    c_val = case.c.evaluate(numeric)
-    d_val = tuple(tuple(p.evaluate(numeric) for p in row) for row in case.d)
+    c_val, d_val = case.solution_at(sigma)
     return SolitonVerdict("soliton", c=c_val, d=d_val)
 
 

@@ -235,17 +235,26 @@ class Poly:
     # -- evaluation, substitution, reduction ----------------------------
 
     def evaluate(self, assignment: Mapping[str, Scalar]) -> Fraction:
-        """Exact value at a point; every variable of the polynomial must be assigned."""
-        missing = [v for v in self.variables() if v not in assignment]
-        if missing:
-            raise MissingVariableError(missing)
-        values = [Fraction(assignment[v]) if v in assignment else _F0 for v in VARIABLES]
+        """Exact value at a point; every variable of the polynomial must be assigned.
+
+        One pass over the terms; only the variables that occur are read and
+        converted, each once.
+        """
+        values: list[Fraction | None] = [None] * _NVARS
         total = _F0
         for mono, coeff in self._terms.items():
             term = coeff
-            for val, e in zip(values, mono):
+            for i, e in enumerate(mono):
                 if e:
-                    term *= val**e
+                    val = values[i]
+                    if val is None:
+                        name = VARIABLES[i]
+                        if name not in assignment:
+                            raise MissingVariableError(
+                                v for v in self.variables() if v not in assignment
+                            )
+                        val = values[i] = Fraction(assignment[name])
+                    term *= val if e == 1 else val**e
             total += term
         return total
 

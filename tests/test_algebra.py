@@ -19,7 +19,7 @@ from wanas.algebra import (
     parse_assignment,
     vec3,
 )
-from wanas.poly import MissingVariableError, Poly, parse_poly
+from wanas.poly import MissingVariableError, Poly, format_rational, parse_poly
 
 P = parse_poly
 
@@ -176,6 +176,51 @@ def test_validate_rejects_c_and_missing_variables(groups):
     assert spec.validate_assignment({"alpha": 1, "beta": 0, "c": 1}) != []
     with pytest.raises(MissingVariableError):
         spec.validate_assignment({"alpha": Fraction(1)})
+
+
+def _reference_violations(spec, sigma):
+    """validate_assignment computed with Poly.evaluate, one constraint at a time."""
+    if "c" in sigma:
+        return ["the soliton scalar c is not a group parameter"]
+    violations = []
+    for con in spec.constraints:
+        value = con.poly.evaluate(sigma)
+        if con.kind == "eq" and value != 0:
+            violations.append(f"{con.poly} = {format_rational(value)}, expected 0")
+        elif con.kind == "neq" and value == 0:
+            violations.append(f"{con.poly} = 0, expected nonzero")
+    return violations
+
+
+def test_validate_equals_reference_at_height_points(groups, height_points):
+    for gid, points in height_points.items():
+        spec = groups[gid].spec
+        for sigma in points:
+            assert spec.validate_assignment(sigma) == _reference_violations(spec, sigma) == []
+
+
+@pytest.mark.parametrize(
+    "gid, point, expected",
+    [
+        # a violated equation whose value is not an integer
+        ("g5", "alpha=1/2,beta=1,gamma=1/3,delta=1", ["alpha*gamma + beta*delta = 7/6, expected 0"]),
+        (
+            "g5",
+            "alpha=1/2,beta=1,gamma=1/3,delta=-1/2",
+            ["alpha*gamma + beta*delta = -1/3, expected 0", "alpha + delta = 0, expected nonzero"],
+        ),
+        ("g6", "alpha=-3/7,beta=5,gamma=2,delta=1/9", ["alpha*gamma - beta*delta = -89/63, expected 0"]),
+        ("g7", "alpha=2,beta=0,gamma=-1/4,delta=1", ["alpha*gamma = -1/2, expected 0"]),
+        ("g4", "alpha=0,beta=2,eta=2/3", ["eta^2 - 1 = -5/9, expected 0"]),
+        ("g2", "alpha=1/2,beta=-3,gamma=0", ["gamma = 0, expected nonzero"]),
+        ("g1", "alpha=0,beta=5/2", ["alpha = 0, expected nonzero"]),
+        ("g1", "alpha=1,beta=0,c=1", ["the soliton scalar c is not a group parameter"]),
+    ],
+)
+def test_validate_equals_reference_at_violating_points(groups, gid, point, expected):
+    spec = groups[gid].spec
+    sigma = parse_assignment(point)
+    assert spec.validate_assignment(sigma) == _reference_violations(spec, sigma) == expected
 
 
 def test_evaluate_g2_worked_example(groups):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 from fractions import Fraction
 
@@ -19,7 +20,7 @@ from wanas.catalog import (
 )
 from wanas.geometry import mat_eq
 from wanas.poly import Poly, parse_poly
-from wanas.soliton import SolitonKind
+from wanas.soliton import SolitonKind, SolitonVerdict
 
 P = parse_poly
 F = Fraction
@@ -308,3 +309,80 @@ def test_catalog_cases_are_mutually_exclusive_on_grids(catalog):
             claim = catalog.theorem_claim(gid, kind)
             for sigma in points[:250]:
                 predicate_eval(claim, sigma)  # raises AmbiguousCaseError on overlap
+
+
+def _reference_matches(case, sigma):
+    """TheoremCase.matches computed with Poly.evaluate, one condition at a time."""
+    for var, expr in case.subs:
+        if Fraction(sigma[var]) != expr.evaluate(sigma):
+            return False
+    if any(eq.evaluate(sigma) != 0 for eq in case.extra_eq):
+        return False
+    return all(nz.evaluate(sigma) != 0 for nz in case.neq)
+
+
+def _reference_predicate(claim, sigma):
+    """predicate_eval with the case conditions, c and D through Poly.evaluate."""
+    if claim.claim_type == "no_soliton":
+        return SolitonVerdict("no_soliton")
+    matched = [case for case in claim.cases if _reference_matches(case, sigma)]
+    if len(matched) > 1:
+        raise AmbiguousCaseError(claim.group, claim.kind, [c.name for c in matched])
+    if not matched:
+        return SolitonVerdict("no_soliton")
+    (case,) = matched
+    numeric = {v: Fraction(x) for v, x in sigma.items()}
+    if case.any_c:
+        images = {v: Poly.const(x) for v, x in numeric.items()}
+        family = tuple(tuple(p.substitute(images) for p in row) for row in case.d)
+        return SolitonVerdict("any_c", d_family=family)
+    c_val = case.c.evaluate(numeric)
+    d_val = tuple(tuple(p.evaluate(numeric) for p in row) for row in case.d)
+    return SolitonVerdict("soliton", c=c_val, d=d_val)
+
+
+def test_predicates_equal_reference_at_height_points_and_default_grids(catalog, height_points):
+    """The compiled case conditions and solutions give exactly the verdicts
+    of the Poly.evaluate formulation, for every group, kind and case."""
+    from wanas.verify import default_grid
+
+    for gid in ALL_GROUPS:
+        _, grid = default_grid(catalog.get_group(gid))
+        for kind in SolitonKind:
+            claim = catalog.theorem_claim(gid, kind)
+            for sigma in height_points[gid] + grid:
+                for case in claim.cases:
+                    assert case.matches(sigma) == _reference_matches(case, sigma)
+                assert predicate_eval(claim, sigma) == _reference_predicate(claim, sigma)
+
+
+def test_case_conditions_equal_reference_off_the_admissible_set(catalog):
+    """matches does not validate the point: compare on a plain product grid of
+    each group's parameters, which also reaches cases that no admissible point
+    matches (g6 case iii conflicts with alpha + delta != 0)."""
+    values = (F(-2), F(-1), F(0), F(1), F(1, 2))
+    for gid in ALL_GROUPS:
+        variables = catalog.get_group(gid).spec.variables()
+        points = [
+            dict(zip(variables, combo))
+            for combo in itertools.product(values, repeat=len(variables))
+        ]
+        for kind in SolitonKind:
+            for case in catalog.theorem_claim(gid, kind).cases:
+                hits = [case.matches(sigma) for sigma in points]
+                assert hits == [_reference_matches(case, sigma) for sigma in points]
+                assert any(hits), (gid, kind, case.name)
+
+
+def test_loading_compiles_no_evaluator():
+    """The integer evaluators are built on first use, so loading the catalog
+    does no work for them."""
+    fresh = load_catalog()
+    for entry in fresh.groups.values():
+        assert "_constraint_values" not in vars(entry.spec)
+        for claim in entry.theorems.values():
+            for case in claim.cases:
+                assert not {"_conditions", "_solution"} & set(vars(case))
+    claim = fresh.theorem_claim("g2", SolitonKind.FIRST)
+    predicate_eval(claim, {"alpha": F(0), "beta": F(0), "gamma": F(1)})
+    assert {"_conditions", "_solution"} <= set(vars(claim.cases[0]))

@@ -275,6 +275,17 @@ def test_verify_paper_reports_are_byte_identical(capsys, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_verify_paper_repeated_group_reports_it_once(capsys, tmp_path):
+    once, twice = tmp_path / "once.json", tmp_path / "twice.json"
+    assert run(capsys, "verify-paper", "--group", "g1", "--out", str(once))[0] == 0
+    code, out, _ = run(
+        capsys, "verify-paper", "--group", "g1", "--group", "G1", "--out", str(twice)
+    )
+    assert code == 0
+    assert out.startswith("groups verified: g1\n")
+    assert twice.read_bytes() == once.read_bytes()
+
+
 def test_verify_paper_empty_grid_exits_1(capsys):
     # alpha != 0 in g1, so a ladder of zeros leaves no admissible point
     code, out, _ = run(capsys, "verify-paper", "--group", "g1", "--grid-ladder", "0")

@@ -257,6 +257,45 @@ def _assert_canonical(p: Poly):
     assert all(coeff != 0 for coeff in p.terms.values())
 
 
+def _reference_evaluate(p: Poly, assignment) -> Fraction:
+    """Poly.evaluate as first written: every assigned variable converted,
+    then every term multiplied out."""
+    missing = [v for v in p.variables() if v not in assignment]
+    if missing:
+        raise MissingVariableError(missing)
+    values = [Fraction(assignment[v]) if v in assignment else Fraction(0) for v in VARIABLES]
+    total = Fraction(0)
+    for mono, coeff in p.terms.items():
+        term = coeff
+        for val, e in zip(values, mono):
+            if e:
+                term *= val**e
+        total += term
+    return total
+
+
+def test_evaluate_equals_reference_randomized():
+    """Same values, and the same error naming the same sorted variables,
+    on full and partial points with Fraction and int coordinates."""
+    rng = random.Random(20261018)
+    for _ in range(400):
+        p = random_poly(rng)
+        point = {v: x if x.denominator > 1 else int(x) for v, x in random_point(rng).items()}
+        partial = {v: x for v, x in point.items() if rng.random() < 0.6}
+        for sigma in (point, partial):
+            try:
+                expected = _reference_evaluate(p, sigma)
+            except MissingVariableError as exc:
+                with pytest.raises(MissingVariableError) as err:
+                    p.evaluate(sigma)
+                assert err.value.names == exc.names
+                assert str(err.value) == str(exc)
+            else:
+                value = p.evaluate(sigma)
+                assert value == expected
+                assert type(value) is Fraction
+
+
 def test_ring_axioms_randomized():
     rng = random.Random(20240817)
     cases = 0

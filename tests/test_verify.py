@@ -3,11 +3,19 @@ classification, and report determinism."""
 
 from __future__ import annotations
 
+import collections
 import dataclasses
+import itertools
+import random
+import sys
 from fractions import Fraction
 
+import pytest
+
+from wanas import verify as verify_module
 from wanas.algebra import Constraint, LORENTZ, LieAlgebraSpec, StructureConstants, vec3
-from wanas.catalog import ALL_GROUPS
+from wanas.catalog import ALL_GROUPS, ClaimedTensors, GroupEntry
+from wanas.geometry import compute_tensors
 from wanas.poly import Poly, parse_poly
 from wanas.soliton import SolitonKind, SolitonVerdict
 from wanas.verify import (
@@ -106,35 +114,98 @@ def test_compare_match_on_variety_via_reduction(catalog):
     entry = catalog.get_group("g5")
     computed = P("alpha^2")
     claimed = P("alpha^2 + alpha*gamma + beta*delta")  # differs by the relation
-    verdict, certificate = compare_polys(computed, claimed, entry, [])
+    verdict, certificate = compare_polys(computed, claimed, entry, lambda: [])
     assert verdict == MATCH_ON_VARIETY
     assert "modulo" in certificate
 
 
-def test_compare_match_on_variety_via_sampling():
-    # three-term defining equation: binomial reduction is unavailable, so the
-    # sampled-vanishing certificate has to carry the comparison
-    spec = LieAlgebraSpec(
+def _three_term_spec() -> LieAlgebraSpec:
+    """A custom algebra whose defining equation has three terms, so binomial
+    reduction is unavailable and only variety sampling can certify it."""
+    return LieAlgebraSpec(
         StructureConstants.from_brackets(
             vec3(P("alpha"), 0, 0), vec3(0, P("beta"), 0), vec3(0, 0, P("gamma"))
         ),
         LORENTZ,
         (Constraint("eq", P("alpha+beta+gamma")),),
     )
+
+
+def test_compare_match_on_variety_via_sampling():
+    # three-term defining equation: binomial reduction is unavailable, so the
+    # sampled-vanishing certificate has to carry the comparison
+    spec = _three_term_spec()
     entry_like = _FakeEntry("custom", spec)
     points = generate_grid(spec, GridSpec("custom", BASE_LADDER, max_points=50))
     assert len(points) >= 50
     verdict, certificate = compare_polys(
-        P("delta"), P("delta + alpha + beta + gamma"), entry_like, points
+        P("delta"), P("delta + alpha + beta + gamma"), entry_like, lambda: points
     )
     assert verdict == MATCH_ON_VARIETY
     assert "sampled" in certificate
+    assert certificate == "vanishes at all 50 sampled variety points"
+
+
+def _count_default_grid_calls(monkeypatch) -> list:
+    calls = []
+    original = verify_module.default_grid
+
+    def counting(entry, *args, **kwargs):
+        calls.append(entry.id)
+        return original(entry, *args, **kwargs)
+
+    monkeypatch.setattr(verify_module, "default_grid", counting)
+    return calls
+
+
+def test_reproduce_builds_no_variety_samples_on_the_catalog(catalog, monkeypatch):
+    """Every catalog entry matches exactly, so no sample grid is ever built."""
+    calls = _count_default_grid_calls(monkeypatch)
+    for gid in ALL_GROUPS:
+        reproduce_group(catalog.get_group(gid))
+    assert calls == []
+
+
+def test_reproduce_builds_variety_samples_once_when_needed(monkeypatch):
+    """Two claimed entries that differ from the computed ones by multiples of
+    the three-term equation reach the sampling fallback; the samples are
+    built once and certify both."""
+    spec = _three_term_spec()
+    bundle = compute_tensors(spec)
+    relation = P("alpha+beta+gamma")
+
+    def shifted(m, i, j, by):
+        return tuple(
+            tuple(p + by if (r, k) == (i, j) else p for k, p in enumerate(row))
+            for r, row in enumerate(m)
+        )
+
+    claimed = ClaimedTensors(
+        connection=bundle.connection,
+        torsion=bundle.torsion,
+        a_tensor=bundle.a_tensor,
+        abar=shifted(bundle.abar, 0, 0, relation * P("alpha")),
+        ric=bundle.ric,
+        wan=shifted(bundle.wan, 1, 2, relation),
+        wan_tilde=bundle.wan_tilde,
+    )
+    entry = GroupEntry("custom", False, spec, {}, claimed, {}, {}, ())
+    calls = _count_default_grid_calls(monkeypatch)
+    reports = reproduce_group(entry)
+    assert calls == ["custom"]
+    sampled = [(r.item, r.location) for r in reports if r.verdict == MATCH_ON_VARIETY]
+    assert sampled == [("abar", (1, 1)), ("wan", (2, 3))]
+    for r in reports:
+        if r.verdict == MATCH_ON_VARIETY:
+            assert r.certificate == "vanishes at all 50 sampled variety points"
+        else:
+            assert r.verdict == MATCH
 
 
 def test_compare_mismatch_when_genuinely_different(catalog):
     entry = catalog.get_group("g5")
     samples = generate_grid(entry.spec, GridSpec("g5", BASE_LADDER, max_points=50))
-    verdict, _ = compare_polys(P("alpha^2"), P("alpha^2+1"), entry, samples)
+    verdict, _ = compare_polys(P("alpha^2"), P("alpha^2+1"), entry, lambda: samples)
     assert verdict == MISMATCH
 
 
@@ -145,6 +216,45 @@ class _FakeEntry:
 
 
 # -- grids -------------------------------------------------------------------------------
+
+
+def _reference_grid(spec, ladder):
+    """generate_grid for a spec with one defining equation, no sign variable
+    and no single-variable NonVanishing (g5-g7), solved and validated with
+    Poly.evaluate."""
+    variables = spec.variables()
+    (eq,) = [con.poly for con in spec.constraints if con.kind == "eq"]
+    solved = eq.variables()[-1]
+    free = [v for v in variables if v != solved]
+    domain = sorted(set(ladder) | {F(0)})
+    points = []
+    for combo in itertools.product(domain, repeat=len(free)):
+        sigma = dict(zip(free, combo))
+        at0 = eq.evaluate({**sigma, solved: F(0)})
+        slope = eq.evaluate({**sigma, solved: F(1)}) - at0
+        values = [-at0 / slope] if slope else domain if not at0 else []
+        for x in values:
+            candidate = dict(sigma, **{solved: x})
+            if all(
+                (con.poly.evaluate(candidate) == 0) == (con.kind == "eq")
+                for con in spec.constraints
+            ):
+                points.append(candidate)
+    points.sort(key=lambda s: tuple(s[v] for v in variables))
+    return points
+
+
+@pytest.mark.parametrize("gid", ("g5", "g6", "g7"))
+@pytest.mark.parametrize("seed", (1, 2, 3))
+def test_grid_solving_equals_reference_on_height_ladders(catalog, gid, seed):
+    rng = random.Random(f"grid:{gid}:{seed}")
+    ladder = tuple(
+        sorted({F(rng.randint(-1000, 1000), rng.randint(1, 1000)) for _ in range(4)})
+    )
+    spec = catalog.get_group(gid).spec
+    points = generate_grid(spec, GridSpec(gid, ladder, max_points=10**6))
+    assert points and points == _reference_grid(spec, ladder)
+
 
 
 def test_default_grids_meet_size_envelope(catalog):
@@ -350,3 +460,33 @@ def test_verify_paper_custom_ladder(catalog):
     assert report.ok
     for c in report.classifications:
         assert c.total > 0
+
+
+def test_verify_paper_per_point_path_makes_no_poly_evaluate_call(catalog, monkeypatch):
+    """Validation, theorem predicates and grid solving run on compiled
+    integer kernels: a full run calls Poly.evaluate from none of them."""
+    watched = {"validate_assignment", "predicate_eval", "generate_grid"}
+    calls = collections.Counter()
+    original = Poly.evaluate
+
+    def counting(self, assignment):
+        frame = sys._getframe(1)
+        while frame is not None:
+            if frame.f_code.co_name in watched:
+                calls[frame.f_code.co_name] += 1
+            frame = frame.f_back
+        return original(self, assignment)
+
+    monkeypatch.setattr(Poly, "evaluate", counting)
+    report = verify_paper(catalog)
+    assert report.ok
+    assert sum(c.total for c in report.classifications) == 6246
+    assert calls == collections.Counter()
+
+
+def test_verify_paper_verifies_a_repeated_group_once(catalog):
+    once = verify_paper(catalog, groups=("g1",))
+    twice = verify_paper(catalog, groups=("g1", "g4", "g1"))
+    assert twice.groups == ("g1", "g4")
+    assert twice.to_json_dict()["groups"][0] == once.to_json_dict()["groups"][0]
+    assert twice.classifications[:2] == once.classifications
