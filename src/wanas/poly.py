@@ -396,9 +396,12 @@ class IntegerEvaluator:
     list: a term k * prod_v x_v^e_v contributes k * scale * prod_v
     p_v^e_v * q_v^(d_v - e_v).  The variables are those occurring in the
     list, in canonical order.
+
+    The list is compiled once into one straight-line Python function (see
+    ``_kernel_source``) that takes the values of ``variables`` positionally.
     """
 
-    __slots__ = ("variables", "degrees", "scale", "_monos", "_rows")
+    __slots__ = ("variables", "degrees", "scale", "_kernel")
 
     def __init__(self, polys: Sequence[Poly]):
         names = {v for p in polys for v in p.variables()}
@@ -406,36 +409,94 @@ class IntegerEvaluator:
         slots = [_VAR_INDEX[v] for v in self.variables]
         self.degrees = tuple(max(m[i] for p in polys for m in p._terms) for i in slots)
         self.scale = math.lcm(*(c.denominator for p in polys for c in p._terms.values()))
-        monos: dict[tuple[int, ...], int] = {}  # exponents over self.variables -> index
-        rows = []
-        for p in polys:
-            row = []
-            for mono, coeff in p._terms.items():
-                index = monos.setdefault(tuple(mono[i] for i in slots), len(monos))
-                row.append((index, coeff.numerator * (self.scale // coeff.denominator)))
-            rows.append(tuple(row))
-        self._monos = tuple(monos)
-        self._rows = tuple(rows)
+        rows = [
+            [
+                (tuple(mono[i] for i in slots), c.numerator * (self.scale // c.denominator))
+                for mono, c in p._terms.items()
+            ]
+            for p in polys
+        ]
+        namespace: dict = {}
+        exec(compile(_kernel_source(self.degrees, self.scale, rows), "<kernel>", "exec"), namespace)
+        self._kernel = namespace["kernel"]
 
     def __call__(self, assignment: Mapping[str, Scalar]) -> tuple[list[int], int]:
         """(numerators, denominator) of every polynomial at the point."""
-        missing = [v for v in self.variables if v not in assignment]
-        if missing:
-            raise MissingVariableError(missing)
-        powers = []
-        den = self.scale
-        for v, d in zip(self.variables, self.degrees):
-            x = assignment[v]
-            p, q = x.numerator, x.denominator
-            powers.append([p**e * q ** (d - e) for e in range(d + 1)])
-            den *= q**d
-        values = []
-        for mono in self._monos:
-            value = 1
-            for table, e in zip(powers, mono):
-                value *= table[e]
-            values.append(value)
-        return [sum(k * values[m] for m, k in row) for row in self._rows], den
+        try:
+            args = [assignment[v] for v in self.variables]
+        except KeyError:
+            raise MissingVariableError(
+                v for v in self.variables if v not in assignment
+            ) from None
+        return self._kernel(*args)
+
+
+_CHAIN = 32  # terms per `a + b + ...` chain; longer rows sum a flat tuple of chains
+
+
+def _kernel_source(
+    degrees: Sequence[int], scale: int, rows: Sequence[Sequence[tuple[tuple[int, ...], int]]]
+) -> str:
+    """Python source of ``def kernel(x0, x1, ...)`` for ``IntegerEvaluator``.
+
+    ``rows`` holds each polynomial as (exponents over the evaluator's
+    variables, integer coefficient) terms.  The source contains only integer
+    literals and made-up names: x_i (argument), p_i/q_i (its numerator and
+    denominator), w_i_e (the power p_i^e * q_i^(d_i - e)), m_j (a distinct
+    monomial).  Every expression has bounded depth: a monomial is a product
+    of at most one power per variable, and a row of more than ``_CHAIN``
+    terms is a ``sum`` over a flat tuple of chains.
+    """
+    n = len(degrees)
+    lines = [f"def kernel({', '.join(f'x{i}' for i in range(n))}):"]
+    for i in range(n):
+        lines.append(f"    p{i} = x{i}.numerator; q{i} = x{i}.denominator")
+
+    def power(i: int, e: int) -> str:
+        d = degrees[i]
+        p = f"p{i}" if e == 1 else f"p{i}**{e}"
+        q = f"q{i}" if d - e == 1 else f"q{i}**{d - e}"
+        return p if e == d else q if e == 0 else f"{p} * {q}"
+
+    powers: dict[tuple[int, int], str] = {}
+    monos: dict[tuple[int, ...], str] = {}
+    for row in rows:
+        for mono, _ in row:
+            if mono in monos:
+                continue
+            factors = []
+            for i, e in enumerate(mono):
+                if (i, e) not in powers:
+                    expr = power(i, e)
+                    if "*" in expr:
+                        lines.append(f"    w{i}_{e} = {expr}")
+                        expr = f"w{i}_{e}"
+                    powers[i, e] = expr  # a bare p_i or q_i needs no local
+                factors.append(powers[i, e])
+            if len(factors) == 1:
+                monos[mono] = factors[0]
+            else:
+                name = monos[mono] = f"m{len(monos)}"
+                lines.append(f"    {name} = {' * '.join(factors) or '1'}")
+    den = [str(scale)] if scale != 1 or not n else []
+    den += [powers.get((i, 0)) or power(i, 0) for i in range(n)]
+
+    def term(mono: tuple[int, ...], k: int, first: bool) -> str:
+        sign = "-" if k < 0 else "" if first else "+"
+        body = monos[mono] if abs(k) == 1 else f"{abs(k)}*{monos[mono]}"
+        return f"{sign}{body}" if first else f" {sign} {body}"
+
+    values = []
+    for row in rows:
+        chains = [
+            "".join(term(m, k, j == 0) for j, (m, k) in enumerate(row[start : start + _CHAIN]))
+            for start in range(0, len(row), _CHAIN)
+        ]
+        values.append(
+            "0" if not chains else chains[0] if len(chains) == 1 else f"sum(({', '.join(chains)}))"
+        )
+    lines.append(f"    return [{', '.join(values)}], {' * '.join(den)}")
+    return "\n".join(lines) + "\n"
 
 
 def format_rational(value: Scalar) -> str:

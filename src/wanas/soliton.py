@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 from .algebra import PAIRS, Assignment, LieAlgebraSpec, Vec3
-from .geometry import Mat3, compute_tensors, mat_sub, matrix_json, scalar_matrix
+from .geometry import Mat3, TensorBundle, compute_tensors, mat_sub, matrix_json, scalar_matrix
 from .poly import IntegerEvaluator, Poly, Scalar, format_rational
 
 
@@ -26,9 +26,15 @@ class SolitonKind(enum.Enum):
     SECOND = "second"
 
 
-def wan_for_kind(spec: LieAlgebraSpec, kind: SolitonKind) -> Mat3:
-    """The decision operator: Wan for FIRST, its symmetrization for SECOND."""
-    bundle = compute_tensors(spec)
+def wan_for_kind(
+    spec: LieAlgebraSpec, kind: SolitonKind, bundle: TensorBundle | None = None
+) -> Mat3:
+    """The decision operator: Wan for FIRST, its symmetrization for SECOND.
+
+    ``bundle`` is ``compute_tensors(spec)`` when the caller already has it.
+    """
+    if bundle is None:
+        bundle = compute_tensors(spec)
     return bundle.wan if kind is SolitonKind.FIRST else bundle.wan_tilde
 
 
@@ -168,16 +174,17 @@ def soliton_decide(spec: LieAlgebraSpec, kind: SolitonKind, wan: Mat3) -> Solito
 
 
 def compile_decision(
-    spec: LieAlgebraSpec, kind: SolitonKind
+    spec: LieAlgebraSpec, kind: SolitonKind, bundle: TensorBundle | None = None
 ) -> Callable[[Assignment], SolitonVerdict]:
     """``soliton_decide`` at any admissible point of ``spec``, compiled once.
 
     The nine residual constants (the derivation residual of Wan), the nine
     slopes (the bracket components) and the nine Wan entries go into one
     ``IntegerEvaluator``; each call evaluates them in integers and builds the
-    verdict.  The point is not validated.
+    verdict.  The point is not validated.  ``bundle`` is passed on to
+    ``wan_for_kind``.
     """
-    wan = wan_for_kind(spec, kind)
+    wan = wan_for_kind(spec, kind, bundle)
     constants = [comp for vec in derivation_residual(wan, spec) for comp in vec]
     slopes = [comp for i, j in PAIRS for comp in spec.constants[i, j]]
     evaluate = IntegerEvaluator(constants + slopes + [p for row in wan for p in row])

@@ -27,7 +27,7 @@ from .catalog import (
     TheoremClaim,
     predicate_eval,
 )
-from .geometry import compute_tensors
+from .geometry import TensorBundle, compute_tensors
 from .poly import IntegerEvaluator, Poly, UnsupportedRelationError, format_rational
 from .soliton import (
     ETA_RELATION,
@@ -127,11 +127,14 @@ def compare_polys(
     """(verdict, certificate) for one table entry.
 
     ``sample_points`` provides the variety samples; it is called only when
-    neither exact equality nor a binomial reduction settles the entry.
+    neither exact equality nor a binomial reduction settles the entry.  A
+    difference in a variable the algebra does not have is a mismatch.
     """
     diff = _normalize_eta(computed - claimed)
     if diff.is_zero():
         return (MATCH, None)
+    if not set(diff.variables()) <= set(entry.spec.variables()):
+        return (MISMATCH, None)
     for con in entry.spec.constraints:
         rel = _binomial_relation(con)
         if rel is None:
@@ -333,12 +336,14 @@ def classify_grid(
     kind: SolitonKind,
     points: Sequence[Mapping[str, Fraction]],
     claim: TheoremClaim,
+    bundle: TensorBundle | None = None,
 ) -> ClassificationReport:
     """Decide every grid point from recomputed tensors and compare with the
     theorem predicate: the decision is ``soliton_decide``'s, compiled once
-    from the symbolic brackets and Wan operator and run in integers."""
+    from the symbolic brackets and Wan operator and run in integers.
+    ``bundle`` is ``compute_tensors(entry.spec)`` when the caller has it."""
     spec = entry.spec
-    decide = compile_decision(spec, kind)
+    decide = compile_decision(spec, kind, bundle)
     records = []
     for sigma in points:
         sigma = dict(sigma)
@@ -356,12 +361,16 @@ def classify_grid(
 # -- reproduction -------------------------------------------------------------
 
 
-def reproduce_group(entry: GroupEntry) -> list[DiscrepancyReport]:
+def reproduce_group(
+    entry: GroupEntry, bundle: TensorBundle | None = None
+) -> list[DiscrepancyReport]:
     """Recompute the full pipeline and compare entrywise against the claims.
 
+    ``bundle`` is ``compute_tensors(entry.spec)`` when the caller has it.
     The 50 variety samples are built on the first entry that needs them, if any.
     """
-    bundle = compute_tensors(entry.spec)
+    if bundle is None:
+        bundle = compute_tensors(entry.spec)
     claimed = entry.claimed
     samples = functools.cache(lambda: default_grid(entry, min_points=50, max_points=50)[1])
     reports: list[DiscrepancyReport] = []
@@ -552,13 +561,16 @@ def verify_paper(
     """Reproduce every table, check every theorem case, classify every grid.
 
     A group listed more than once is verified once, at its first position.
+    Each group's tensors are computed once, for reproduction and both grid
+    decisions.
     """
     group_ids = tuple(dict.fromkeys(groups)) if groups else ALL_GROUPS
     items: list[DiscrepancyReport] = []
     classifications: list[ClassificationReport] = []
     for gid in group_ids:
         entry = catalog.get_group(gid)
-        items.extend(reproduce_group(entry))
+        bundle = compute_tensors(entry.spec)
+        items.extend(reproduce_group(entry, bundle))
         if ladder is None:
             _, points = default_grid(entry, min_points=min_points, max_points=max_points)
         else:
@@ -568,7 +580,7 @@ def verify_paper(
         for kind in (SolitonKind.FIRST, SolitonKind.SECOND):
             claim = catalog.theorem_claim(gid, kind)
             items.extend(check_theorem_cases(entry, kind, claim))
-            classifications.append(classify_grid(entry, kind, points, claim))
+            classifications.append(classify_grid(entry, kind, points, claim, bundle))
     return PaperReport(
         groups=group_ids,
         items=tuple(items),

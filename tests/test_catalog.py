@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from wanas import poly as poly_module
 from wanas.catalog import (
     ALL_GROUPS,
     AmbiguousCaseError,
@@ -374,10 +375,19 @@ def test_case_conditions_equal_reference_off_the_admissible_set(catalog):
                 assert any(hits), (gid, kind, case.name)
 
 
-def test_loading_compiles_no_evaluator():
+def test_loading_compiles_no_evaluator(monkeypatch):
     """The integer evaluators are built on first use, so loading the catalog
-    does no work for them."""
+    does no work for them: no kernel source is generated."""
+    generated = []
+    original = poly_module._kernel_source
+
+    def counting(*args):
+        generated.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(poly_module, "_kernel_source", counting)
     fresh = load_catalog()
+    assert generated == []
     for entry in fresh.groups.values():
         assert "_constraint_values" not in vars(entry.spec)
         for claim in entry.theorems.values():
@@ -386,3 +396,4 @@ def test_loading_compiles_no_evaluator():
     claim = fresh.theorem_claim("g2", SolitonKind.FIRST)
     predicate_eval(claim, {"alpha": F(0), "beta": F(0), "gamma": F(1)})
     assert {"_conditions", "_solution"} <= set(vars(claim.cases[0]))
+    assert generated

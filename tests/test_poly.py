@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import io
+import math
 import random
+import re
+import tokenize
 from fractions import Fraction
 
 import pytest
 
+from wanas import poly as poly_module
 from wanas.algebra import PAIRS
 from wanas.poly import (
     IntegerEvaluator,
@@ -384,3 +389,114 @@ def test_integer_evaluator_matches_evaluate_on_catalog_groups(groups, height_poi
             numerators, den = evaluate(sigma)
             assert den > 0
             assert [Fraction(n, den) for n in numerators] == [p.evaluate(sigma) for p in polys]
+
+
+def _random_evaluator_polys(rng: random.Random, names: list[str]) -> list[Poly]:
+    """0-6 polynomials in ``names`` only: random terms with negative and
+    non-integer coefficients, plus zero and constant polynomials."""
+    polys = []
+    for _ in range(rng.randint(0, 6)):
+        shape = rng.random()
+        if shape < 0.1:
+            polys.append(Poly.zero())
+        elif shape < 0.2:
+            polys.append(Poly.const(Fraction(rng.randint(-9, 9), rng.randint(1, 5))))
+        else:
+            terms = {}
+            for _ in range(rng.randint(1, 6)):
+                mono = tuple(
+                    rng.randint(0, 4) if v in names and rng.random() < 0.6 else 0
+                    for v in VARIABLES
+                )
+                terms[mono] = Fraction(rng.randint(-20, 20), rng.randint(1, 12))
+            polys.append(Poly(terms))
+    return polys
+
+
+def _random_value(rng: random.Random):
+    shape = rng.random()
+    if shape < 0.15:
+        return 0 if rng.random() < 0.5 else Fraction(0)
+    if shape < 0.4:
+        return rng.randint(-30, 30)  # a plain int
+    return Fraction(rng.randint(-1000, 1000), rng.randint(1, 1000))
+
+
+def test_integer_evaluator_kernel_matches_evaluate_randomized():
+    rng = random.Random(20261018)
+    for _ in range(500):
+        names = [v for v in VARIABLES if rng.random() < 0.5]
+        polys = _random_evaluator_polys(rng, names)
+        evaluate = IntegerEvaluator(polys)
+        occurring = {v for p in polys for v in p.variables()}
+        assert evaluate.variables == tuple(v for v in VARIABLES if v in occurring)
+        for _ in range(3):
+            sigma = {v: _random_value(rng) for v in VARIABLES if v in names or rng.random() < 0.3}
+            numerators, den = evaluate(sigma)
+            assert all(type(n) is int for n in numerators)
+            assert den == evaluate.scale * math.prod(
+                Fraction(sigma[v]).denominator ** d
+                for v, d in zip(evaluate.variables, evaluate.degrees)
+            )
+            assert [Fraction(n, den) for n in numerators] == [p.evaluate(sigma) for p in polys]
+
+
+def test_integer_evaluator_compiles_large_polynomials():
+    """A 3,003-term row and a degree-64 univariate row compile (the generated
+    expressions have bounded depth) and evaluate exactly."""
+    big = P("(alpha + 2*beta - gamma/3 + delta + eta + 1)^10")
+    assert len(big.terms) == 3003
+    tall = P("(2*alpha - 3/5)^61 - alpha^64")
+    evaluate = IntegerEvaluator([big, tall, big - tall])
+    assert evaluate.degrees == (64, 10, 10, 10, 10)
+    for sigma in (
+        {"alpha": Fraction(7, 3), "beta": Fraction(-5, 8), "gamma": 2, "delta": 0, "eta": -1},
+        {"alpha": Fraction(-1000, 999), "beta": 1, "gamma": Fraction(3, 7), "delta": Fraction(1, 2), "eta": 1},
+    ):
+        x = {v: Fraction(val) for v, val in sigma.items()}
+        want_big = (x["alpha"] + 2 * x["beta"] - x["gamma"] / 3 + x["delta"] + x["eta"] + 1) ** 10
+        want_tall = (2 * x["alpha"] - Fraction(3, 5)) ** 61 - x["alpha"] ** 64
+        numerators, den = evaluate(sigma)
+        assert [Fraction(n, den) for n in numerators] == [want_big, want_tall, want_big - want_tall]
+
+
+def test_integer_evaluator_missing_variables_are_named_sorted():
+    evaluate = IntegerEvaluator([P("eta*alpha - 1"), P("delta^2"), P("gamma")])
+    with pytest.raises(MissingVariableError) as info:
+        evaluate({"gamma": Fraction(1), "c": Fraction(2)})
+    assert info.value.names == ("alpha", "delta", "eta")
+    assert str(info.value) == "missing value for variable(s): alpha, delta, eta"
+    with pytest.raises(MissingVariableError) as info:
+        evaluate({"alpha": 1, "delta": 2})
+    assert info.value.names == ("eta", "gamma")
+
+
+_KERNEL_NAME = re.compile(r"(def|kernel|return|sum|numerator|denominator|[xpqm]\d+|w\d+_\d+)")
+
+
+def test_integer_evaluator_kernel_source_has_only_its_own_names(monkeypatch):
+    """The generated source holds integer literals and names the evaluator
+    makes up; nothing of a polynomial or a variable name is copied in."""
+    sources = []
+    original = poly_module._kernel_source
+
+    def recording(*args):
+        sources.append(original(*args))
+        return sources[-1]
+
+    monkeypatch.setattr(poly_module, "_kernel_source", recording)
+    IntegerEvaluator([P("-1/2*alpha^3*eta + 7*c - 4"), P("eta^2*c"), Poly.zero(), P("-3/7")])
+    IntegerEvaluator([P("beta - 1")] * 40 + [P("(beta + c + 1)^12")])
+    IntegerEvaluator([])
+    assert len(sources) == 3
+    for source in sources:
+        for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+            if tok.type == tokenize.NAME:
+                assert _KERNEL_NAME.fullmatch(tok.string), tok.string
+            elif tok.type == tokenize.NUMBER:
+                assert tok.string.isdigit(), tok.string
+            else:
+                assert tok.type in (
+                    tokenize.OP, tokenize.NEWLINE, tokenize.NL, tokenize.INDENT,
+                    tokenize.DEDENT, tokenize.ENDMARKER,
+                ), tok

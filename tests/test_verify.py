@@ -209,6 +209,42 @@ def test_compare_mismatch_when_genuinely_different(catalog):
     assert verdict == MISMATCH
 
 
+def test_compare_mismatch_on_a_variable_the_algebra_lacks():
+    """A claimed entry in a parameter the algebra does not have is reported,
+    not raised from the sampling fallback."""
+    spec = _three_term_spec()
+    points = generate_grid(spec, GridSpec("custom", BASE_LADDER, max_points=50))
+    entry_like = _FakeEntry("custom", spec)
+    assert compare_polys(P("alpha"), P("alpha+delta"), entry_like, lambda: points) == (
+        MISMATCH,
+        None,
+    )
+
+
+def test_reproduce_reports_a_claim_in_a_foreign_variable_as_mismatch():
+    spec = _three_term_spec()
+    bundle = compute_tensors(spec)
+    wan = tuple(
+        tuple(p + P("delta") if (r, k) == (0, 1) else p for k, p in enumerate(row))
+        for r, row in enumerate(bundle.wan)
+    )
+    claimed = ClaimedTensors(
+        connection=bundle.connection,
+        torsion=bundle.torsion,
+        a_tensor=bundle.a_tensor,
+        abar=bundle.abar,
+        ric=bundle.ric,
+        wan=wan,
+        wan_tilde=bundle.wan_tilde,
+    )
+    entry = GroupEntry("custom", False, spec, {}, claimed, {}, {}, ())
+    reports = reproduce_group(entry)
+    assert [(r.item, r.location) for r in reports if r.verdict != MATCH] == [("wan", (1, 2))]
+    (bad,) = [r for r in reports if r.verdict == MISMATCH]
+    assert bad.certificate is None
+    assert bad.claimed == str(bundle.wan[0][1] + P("delta"))
+
+
 @dataclasses.dataclass(frozen=True)
 class _FakeEntry:
     id: str
@@ -482,6 +518,25 @@ def test_verify_paper_per_point_path_makes_no_poly_evaluate_call(catalog, monkey
     assert report.ok
     assert sum(c.total for c in report.classifications) == 6246
     assert calls == collections.Counter()
+
+
+def test_verify_paper_computes_each_catalog_spec_tensors_once(catalog, monkeypatch):
+    """Reproduction and both grid decisions share one tensor bundle per group
+    (calls on substituted theorem-case specs are not counted)."""
+    from wanas import soliton as soliton_module
+
+    calls = collections.Counter()
+    original = compute_tensors
+
+    def counting(spec, *args, **kwargs):
+        calls[id(spec)] += 1
+        return original(spec, *args, **kwargs)
+
+    monkeypatch.setattr(verify_module, "compute_tensors", counting)
+    monkeypatch.setattr(soliton_module, "compute_tensors", counting)
+    report = verify_paper(catalog)
+    assert report.ok
+    assert [calls[id(catalog.get_group(gid).spec)] for gid in ALL_GROUPS] == [1] * 7
 
 
 def test_verify_paper_verifies_a_repeated_group_once(catalog):
