@@ -11,6 +11,7 @@ brackets and compares.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -94,11 +95,16 @@ class TheoremCase:
         vanishing = len(self.subs) + len(self.extra_eq)
         return not any(values[:vanishing]) and all(values[vanishing:])
 
+    def solution_numerators(self, sigma: Assignment) -> tuple[list[int], int]:
+        """The case's c and D (row-major) at the point as integer numerators
+        over one positive denominator (not for an any_c case)."""
+        return self._solution(sigma)
+
     def solution_at(
         self, sigma: Assignment
     ) -> tuple[Fraction, tuple[tuple[Fraction, ...], ...]]:
         """The case's c and D at the point (not for an any_c case)."""
-        values, den = self._solution(sigma)
+        values, den = self.solution_numerators(sigma)
         c_val, *d_vals = (Fraction(x, den) for x in values)
         return c_val, tuple(tuple(d_vals[3 * i : 3 * i + 3]) for i in range(3))
 
@@ -123,6 +129,16 @@ class TheoremClaim:
     kind: SolitonKind
     claim_type: str  # "cases" | "no_soliton" | "same_as_first"
     cases: tuple[TheoremCase, ...] = ()
+
+    def match(self, sigma: Assignment) -> TheoremCase | None:
+        """The one case whose conditions the point satisfies; None when no
+        case does or the claim is no_soliton.  Several raise AmbiguousCaseError."""
+        if self.claim_type == "no_soliton":
+            return None
+        matched = [case for case in self.cases if case.matches(sigma)]
+        if len(matched) > 1:
+            raise AmbiguousCaseError(self.group, self.kind, [c.name for c in matched])
+        return matched[0] if matched else None
 
 
 @dataclass(frozen=True)
@@ -203,7 +219,9 @@ def _pair_table_tri(per_pair: dict[tuple[int, int], Sequence[Vec3]]) -> Tri:
 def _load_group(gid: str, data: Mapping) -> GroupEntry:
     shorthands = {k: parse_poly(v) for k, v in data.get("shorthands", {}).items()}
 
+    @functools.cache
     def p(text: str) -> Poly:
+        # Poly is immutable, so the many repeated strings ("0" above all) share one parse
         return parse_poly(text, shorthands)
 
     brackets = data["brackets"]
@@ -359,14 +377,9 @@ def load_catalog(path: str | None = None) -> Catalog:
 
 def predicate_eval(claim: TheoremClaim, sigma: Assignment) -> SolitonVerdict:
     """Expected verdict at sigma according to the theorem statement."""
-    if claim.claim_type == "no_soliton":
+    case = claim.match(sigma)
+    if case is None:
         return SolitonVerdict("no_soliton")
-    matched = [case for case in claim.cases if case.matches(sigma)]
-    if len(matched) > 1:
-        raise AmbiguousCaseError(claim.group, claim.kind, [c.name for c in matched])
-    if not matched:
-        return SolitonVerdict("no_soliton")
-    case = matched[0]
     if case.any_c:
         numeric = {v: Fraction(x) for v, x in sigma.items()}
         family = tuple(tuple(p.substitute({v: Poly.const(x) for v, x in numeric.items()}) for p in row) for row in case.d)

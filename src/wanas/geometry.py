@@ -15,6 +15,7 @@ matrix left-multiplies the basis column (e1; e2; e3).  This is the
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping
 
 from .algebra import (
     PAIRS,
@@ -60,6 +61,10 @@ def scalar_matrix(value) -> Mat3:
 
 def mat_sub(a: Mat3, b: Mat3) -> Mat3:
     return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def mat_substitute(m: Mat3, images: Mapping[str, Poly]) -> Mat3:
+    return tuple(tuple(p.substitute(images) for p in row) for row in m)
 
 
 def mat_eq(a: Mat3, b: Mat3) -> bool:

@@ -576,7 +576,7 @@ class _Parser:
         while self.peek() in ("+", "-"):
             if self.take() == "-":
                 sign = -sign
-        result = self.parse_term() * sign
+        result = -self.parse_term() if sign < 0 else self.parse_term()
         while self.peek() in ("+", "-"):
             op = self.take()
             term = self.parse_term()
@@ -610,7 +610,7 @@ class _Parser:
             if not exp_tok.isdigit():
                 raise PolyParseError(f"exponent must be a non-negative integer, got {exp_tok!r}")
             base = base ** int(exp_tok)
-        return base * sign
+        return -base if sign < 0 else base
 
     def parse_atom(self) -> Poly:
         tok = self.take()

@@ -14,10 +14,18 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .algebra import PAIRS, Assignment, LieAlgebraSpec, Vec3
-from .geometry import Mat3, TensorBundle, compute_tensors, mat_sub, matrix_json, scalar_matrix
+from .geometry import (
+    Mat3,
+    TensorBundle,
+    compute_tensors,
+    mat_sub,
+    mat_substitute,
+    matrix_json,
+    scalar_matrix,
+)
 from .poly import IntegerEvaluator, Poly, Scalar, format_rational
 
 
@@ -144,20 +152,28 @@ def solve_affine(pairs: Sequence[tuple[Scalar, Scalar]]):
     sloped equation and the first one disagreeing with it, else the first
     flat contradiction and the first sloped equation.
     """
+    outcome, witness = affine_outcome(pairs)
+    if outcome != "one":
+        return (outcome, None, witness)
+    constant, slope = pairs[witness[0]]
+    return ("one", Fraction(-constant, slope), witness)
+
+
+def affine_outcome(pairs: Sequence[tuple[Scalar, Scalar]]) -> tuple[str, tuple[int, ...]]:
+    """``solve_affine``'s outcome and witness without the value: no Fraction
+    is made, and for "one" the witness's pair (a, b) gives x = -a/b."""
     sloped = [k for k, (_, slope) in enumerate(pairs) if slope]
     flat_bad = [k for k, (constant, slope) in enumerate(pairs) if constant and not slope]
     if not sloped:
-        if flat_bad:
-            return ("none", None, tuple(flat_bad[:2]))
-        return ("any", None, ())
+        return ("none", tuple(flat_bad[:2])) if flat_bad else ("any", ())
     first = sloped[0]
     constant, slope = pairs[first]
     for k in sloped[1:]:
         if pairs[k][0] * slope != constant * pairs[k][1]:
-            return ("none", None, (first, k))
+            return ("none", (first, k))
     if flat_bad:
-        return ("none", None, (flat_bad[0], first))
-    return ("one", Fraction(-constant, slope), (first,))
+        return ("none", (flat_bad[0], first))
+    return ("one", (first,))
 
 
 def soliton_decide(spec: LieAlgebraSpec, kind: SolitonKind, wan: Mat3) -> SolitonVerdict:
@@ -173,28 +189,38 @@ def soliton_decide(spec: LieAlgebraSpec, kind: SolitonKind, wan: Mat3) -> Solito
     return _verdict(_affine_pairs(brackets, wan), wan)
 
 
+@dataclass(frozen=True)
+class CompiledDecision:
+    """``soliton_decide`` at any admissible point of one algebra (see
+    ``compile_decision``).  The point is not validated."""
+
+    evaluate: IntegerEvaluator
+
+    def integers(self, sigma: Assignment):
+        """(pairs, wan, den): the nine (constant, slope) pairs and the Wan
+        rows as integer numerators over one positive denominator."""
+        values, den = self.evaluate(sigma)
+        pairs = list(zip(values[:9], values[9:18]))
+        return pairs, (values[18:21], values[21:24], values[24:27]), den
+
+    def __call__(self, sigma: Assignment) -> SolitonVerdict:
+        return _verdict(*self.integers(sigma))
+
+
 def compile_decision(
     spec: LieAlgebraSpec, kind: SolitonKind, bundle: TensorBundle | None = None
-) -> Callable[[Assignment], SolitonVerdict]:
+) -> CompiledDecision:
     """``soliton_decide`` at any admissible point of ``spec``, compiled once.
 
     The nine residual constants (the derivation residual of Wan), the nine
     slopes (the bracket components) and the nine Wan entries go into one
     ``IntegerEvaluator``; each call evaluates them in integers and builds the
-    verdict.  The point is not validated.  ``bundle`` is passed on to
-    ``wan_for_kind``.
+    verdict.  ``bundle`` is passed on to ``wan_for_kind``.
     """
     wan = wan_for_kind(spec, kind, bundle)
     constants = [comp for vec in derivation_residual(wan, spec) for comp in vec]
     slopes = [comp for i, j in PAIRS for comp in spec.constants[i, j]]
-    evaluate = IntegerEvaluator(constants + slopes + [p for row in wan for p in row])
-
-    def decide(sigma: Assignment) -> SolitonVerdict:
-        values, den = evaluate(sigma)
-        pairs = list(zip(values[:9], values[9:18]))
-        return _verdict(pairs, (values[18:21], values[21:24], values[24:27]), den)
-
-    return decide
+    return CompiledDecision(IntegerEvaluator(constants + slopes + [p for row in wan for p in row]))
 
 
 def _affine_pairs(brackets, wan) -> list[tuple[Fraction, Fraction]]:
@@ -233,16 +259,20 @@ def _verdict(pairs, wan, den: int = 1) -> SolitonVerdict:
             for k in witness
         )
         return SolitonVerdict("no_soliton", witness=witness)
-    wan = tuple(tuple(Fraction(x, den) for x in row) for row in wan)
     if outcome == "any":
-        wan_poly = tuple(tuple(Poly.const(x) for x in row) for row in wan)
-        family = mat_sub(wan_poly, scalar_matrix(Poly.var("c")))
-        return SolitonVerdict("any_c", d_family=family)
+        return family_verdict(wan, den)
+    wan = tuple(tuple(Fraction(x, den) for x in row) for row in wan)
     d = tuple(
         tuple(wan[i][j] - (c_value if i == j else 0) for j in range(3))
         for i in range(3)
     )
     return SolitonVerdict("soliton", c=c_value, d=d)
+
+
+def family_verdict(wan, den: int = 1) -> SolitonVerdict:
+    """The "any_c" verdict, D(c) = Wan - c*Id, from the Wan rows over ``den``."""
+    wan_poly = tuple(tuple(Poly.const(Fraction(x, den)) for x in row) for row in wan)
+    return SolitonVerdict("any_c", d_family=mat_sub(wan_poly, scalar_matrix(Poly.var("c"))))
 
 
 def residual_system(spec: LieAlgebraSpec, kind: SolitonKind) -> tuple[Poly, ...]:
@@ -293,6 +323,7 @@ def check_claimed_solution(
     *,
     branches: Sequence[Mapping[str, Poly]] = ({},),
     reductions: Sequence[tuple[Poly, str]] = (),
+    wan: Mat3 | None = None,
 ) -> list[str]:
     """Symbolically verify a claimed (c, D) family; empty result means pass.
 
@@ -302,23 +333,28 @@ def check_claimed_solution(
     is a substitution map, and every branch must verify.  Identities are
     checked after reduction modulo eta^2 = 1 (when eta occurs) and any extra
     binomial ``reductions``.
+
+    ``wan`` is ``wan_for_kind(spec, kind)`` when the caller has it.  Each
+    branch substitutes into it instead of recomputing the tensors: they are
+    polynomial in the structure constants and the metric is constant, so
+    both give the same polynomials.
     """
+    if wan is None:
+        wan = wan_for_kind(spec, kind)
     failures: list[str] = []
     for branch in branches:
         branch_spec = spec.substitute(branch) if branch else spec
-        branch_c = c_poly.substitute(branch) if branch else c_poly
-        branch_d = tuple(
-            tuple(p.substitute(branch) if branch else p for p in row) for row in d
-        )
+        branch_c = c_poly.substitute(branch)
+        branch_d = mat_substitute(d, branch)
+        branch_wan = mat_substitute(wan, branch)
         tag = ""
         if branch:
             tag = " [branch " + ", ".join(f"{k}={v}" for k, v in sorted(branch.items())) + "]"
 
-        wan = wan_for_kind(branch_spec, kind)
         for i in range(3):
             for j in range(3):
                 claimed = branch_d[i][j] + (branch_c if i == j else Poly.zero())
-                diff = _reduce_all(wan[i][j] - claimed, reductions)
+                diff = _reduce_all(branch_wan[i][j] - claimed, reductions)
                 if not diff.is_zero():
                     failures.append(
                         f"Wan - (c*Id + D) nonzero at ({i + 1},{j + 1}): {diff}{tag}"

@@ -27,14 +27,17 @@ from .catalog import (
     TheoremClaim,
     predicate_eval,
 )
-from .geometry import TensorBundle, compute_tensors
+from .geometry import TensorBundle, compute_tensors, mat_substitute
 from .poly import IntegerEvaluator, Poly, UnsupportedRelationError, format_rational
 from .soliton import (
     ETA_RELATION,
+    CompiledDecision,
     SolitonKind,
     SolitonVerdict,
+    affine_outcome,
     check_claimed_solution,
     compile_decision,
+    family_verdict,
     solve_affine,
     wan_for_kind,
 )
@@ -270,12 +273,43 @@ def default_grid(entry: GroupEntry, min_points: int = 200, max_points: int = 500
 # -- classification -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class PointRecord:
-    sigma: dict[str, Fraction]
-    computed: SolitonVerdict
-    expected: SolitonVerdict
-    agree: bool
+    """One classified point: sigma, the computed and expected verdicts, and
+    whether they agree.
+
+    ``classify_grid`` keeps only sigma, agree and one ``source`` shared by
+    the whole classification (its compiled decision and claim): the
+    verdicts are rebuilt from sigma on first read.
+    """
+
+    __slots__ = ("sigma", "agree", "_source", "_computed", "_expected")
+
+    def __init__(self, sigma, computed, expected, agree, source=None):
+        self.sigma, self._computed, self._expected, self.agree = sigma, computed, expected, agree
+        self._source: tuple[CompiledDecision, TheoremClaim] | None = source
+
+    @property
+    def computed(self) -> SolitonVerdict:
+        if self._computed is None:
+            self._computed = self._source[0](self.sigma)
+        return self._computed
+
+    @property
+    def expected(self) -> SolitonVerdict:
+        if self._expected is None:
+            self._expected = predicate_eval(self._source[1], self.sigma)
+        return self._expected
+
+    def _fields(self) -> tuple:
+        return (self.sigma, self.computed, self.expected, self.agree)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, PointRecord) and self._fields() == other._fields()
+
+    __hash__ = None  # sigma is a dict
+
+    def __repr__(self) -> str:
+        return "PointRecord(sigma={!r}, computed={!r}, expected={!r}, agree={!r})".format(*self._fields())
 
     def sigma_str(self) -> str:
         return ",".join(f"{v}={format_rational(x)}" for v, x in sorted(self.sigma.items()))
@@ -324,10 +358,7 @@ def verdicts_equal(a: SolitonVerdict, b: SolitonVerdict) -> bool:
     if a.outcome == "soliton":
         return a.c == b.c and a.d == b.d
     if a.outcome == "any_c":
-        fam_a, fam_b = a.d_family, b.d_family
-        return all(
-            fam_a[i][j] == fam_b[i][j] for i in range(3) for j in range(3)
-        )
+        return a.d_family == b.d_family
     return True
 
 
@@ -340,22 +371,51 @@ def classify_grid(
 ) -> ClassificationReport:
     """Decide every grid point from recomputed tensors and compare with the
     theorem predicate: the decision is ``soliton_decide``'s, compiled once
-    from the symbolic brackets and Wan operator and run in integers.
-    ``bundle`` is ``compute_tensors(entry.spec)`` when the caller has it."""
+    from the symbolic brackets and Wan operator and run in integers, and so
+    is the comparison (``_agrees``).  The records build their verdicts when
+    read.  ``bundle`` is ``compute_tensors(entry.spec)`` when the caller has it."""
     spec = entry.spec
     decide = compile_decision(spec, kind, bundle)
+    source = (decide, claim)
     records = []
     for sigma in points:
         sigma = dict(sigma)
         violations = spec.validate_assignment(sigma)
         if violations:
             raise InvalidAssignmentError(violations)
-        computed = decide(sigma)
-        expected = predicate_eval(claim, sigma)
-        records.append(
-            PointRecord(sigma, computed, expected, verdicts_equal(computed, expected))
-        )
+        records.append(PointRecord(sigma, None, None, _agrees(decide, claim, sigma), source))
     return ClassificationReport(entry.id, kind, tuple(records))
+
+
+def _agrees(decide: CompiledDecision, claim: TheoremClaim, sigma: Assignment) -> bool:
+    """``verdicts_equal(decide(sigma), predicate_eval(claim, sigma))``, with
+    no Fraction made unless both sides are any_c.
+
+    All Wan entries w are over den and the matched case's c and D entries
+    over den2.  The pair (a, b) that fixed c gives c = -a/b, so c agrees
+    when -a*den2 == c*b, an off-diagonal D entry w/den when w*den2 == d*den,
+    and a diagonal one w/den + a/b when (w*b + a*den)*den2 == d*den*b.
+    """
+    pairs, wan, den = decide.integers(sigma)
+    outcome, witness = affine_outcome(pairs)
+    case = claim.match(sigma)
+    if case is None or outcome == "none":
+        return case is None and outcome == "none"
+    if case.any_c or outcome == "any":
+        return (
+            case.any_c
+            and outcome == "any"
+            and verdicts_equal(family_verdict(wan, den), predicate_eval(claim, sigma))
+        )
+    a, b = pairs[witness[0]]
+    (c, *d), den2 = case.solution_numerators(sigma)
+    return -a * den2 == c * b and all(
+        (w * b + a * den) * den2 == d[3 * i + j] * den * b
+        if i == j
+        else w * den2 == d[3 * i + j] * den
+        for i, row in enumerate(wan)
+        for j, w in enumerate(row)
+    )
 
 
 # -- reproduction -------------------------------------------------------------
@@ -389,65 +449,54 @@ def reproduce_group(
             )
         )
 
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                emit(
-                    "connection",
-                    (f"e{i + 1}", f"e{j + 1}", f"e{k + 1}"),
-                    bundle.connection[i][j][k],
-                    claimed.connection[i][j][k],
-                )
+    for i, j, k in itertools.product(range(3), repeat=3):
+        location = (f"e{i + 1}", f"e{j + 1}", f"e{k + 1}")
+        emit("connection", location, bundle.connection[i][j][k], claimed.connection[i][j][k])
     for key in PAIR_KEYS:
         i, j = _PAIRS_BY_KEY[key]
         for k in range(3):
             emit("torsion", (key, f"e{k + 1}"), bundle.torsion[i][j][k], claimed.torsion[i][j][k])
-        for kk in range(3):
-            for l in range(3):
-                emit(
-                    "a_tensor",
-                    (key, f"e{kk + 1}", f"e{l + 1}"),
-                    bundle.a_tensor[i][j][kk][l],
-                    claimed.a_tensor[i][j][kk][l],
-                )
+        for k, l in itertools.product(range(3), repeat=2):
+            location = (key, f"e{k + 1}", f"e{l + 1}")
+            emit("a_tensor", location, bundle.a_tensor[i][j][k][l], claimed.a_tensor[i][j][k][l])
     for name, computed_m, claimed_m in (
         ("abar", bundle.abar, claimed.abar),
         ("ric", bundle.ric, claimed.ric),
         ("wan", bundle.wan, claimed.wan),
         ("wan_tilde", bundle.wan_tilde, claimed.wan_tilde),
     ):
-        for i in range(3):
-            for j in range(3):
-                emit(name, (i + 1, j + 1), computed_m[i][j], claimed_m[i][j])
+        for i, j in itertools.product(range(3), repeat=2):
+            emit(name, (i + 1, j + 1), computed_m[i][j], claimed_m[i][j])
     return reports
 
 
-def check_theorem_cases(entry: GroupEntry, kind: SolitonKind, claim: TheoremClaim) -> list[DiscrepancyReport]:
-    """check_claimed_solution for every case, reported like table entries."""
+def check_theorem_cases(
+    entry: GroupEntry,
+    kind: SolitonKind,
+    claim: TheoremClaim,
+    bundle: TensorBundle | None = None,
+) -> list[DiscrepancyReport]:
+    """check_claimed_solution for every case, reported like table entries.
+
+    Every case substitutes into the group's decision operator, computed once
+    (``bundle`` is ``compute_tensors(entry.spec)`` when the caller has it).
+    """
+    if not claim.cases:
+        return []
+    group_wan = wan_for_kind(entry.spec, kind, bundle)
     reports = []
     for case in claim.cases:
         subs = case.subs_map()
-        sub_spec = entry.spec.substitute(subs)
-        d = tuple(tuple(p.substitute(subs) for p in row) for row in case.d)
-        if case.any_c:
-            # the family D(c) = Wan - c*Id is a soliton for every c exactly
-            # when the algebra is abelian; verify that plus Wan = c*Id + D
-            wan = wan_for_kind(sub_spec, kind)
-            failures = []
-            for i, j in ((0, 1), (0, 2), (1, 2)):
-                if not all(p.is_zero() for p in sub_spec.constants[i, j]):
-                    failures.append(f"bracket (e{i + 1},e{j + 1}) nonzero")
-            c_var = Poly.var("c")
-            for i in range(3):
-                for j in range(3):
-                    want = d[i][j] + (c_var if i == j else Poly.zero())
-                    if wan[i][j] != want:
-                        failures.append(f"Wan - (c*Id + D(c)) nonzero at ({i + 1},{j + 1})")
-        else:
-            c_poly = case.c.substitute(subs)
-            failures = check_claimed_solution(
-                sub_spec, kind, c_poly, d, branches=case.branch_maps()
-            )
+        # an any_c case claims Wan = c*Id + D(c) with D(c) a derivation for every c
+        c_poly = Poly.var("c") if case.any_c else case.c.substitute(subs)
+        failures = check_claimed_solution(
+            entry.spec.substitute(subs),
+            kind,
+            c_poly,
+            mat_substitute(case.d, subs),
+            branches=case.branch_maps(),
+            wan=mat_substitute(group_wan, subs),
+        )
         reports.append(
             DiscrepancyReport(
                 group=entry.id,
@@ -561,8 +610,8 @@ def verify_paper(
     """Reproduce every table, check every theorem case, classify every grid.
 
     A group listed more than once is verified once, at its first position.
-    Each group's tensors are computed once, for reproduction and both grid
-    decisions.
+    Each group's tensors are computed once, for reproduction, the theorem
+    cases and both grid decisions.
     """
     group_ids = tuple(dict.fromkeys(groups)) if groups else ALL_GROUPS
     items: list[DiscrepancyReport] = []
@@ -579,7 +628,7 @@ def verify_paper(
             )
         for kind in (SolitonKind.FIRST, SolitonKind.SECOND):
             claim = catalog.theorem_claim(gid, kind)
-            items.extend(check_theorem_cases(entry, kind, claim))
+            items.extend(check_theorem_cases(entry, kind, claim, bundle))
             classifications.append(classify_grid(entry, kind, points, claim, bundle))
     return PaperReport(
         groups=group_ids,

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import collections
 import itertools
 import json
 from fractions import Fraction
 
 import pytest
 
+from wanas import catalog as catalog_module
 from wanas import poly as poly_module
 from wanas.catalog import (
     ALL_GROUPS,
@@ -397,3 +399,22 @@ def test_loading_compiles_no_evaluator(monkeypatch):
     predicate_eval(claim, {"alpha": F(0), "beta": F(0), "gamma": F(1)})
     assert {"_conditions", "_solution"} <= set(vars(claim.cases[0]))
     assert generated
+
+
+def test_loading_parses_each_distinct_text_once_per_group(monkeypatch):
+    """The catalog repeats many polynomial strings ("0" above all); each
+    group parses each distinct one once and shares the immutable result."""
+    calls = collections.Counter()
+    original = catalog_module.parse_poly
+
+    def counting(text, names=None):
+        if names is not None:  # a group's table text, not a shorthand definition
+            calls[id(names), text] += 1
+        return original(text, names)
+
+    monkeypatch.setattr(catalog_module, "parse_poly", counting)
+    fresh = load_catalog()
+    assert calls and set(calls.values()) == {1}
+    assert len({key[0] for key in calls}) == len(ALL_GROUPS)
+    g2 = fresh.get_group("g2")
+    assert g2.claimed.wan[0][1] is g2.claimed.wan[1][0]  # both "0"

@@ -227,6 +227,18 @@ def test_parse_rejects_decimals_and_unknown_names():
         P("alpha +")
 
 
+def test_parse_signs_bind_below_powers():
+    alpha, beta = Poly.var("alpha"), Poly.var("beta")
+    assert P("-alpha^2") == -(alpha**2)
+    assert P("-2^2") == Poly.const(-4)
+    assert P("--alpha") == alpha
+    assert P("-+-alpha") == alpha
+    assert P("alpha*-beta^2") == -(alpha * beta**2)
+    assert P("-(alpha+beta)*beta") == -(alpha * beta) - beta**2
+    assert P("alpha - -beta") == alpha + beta
+    assert P("-0") == Poly.zero()
+
+
 def test_parse_division_by_constant_only():
     assert P("(beta-gamma)/2") == P("1/2*beta - 1/2*gamma")
     with pytest.raises(PolyParseError):

@@ -431,6 +431,93 @@ def test_classify_grid_equals_numeric_pipeline_at_height_points(catalog, height_
     assert outcomes == {"soliton", "no_soliton"}
 
 
+def _fraction_path(entry, kind, points, claim, bundle):
+    """classify_grid's report built eagerly: both verdicts as Fractions and
+    verdicts_equal between them."""
+    from wanas.catalog import predicate_eval
+    from wanas.soliton import compile_decision
+    from wanas.verify import ClassificationReport, PointRecord
+
+    decide = compile_decision(entry.spec, kind, bundle)
+    records = []
+    for sigma in points:
+        computed, expected = decide(dict(sigma)), predicate_eval(claim, sigma)
+        records.append(PointRecord(dict(sigma), computed, expected, verdicts_equal(computed, expected)))
+    return ClassificationReport(entry.id, kind, tuple(records))
+
+
+def test_integer_agreement_equals_fraction_comparison(catalog, height_points):
+    """classify_grid compares verdicts in integers; on every group and kind,
+    at height points and on the default grids, that equals verdicts_equal on
+    the verdicts the records build, and those equal soliton_decide on the
+    numeric pipeline (all height points, every 80th default-grid point)."""
+    from wanas.soliton import soliton_decide, wan_for_kind
+
+    outcomes = collections.Counter()
+    for gid in ALL_GROUPS:
+        entry = catalog.get_group(gid)
+        _, grid_points = default_grid(entry)
+        for kind in SolitonKind:
+            claim = catalog.theorem_claim(gid, kind)
+            for points, stride in ((height_points[gid], 1), (grid_points, 80)):
+                report = classify_grid(entry, kind, points, claim)
+                for n, rec in enumerate(report.points):
+                    assert rec.agree == verdicts_equal(rec.computed, rec.expected), (gid, kind, rec.sigma)
+                    outcomes[rec.computed.outcome, rec.agree] += 1
+                    if n % stride == 0:
+                        numeric = entry.spec.evaluate(rec.sigma)
+                        direct = soliton_decide(numeric, kind, wan_for_kind(numeric, kind))
+                        assert rec.computed == direct, (gid, kind, rec.sigma)
+    assert set(outcomes) == {("soliton", True), ("no_soliton", True), ("any_c", True)}
+
+
+def _perturbations(case):
+    """The case with c + 1/7, with D[0][1] + 1 and with D[1][1] + 1."""
+    def bump(i, j):
+        d = [list(row) for row in case.d]
+        d[i][j] = d[i][j] + 1
+        return dataclasses.replace(case, d=tuple(tuple(row) for row in d))
+
+    return {
+        "c + 1/7": dataclasses.replace(case, c=case.c + F(1, 7)),
+        "D12 + 1": bump(0, 1),
+        "D22 + 1": bump(1, 1),
+    }
+
+
+def test_integer_agreement_finds_perturbed_claims(catalog):
+    """A wrong c, a wrong off-diagonal or diagonal D entry and a dropped
+    case each disagree at every point of that case, with the report the
+    Fraction comparison gives, on every group and kind with cases."""
+    checked = 0
+    for gid in ALL_GROUPS:
+        entry = catalog.get_group(gid)
+        _, grid_points = default_grid(entry)
+        bundle = compute_tensors(entry.spec)
+        for kind in SolitonKind:
+            claim = catalog.theorem_claim(gid, kind)
+            for index, case in enumerate(claim.cases):
+                hits = [sigma for sigma in grid_points if case.matches(sigma)]
+                if case.any_c or not hits:
+                    continue
+                # a sample of the case's points and of the rest
+                hits = hits[:: 1 + len(hits) // 40]
+                points = hits + [s for s in grid_points[::25] if not case.matches(s)]
+                variants = {
+                    name: claim.cases[:index] + (wrong,) + claim.cases[index + 1 :]
+                    for name, wrong in _perturbations(case).items()
+                }
+                variants["dropped"] = claim.cases[:index] + claim.cases[index + 1 :]
+                for name, cases in variants.items():
+                    wrong_claim = dataclasses.replace(claim, cases=cases)
+                    report = classify_grid(entry, kind, points, wrong_claim, bundle)
+                    expected = _fraction_path(entry, kind, points, wrong_claim, bundle)
+                    assert report.to_json_dict() == expected.to_json_dict(), (gid, kind, case.name, name)
+                    assert len(report.disagreements) == len(hits), (gid, kind, case.name, name)
+                    checked += 1
+    assert checked == 4 * 26
+
+
 def test_verdicts_equal_semantics():
     a = SolitonVerdict("soliton", c=F(1), d=((F(0),) * 3,) * 3)
     b = SolitonVerdict("soliton", c=F(1), d=((F(0),) * 3,) * 3)
@@ -450,6 +537,47 @@ def test_theorem_cases_all_pass(catalog):
             claim = catalog.theorem_claim(gid, kind)
             for report in check_theorem_cases(entry, kind, claim):
                 assert report.verdict == MATCH, (gid, kind, report.location, report.computed)
+
+
+def test_theorem_case_check_detects_corrupted_any_c_case(catalog):
+    """The abelian case claims Wan = c*Id + D(c) with D(c) a derivation for
+    every c: a wrong D(c), or the case on a non-abelian algebra, fails."""
+    entry = catalog.get_group("g3")
+    claim = catalog.theorem_claim("g3", SolitonKind.FIRST)
+    index, case = next((n, case) for n, case in enumerate(claim.cases) if case.any_c)
+    d = [list(row) for row in case.d]
+    d[0][0] = d[0][0] + 1
+    wrong_d = dataclasses.replace(case, d=tuple(tuple(row) for row in d))
+    not_abelian = dataclasses.replace(case, subs=case.subs[:1])
+    for wrong, message in ((wrong_d, "Wan - (c*Id + D) nonzero at (1,1)"), (not_abelian, "derivation residual")):
+        wrong_claim = dataclasses.replace(claim, cases=(wrong,))
+        (report,) = check_theorem_cases(entry, SolitonKind.FIRST, wrong_claim)
+        assert report.verdict == MISMATCH and message in report.computed, report.computed
+    (report,) = check_theorem_cases(entry, SolitonKind.FIRST, dataclasses.replace(claim, cases=(case,)))
+    assert report.verdict == MATCH
+
+
+def test_theorem_case_substitution_equals_recomputation(catalog):
+    """check_theorem_cases substitutes each case, then each branch, into the
+    group's decision operator; that must equal recomputing the tensors on
+    the substituted algebra, for every group, kind, case and branch."""
+    from wanas.geometry import mat_substitute
+    from wanas.soliton import wan_for_kind
+
+    checked = 0
+    for gid in ALL_GROUPS:
+        entry = catalog.get_group(gid)
+        bundle = compute_tensors(entry.spec)
+        for kind in SolitonKind:
+            group_wan = wan_for_kind(entry.spec, kind, bundle)
+            for case in catalog.theorem_claim(gid, kind).cases:
+                subs = case.subs_map()
+                for branch in case.branch_maps():
+                    spec = entry.spec.substitute(subs).substitute(branch)
+                    substituted = mat_substitute(mat_substitute(group_wan, subs), branch)
+                    assert substituted == wan_for_kind(spec, kind), (gid, kind, case.name, branch)
+                    checked += 1
+    assert checked == 32
 
 
 def test_theorem_case_check_detects_corruption(catalog):
@@ -537,6 +665,61 @@ def test_verify_paper_computes_each_catalog_spec_tensors_once(catalog, monkeypat
     report = verify_paper(catalog)
     assert report.ok
     assert [calls[id(catalog.get_group(gid).spec)] for gid in ALL_GROUPS] == [1] * 7
+    assert sum(calls.values()) == 7  # the theorem cases substitute, never recompute
+
+
+def test_verify_paper_builds_verdicts_only_when_read(catalog, monkeypatch):
+    """The run compares in integers and keeps no verdict: no Fraction
+    verdict and no theorem-case solution is built until a record is read."""
+    from wanas import soliton as soliton_module
+    from wanas.catalog import TheoremCase
+
+    calls = collections.Counter()
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(soliton_module, "_verdict", counted("_verdict", soliton_module._verdict))
+    monkeypatch.setattr(TheoremCase, "solution_at", counted("solution_at", TheoremCase.solution_at))
+    report = verify_paper(catalog, groups=("g2", "g5"))
+    assert report.ok
+    assert calls == collections.Counter()
+
+    soliton_point = {"alpha": F(0), "beta": F(0), "gamma": F(1)}
+    rec = next(r for r in report.classifications[0].points if r.sigma == soliton_point)
+    assert rec.computed.outcome == "soliton"
+    assert calls == collections.Counter(_verdict=1)
+    assert rec.computed == rec.expected  # the first read is kept
+    assert calls == collections.Counter(_verdict=1, solution_at=1)
+    rec.computed, rec.expected
+    assert calls == collections.Counter(_verdict=1, solution_at=1)
+
+
+def test_point_record_given_verdicts_keeps_fields_and_equality(catalog):
+    """A record made from its four fields reads them back and compares equal
+    to the record classify_grid builds at the same point."""
+    from wanas.verify import PointRecord
+
+    entry = catalog.get_group("g2")
+    claim = catalog.theorem_claim("g2", SolitonKind.FIRST)
+    sigma = {"alpha": F(0), "beta": F(0), "gamma": F(2)}
+    lazy = classify_grid(entry, SolitonKind.FIRST, [sigma], claim).points[0]
+    computed = SolitonVerdict("soliton", c=F(-8), d=lazy.computed.d)
+    given = PointRecord(dict(sigma), computed, lazy.expected, True)
+    assert (given.sigma, given.computed, given.expected, given.agree) == (
+        sigma,
+        computed,
+        lazy.expected,
+        True,
+    )
+    assert given == lazy and lazy == given
+    assert given != PointRecord(dict(sigma), computed, lazy.expected, False)
+    assert given != PointRecord(dict(sigma), SolitonVerdict("no_soliton"), lazy.expected, True)
+    assert "c=Fraction(-8, 1)" in repr(given)
 
 
 def test_verify_paper_verifies_a_repeated_group_once(catalog):
