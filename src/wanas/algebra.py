@@ -63,6 +63,15 @@ def vec_scale(s: PolyLike, a: Vec3) -> Vec3:
     return (s * a[0], s * a[1], s * a[2])
 
 
+def vec_combination(coeffs: Sequence[Poly], vectors: Sequence[Vec3]) -> Vec3:
+    """sum_m coeffs[m] * vectors[m], in order, skipping zero coefficients."""
+    out = ZERO_VEC
+    for s, v in zip(coeffs, vectors):
+        if not s.is_zero():
+            out = vec_add(out, vec_scale(s, v))
+    return out
+
+
 @dataclass(frozen=True)
 class MetricSignature:
     """Diagonal metric g(e_i, e_j) = eps[i] * delta_ij with eps entries +-1."""

@@ -23,7 +23,7 @@ from .algebra import (
     MetricSignature,
     Vec3,
     ZERO_VEC,
-    vec_add,
+    vec_combination,
     vec_scale,
     vec_sub,
 )
@@ -83,13 +83,7 @@ def standard_product_structure() -> Mat3:
 
 def apply_operator(m: Mat3, v: Vec3) -> Vec3:
     """Image of a vector under the operator (row i = image of e_i)."""
-    out = [Poly.zero()] * 3
-    for i in range(3):
-        if v[i].is_zero():
-            continue
-        for k in range(3):
-            out[k] = out[k] + v[i] * m[i][k]
-    return tuple(out)
+    return vec_combination(v, m)
 
 
 def levi_civita(spec: LieAlgebraSpec) -> Conn:
@@ -124,12 +118,7 @@ def nabla_j(conn: Conn, j: Mat3) -> tuple[tuple[Vec3, ...], ...]:
     for i in range(3):
         row = []
         for m in range(3):
-            j_em = tuple(j[m][k] for k in range(3))
-            nabla_j_em = ZERO_VEC
-            for k in range(3):
-                if not j_em[k].is_zero():
-                    nabla_j_em = vec_add(nabla_j_em, vec_scale(j_em[k], conn[i][k]))
-            row.append(vec_sub(nabla_j_em, apply_operator(j, conn[i][m])))
+            row.append(vec_sub(vec_combination(j[m], conn[i]), apply_operator(j, conn[i][m])))
         table.append(tuple(row))
     return tuple(table)
 
@@ -150,10 +139,7 @@ def canonical_connection(
     for i in range(3):
         row = []
         for m in range(3):
-            correction = ZERO_VEC
-            for k in range(3):
-                if not j[m][k].is_zero():
-                    correction = vec_add(correction, vec_scale(j[m][k], nj[i][k]))
+            correction = vec_combination(j[m], nj[i])
             row.append(vec_sub(lc[i][m], vec_scale(Poly.const(1) / 2, correction)))
         table.append(tuple(row))
     return tuple(table)
@@ -171,23 +157,13 @@ def torsion(conn: Conn, spec: LieAlgebraSpec) -> Tor:
 
 def curvature(conn: Conn, spec: LieAlgebraSpec) -> Tri:
     """R(e_i,e_j)e_k = nabla_i nabla_j e_k - nabla_j nabla_i e_k - nabla_{[e_i,e_j]} e_k."""
-    def nabla_vec(i: int, v: Vec3) -> Vec3:
-        out = ZERO_VEC
-        for m in range(3):
-            if not v[m].is_zero():
-                out = vec_add(out, vec_scale(v[m], conn[i][m]))
-        return out
-
     table = [[[ZERO_VEC] * 3 for _ in range(3)] for _ in range(3)]
     for i, j in PAIRS:
         cij = spec.constants[i, j]
         for k in range(3):
-            first = nabla_vec(i, conn[j][k])
-            second = nabla_vec(j, conn[i][k])
-            third = ZERO_VEC
-            for m in range(3):
-                if not cij[m].is_zero():
-                    third = vec_add(third, vec_scale(cij[m], conn[m][k]))
+            first = vec_combination(conn[j][k], conn[i])
+            second = vec_combination(conn[i][k], conn[j])
+            third = vec_combination(cij, [conn[m][k] for m in range(3)])
             r = vec_sub(vec_sub(first, second), third)
             table[i][j][k] = r
             table[j][i][k] = vec_scale(-1, r)
@@ -200,10 +176,7 @@ def a_tensor(t: Tor) -> Tri:
     for i, j in PAIRS:
         tij = t[i][j]
         for k in range(3):
-            out = ZERO_VEC
-            for m in range(3):
-                if not tij[m].is_zero():
-                    out = vec_add(out, vec_scale(tij[m], t[m][k]))
+            out = vec_combination(tij, [t[m][k] for m in range(3)])
             table[i][j][k] = out
             table[j][i][k] = vec_scale(-1, out)
     return tuple(tuple(tuple(row) for row in plane) for plane in table)

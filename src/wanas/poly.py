@@ -2,10 +2,15 @@
 
 The variable universe is closed: the six scalars alpha, beta, gamma, delta,
 eta and c.  A polynomial maps monomials (exponent 6-tuples, one slot per
-variable) to nonzero ``Fraction`` coefficients; the zero polynomial has an
-empty term map.  All operations return canonical values (no zero
-coefficients stored), everything is immutable, and no floating point is
-involved anywhere.
+variable) to nonzero integer numerators over one positive denominator,
+with no factor common to all of them; zero is the empty map over 1.
+Arithmetic is in integers only: a sum puts both operands over the lcm of
+their denominators (none when they are equal), a product multiplies them,
+and one gcd per result restores the canonical form.  A constant factor
+scales the numerators instead of multiplying monomials.  Coefficients and
+values leave as ``Fraction``; only ``int`` and ``Fraction`` scalars come in
+(anything else raises ``TypeError``), everything is immutable, and no
+floating point is involved anywhere.
 
 Monomials are ordered graded-lexicographically with alpha < beta < gamma <
 delta < eta < c; rendering and binomial reduction both use this order, so
@@ -16,6 +21,7 @@ string output is canonical and usable as a wire format ("3/2*alpha^2*beta",
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -54,7 +60,7 @@ def _mono_key(mono: Mono) -> tuple:
 
 
 def _mono_mul(a: Mono, b: Mono) -> Mono:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 
 def _mono_divides(a: Mono, b: Mono) -> bool:
@@ -62,16 +68,30 @@ def _mono_divides(a: Mono, b: Mono) -> bool:
 
 
 def _mono_div(a: Mono, b: Mono) -> Mono:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(operator.sub, a, b))
+
+
+def _ratio(value: Scalar) -> tuple[int, int]:
+    """(numerator, denominator) of an exact scalar in lowest terms."""
+    if isinstance(value, int):
+        return int(value), 1
+    if isinstance(value, Fraction):
+        return value.numerator, value.denominator
+    raise TypeError(f"cannot coerce {type(value).__name__} to Poly")
 
 
 class Poly:
-    """Immutable sparse polynomial in alpha, beta, gamma, delta, eta, c."""
+    """Immutable sparse polynomial in alpha, beta, gamma, delta, eta, c.
 
-    __slots__ = ("_terms",)
+    The coefficient of ``mono`` is ``_terms[mono] / _den``: nonzero integer
+    numerators over one positive denominator with
+    ``gcd(_den, *numerators) == 1``, so equal polynomials have equal fields.
+    """
+
+    __slots__ = ("_terms", "_den")
 
     def __init__(self, terms: Mapping[Mono, Scalar] | None = None):
-        cleaned: dict[Mono, Fraction] = {}
+        ratios: dict[Mono, tuple[int, int]] = {}
         if terms:
             for mono, coeff in terms.items():
                 mono = tuple(mono)
@@ -81,10 +101,13 @@ class Poly:
                     raise ValueError(
                         f"monomial must be {_NVARS} non-negative integer exponents, got {mono}"
                     )
-                coeff = Fraction(coeff)
-                if coeff:
-                    cleaned[mono] = coeff
-        object.__setattr__(self, "_terms", cleaned)
+                num, den = _ratio(coeff)
+                if num:
+                    ratios[mono] = (num, den)
+        # reduced fractions over the lcm of their denominators share no factor
+        den = math.lcm(*(d for _, d in ratios.values()))
+        object.__setattr__(self, "_terms", {m: n * (den // d) for m, (n, d) in ratios.items()})
+        object.__setattr__(self, "_den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -97,10 +120,10 @@ class Poly:
 
     @classmethod
     def const(cls, value: Scalar) -> Poly:
-        value = Fraction(value)
-        if not value:
+        num, den = _ratio(value)
+        if not num:
             return _ZERO
-        return _raw({_ZERO_MONO: value})
+        return _raw({_ZERO_MONO: num}, den)
 
     @classmethod
     def var(cls, name: str) -> Poly:
@@ -112,14 +135,15 @@ class Poly:
             ) from None
         mono = [0] * _NVARS
         mono[idx] = 1
-        return _raw({tuple(mono): _F1})
+        return _raw({tuple(mono): 1}, 1)
 
     # -- inspection ---------------------------------------------------
 
     @property
     def terms(self) -> dict[Mono, Fraction]:
-        """Copy of the canonical term map."""
-        return dict(self._terms)
+        """Copy of the canonical term map, with Fraction coefficients."""
+        den = self._den
+        return {m: Fraction(k, den) for m, k in self._terms.items()}
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -133,7 +157,7 @@ class Poly:
             return Fraction(0)
         if not self.is_constant():
             raise ValueError(f"not a constant polynomial: {self}")
-        return self._terms[_ZERO_MONO]
+        return Fraction(self._terms[_ZERO_MONO], self._den)
 
     def degree(self) -> int:
         """Total degree; the zero polynomial has degree 0 by convention."""
@@ -159,53 +183,51 @@ class Poly:
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other: PolyLike) -> Poly:
-        other = as_poly(other)
-        if not self._terms:
-            return other
-        if not other._terms:
-            return self
-        out = dict(self._terms)
-        for mono, coeff in other._terms.items():
-            acc = out.get(mono, _F0) + coeff
-            if acc:
-                out[mono] = acc
-            else:
-                out.pop(mono, None)
-        return _raw(out)
+        return _sum(self, as_poly(other), 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> Poly:
-        return _raw({m: -c for m, c in self._terms.items()})
+        return _raw({m: -k for m, k in self._terms.items()}, self._den)
 
     def __sub__(self, other: PolyLike) -> Poly:
-        return self + (-as_poly(other))
+        return _sum(self, as_poly(other), -1)
 
     def __rsub__(self, other: PolyLike) -> Poly:
-        return as_poly(other) + (-self)
+        return _sum(as_poly(other), self, -1)
 
     def __mul__(self, other: PolyLike) -> Poly:
         other = as_poly(other)
-        if not self._terms or not other._terms:
+        a, b = self._terms, other._terms
+        if not a or not b:
             return _ZERO
-        out: dict[Mono, Fraction] = {}
-        for ma, ca in self._terms.items():
-            for mb, cb in other._terms.items():
+        den = self._den * other._den
+        if len(a) == 1 and _ZERO_MONO in a:
+            a, b = b, a
+        if len(b) == 1 and _ZERO_MONO in b:
+            # a constant factor scales the numerators; no monomial is formed
+            k = b[_ZERO_MONO]
+            return _canonical({m: x * k for m, x in a.items()}, den)
+        out: dict[Mono, int] = {}
+        for ma, ka in a.items():
+            for mb, kb in b.items():
                 mono = _mono_mul(ma, mb)
-                acc = out.get(mono, _F0) + ca * cb
+                acc = out.get(mono, 0) + ka * kb
                 if acc:
                     out[mono] = acc
                 else:
-                    out.pop(mono, None)
-        return _raw(out)
+                    del out[mono]
+        return _canonical(out, den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: Scalar) -> Poly:
-        other = Fraction(other)
-        if not other:
+        num, den = _ratio(other)
+        if not num:
             raise ZeroDivisionError("division of a polynomial by zero")
-        return _raw({m: c / other for m, c in self._terms.items()})
+        if num < 0:
+            num, den = -num, -den
+        return _canonical({m: k * den for m, k in self._terms.items()}, self._den * num)
 
     def __pow__(self, exponent: int) -> Poly:
         if not isinstance(exponent, int) or exponent < 0:
@@ -225,7 +247,7 @@ class Poly:
             other = Poly.const(other)
         if not isinstance(other, Poly):
             return NotImplemented
-        return self._terms == other._terms
+        return self._den == other._den and self._terms == other._terms
 
     __hash__ = None  # equal to ints and Fractions under __eq__, so a hash would have to match theirs
 
@@ -238,12 +260,12 @@ class Poly:
         """Exact value at a point; every variable of the polynomial must be assigned.
 
         One pass over the terms; only the variables that occur are read and
-        converted, each once.
+        checked, each once.
         """
-        values: list[Fraction | None] = [None] * _NVARS
-        total = _F0
-        for mono, coeff in self._terms.items():
-            term = coeff
+        values: list[Scalar | None] = [None] * _NVARS
+        total = 0
+        for mono, k in self._terms.items():
+            term = k
             for i, e in enumerate(mono):
                 if e:
                     val = values[i]
@@ -253,10 +275,11 @@ class Poly:
                             raise MissingVariableError(
                                 v for v in self.variables() if v not in assignment
                             )
-                        val = values[i] = Fraction(assignment[name])
+                        val = values[i] = assignment[name]
+                        _ratio(val)  # only int and Fraction values are exact
                     term *= val if e == 1 else val**e
             total += term
-        return total
+        return Fraction(total, self._den)
 
     def substitute(self, images: Mapping[str, PolyLike]) -> Poly:
         """Simultaneously substitute polynomials for the listed variables."""
@@ -267,14 +290,18 @@ class Poly:
             if name not in _VAR_INDEX:
                 raise PolyParseError(f"unknown variable {name!r} in substitution")
         basis = [images_p.get(v, Poly.var(v)) for v in VARIABLES]
+        powers: dict[tuple[int, int], Poly] = {}
         total = _ZERO
-        for mono, coeff in self._terms.items():
-            term = Poly.const(coeff)
-            for img, e in zip(basis, mono):
+        for mono, k in self._terms.items():
+            term = None
+            for i, e in enumerate(mono):
                 if e:
-                    term = term * img**e
-            total = total + term
-        return total
+                    power = powers.get((i, e))
+                    if power is None:
+                        power = powers[i, e] = basis[i] ** e
+                    term = power if term is None else term * power
+            total = total + (Poly.const(k) if term is None else term * k)
+        return total / self._den
 
     def reduce(self, relation: Poly, leading: str) -> Poly:
         """Reduce modulo a (at most) binomial rewrite rule.
@@ -294,22 +321,24 @@ class Poly:
                 "relation must have one or two terms, got "
                 f"{len(items)}: {relation}"
             )
-        lead_items = [(m, co) for m, co in items if m[idx] > 0]
+        lead_items = [(m, k) for m, k in items if m[idx] > 0]
         if len(lead_items) != 1:
             raise UnsupportedRelationError(
                 f"leading variable {leading} must occur in exactly one term of {relation}"
             )
-        lead_mono, lead_coeff = lead_items[0]
-        rest = [(m, co) for m, co in items if m != lead_mono]
+        lead_mono, lead_k = lead_items[0]
+        rest = [(m, k) for m, k in items if m != lead_mono]
         if rest:
-            rhs_mono, rhs_coeff = rest[0]
-            rhs_coeff = -rhs_coeff / lead_coeff
+            rhs_mono, rhs_k = rest[0]
+            # lead_mono is rewritten to rhs_num / rhs_den * rhs_mono
+            rhs = Fraction(-rhs_k, lead_k)
+            rhs_num, rhs_den = rhs.numerator, rhs.denominator
             if _mono_key(rhs_mono) >= _mono_key(lead_mono):
                 raise UnsupportedRelationError(
                     f"rewrite in {relation} does not decrease the term order"
                 )
         else:
-            rhs_mono, rhs_coeff = _ZERO_MONO, _F0
+            rhs_mono, rhs_num, rhs_den = _ZERO_MONO, 0, 1
 
         current = self
         while True:
@@ -320,23 +349,23 @@ class Poly:
                     break
             if hit is None:
                 return current
-            coeff = current._terms[hit]
-            out = dict(current._terms)
+            k = current._terms[hit]
+            out = {m: x * rhs_den for m, x in current._terms.items()}
             del out[hit]
-            if rhs_coeff:
+            if rhs_num:
                 mono = _mono_mul(_mono_div(hit, lead_mono), rhs_mono)
-                acc = out.get(mono, _F0) + coeff * rhs_coeff
+                acc = out.get(mono, 0) + k * rhs_num
                 if acc:
                     out[mono] = acc
                 else:
-                    out.pop(mono, None)
-            current = _raw(out)
+                    del out[mono]
+            current = _canonical(out, current._den * rhs_den)
 
     # -- rendering ------------------------------------------------------
 
     def sorted_terms(self) -> list[tuple[Mono, Fraction]]:
         """Terms in descending graded-lex order (the printing order)."""
-        return sorted(self._terms.items(), key=lambda kv: _mono_key(kv[0]), reverse=True)
+        return sorted(self.terms.items(), key=lambda kv: _mono_key(kv[0]), reverse=True)
 
     def __str__(self) -> str:
         if not self._terms:
@@ -365,17 +394,48 @@ class Poly:
         return f"Poly({self})"
 
 
-def _raw(terms: dict[Mono, Fraction]) -> Poly:
-    """Wrap an already-canonical term dict without copying."""
+def _raw(terms: dict[Mono, int], den: int) -> Poly:
+    """Wrap an already-canonical numerator dict and denominator without copying."""
     p = object.__new__(Poly)
     object.__setattr__(p, "_terms", terms)
+    object.__setattr__(p, "_den", den)
     return p
 
 
-_F0 = Fraction(0)
-_F1 = Fraction(1)
-_ZERO = Poly()
-_ONE = Poly.const(1)
+def _canonical(terms: dict[Mono, int], den: int) -> Poly:
+    """The Poly of nonzero integer numerators over a positive ``den``:
+    one gcd takes out their common factor."""
+    if not terms:
+        return _ZERO
+    if den != 1:
+        g = math.gcd(den, *terms.values())
+        if g != 1:
+            terms = {m: k // g for m, k in terms.items()}
+            den //= g
+    return _raw(terms, den)
+
+
+def _sum(p: Poly, q: Poly, sign: int) -> Poly:
+    """p + sign * q, for sign = 1 or -1."""
+    if not q._terms:
+        return p
+    if not p._terms:
+        return q if sign == 1 else -q
+    den = p._den if p._den == q._den else math.lcm(p._den, q._den)
+    f = den // p._den
+    out = dict(p._terms) if f == 1 else {m: k * f for m, k in p._terms.items()}
+    scale = sign * (den // q._den)
+    for mono, k in q._terms.items():
+        acc = out.get(mono, 0) + k * scale
+        if acc:
+            out[mono] = acc
+        else:
+            del out[mono]
+    return _canonical(out, den)
+
+
+_ZERO = _raw({}, 1)
+_ONE = _raw({_ZERO_MONO: 1}, 1)
 
 
 def as_poly(value: PolyLike) -> Poly:
@@ -408,12 +468,9 @@ class IntegerEvaluator:
         self.variables = tuple(v for v in VARIABLES if v in names)
         slots = [_VAR_INDEX[v] for v in self.variables]
         self.degrees = tuple(max(m[i] for p in polys for m in p._terms) for i in slots)
-        self.scale = math.lcm(*(c.denominator for p in polys for c in p._terms.values()))
+        self.scale = math.lcm(*(p._den for p in polys))
         rows = [
-            [
-                (tuple(mono[i] for i in slots), c.numerator * (self.scale // c.denominator))
-                for mono, c in p._terms.items()
-            ]
+            [(tuple(mono[i] for i in slots), k * (self.scale // p._den)) for mono, k in p._terms.items()]
             for p in polys
         ]
         namespace: dict = {}

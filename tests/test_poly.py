@@ -13,6 +13,7 @@ import pytest
 
 from wanas import poly as poly_module
 from wanas.algebra import PAIRS
+from wanas.catalog import load_catalog
 from wanas.poly import (
     IntegerEvaluator,
     MissingVariableError,
@@ -25,6 +26,7 @@ from wanas.poly import (
     parse_rational,
 )
 from wanas.soliton import SolitonKind, derivation_residual, wan_for_kind
+from wanas.verify import verify_paper
 
 P = parse_poly
 ALPHA, BETA, GAMMA = Poly.var("alpha"), Poly.var("beta"), Poly.var("gamma")
@@ -271,6 +273,11 @@ def random_point(rng: random.Random) -> dict[str, Fraction]:
 
 
 def _assert_canonical(p: Poly):
+    """Nonzero integer numerators over a positive denominator, with no
+    factor common to all of them; zero is the empty map over 1."""
+    assert type(p._den) is int and p._den > 0
+    assert all(type(k) is int and k != 0 for k in p._terms.values())
+    assert math.gcd(p._den, *p._terms.values()) == 1
     assert all(coeff != 0 for coeff in p.terms.values())
 
 
@@ -363,6 +370,120 @@ def test_reduce_idempotent_and_congruent_randomized():
             assert p.evaluate(sigma) == reduced.evaluate(sigma)
         # no monomial divisible by eta^2 survives
         assert reduced.degree_in("eta") <= 1
+
+
+# -- the integer-numerator representation ----------------------------------------------
+
+
+def _random_rational(rng: random.Random, nonzero: bool = False) -> Fraction:
+    while True:
+        x = Fraction(rng.randint(-12, 12), rng.choice((1, 1, 2, 3, 4, 6, 9, 10)))
+        if x or not nonzero:
+            return x
+
+
+def _oracle_substitute(terms: dict, images: dict) -> dict:
+    """Term-by-term substitution on Fraction term maps (oracle_add/oracle_mul)."""
+    basis = [
+        images.get(v, {tuple(int(i == j) for j in range(len(VARIABLES))): Fraction(1)})
+        for i, v in enumerate(VARIABLES)
+    ]
+    total: dict = {}
+    for mono, coeff in terms.items():
+        term = {(0,) * len(VARIABLES): coeff}
+        for img, e in zip(basis, mono):
+            for _ in range(e):
+                term = oracle_mul(term, img)
+        total = oracle_add(total, term)
+    return total
+
+
+def _oracle_reduce_eta_squared(terms: dict, rhs: dict) -> dict:
+    """eta^(2k+r) -> rhs^k * eta^r, term by term (rhs free of eta)."""
+    eta = VARIABLES.index("eta")
+    total: dict = {}
+    for mono, coeff in terms.items():
+        k, r = divmod(mono[eta], 2)
+        term = {mono[:eta] + (r,) + mono[eta + 1 :]: coeff}
+        for _ in range(k):
+            term = oracle_mul(term, rhs)
+        total = oracle_add(total, term)
+    return total
+
+
+def test_canonical_form_randomized():
+    """Every operation returns the canonical integer form, and its
+    coefficients equal the Fraction reference."""
+    rng = random.Random(7_2026)
+    for _ in range(300):
+        p, q = random_poly(rng), random_poly(rng, max_terms=3, max_exp=2)
+        k = _random_rational(rng, nonzero=True)
+        const = Poly.const(k)
+        results = [
+            (p + q, oracle_add(p.terms, q.terms)),
+            (p - q, oracle_add(p.terms, {m: -c for m, c in q.terms.items()})),
+            (p * q, oracle_mul(p.terms, q.terms)),
+            (p * const, {m: c * k for m, c in p.terms.items()}),
+            (const * p, {m: c * k for m, c in p.terms.items()}),
+            (p / k, {m: c / k for m, c in p.terms.items()}),
+            (p / -abs(k), {m: c / -abs(k) for m, c in p.terms.items()}),
+            (q**2, oracle_mul(q.terms, q.terms)),
+            (-p, {m: -c for m, c in p.terms.items()}),
+            (Poly(p.terms), p.terms),
+        ]
+        image = random_poly(rng, max_terms=2, max_exp=1)
+        results.append(
+            (p.substitute({"beta": image, "c": k}),
+             _oracle_substitute(p.terms, {"beta": image.terms, "c": {(0,) * 6: k}}))
+        )
+        lead, rhs = _random_rational(rng, nonzero=True), _random_rational(rng) * ALPHA ** rng.randint(0, 1)
+        relation = lead * ETA**2 - rhs
+        rhs_terms = {m: c / lead for m, c in rhs.terms.items()}
+        results.append((p.reduce(relation, "eta"), _oracle_reduce_eta_squared(p.terms, rhs_terms)))
+        for result, expected in results:
+            _assert_canonical(result)
+            assert result.terms == expected
+
+
+def test_equality_across_construction_paths():
+    mono = (1, 0, 0, 0, 0, 0)
+    paths = [
+        (Poly.const(1) / 2) * (2 * ALPHA),
+        ALPHA,
+        Poly({mono: Fraction(2, 2)}),
+        Poly({mono: 1}),
+        P("alpha/3 + 2/3*alpha"),
+        (ALPHA * Fraction(-2, 3)) / Fraction(-2, 3),
+        (ALPHA - 1) * (ALPHA + 1) - ALPHA**2 + ALPHA + 1,
+        ALPHA.substitute({"alpha": Poly.const(Fraction(1, 2)) * ALPHA}) * 2,
+    ]
+    for p in paths:
+        assert p == ALPHA
+        assert (p._terms, p._den) == ({mono: 1}, 1)
+    assert Poly.const(Fraction(6, 4)) == P("3/2") == Fraction(3, 2)
+    assert Poly.const(6) / 4 == P("3/2")
+    assert Poly.zero() == Poly({mono: 0}) == ALPHA - ALPHA == 0
+    assert (Poly.zero()._terms, Poly.zero()._den) == ({}, 1)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Poly.const(0.1),
+        lambda: Poly({(1, 0, 0, 0, 0, 0): 0.25}),
+        lambda: ALPHA / 0.5,
+        lambda: Poly.const("1/3"),
+        lambda: ALPHA.evaluate({"alpha": 0.5}),
+        lambda: ALPHA * 0.5,
+        lambda: ALPHA + 0.5,
+    ],
+    ids=["const", "init", "truediv", "const-str", "evaluate", "mul", "add"],
+)
+def test_non_exact_scalars_are_rejected(make):
+    """Floats and strings never become exact coefficients or values: every
+    entry point raises as_poly's TypeError."""
+    with pytest.raises(TypeError, match=r"^cannot coerce (float|str) to Poly$"):
+        make()
 
 
 # -- the integer evaluator -------------------------------------------------------------
@@ -512,3 +633,23 @@ def test_integer_evaluator_kernel_source_has_only_its_own_names(monkeypatch):
                     tokenize.OP, tokenize.NEWLINE, tokenize.NL, tokenize.INDENT,
                     tokenize.DEDENT, tokenize.ENDMARKER,
                 ), tok
+
+
+def test_integer_evaluator_scale_is_lcm_of_coefficient_denominators(monkeypatch):
+    """Every evaluator a verify-paper run builds scales by the lcm of the
+    reduced denominators of its polynomials' coefficients.  A fresh catalog,
+    since the session one holds evaluators compiled by earlier tests."""
+    built = []
+    original = IntegerEvaluator.__init__
+
+    def recording(self, polys):
+        original(self, polys)
+        built.append((self, list(polys)))
+
+    monkeypatch.setattr(IntegerEvaluator, "__init__", recording)
+    verify_paper(load_catalog())
+    assert len(built) > 50
+    for evaluate, polys in built:
+        assert evaluate.scale == math.lcm(
+            *(c.denominator for p in polys for c in p.terms.values())
+        )
