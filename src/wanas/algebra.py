@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence, TypeVar
 
 from .poly import (
     IntegerEvaluator,
@@ -32,8 +32,11 @@ Assignment = Mapping[str, Fraction]
 
 ZERO_VEC: Vec3 = (Poly.zero(), Poly.zero(), Poly.zero())
 
-# the three basis pairs (i < j), in canonical order
+# the three basis pairs (i < j), in canonical order, and their wire keys
 PAIRS = ((0, 1), (0, 2), (1, 2))
+PAIR_KEYS = tuple(f"e{i + 1},e{j + 1}" for i, j in PAIRS)
+
+_T = TypeVar("_T")
 
 
 class InvalidAssignmentError(ValueError):
@@ -58,6 +61,10 @@ def vec_sub(a: Vec3, b: Vec3) -> Vec3:
     return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
 
 
+def vec_neg(a: Vec3) -> Vec3:
+    return (-a[0], -a[1], -a[2])
+
+
 def vec_scale(s: PolyLike, a: Vec3) -> Vec3:
     s = as_poly(s)
     return (s * a[0], s * a[1], s * a[2])
@@ -70,6 +77,18 @@ def vec_combination(coeffs: Sequence[Poly], vectors: Sequence[Vec3]) -> Vec3:
         if not s.is_zero():
             out = vec_add(out, vec_scale(s, v))
     return out
+
+
+def antisymmetric(
+    upper: Sequence[_T], zero: _T, negate: Callable[[_T], _T]
+) -> tuple[tuple[_T, ...], ...]:
+    """The full 3x3 table t with t[j][i] = negate(t[i][j]) and ``zero`` on
+    the diagonal, from its values on PAIRS (in that order)."""
+    table = [[zero] * 3 for _ in range(3)]
+    for (i, j), value in zip(PAIRS, upper):
+        table[i][j] = value
+        table[j][i] = negate(value)
+    return tuple(tuple(row) for row in table)
 
 
 @dataclass(frozen=True)
@@ -107,13 +126,7 @@ class StructureConstants:
     @classmethod
     def from_brackets(cls, c12: Vec3, c13: Vec3, c23: Vec3) -> StructureConstants:
         """Build the full table from the three upper brackets."""
-        z = ZERO_VEC
-        upper = {(0, 1): vec3(*c12), (0, 2): vec3(*c13), (1, 2): vec3(*c23)}
-        table = [[z, z, z], [z, z, z], [z, z, z]]
-        for (i, j), v in upper.items():
-            table[i][j] = v
-            table[j][i] = vec_scale(-1, v)
-        return cls(table)
+        return cls(antisymmetric([vec3(*c12), vec3(*c13), vec3(*c23)], ZERO_VEC, vec_neg))
 
     def __getitem__(self, ij: tuple[int, int]) -> Vec3:
         i, j = ij
@@ -236,14 +249,12 @@ class LieAlgebraSpec:
         def sub(p: Poly) -> Poly:
             return p.substitute(images)
 
-        c12 = tuple(sub(p) for p in self.constants[0, 1])
-        c13 = tuple(sub(p) for p in self.constants[0, 2])
-        c23 = tuple(sub(p) for p in self.constants[1, 2])
+        brackets = [tuple(map(sub, self.constants[i, j])) for i, j in PAIRS]
         constraints = tuple(
             Constraint(con.kind, sub(con.poly)) for con in self.constraints
         )
         return LieAlgebraSpec(
-            StructureConstants.from_brackets(c12, c13, c23), self.signature, constraints
+            StructureConstants.from_brackets(*brackets), self.signature, constraints
         )
 
     # -- serialization ----------------------------------------------------
@@ -251,9 +262,7 @@ class LieAlgebraSpec:
     def to_json_dict(self) -> dict:
         return {
             "brackets": {
-                "e1,e2": [str(p) for p in self.constants[0, 1]],
-                "e1,e3": [str(p) for p in self.constants[0, 2]],
-                "e2,e3": [str(p) for p in self.constants[1, 2]],
+                key: [str(p) for p in self.constants[ij]] for key, ij in zip(PAIR_KEYS, PAIRS)
             },
             "signature": list(self.signature.eps),
             "constraints": {
@@ -283,9 +292,7 @@ class LieAlgebraSpec:
                 raise ValueError(f"bracket {key} needs 3 components")
             return vec3(*comps)
 
-        constants = StructureConstants.from_brackets(
-            vec("e1,e2"), vec("e1,e3"), vec("e2,e3")
-        )
+        constants = StructureConstants.from_brackets(*map(vec, PAIR_KEYS))
         constraints = tuple(
             [Constraint("eq", p) for p in polys("constraints eq", cons.get("eq", ()))]
             + [Constraint("neq", p) for p in polys("constraints neq", cons.get("neq", ()))]

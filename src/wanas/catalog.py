@@ -23,23 +23,23 @@ from importlib import resources
 from typing import Mapping, Sequence
 
 from .algebra import (
-    PAIRS,
+    PAIR_KEYS,
     Assignment,
     Constraint,
     LieAlgebraSpec,
     LORENTZ,
     StructureConstants,
     Vec3,
-    vec_scale,
+    ZERO_VEC,
+    antisymmetric,
+    vec_neg,
     vec3,
 )
-from .geometry import Conn, Mat3, Tor, Tri
+from .geometry import Conn, Mat3, Tor, Tri, tri_table
 from .poly import IntegerEvaluator, Poly, parse_poly
 from .soliton import SolitonKind, SolitonVerdict
 
 ALL_GROUPS = ("g1", "g2", "g3", "g4", "g5", "g6", "g7")
-PAIR_KEYS = ("e1,e2", "e1,e3", "e2,e3")
-_PAIR_OF_KEY = dict(zip(PAIR_KEYS, PAIRS))
 
 
 class CatalogError(ValueError):
@@ -196,26 +196,6 @@ def _mat3(rows: Sequence[Sequence[str]], parse) -> Mat3:
     return tuple(tuple(parse(s) for s in row) for row in rows)
 
 
-def _pair_table_vec(per_pair: dict[tuple[int, int], Vec3]) -> Tor:
-    """Expand per-pair vectors to a full table antisymmetric in (i, j)."""
-    zero = vec3(0, 0, 0)
-    table = [[zero] * 3 for _ in range(3)]
-    for (i, j), v in per_pair.items():
-        table[i][j] = v
-        table[j][i] = vec_scale(-1, v)
-    return tuple(tuple(row) for row in table)
-
-
-def _pair_table_tri(per_pair: dict[tuple[int, int], Sequence[Vec3]]) -> Tri:
-    """Expand per-pair vec triples (indexed by the third argument) likewise."""
-    zero = tuple(vec3(0, 0, 0) for _ in range(3))
-    table = [[zero] * 3 for _ in range(3)]
-    for (i, j), vecs in per_pair.items():
-        table[i][j] = tuple(vecs)
-        table[j][i] = tuple(vec_scale(-1, v) for v in vecs)
-    return tuple(tuple(row) for row in table)
-
-
 def _load_group(gid: str, data: Mapping) -> GroupEntry:
     shorthands = {k: parse_poly(v) for k, v in data.get("shorthands", {}).items()}
 
@@ -224,13 +204,11 @@ def _load_group(gid: str, data: Mapping) -> GroupEntry:
         # Poly is immutable, so the many repeated strings ("0" above all) share one parse
         return parse_poly(text, shorthands)
 
-    brackets = data["brackets"]
+    def vec(strings: Sequence[str]) -> Vec3:
+        return vec3(*map(p, strings))
+
     spec = LieAlgebraSpec(
-        StructureConstants.from_brackets(
-            vec3(*(p(s) for s in brackets["e1,e2"])),
-            vec3(*(p(s) for s in brackets["e1,e3"])),
-            vec3(*(p(s) for s in brackets["e2,e3"])),
-        ),
+        StructureConstants.from_brackets(*(vec(data["brackets"][key]) for key in PAIR_KEYS)),
         LORENTZ,
         tuple(
             [Constraint("eq", p(s)) for s in data["constraints"]["eq"]]
@@ -239,21 +217,10 @@ def _load_group(gid: str, data: Mapping) -> GroupEntry:
     )
 
     cl = data["claimed"]
-    connection = tuple(
-        tuple(vec3(*(p(s) for s in cl["connection"][i][j])) for j in range(3))
-        for i in range(3)
-    )
-    torsion = _pair_table_vec(
-        {
-            _PAIR_OF_KEY[key]: vec3(*(p(s) for s in cl["torsion"][key]))
-            for key in PAIR_KEYS
-        }
-    )
-    a_tensor = _pair_table_tri(
-        {
-            _PAIR_OF_KEY[key]: [vec3(*(p(s) for s in cl["a_tensor"][key][k])) for k in range(3)]
-            for key in PAIR_KEYS
-        }
+    connection = tuple(tuple(vec(cl["connection"][i][j]) for j in range(3)) for i in range(3))
+    torsion = antisymmetric([vec(cl["torsion"][key]) for key in PAIR_KEYS], ZERO_VEC, vec_neg)
+    a_tensor = tri_table(
+        [tuple(vec(cl["a_tensor"][key][k]) for k in range(3)) for key in PAIR_KEYS]
     )
     claimed = ClaimedTensors(
         connection=connection,

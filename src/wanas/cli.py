@@ -15,6 +15,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .algebra import (
+    PAIR_KEYS,
+    PAIRS,
     InvalidAssignmentError,
     LieAlgebraSpec,
     load_spec_file,
@@ -130,25 +132,24 @@ def _cmd_tensors(args, catalog: Catalog) -> int:
                 entries[key] = [str(p) for p in table[i][j]]
                 lines.append(f"{key} = {render_vector(table[i][j])}")
         payload["entries"] = entries
-    elif tensor == "torsion":
-        entries = {}
-        for key, (i, j) in (("e1,e2", (0, 1)), ("e1,e3", (0, 2)), ("e2,e3", (1, 2))):
-            entries[f"T({key})"] = [str(p) for p in bundle.torsion[i][j]]
-            lines.append(f"T({key}) = {render_vector(bundle.torsion[i][j])}")
-        payload["entries"] = entries
-    elif tensor in ("curvature", "a-tensor", "wanas"):
-        table = {
-            "curvature": bundle.curvature,
-            "a-tensor": bundle.a_tensor,
-            "wanas": bundle.wanas,
+    elif tensor in ("torsion", "curvature", "a-tensor", "wanas"):
+        label, table = {
+            "torsion": ("T", bundle.torsion),
+            "curvature": ("R", bundle.curvature),
+            "a-tensor": ("A", bundle.a_tensor),
+            "wanas": ("W", bundle.wanas),
         }[tensor]
-        label = {"curvature": "R", "a-tensor": "A", "wanas": "W"}[tensor]
         entries = {}
-        for key, (i, j) in (("e1,e2", (0, 1)), ("e1,e3", (0, 2)), ("e2,e3", (1, 2))):
-            for k in range(3):
-                name = f"{label}({key})e{k + 1}"
-                entries[name] = [str(p) for p in table[i][j][k]]
-                lines.append(f"{name} = {render_vector(table[i][j][k])}")
+        for key, (i, j) in zip(PAIR_KEYS, PAIRS):
+            # T(e_i, e_j) is one vector; the others act on a third basis vector
+            if tensor == "torsion":
+                cells = [("", table[i][j])]
+            else:
+                cells = [(f"e{k + 1}", v) for k, v in enumerate(table[i][j])]
+            for suffix, v in cells:
+                name = f"{label}({key}){suffix}"
+                entries[name] = [str(p) for p in v]
+                lines.append(f"{name} = {render_vector(v)}")
         payload["entries"] = entries
     else:
         matrix = {

@@ -15,7 +15,7 @@ matrix left-multiplies the basis column (e1; e2; e3).  This is the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .algebra import (
     PAIRS,
@@ -23,7 +23,9 @@ from .algebra import (
     MetricSignature,
     Vec3,
     ZERO_VEC,
+    antisymmetric,
     vec_combination,
+    vec_neg,
     vec_scale,
     vec_sub,
 )
@@ -123,15 +125,13 @@ def nabla_j(conn: Conn, j: Mat3) -> tuple[tuple[Vec3, ...], ...]:
     return tuple(table)
 
 
-def canonical_connection(
-    spec: LieAlgebraSpec, j: Mat3 | None = None, lc: Conn | None = None
-) -> Conn:
-    """nabla0_X Y = nabla_X Y - (1/2)(nabla_X J)(J Y), from the Koszul nabla.
+def canonical_connection(spec: LieAlgebraSpec, lc: Conn | None = None) -> Conn:
+    """nabla0_X Y = nabla_X Y - (1/2)(nabla_X J)(J Y), from the Koszul nabla,
+    for the standard product structure J.
 
     ``lc`` is the Levi-Civita table of ``spec`` when the caller already has it.
     """
-    if j is None:
-        j = standard_product_structure()
+    j = standard_product_structure()
     if lc is None:
         lc = levi_civita(spec)
     nj = nabla_j(lc, j)
@@ -147,39 +147,38 @@ def canonical_connection(
 
 def torsion(conn: Conn, spec: LieAlgebraSpec) -> Tor:
     """T(e_i, e_j) = nabla_{e_i} e_j - nabla_{e_j} e_i - [e_i, e_j]."""
-    table = [[ZERO_VEC] * 3 for _ in range(3)]
-    for i, j in PAIRS:
-        t = vec_sub(vec_sub(conn[i][j], conn[j][i]), spec.constants[i, j])
-        table[i][j] = t
-        table[j][i] = vec_scale(-1, t)
-    return tuple(tuple(row) for row in table)
+    upper = [vec_sub(vec_sub(conn[i][j], conn[j][i]), spec.constants[i, j]) for i, j in PAIRS]
+    return antisymmetric(upper, ZERO_VEC, vec_neg)
+
+
+def tri_table(upper: Sequence[tuple[Vec3, ...]]) -> Tri:
+    """The full Tri table from its three upper pairs, in PAIRS order."""
+    return antisymmetric(upper, (ZERO_VEC,) * 3, lambda vecs: tuple(map(vec_neg, vecs)))
 
 
 def curvature(conn: Conn, spec: LieAlgebraSpec) -> Tri:
     """R(e_i,e_j)e_k = nabla_i nabla_j e_k - nabla_j nabla_i e_k - nabla_{[e_i,e_j]} e_k."""
-    table = [[[ZERO_VEC] * 3 for _ in range(3)] for _ in range(3)]
+    upper = []
     for i, j in PAIRS:
         cij = spec.constants[i, j]
+        row = []
         for k in range(3):
             first = vec_combination(conn[j][k], conn[i])
             second = vec_combination(conn[i][k], conn[j])
             third = vec_combination(cij, [conn[m][k] for m in range(3)])
-            r = vec_sub(vec_sub(first, second), third)
-            table[i][j][k] = r
-            table[j][i][k] = vec_scale(-1, r)
-    return tuple(tuple(tuple(row) for row in plane) for plane in table)
+            row.append(vec_sub(vec_sub(first, second), third))
+        upper.append(tuple(row))
+    return tri_table(upper)
 
 
 def a_tensor(t: Tor) -> Tri:
     """A(X,Y)Z = T(T(X,Y), Z), expanded by bilinearity of T."""
-    table = [[[ZERO_VEC] * 3 for _ in range(3)] for _ in range(3)]
-    for i, j in PAIRS:
-        tij = t[i][j]
-        for k in range(3):
-            out = vec_combination(tij, [t[m][k] for m in range(3)])
-            table[i][j][k] = out
-            table[j][i][k] = vec_scale(-1, out)
-    return tuple(tuple(tuple(row) for row in plane) for plane in table)
+    return tri_table(
+        [
+            tuple(vec_combination(t[i][j], [t[m][k] for m in range(3)]) for k in range(3))
+            for i, j in PAIRS
+        ]
+    )
 
 
 def wanas_tensor(r: Tri, a: Tri) -> Tri:

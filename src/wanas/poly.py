@@ -558,7 +558,8 @@ def _kernel_source(
 
 def format_rational(value: Scalar) -> str:
     """Canonical wire rendering of a rational: "p/q", or "p" when q == 1."""
-    return str(Fraction(value))
+    num, den = _ratio(value)
+    return f"{num}/{den}" if den != 1 else str(num)
 
 
 def parse_rational(text: str) -> Fraction:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .algebra import PAIRS, Assignment, LieAlgebraSpec, Vec3
+from .algebra import PAIR_KEYS, PAIRS, Assignment, LieAlgebraSpec, Vec3
 from .geometry import (
     Mat3,
     TensorBundle,
@@ -67,6 +67,20 @@ def derivation_residual(d: Mat3, spec: LieAlgebraSpec) -> tuple[Vec3, Vec3, Vec3
     return tuple(residuals)
 
 
+def affine_residuals(spec: LieAlgebraSpec, wan: Mat3) -> tuple[tuple[Poly, Poly], ...]:
+    """The nine residual equations of Wan = c*Id + D as (constant, slope)
+    pairs, in PAIRS order: constant + slope*c is the derivation residual of
+    D = Wan - c*Id.
+
+    The residual is linear in D and the residual of -Id is [e_i, e_j], so
+    the constants are the derivation residual of Wan and the slopes are the
+    bracket components.
+    """
+    constants = [comp for vec in derivation_residual(wan, spec) for comp in vec]
+    slopes = [comp for i, j in PAIRS for comp in spec.constants[i, j]]
+    return tuple(zip(constants, slopes))
+
+
 @dataclass(frozen=True)
 class AffineEquation:
     """One residual component as an affine condition constant + slope*c = 0."""
@@ -77,17 +91,17 @@ class AffineEquation:
     slope: Fraction
 
     def describe(self) -> str:
-        i, j = self.pair
+        key = PAIR_KEYS[PAIRS.index(self.pair)]
         lhs = format_rational(self.constant)
         if self.slope:
             sign = "+" if self.slope > 0 else "-"
             mag = abs(self.slope)
             lhs += f" {sign} c" if mag == 1 else f" {sign} {format_rational(mag)}*c"
-        return f"residual(e{i + 1},e{j + 1})[e{self.component + 1}]: {lhs} = 0"
+        return f"residual({key})[e{self.component + 1}]: {lhs} = 0"
 
     def to_json_dict(self) -> dict:
         return {
-            "pair": f"e{self.pair[0] + 1},e{self.pair[1] + 1}",
+            "pair": PAIR_KEYS[PAIRS.index(self.pair)],
             "component": f"e{self.component + 1}",
             "constant": format_rational(self.constant),
             "slope": format_rational(self.slope),
@@ -182,11 +196,9 @@ def soliton_decide(spec: LieAlgebraSpec, kind: SolitonKind, wan: Mat3) -> Solito
     ``spec`` must be a numeric algebra (constant structure polynomials) and
     ``wan`` the matching numeric decision operator for ``kind``.
     """
-    brackets = tuple(
-        tuple(p.constant_value() for p in spec.constants[i, j]) for i, j in PAIRS
-    )
+    pairs = [(a.constant_value(), b.constant_value()) for a, b in affine_residuals(spec, wan)]
     wan = tuple(tuple(p.constant_value() for p in row) for row in wan)
-    return _verdict(_affine_pairs(brackets, wan), wan)
+    return _verdict(pairs, wan)
 
 
 @dataclass(frozen=True)
@@ -212,38 +224,15 @@ def compile_decision(
 ) -> CompiledDecision:
     """``soliton_decide`` at any admissible point of ``spec``, compiled once.
 
-    The nine residual constants (the derivation residual of Wan), the nine
-    slopes (the bracket components) and the nine Wan entries go into one
-    ``IntegerEvaluator``; each call evaluates them in integers and builds the
-    verdict.  ``bundle`` is passed on to ``wan_for_kind``.
+    The nine constants and then the nine slopes of ``affine_residuals`` and
+    the nine Wan entries go into one ``IntegerEvaluator``; each call
+    evaluates them in integers and builds the verdict.  ``bundle`` is passed
+    on to ``wan_for_kind``.
     """
     wan = wan_for_kind(spec, kind, bundle)
-    constants = [comp for vec in derivation_residual(wan, spec) for comp in vec]
-    slopes = [comp for i, j in PAIRS for comp in spec.constants[i, j]]
-    return CompiledDecision(IntegerEvaluator(constants + slopes + [p for row in wan for p in row]))
-
-
-def _affine_pairs(brackets, wan) -> list[tuple[Fraction, Fraction]]:
-    """The nine (constant, slope) pairs on Fraction values: ``brackets``
-    holds the upper brackets [e_i, e_j] in PAIRS order, ``wan`` the operator
-    (row i = image of e_i).
-
-    Substituting D = wan - c*Id into the derivation residual leaves nine
-    equations affine in c: residual(D) = residual(wan) + c*[e_i, e_j].
-    """
-    table = [[(Fraction(0),) * 3] * 3 for _ in range(3)]
-    for (i, j), v in zip(PAIRS, brackets):
-        table[i][j], table[j][i] = v, tuple(-x for x in v)
-
-    pairs = []
-    for (i, j), cij in zip(PAIRS, brackets):
-        for l in range(3):
-            constant = sum(
-                cij[k] * wan[k][l] - wan[i][k] * table[k][j][l] - wan[j][k] * table[i][k][l]
-                for k in range(3)
-            )
-            pairs.append((constant, cij[l]))
-    return pairs
+    constants, slopes = zip(*affine_residuals(spec, wan))
+    entries = [p for row in wan for p in row]
+    return CompiledDecision(IntegerEvaluator([*constants, *slopes, *entries]))
 
 
 def _verdict(pairs, wan, den: int = 1) -> SolitonVerdict:
@@ -276,15 +265,11 @@ def family_verdict(wan, den: int = 1) -> SolitonVerdict:
 
 
 def residual_system(spec: LieAlgebraSpec, kind: SolitonKind) -> tuple[Poly, ...]:
-    """The nine symbolic residual polynomials before any elimination.
-
-    D = Wan - c*Id with c a genuine polynomial variable; each returned
-    equation is affine in c.
-    """
-    wan = wan_for_kind(spec, kind)
-    d = mat_sub(wan, scalar_matrix(Poly.var("c")))
-    residuals = derivation_residual(d, spec)
-    return tuple(comp for vec in residuals for comp in vec)
+    """The nine symbolic residual polynomials before any elimination:
+    ``affine_residuals`` as constant + slope*c, with c a genuine polynomial
+    variable."""
+    c = Poly.var("c")
+    return tuple(a + b * c for a, b in affine_residuals(spec, wan_for_kind(spec, kind)))
 
 
 def solve_affine_in_c(equations: Sequence[Poly], sigma: Mapping[str, Fraction]):
@@ -307,11 +292,10 @@ def solve_affine_in_c(equations: Sequence[Poly], sigma: Mapping[str, Fraction]):
 ETA_RELATION = Poly.var("eta") ** 2 - 1
 
 
-def _reduce_all(p: Poly, reductions: Sequence[tuple[Poly, str]]) -> Poly:
+def normalize_eta(p: Poly) -> Poly:
+    """p reduced modulo eta^2 = 1 when eta occurs in it."""
     if "eta" in p.variables():
-        p = p.reduce(ETA_RELATION, "eta")
-    for relation, leading in reductions:
-        p = p.reduce(relation, leading)
+        return p.reduce(ETA_RELATION, "eta")
     return p
 
 
@@ -322,7 +306,6 @@ def check_claimed_solution(
     d: Mat3,
     *,
     branches: Sequence[Mapping[str, Poly]] = ({},),
-    reductions: Sequence[tuple[Poly, str]] = (),
     wan: Mat3 | None = None,
 ) -> list[str]:
     """Symbolically verify a claimed (c, D) family; empty result means pass.
@@ -331,8 +314,7 @@ def check_claimed_solution(
     equation constraints that are not substitutions (such as a relation
     between two squared parameters) are handled by ``branches``: each branch
     is a substitution map, and every branch must verify.  Identities are
-    checked after reduction modulo eta^2 = 1 (when eta occurs) and any extra
-    binomial ``reductions``.
+    checked after reduction modulo eta^2 = 1 (when eta occurs).
 
     ``wan`` is ``wan_for_kind(spec, kind)`` when the caller has it.  Each
     branch substitutes into it instead of recomputing the tensors: they are
@@ -354,18 +336,18 @@ def check_claimed_solution(
         for i in range(3):
             for j in range(3):
                 claimed = branch_d[i][j] + (branch_c if i == j else Poly.zero())
-                diff = _reduce_all(branch_wan[i][j] - claimed, reductions)
+                diff = normalize_eta(branch_wan[i][j] - claimed)
                 if not diff.is_zero():
                     failures.append(
                         f"Wan - (c*Id + D) nonzero at ({i + 1},{j + 1}): {diff}{tag}"
                     )
         residuals = derivation_residual(branch_d, branch_spec)
-        for (pi, pj), vec in zip(PAIRS, residuals):
+        for key, vec in zip(PAIR_KEYS, residuals):
             for l, comp in enumerate(vec):
-                reduced = _reduce_all(comp, reductions)
+                reduced = normalize_eta(comp)
                 if not reduced.is_zero():
                     failures.append(
                         "derivation residual nonzero at "
-                        f"(e{pi + 1},e{pj + 1})[e{l + 1}]: {reduced}{tag}"
+                        f"({key})[e{l + 1}]: {reduced}{tag}"
                     )
     return failures

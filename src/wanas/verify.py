@@ -18,15 +18,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .algebra import Assignment, Constraint, InvalidAssignmentError, LieAlgebraSpec
-from .catalog import (
-    ALL_GROUPS,
-    Catalog,
-    GroupEntry,
+from .algebra import (
     PAIR_KEYS,
-    TheoremClaim,
-    predicate_eval,
+    PAIRS,
+    Assignment,
+    Constraint,
+    InvalidAssignmentError,
+    LieAlgebraSpec,
 )
+from .catalog import ALL_GROUPS, Catalog, GroupEntry, TheoremClaim, predicate_eval
 from .geometry import TensorBundle, compute_tensors, mat_substitute
 from .poly import IntegerEvaluator, Poly, UnsupportedRelationError, format_rational
 from .soliton import (
@@ -38,11 +38,10 @@ from .soliton import (
     check_claimed_solution,
     compile_decision,
     family_verdict,
+    normalize_eta,
     solve_affine,
     wan_for_kind,
 )
-
-_PAIRS_BY_KEY = {"e1,e2": (0, 1), "e1,e3": (0, 2), "e2,e3": (1, 2)}
 
 MATCH = "match"
 MATCH_ON_VARIETY = "match_on_variety"
@@ -115,12 +114,6 @@ def _binomial_relation(con: Constraint) -> tuple[Poly, str] | None:
     return None
 
 
-def _normalize_eta(p: Poly) -> Poly:
-    if "eta" in p.variables():
-        return p.reduce(ETA_RELATION, "eta")
-    return p
-
-
 def compare_polys(
     computed: Poly,
     claimed: Poly,
@@ -133,7 +126,7 @@ def compare_polys(
     neither exact equality nor a binomial reduction settles the entry.  A
     difference in a variable the algebra does not have is a mismatch.
     """
-    diff = _normalize_eta(computed - claimed)
+    diff = normalize_eta(computed - claimed)
     if diff.is_zero():
         return (MATCH, None)
     if not set(diff.variables()) <= set(entry.spec.variables()):
@@ -163,11 +156,7 @@ class GridSpec:
 
     group: str
     ladder: tuple[Fraction, ...] = BASE_LADDER
-    include_zero: tuple[tuple[str, bool], ...] = ()
     max_points: int = 5000
-
-    def zero_flags(self) -> dict[str, bool]:
-        return dict(self.include_zero)
 
 
 def _single_var_nonvanishing(spec: LieAlgebraSpec) -> set[str]:
@@ -193,15 +182,14 @@ def _is_sign_constraint(con: Constraint) -> str | None:
 def generate_grid(spec: LieAlgebraSpec, grid: GridSpec) -> list[dict[str, Fraction]]:
     """All admissible points of the grid, sorted by parameter tuple.
 
-    Variables range over the ladder (plus 0 unless excluded); sign variables
-    (v^2 = 1) range over {1, -1}.  A single defining equation is handled by
-    solving for its highest-ordered variable where the coefficient is
-    nonzero, letting that variable range freely where the equation already
-    holds, and skipping infeasible combinations.  Every emitted point passes
-    validate_assignment.
+    Variables range over the ladder (plus 0 unless a constraint v != 0
+    excludes it); sign variables (v^2 = 1) range over {1, -1}.  A single
+    defining equation is handled by solving for its highest-ordered variable
+    where the coefficient is nonzero, letting that variable range freely
+    where the equation already holds, and skipping infeasible combinations.
+    Every emitted point passes validate_assignment.
     """
     variables = list(spec.variables())
-    zero_flags = grid.zero_flags()
     no_zero = _single_var_nonvanishing(spec)
     sign_vars = {v for con in spec.constraints if (v := _is_sign_constraint(con))}
 
@@ -227,7 +215,7 @@ def generate_grid(spec: LieAlgebraSpec, grid: GridSpec) -> list[dict[str, Fracti
         if v in sign_vars:
             return [Fraction(-1), Fraction(1)]
         values = list(grid.ladder)
-        if zero_flags.get(v, v not in no_zero):
+        if v not in no_zero:
             values.append(Fraction(0))
         return sorted(set(values))
 
@@ -452,8 +440,7 @@ def reproduce_group(
     for i, j, k in itertools.product(range(3), repeat=3):
         location = (f"e{i + 1}", f"e{j + 1}", f"e{k + 1}")
         emit("connection", location, bundle.connection[i][j][k], claimed.connection[i][j][k])
-    for key in PAIR_KEYS:
-        i, j = _PAIRS_BY_KEY[key]
+    for key, (i, j) in zip(PAIR_KEYS, PAIRS):
         for k in range(3):
             emit("torsion", (key, f"e{k + 1}"), bundle.torsion[i][j][k], claimed.torsion[i][j][k])
         for k, l in itertools.product(range(3), repeat=2):

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import shutil
 
 import pytest
 
 from wanas.cli import main
-from wanas.catalog import default_catalog_path
+from wanas.catalog import ALL_GROUPS, default_catalog_path
 
 
 def run(capsys, *argv):
@@ -406,3 +407,66 @@ def test_corrupt_catalog_env_exits_2(capsys, tmp_path, monkeypatch):
     code, _, err = run(capsys, "check", "--group", "g1", "--kind", "first", "--at", "alpha=1,beta=0")
     assert code == 2
     assert "checksum" in err
+
+
+# -- golden outputs ------------------------------------------------------------------
+
+_TENSORS = (
+    "connection", "levi-civita", "torsion", "curvature", "a-tensor", "wanas",
+    "abar", "ric", "wan", "wan-tilde",
+)
+_AT_POINTS = (
+    ("g4", "alpha=-1/2,beta=1,eta=-1"),
+    ("g5", "alpha=-1/2,beta=1,gamma=-1/2,delta=-1/4"),
+    ("g7", "alpha=0,beta=-1/2,gamma=-2,delta=-1/2"),
+)
+
+# SHA-256 over every invocation's argv, exit code and stdout, in order
+GOLDEN_CLI_SHA256 = {
+    "g1": "2c43fdf7ddeb96e3b8303b990049c32342b0c0a3bf0c75e17943c742a15962c3",
+    "g2": "1a0acff038d4b5a09b82d971ad7be32f279875c06f0f03989f5642d75554fdb2",
+    "g3": "63cb1ed69f14f496c15c9a1882d75a4e855da1adbc27cd4834ab44f7b78b6a50",
+    "g4": "9f60b73f18c4f39578f65f6ba487e9db5a9f8fd46279d740f034d24e26f74433",
+    "g5": "651ca76f8e70e1593fdc994ce2bdfdc9fa9c80b9140b82a4a3340556f2b25a9d",
+    "g6": "91b8712f13773a9a454814555099cd35f31cc9bd67af2901a61e8b4a5a3aece0",
+    "g7": "a69f7f50098d23385d98d116267436ae73c71e8171e947e7c7ffa979ce3ab019",
+    "at": "81e30b727bf18d768e801c5ea649cb5be427c73d4ce8a01e2dbc50fecd538b93",
+    "classify": "ca61c9e0e8a0654acab84bddf221e212fe270d5b1fd7e9079519527d43d273ac",
+}
+
+
+def _digest(capsys, invocations) -> str:
+    h = hashlib.sha256()
+    for argv in invocations:
+        code, out, _ = run(capsys, *argv)
+        h.update(f"{' '.join(argv)}\n{code}\n{out}\n".encode())
+    return h.hexdigest()
+
+
+def _tensor_runs(group, at=()):
+    return [
+        ("tensors", "--group", group, "--tensor", tensor, "--connection-kind", kind, *at, *fmt)
+        for tensor in _TENSORS
+        for kind in ("canonical", "levi-civita")
+        for fmt in ((), ("--json",))
+    ]
+
+
+def test_golden_cli_outputs(capsys, monkeypatch, catalog):
+    """Every `tensors` table (each group, tensor, connection kind and format,
+    symbolic and at three points) and every `classify` output, byte for byte."""
+    monkeypatch.setattr("wanas.cli.load_catalog", lambda: catalog)
+    digests = {gid: _digest(capsys, _tensor_runs(gid)) for gid in ALL_GROUPS}
+    digests["at"] = _digest(
+        capsys, [argv for gid, at in _AT_POINTS for argv in _tensor_runs(gid, ("--at", at))]
+    )
+    digests["classify"] = _digest(
+        capsys,
+        [
+            ("classify", "--group", gid, "--kind", kind, "--min-points", "40", *fmt)
+            for gid in ALL_GROUPS
+            for kind in ("first", "second")
+            for fmt in ((), ("--json",))
+        ],
+    )
+    assert digests == GOLDEN_CLI_SHA256

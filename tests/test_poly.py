@@ -476,8 +476,13 @@ def test_equality_across_construction_paths():
         lambda: ALPHA.evaluate({"alpha": 0.5}),
         lambda: ALPHA * 0.5,
         lambda: ALPHA + 0.5,
+        lambda: format_rational(0.1),
+        lambda: format_rational("1/3"),
     ],
-    ids=["const", "init", "truediv", "const-str", "evaluate", "mul", "add"],
+    ids=[
+        "const", "init", "truediv", "const-str", "evaluate", "mul", "add",
+        "format-rational", "format-rational-str",
+    ],
 )
 def test_non_exact_scalars_are_rejected(make):
     """Floats and strings never become exact coefficients or values: every

@@ -14,6 +14,7 @@ from wanas.poly import Poly, parse_poly
 from wanas.soliton import (
     AffineEquation,
     SolitonKind,
+    affine_residuals,
     check_claimed_solution,
     derivation_residual,
     residual_system,
@@ -238,6 +239,42 @@ def test_residual_system_affine_in_c(groups):
         for kind in SolitonKind:
             for eq in residual_system(entry.spec, kind):
                 assert eq.degree_in("c") <= 1
+
+
+def written_out_affine_pairs(spec, wan):
+    """The nine (constant, slope) pairs written out from the three upper
+    brackets, independently of ``derivation_residual``: substituting
+    D = Wan - c*Id into D[e_i,e_j] - [D e_i, e_j] - [e_i, D e_j] leaves
+    constant + slope*c, and the slope is the bracket [e_i, e_j] itself."""
+    upper = {(0, 1): spec.constants[0, 1], (0, 2): spec.constants[0, 2], (1, 2): spec.constants[1, 2]}
+    zero = (Poly.zero(),) * 3
+    table = [[zero] * 3 for _ in range(3)]
+    for (i, j), v in upper.items():
+        table[i][j], table[j][i] = v, tuple(-x for x in v)
+    pairs = []
+    for (i, j), cij in upper.items():
+        for l in range(3):
+            constant = Poly.zero()
+            for k in range(3):
+                constant = constant + cij[k] * wan[k][l]
+                constant = constant - wan[i][k] * table[k][j][l] - wan[j][k] * table[i][k][l]
+            pairs.append((constant, cij[l]))
+    return tuple(pairs)
+
+
+@pytest.mark.parametrize("kind", list(SolitonKind))
+def test_affine_residuals_match_written_out_formula(groups, kind):
+    """For every group: the shared pairs equal the written-out formula, and
+    the residual system is the derivation residual of Wan - c*Id."""
+    c = Poly.var("c")
+    for entry in groups.values():
+        wan = wan_for_kind(entry.spec, kind)
+        pairs = affine_residuals(entry.spec, wan)
+        assert pairs == written_out_affine_pairs(entry.spec, wan), entry.id
+        shifted = derivation_residual(mat_sub(wan, scalar_matrix(c)), entry.spec)
+        system = residual_system(entry.spec, kind)
+        assert system == tuple(p for vec in shifted for p in vec), entry.id
+        assert system == tuple(a + c * b for a, b in pairs), entry.id
 
 
 def test_residual_system_abelian_identically_zero():

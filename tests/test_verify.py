@@ -335,15 +335,6 @@ def test_grid_covers_soliton_slices(catalog):
     assert any(s["beta"] == 0 and s["gamma"] == 0 and s["delta"] != 0 for s in points6)
 
 
-def test_grid_include_zero_flag(catalog):
-    entry = catalog.get_group("g1")
-    grid = GridSpec("g1", BASE_LADDER, include_zero=(("beta", False),))
-    points = generate_grid(entry.spec, grid)
-    assert points and all(sigma["beta"] != 0 for sigma in points)
-    default_points = generate_grid(entry.spec, GridSpec("g1", BASE_LADDER))
-    assert any(sigma["beta"] == 0 for sigma in default_points)
-
-
 def test_grid_cap_is_enforced(catalog):
     entry = catalog.get_group("g3")
     pts = generate_grid(entry.spec, GridSpec("g3", BASE_LADDER, max_points=100))
