@@ -175,8 +175,7 @@ def _cmd_check(args, catalog: Catalog) -> int:
     kind = SolitonKind(args.kind)
     numeric = spec.evaluate(sigma)
     _require_jacobi(gid, numeric)
-    wan = wan_for_kind(numeric, kind)
-    verdict = soliton_decide(numeric, kind, wan)
+    verdict = soliton_decide(numeric, kind, wan_for_kind(numeric, kind))
     payload = {
         "group": gid,
         "kind": kind.value,

@@ -14,6 +14,10 @@ matrix left-multiplies the basis column (e1; e2; e3).  This is the
 
 from __future__ import annotations
 
+import collections
+import functools
+import itertools
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -21,6 +25,7 @@ from .algebra import (
     PAIRS,
     LieAlgebraSpec,
     MetricSignature,
+    StructureConstants,
     Vec3,
     ZERO_VEC,
     antisymmetric,
@@ -29,7 +34,7 @@ from .algebra import (
     vec_scale,
     vec_sub,
 )
-from .poly import Poly
+from .poly import VARIABLES, Poly
 
 # Component tables, all 0-indexed:
 #   Conn[i][j]       components of nabla_{e_i} e_j
@@ -181,17 +186,6 @@ def a_tensor(t: Tor) -> Tri:
     )
 
 
-def wanas_tensor(r: Tri, a: Tri) -> Tri:
-    """W = R - A, componentwise."""
-    return tuple(
-        tuple(
-            tuple(vec_sub(r[i][j][k], a[i][j][k]) for k in range(3))
-            for j in range(3)
-        )
-        for i in range(3)
-    )
-
-
 def contract(k: Tri, sig: MetricSignature) -> Mat3:
     """Signed Ricci-type trace over the middle slot:
 
@@ -261,7 +255,8 @@ def wan_operator(ric: Mat3, abar: Mat3) -> Mat3:
 
 @dataclass(frozen=True)
 class TensorBundle:
-    """Every stage of the pipeline for one algebra and one base connection."""
+    """Every stage of the pipeline for one algebra and one base connection;
+    W and its contraction, which no decision reads, are built when read."""
 
     spec: LieAlgebraSpec
     levi_civita: Conn
@@ -269,14 +264,24 @@ class TensorBundle:
     torsion: Tor
     curvature: Tri
     a_tensor: Tri
-    wanas: Tri
     ricci_form: Mat3
     a_form: Mat3
-    wan_form: Mat3
     ric: Mat3
     abar: Mat3
     wan: Mat3
     wan_tilde: Mat3
+
+    @functools.cached_property
+    def wanas(self) -> Tri:
+        """W = R - A, componentwise."""
+        return tuple(
+            tuple(tuple(map(vec_sub, r, a)) for r, a in zip(r_i, a_i))
+            for r_i, a_i in zip(self.curvature, self.a_tensor)
+        )
+
+    @functools.cached_property
+    def wan_form(self) -> Mat3:
+        return contract(self.wanas, self.spec.signature)
 
 
 def compute_tensors(spec: LieAlgebraSpec, connection_kind: str = "canonical") -> TensorBundle:
@@ -295,11 +300,9 @@ def compute_tensors(spec: LieAlgebraSpec, connection_kind: str = "canonical") ->
     t = torsion(conn, spec)
     r = curvature(conn, spec)
     a = a_tensor(t)
-    w = wanas_tensor(r, a)
     sig = spec.signature
     rho = contract(r, sig)
     a_form = contract(a, sig)
-    w_form = contract(w, sig)
     ric = operator_from_form(rho, sig)
     abar = operator_from_form(a_form, sig)
     wan = wan_operator(ric, abar)
@@ -311,14 +314,61 @@ def compute_tensors(spec: LieAlgebraSpec, connection_kind: str = "canonical") ->
         torsion=t,
         curvature=r,
         a_tensor=a,
-        wanas=w,
         ricci_form=rho,
         a_form=a_form,
-        wan_form=w_form,
         ric=ric,
         abar=abar,
         wan=wan,
         wan_tilde=wan_tilde,
+    )
+
+
+# (den, terms): sum of n * s_a * s_b over the (a, b, n) terms, over den,
+# where s holds the nine bracket components in PAIRS order
+QuadraticEntry = tuple[int, tuple[tuple[int, int, int], ...]]
+
+
+@functools.cache
+def wan_forms(sig: MetricSignature) -> tuple[tuple[tuple[QuadraticEntry, ...], ...], ...]:
+    """Wan and WanTilde of the canonical connection, one 3x3 table of
+    quadratic forms in the nine bracket components each.
+
+    Every stage from the brackets to Wan is linear or bilinear in them (the
+    metric and J are constant; nothing divides by a parameter).  The
+    coefficients are read off ``compute_tensors`` on three algebras, each
+    with two brackets generic (the six polynomial variables as placeholders)
+    and the third zero.  Raises ValueError unless every term has degree two
+    and a coefficient read in two runs agrees.
+    """
+    readings: list[tuple[set[int], dict]] = []
+    for generic in itertools.combinations(range(3), 2):
+        slots = [3 * p + k for p in generic for k in range(3)]  # placeholder -> component
+        brackets = [ZERO_VEC] * 3
+        for n, p in enumerate(generic):
+            brackets[p] = tuple(Poly.var(VARIABLES[3 * n + k]) for k in range(3))
+        bundle = compute_tensors(LieAlgebraSpec(StructureConstants.from_brackets(*brackets), sig))
+        found = {}
+        for kind, m in enumerate((bundle.wan, bundle.wan_tilde)):
+            for i, j in itertools.product(range(3), repeat=2):
+                for mono, coeff in m[i][j].terms.items():
+                    if sum(mono) != 2:
+                        raise ValueError(f"Wan entry ({i + 1},{j + 1}) is not quadratic: {m[i][j]}")
+                    a, b = sorted(slots[v] for v, e in enumerate(mono) for _ in range(e))
+                    found[kind, i, j, a, b] = coeff
+        readings.append((set(slots), found))
+    terms = collections.defaultdict(list)  # (kind, i, j) -> [(a, b, coefficient)]
+    for key in sorted({key for _, found in readings for key in found}):
+        seen = {found.get(key, 0) for comps, found in readings if {key[3], key[4]} <= comps}
+        if len(seen) != 1:
+            raise ValueError(f"Wan coefficient {key} differs between readings: {sorted(seen)}")
+        terms[key[:3]].append((*key[3:], seen.pop()))
+
+    def entry(terms) -> QuadraticEntry:
+        den = math.lcm(*(m.denominator for *_, m in terms))
+        return den, tuple((a, b, int(m * den)) for a, b, m in terms)
+
+    return tuple(
+        tuple(tuple(entry(terms[kind, i, j]) for j in range(3)) for i in range(3)) for kind in range(2)
     )
 
 

@@ -197,6 +197,15 @@ class Poly:
         return _sum(as_poly(other), self, -1)
 
     def __mul__(self, other: PolyLike) -> Poly:
+        if isinstance(other, int):
+            # an integer scales the numerators; 0 and +-1 need no arithmetic
+            if other == 1 or not self._terms:
+                return self
+            if other == -1:
+                return -self
+            if not other:
+                return _ZERO
+            return _canonical({m: k * other for m, k in self._terms.items()}, self._den)
         other = as_poly(other)
         a, b = self._terms, other._terms
         if not a or not b:

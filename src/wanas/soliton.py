@@ -17,15 +17,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .algebra import PAIR_KEYS, PAIRS, Assignment, LieAlgebraSpec, Vec3
-from .geometry import (
-    Mat3,
-    TensorBundle,
-    compute_tensors,
-    mat_sub,
-    mat_substitute,
-    matrix_json,
-    scalar_matrix,
-)
+from .geometry import Mat3, mat_sub, mat_substitute, matrix_json, scalar_matrix, wan_forms
 from .poly import IntegerEvaluator, Poly, Scalar, format_rational
 
 
@@ -34,16 +26,29 @@ class SolitonKind(enum.Enum):
     SECOND = "second"
 
 
-def wan_for_kind(
-    spec: LieAlgebraSpec, kind: SolitonKind, bundle: TensorBundle | None = None
-) -> Mat3:
+def wan_for_kind(spec: LieAlgebraSpec, kind: SolitonKind) -> Mat3:
     """The decision operator: Wan for FIRST, its symmetrization for SECOND.
 
-    ``bundle`` is ``compute_tensors(spec)`` when the caller already has it.
+    Evaluated from ``geometry.wan_forms``, the quadratic forms in the nine
+    bracket components that ``compute_tensors`` gives: each product of two
+    components is formed once.
     """
-    if bundle is None:
-        bundle = compute_tensors(spec)
-    return bundle.wan if kind is SolitonKind.FIRST else bundle.wan_tilde
+    s = [comp for pair in PAIRS for comp in spec.constants[pair]]
+    products: dict[tuple[int, int], Poly] = {}
+    rows = []
+    for form_row in wan_forms(spec.signature)[kind is SolitonKind.SECOND]:
+        row = []
+        for den, terms in form_row:
+            total = Poly.zero()
+            for a, b, n in terms:
+                if s[a] and s[b]:
+                    product = products.get((a, b))
+                    if product is None:
+                        product = products[a, b] = s[a] * s[b]
+                    total = total + product * n
+            row.append(total / den)
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def derivation_residual(d: Mat3, spec: LieAlgebraSpec) -> tuple[Vec3, Vec3, Vec3]:
@@ -219,17 +224,14 @@ class CompiledDecision:
         return _verdict(*self.integers(sigma))
 
 
-def compile_decision(
-    spec: LieAlgebraSpec, kind: SolitonKind, bundle: TensorBundle | None = None
-) -> CompiledDecision:
+def compile_decision(spec: LieAlgebraSpec, kind: SolitonKind) -> CompiledDecision:
     """``soliton_decide`` at any admissible point of ``spec``, compiled once.
 
     The nine constants and then the nine slopes of ``affine_residuals`` and
     the nine Wan entries go into one ``IntegerEvaluator``; each call
-    evaluates them in integers and builds the verdict.  ``bundle`` is passed
-    on to ``wan_for_kind``.
+    evaluates them in integers and builds the verdict.
     """
-    wan = wan_for_kind(spec, kind, bundle)
+    wan = wan_for_kind(spec, kind)
     constants, slopes = zip(*affine_residuals(spec, wan))
     entries = [p for row in wan for p in row]
     return CompiledDecision(IntegerEvaluator([*constants, *slopes, *entries]))
@@ -306,7 +308,6 @@ def check_claimed_solution(
     d: Mat3,
     *,
     branches: Sequence[Mapping[str, Poly]] = ({},),
-    wan: Mat3 | None = None,
 ) -> list[str]:
     """Symbolically verify a claimed (c, D) family; empty result means pass.
 
@@ -315,20 +316,13 @@ def check_claimed_solution(
     between two squared parameters) are handled by ``branches``: each branch
     is a substitution map, and every branch must verify.  Identities are
     checked after reduction modulo eta^2 = 1 (when eta occurs).
-
-    ``wan`` is ``wan_for_kind(spec, kind)`` when the caller has it.  Each
-    branch substitutes into it instead of recomputing the tensors: they are
-    polynomial in the structure constants and the metric is constant, so
-    both give the same polynomials.
     """
-    if wan is None:
-        wan = wan_for_kind(spec, kind)
     failures: list[str] = []
     for branch in branches:
         branch_spec = spec.substitute(branch) if branch else spec
         branch_c = c_poly.substitute(branch)
         branch_d = mat_substitute(d, branch)
-        branch_wan = mat_substitute(wan, branch)
+        branch_wan = wan_for_kind(branch_spec, kind)
         tag = ""
         if branch:
             tag = " [branch " + ", ".join(f"{k}={v}" for k, v in sorted(branch.items())) + "]"

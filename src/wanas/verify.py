@@ -27,7 +27,7 @@ from .algebra import (
     LieAlgebraSpec,
 )
 from .catalog import ALL_GROUPS, Catalog, GroupEntry, TheoremClaim, predicate_eval
-from .geometry import TensorBundle, compute_tensors, mat_substitute
+from .geometry import compute_tensors, mat_substitute
 from .poly import IntegerEvaluator, Poly, UnsupportedRelationError, format_rational
 from .soliton import (
     ETA_RELATION,
@@ -40,7 +40,6 @@ from .soliton import (
     family_verdict,
     normalize_eta,
     solve_affine,
-    wan_for_kind,
 )
 
 MATCH = "match"
@@ -355,15 +354,13 @@ def classify_grid(
     kind: SolitonKind,
     points: Sequence[Mapping[str, Fraction]],
     claim: TheoremClaim,
-    bundle: TensorBundle | None = None,
 ) -> ClassificationReport:
-    """Decide every grid point from recomputed tensors and compare with the
-    theorem predicate: the decision is ``soliton_decide``'s, compiled once
-    from the symbolic brackets and Wan operator and run in integers, and so
-    is the comparison (``_agrees``).  The records build their verdicts when
-    read.  ``bundle`` is ``compute_tensors(entry.spec)`` when the caller has it."""
+    """Decide every grid point and compare with the theorem predicate: the
+    decision is ``soliton_decide``'s, compiled once from the symbolic
+    brackets and Wan operator and run in integers, and so is the comparison
+    (``_agrees``).  The records build their verdicts when read."""
     spec = entry.spec
-    decide = compile_decision(spec, kind, bundle)
+    decide = compile_decision(spec, kind)
     source = (decide, claim)
     records = []
     for sigma in points:
@@ -409,16 +406,12 @@ def _agrees(decide: CompiledDecision, claim: TheoremClaim, sigma: Assignment) ->
 # -- reproduction -------------------------------------------------------------
 
 
-def reproduce_group(
-    entry: GroupEntry, bundle: TensorBundle | None = None
-) -> list[DiscrepancyReport]:
+def reproduce_group(entry: GroupEntry) -> list[DiscrepancyReport]:
     """Recompute the full pipeline and compare entrywise against the claims.
 
-    ``bundle`` is ``compute_tensors(entry.spec)`` when the caller has it.
     The 50 variety samples are built on the first entry that needs them, if any.
     """
-    if bundle is None:
-        bundle = compute_tensors(entry.spec)
+    bundle = compute_tensors(entry.spec)
     claimed = entry.claimed
     samples = functools.cache(lambda: default_grid(entry, min_points=50, max_points=50)[1])
     reports: list[DiscrepancyReport] = []
@@ -457,20 +450,8 @@ def reproduce_group(
     return reports
 
 
-def check_theorem_cases(
-    entry: GroupEntry,
-    kind: SolitonKind,
-    claim: TheoremClaim,
-    bundle: TensorBundle | None = None,
-) -> list[DiscrepancyReport]:
-    """check_claimed_solution for every case, reported like table entries.
-
-    Every case substitutes into the group's decision operator, computed once
-    (``bundle`` is ``compute_tensors(entry.spec)`` when the caller has it).
-    """
-    if not claim.cases:
-        return []
-    group_wan = wan_for_kind(entry.spec, kind, bundle)
+def check_theorem_cases(entry: GroupEntry, kind: SolitonKind, claim: TheoremClaim) -> list[DiscrepancyReport]:
+    """check_claimed_solution for every case, reported like table entries."""
     reports = []
     for case in claim.cases:
         subs = case.subs_map()
@@ -482,7 +463,6 @@ def check_theorem_cases(
             c_poly,
             mat_substitute(case.d, subs),
             branches=case.branch_maps(),
-            wan=mat_substitute(group_wan, subs),
         )
         reports.append(
             DiscrepancyReport(
@@ -597,16 +577,15 @@ def verify_paper(
     """Reproduce every table, check every theorem case, classify every grid.
 
     A group listed more than once is verified once, at its first position.
-    Each group's tensors are computed once, for reproduction, the theorem
-    cases and both grid decisions.
+    Each group's tensors are computed once, by ``reproduce_group``; the
+    theorem cases and grid decisions evaluate ``wan_for_kind``.
     """
     group_ids = tuple(dict.fromkeys(groups)) if groups else ALL_GROUPS
     items: list[DiscrepancyReport] = []
     classifications: list[ClassificationReport] = []
     for gid in group_ids:
         entry = catalog.get_group(gid)
-        bundle = compute_tensors(entry.spec)
-        items.extend(reproduce_group(entry, bundle))
+        items.extend(reproduce_group(entry))
         if ladder is None:
             _, points = default_grid(entry, min_points=min_points, max_points=max_points)
         else:
@@ -615,8 +594,8 @@ def verify_paper(
             )
         for kind in (SolitonKind.FIRST, SolitonKind.SECOND):
             claim = catalog.theorem_claim(gid, kind)
-            items.extend(check_theorem_cases(entry, kind, claim, bundle))
-            classifications.append(classify_grid(entry, kind, points, claim, bundle))
+            items.extend(check_theorem_cases(entry, kind, claim))
+            classifications.append(classify_grid(entry, kind, points, claim))
     return PaperReport(
         groups=group_ids,
         items=tuple(items),

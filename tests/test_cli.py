@@ -10,6 +10,8 @@ import pytest
 
 from wanas.cli import main
 from wanas.catalog import ALL_GROUPS, default_catalog_path
+from wanas.poly import format_rational
+from wanas.verify import default_grid
 
 
 def run(capsys, *argv):
@@ -432,6 +434,7 @@ GOLDEN_CLI_SHA256 = {
     "g7": "a69f7f50098d23385d98d116267436ae73c71e8171e947e7c7ffa979ce3ab019",
     "at": "81e30b727bf18d768e801c5ea649cb5be427c73d4ce8a01e2dbc50fecd538b93",
     "classify": "ca61c9e0e8a0654acab84bddf221e212fe270d5b1fd7e9079519527d43d273ac",
+    "check": "aee7d6b921734151ec4abe7b54aa3ef637deb6be58995c3524a5e75ce980d8af",
 }
 
 
@@ -452,9 +455,33 @@ def _tensor_runs(group, at=()):
     ]
 
 
-def test_golden_cli_outputs(capsys, monkeypatch, catalog):
+def _check_runs(catalog, height_points):
+    """`check` at every seeded height point, every 8th point of a small
+    default grid (zeros) and the origin where it is admissible (abelian),
+    each group, kind and format."""
+    runs = []
+    for gid in ALL_GROUPS:
+        entry = catalog.get_group(gid)
+        spec = entry.spec
+        _, grid = default_grid(entry, min_points=40)
+        points = [*height_points[gid], *grid[::8]]
+        origin = {v: 0 for v in spec.variables()}
+        if not spec.validate_assignment(origin):
+            points.append(origin)
+        for sigma in points:
+            at = ",".join(f"{v}={format_rational(x)}" for v, x in sorted(sigma.items()))
+            runs.extend(
+                ("check", "--group", gid, "--kind", kind, "--at", at, *fmt)
+                for kind in ("first", "second")
+                for fmt in ((), ("--json",))
+            )
+    return runs
+
+
+def test_golden_cli_outputs(capsys, monkeypatch, catalog, height_points):
     """Every `tensors` table (each group, tensor, connection kind and format,
-    symbolic and at three points) and every `classify` output, byte for byte."""
+    symbolic and at three points), every `classify` output and `check` at
+    seeded admissible points of every group, byte for byte."""
     monkeypatch.setattr("wanas.cli.load_catalog", lambda: catalog)
     digests = {gid: _digest(capsys, _tensor_runs(gid)) for gid in ALL_GROUPS}
     digests["at"] = _digest(
@@ -469,4 +496,5 @@ def test_golden_cli_outputs(capsys, monkeypatch, catalog):
             for fmt in ((), ("--json",))
         ],
     )
+    digests["check"] = _digest(capsys, _check_runs(catalog, height_points))
     assert digests == GOLDEN_CLI_SHA256

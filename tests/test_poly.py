@@ -419,12 +419,15 @@ def test_canonical_form_randomized():
         p, q = random_poly(rng), random_poly(rng, max_terms=3, max_exp=2)
         k = _random_rational(rng, nonzero=True)
         const = Poly.const(k)
+        n = rng.choice((0, 1, -1, rng.randint(-12, 12)))  # an int factor, short cuts included
         results = [
             (p + q, oracle_add(p.terms, q.terms)),
             (p - q, oracle_add(p.terms, {m: -c for m, c in q.terms.items()})),
             (p * q, oracle_mul(p.terms, q.terms)),
             (p * const, {m: c * k for m, c in p.terms.items()}),
             (const * p, {m: c * k for m, c in p.terms.items()}),
+            (p * n, {m: c * n for m, c in p.terms.items() if n}),
+            (n * p, {m: c * n for m, c in p.terms.items() if n}),
             (p / k, {m: c / k for m, c in p.terms.items()}),
             (p / -abs(k), {m: c / -abs(k) for m, c in p.terms.items()}),
             (q**2, oracle_mul(q.terms, q.terms)),

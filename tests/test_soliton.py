@@ -3,13 +3,16 @@ symbolic residual systems, and claimed-solution checking."""
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
-from wanas.algebra import LORENTZ, LieAlgebraSpec, StructureConstants, vec3
-from wanas.geometry import mat_sub, scalar_matrix
+from wanas import geometry
+from wanas.algebra import LORENTZ, LieAlgebraSpec, MetricSignature, StructureConstants, vec3
+from wanas.catalog import ALL_GROUPS
+from wanas.geometry import compute_tensors, mat_sub, scalar_matrix
 from wanas.poly import Poly, parse_poly
 from wanas.soliton import (
     AffineEquation,
@@ -384,3 +387,78 @@ def test_check_claimed_g6_case_iii_needs_branches(groups):
     assert check_claimed_solution(spec, SolitonKind.FIRST, -(alpha**2), d, branches=branches) == []
     # without the alpha^2 = beta^2 case split the identity genuinely fails
     assert check_claimed_solution(spec, SolitonKind.FIRST, -(alpha**2), d) != []
+
+
+# -- Wan as quadratic forms in the bracket components ------------------------------------
+
+
+def _random_brackets(rng):
+    """Three brackets of random rationals (about a third of them 0), or of
+    random affine polynomials in alpha and beta."""
+    def component():
+        if rng.random() < 0.3:
+            return Poly.zero()
+        value = lambda: F(rng.randint(-9, 9), rng.randint(1, 6))
+        if rng.random() < 0.5:
+            return Poly.const(value())
+        return value() + value() * Poly.var("alpha") + value() * Poly.var("beta")
+
+    return [vec3(*(component() for _ in range(3))) for _ in range(3)]
+
+
+def test_wan_forms_equal_the_pipeline(catalog):
+    """wan_for_kind evaluates the derived forms; that equals the tensor
+    pipeline's Wan and WanTilde on the catalog algebras, every substituted
+    theorem-case and branch algebra, 50 seeded random bracket tables (most
+    failing Jacobi) and random tables under a non-Lorentz signature."""
+    specs = [catalog.get_group(gid).spec for gid in ALL_GROUPS]
+    for gid in ALL_GROUPS:
+        entry = catalog.get_group(gid)
+        for kind in SolitonKind:
+            for case in catalog.theorem_claim(gid, kind).cases:
+                subs = case.subs_map()
+                specs.extend(entry.spec.substitute(subs).substitute(b) for b in case.branch_maps())
+    assert len(specs) == 7 + 32
+    rng = random.Random("wan-forms")
+    tables = [_random_brackets(rng) for _ in range(50)]
+    random_specs = [LieAlgebraSpec(StructureConstants.from_brackets(*t), LORENTZ) for t in tables]
+    assert sum(any(spec.jacobi_residual()) for spec in random_specs) > 25
+    specs.extend(random_specs)
+    other = MetricSignature((1, -1, 1))
+    specs.extend(LieAlgebraSpec(StructureConstants.from_brackets(*t), other) for t in tables[:10])
+    for n, spec in enumerate(specs):
+        bundle = compute_tensors(spec)
+        assert wan_for_kind(spec, SolitonKind.FIRST) == bundle.wan, n
+        assert wan_for_kind(spec, SolitonKind.SECOND) == bundle.wan_tilde, n
+
+
+def _patched_pipeline(monkeypatch, extra):
+    """geometry.compute_tensors with ``extra(spec)`` added to Wan[0][0]."""
+
+    def patched(spec, *args, **kwargs):
+        bundle = compute_tensors(spec, *args, **kwargs)
+        wan = [list(row) for row in bundle.wan]
+        wan[0][0] = wan[0][0] + extra(spec)
+        return dataclasses.replace(bundle, wan=tuple(map(tuple, wan)))
+
+    monkeypatch.setattr(geometry, "compute_tensors", patched)
+    geometry.wan_forms.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (lambda spec: P("alpha*beta*gamma"), "not quadratic"),
+        (lambda spec: P("1"), "not quadratic"),
+        # a coefficient that depends on which bracket is zero
+        (lambda spec: P("alpha*beta") if not any(spec.constants[0, 1]) else Poly.zero(), "differs"),
+    ],
+    ids=["cubic", "constant", "inconsistent"],
+)
+def test_wan_forms_refuse_a_pipeline_that_is_not_quadratic(monkeypatch, extra, message):
+    _patched_pipeline(monkeypatch, extra)
+    try:
+        with pytest.raises(ValueError, match=message):
+            geometry.wan_forms(LORENTZ)
+    finally:
+        geometry.wan_forms.cache_clear()

@@ -422,14 +422,14 @@ def test_classify_grid_equals_numeric_pipeline_at_height_points(catalog, height_
     assert outcomes == {"soliton", "no_soliton"}
 
 
-def _fraction_path(entry, kind, points, claim, bundle):
+def _fraction_path(entry, kind, points, claim):
     """classify_grid's report built eagerly: both verdicts as Fractions and
     verdicts_equal between them."""
     from wanas.catalog import predicate_eval
     from wanas.soliton import compile_decision
     from wanas.verify import ClassificationReport, PointRecord
 
-    decide = compile_decision(entry.spec, kind, bundle)
+    decide = compile_decision(entry.spec, kind)
     records = []
     for sigma in points:
         computed, expected = decide(dict(sigma)), predicate_eval(claim, sigma)
@@ -484,7 +484,6 @@ def test_integer_agreement_finds_perturbed_claims(catalog):
     for gid in ALL_GROUPS:
         entry = catalog.get_group(gid)
         _, grid_points = default_grid(entry)
-        bundle = compute_tensors(entry.spec)
         for kind in SolitonKind:
             claim = catalog.theorem_claim(gid, kind)
             for index, case in enumerate(claim.cases):
@@ -501,8 +500,8 @@ def test_integer_agreement_finds_perturbed_claims(catalog):
                 variants["dropped"] = claim.cases[:index] + claim.cases[index + 1 :]
                 for name, cases in variants.items():
                     wrong_claim = dataclasses.replace(claim, cases=cases)
-                    report = classify_grid(entry, kind, points, wrong_claim, bundle)
-                    expected = _fraction_path(entry, kind, points, wrong_claim, bundle)
+                    report = classify_grid(entry, kind, points, wrong_claim)
+                    expected = _fraction_path(entry, kind, points, wrong_claim)
                     assert report.to_json_dict() == expected.to_json_dict(), (gid, kind, case.name, name)
                     assert len(report.disagreements) == len(hits), (gid, kind, case.name, name)
                     checked += 1
@@ -549,9 +548,10 @@ def test_theorem_case_check_detects_corrupted_any_c_case(catalog):
 
 
 def test_theorem_case_substitution_equals_recomputation(catalog):
-    """check_theorem_cases substitutes each case, then each branch, into the
-    group's decision operator; that must equal recomputing the tensors on
-    the substituted algebra, for every group, kind, case and branch."""
+    """Substituting each case, then each branch, into the group's decision
+    operator from the tensor pipeline equals the operator that
+    check_theorem_cases evaluates on the substituted algebra, for every
+    group, kind, case and branch."""
     from wanas.geometry import mat_substitute
     from wanas.soliton import wan_for_kind
 
@@ -560,7 +560,7 @@ def test_theorem_case_substitution_equals_recomputation(catalog):
         entry = catalog.get_group(gid)
         bundle = compute_tensors(entry.spec)
         for kind in SolitonKind:
-            group_wan = wan_for_kind(entry.spec, kind, bundle)
+            group_wan = bundle.wan if kind is SolitonKind.FIRST else bundle.wan_tilde
             for case in catalog.theorem_claim(gid, kind).cases:
                 subs = case.subs_map()
                 for branch in case.branch_maps():
@@ -640,10 +640,14 @@ def test_verify_paper_per_point_path_makes_no_poly_evaluate_call(catalog, monkey
 
 
 def test_verify_paper_computes_each_catalog_spec_tensors_once(catalog, monkeypatch):
-    """Reproduction and both grid decisions share one tensor bundle per group
-    (calls on substituted theorem-case specs are not counted)."""
+    """Reproduction computes one tensor bundle per group; the theorem cases
+    and grid decisions evaluate the Wan forms and compute none.  The forms
+    are derived once per process, so they are derived before counting."""
+    from wanas import geometry as geometry_module
     from wanas import soliton as soliton_module
+    from wanas.algebra import LORENTZ
 
+    geometry_module.wan_forms(LORENTZ)
     calls = collections.Counter()
     original = compute_tensors
 
@@ -651,12 +655,12 @@ def test_verify_paper_computes_each_catalog_spec_tensors_once(catalog, monkeypat
         calls[id(spec)] += 1
         return original(spec, *args, **kwargs)
 
-    monkeypatch.setattr(verify_module, "compute_tensors", counting)
-    monkeypatch.setattr(soliton_module, "compute_tensors", counting)
+    for module in (geometry_module, verify_module, soliton_module):
+        monkeypatch.setattr(module, "compute_tensors", counting, raising=False)
     report = verify_paper(catalog)
     assert report.ok
     assert [calls[id(catalog.get_group(gid).spec)] for gid in ALL_GROUPS] == [1] * 7
-    assert sum(calls.values()) == 7  # the theorem cases substitute, never recompute
+    assert sum(calls.values()) == 7  # no theorem case or branch recomputes the tensors
 
 
 def test_verify_paper_builds_verdicts_only_when_read(catalog, monkeypatch):
