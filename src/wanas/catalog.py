@@ -95,16 +95,11 @@ class TheoremCase:
         vanishing = len(self.subs) + len(self.extra_eq)
         return not any(values[:vanishing]) and all(values[vanishing:])
 
-    def solution_numerators(self, sigma: Assignment) -> tuple[list[int], int]:
-        """The case's c and D (row-major) at the point as integer numerators
-        over one positive denominator (not for an any_c case)."""
-        return self._solution(sigma)
-
     def solution_at(
         self, sigma: Assignment
     ) -> tuple[Fraction, tuple[tuple[Fraction, ...], ...]]:
         """The case's c and D at the point (not for an any_c case)."""
-        values, den = self.solution_numerators(sigma)
+        values, den = self._solution(sigma)
         c_val, *d_vals = (Fraction(x, den) for x in values)
         return c_val, tuple(tuple(d_vals[3 * i : 3 * i + 3]) for i in range(3))
 

@@ -208,33 +208,40 @@ def soliton_decide(spec: LieAlgebraSpec, kind: SolitonKind, wan: Mat3) -> Solito
 
 @dataclass(frozen=True)
 class CompiledDecision:
-    """``soliton_decide`` at any admissible point of one algebra (see
-    ``compile_decision``).  The point is not validated."""
+    """``soliton_decide`` at any admissible point of one algebra: a view of
+    the 27 ``decision_rows`` that an evaluator holds from row ``start`` on.
+    ``compile_decision`` compiles them alone; a grid classification compiles
+    them with the constraints and theorem cases of the group.  The point is
+    not validated."""
 
     evaluate: IntegerEvaluator
+    start: int = 0
 
-    def integers(self, sigma: Assignment):
-        """(pairs, wan, den): the nine (constant, slope) pairs and the Wan
-        rows as integer numerators over one positive denominator."""
-        values, den = self.evaluate(sigma)
-        pairs = list(zip(values[:9], values[9:18]))
-        return pairs, (values[18:21], values[21:24], values[24:27]), den
+    def split(self, values: Sequence[int]):
+        """(pairs, wan): the nine (constant, slope) pairs and the Wan rows
+        among the evaluator's values."""
+        s = self.start
+        pairs = list(zip(values[s : s + 9], values[s + 9 : s + 18]))
+        return pairs, (values[s + 18 : s + 21], values[s + 21 : s + 24], values[s + 24 : s + 27])
 
     def __call__(self, sigma: Assignment) -> SolitonVerdict:
-        return _verdict(*self.integers(sigma))
+        values, den = self.evaluate(sigma)
+        return _verdict(*self.split(values), den)
+
+
+def decision_rows(spec: LieAlgebraSpec, kind: SolitonKind) -> list[Poly]:
+    """The nine constants and then the nine slopes of ``affine_residuals``,
+    then the nine Wan entries (row-major)."""
+    wan = wan_for_kind(spec, kind)
+    constants, slopes = zip(*affine_residuals(spec, wan))
+    return [*constants, *slopes, *(p for row in wan for p in row)]
 
 
 def compile_decision(spec: LieAlgebraSpec, kind: SolitonKind) -> CompiledDecision:
-    """``soliton_decide`` at any admissible point of ``spec``, compiled once.
-
-    The nine constants and then the nine slopes of ``affine_residuals`` and
-    the nine Wan entries go into one ``IntegerEvaluator``; each call
-    evaluates them in integers and builds the verdict.
-    """
-    wan = wan_for_kind(spec, kind)
-    constants, slopes = zip(*affine_residuals(spec, wan))
-    entries = [p for row in wan for p in row]
-    return CompiledDecision(IntegerEvaluator([*constants, *slopes, *entries]))
+    """``soliton_decide`` at any admissible point of ``spec``, compiled once
+    into one ``IntegerEvaluator``; each call evaluates the rows in integers
+    and builds the verdict."""
+    return CompiledDecision(IntegerEvaluator(decision_rows(spec, kind)))
 
 
 def _verdict(pairs, wan, den: int = 1) -> SolitonVerdict:
@@ -251,19 +258,14 @@ def _verdict(pairs, wan, den: int = 1) -> SolitonVerdict:
         )
         return SolitonVerdict("no_soliton", witness=witness)
     if outcome == "any":
-        return family_verdict(wan, den)
+        wan_poly = tuple(tuple(Poly.const(Fraction(x, den)) for x in row) for row in wan)
+        return SolitonVerdict("any_c", d_family=mat_sub(wan_poly, scalar_matrix(Poly.var("c"))))
     wan = tuple(tuple(Fraction(x, den) for x in row) for row in wan)
     d = tuple(
         tuple(wan[i][j] - (c_value if i == j else 0) for j in range(3))
         for i in range(3)
     )
     return SolitonVerdict("soliton", c=c_value, d=d)
-
-
-def family_verdict(wan, den: int = 1) -> SolitonVerdict:
-    """The "any_c" verdict, D(c) = Wan - c*Id, from the Wan rows over ``den``."""
-    wan_poly = tuple(tuple(Poly.const(Fraction(x, den)) for x in row) for row in wan)
-    return SolitonVerdict("any_c", d_family=mat_sub(wan_poly, scalar_matrix(Poly.var("c"))))
 
 
 def residual_system(spec: LieAlgebraSpec, kind: SolitonKind) -> tuple[Poly, ...]:

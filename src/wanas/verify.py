@@ -26,7 +26,15 @@ from .algebra import (
     InvalidAssignmentError,
     LieAlgebraSpec,
 )
-from .catalog import ALL_GROUPS, Catalog, GroupEntry, TheoremClaim, predicate_eval
+from .catalog import (
+    ALL_GROUPS,
+    AmbiguousCaseError,
+    Catalog,
+    GroupEntry,
+    TheoremCase,
+    TheoremClaim,
+    predicate_eval,
+)
 from .geometry import compute_tensors, mat_substitute
 from .poly import IntegerEvaluator, Poly, UnsupportedRelationError, format_rational
 from .soliton import (
@@ -36,8 +44,7 @@ from .soliton import (
     SolitonVerdict,
     affine_outcome,
     check_claimed_solution,
-    compile_decision,
-    family_verdict,
+    decision_rows,
     normalize_eta,
     solve_affine,
 )
@@ -264,9 +271,9 @@ class PointRecord:
     """One classified point: sigma, the computed and expected verdicts, and
     whether they agree.
 
-    ``classify_grid`` keeps only sigma, agree and one ``source`` shared by
-    the whole classification (its compiled decision and claim): the
-    verdicts are rebuilt from sigma on first read.
+    ``classify_group`` keeps only sigma, agree and one ``source`` shared by
+    the kind's whole classification (its view of the group kernel and its
+    claim): the verdicts are rebuilt from sigma on first read.
     """
 
     __slots__ = ("sigma", "agree", "_source", "_computed", "_expected")
@@ -355,52 +362,132 @@ def classify_grid(
     points: Sequence[Mapping[str, Fraction]],
     claim: TheoremClaim,
 ) -> ClassificationReport:
-    """Decide every grid point and compare with the theorem predicate: the
-    decision is ``soliton_decide``'s, compiled once from the symbolic
-    brackets and Wan operator and run in integers, and so is the comparison
-    (``_agrees``).  The records build their verdicts when read."""
-    spec = entry.spec
-    decide = compile_decision(spec, kind)
-    source = (decide, claim)
-    records = []
+    """``classify_group`` for one kind."""
+    return classify_group(entry, points, {kind: claim})[0]
+
+
+def classify_group(
+    entry: GroupEntry,
+    points: Sequence[Mapping[str, Fraction]],
+    claims: Mapping[SolitonKind, TheoremClaim],
+) -> tuple[ClassificationReport, ...]:
+    """Decide every grid point for each kind and compare with its theorem
+    predicate, one report per kind in ``claims`` order.  One call of the
+    group's kernel per point gives everything both read, in integers; the
+    records build their verdicts when read."""
+    kernel = _GroupKernel(entry.spec, claims)
+    records: dict[SolitonKind, list[PointRecord]] = {kind: [] for kind in claims}
+    sources = {kind: (kernel.decisions[kind], claim) for kind, claim in claims.items()}
     for sigma in points:
         sigma = dict(sigma)
-        violations = spec.validate_assignment(sigma)
-        if violations:
-            raise InvalidAssignmentError(violations)
-        records.append(PointRecord(sigma, None, None, _agrees(decide, claim, sigma), source))
-    return ClassificationReport(entry.id, kind, tuple(records))
+        values, den = kernel(sigma)
+        for kind, kind_records in records.items():
+            agree = kernel.agrees(kind, values, den)
+            kind_records.append(PointRecord(sigma, None, None, agree, sources[kind]))
+    return tuple(ClassificationReport(entry.id, kind, tuple(recs)) for kind, recs in records.items())
 
 
-def _agrees(decide: CompiledDecision, claim: TheoremClaim, sigma: Assignment) -> bool:
-    """``verdicts_equal(decide(sigma), predicate_eval(claim, sigma))``, with
-    no Fraction made unless both sides are any_c.
+class _GroupKernel:
+    """One ``IntegerEvaluator`` for the classification of a group's points.
 
-    All Wan entries w are over den and the matched case's c and D entries
-    over den2.  The pair (a, b) that fixed c gives c = -a/b, so c agrees
-    when -a*den2 == c*b, an off-diagonal D entry w/den when w*den2 == d*den,
-    and a diagonal one w/den + a/b when (w*b + a*den)*den2 == d*den*b.
+    Its rows, in order: the spec's constraints; each kind's
+    ``decision_rows``; for each distinct theorem case (by identity, so the
+    kinds of a same_as_first claim share them), its conditions (each subs
+    as var - expr and each extra_eq must vanish, then each neq must not) and
+    its solution: c and D row-major, or for an any_c case D(0) and
+    D(1) - D(0), the two coefficients of D(c) when D is affine in c.  All
+    values of one call sit over its one denominator.
     """
-    pairs, wan, den = decide.integers(sigma)
-    outcome, witness = affine_outcome(pairs)
-    case = claim.match(sigma)
-    if case is None or outcome == "none":
-        return case is None and outcome == "none"
-    if case.any_c or outcome == "any":
-        return (
-            case.any_c
-            and outcome == "any"
-            and verdicts_equal(family_verdict(wan, den), predicate_eval(claim, sigma))
+
+    def __init__(self, spec: LieAlgebraSpec, claims: Mapping[SolitonKind, TheoremClaim]):
+        self.spec = spec
+        rows = [con.poly for con in spec.constraints]
+        self.eq = [k for k, con in enumerate(spec.constraints) if con.kind == "eq"]
+        self.neq = [k for k, con in enumerate(spec.constraints) if con.kind == "neq"]
+        starts = {}
+        for kind in claims:
+            starts[kind] = len(rows)
+            rows += decision_rows(spec, kind)
+        layouts: dict[int, tuple] = {}
+        self.claims = {}
+        for kind, claim in claims.items():
+            cases = () if claim.claim_type == "no_soliton" else claim.cases
+            for case in cases:
+                if id(case) not in layouts:
+                    layouts[id(case)] = _case_rows(case, rows)
+            self.claims[kind] = (claim, [layouts[id(case)] for case in cases])
+        self.evaluate = IntegerEvaluator(rows)
+        self.decisions = {kind: CompiledDecision(self.evaluate, start) for kind, start in starts.items()}
+
+    def __call__(self, sigma: Assignment) -> tuple[list[int], int]:
+        """The values at an admissible point; an inadmissible one raises
+        with ``validate_assignment``'s violations."""
+        if "c" not in sigma:
+            values, den = self.evaluate(sigma)
+            if not any(values[k] for k in self.eq) and all(values[k] for k in self.neq):
+                return values, den
+        raise InvalidAssignmentError(self.spec.validate_assignment(sigma))
+
+    def agrees(self, kind: SolitonKind, values: Sequence[int], den: int) -> bool:
+        """``verdicts_equal`` between the decision and ``predicate_eval``
+        at the point, read off the values with no Fraction made.
+
+        The pair (a, b) that fixed c gives c = -a/b, so the case's c agrees
+        when -a*den == c*b, an off-diagonal D entry when w == d and a
+        diagonal one, w/den + a/b, when w*b + a*den == d*b.  A family
+        D(c) = Wan - c*Id agrees when D(0) == w and D(1) - D(0) == -den on
+        the diagonal and 0 off it.
+        """
+        claim, layouts = self.claims[kind]
+        pairs, wan = self.decisions[kind].split(values)
+        outcome, witness = affine_outcome(pairs)
+        matched = [
+            (case, s)
+            for case, start, nonzero, end, s in layouts
+            if not any(values[start:nonzero]) and all(values[nonzero:end])
+        ]
+        if len(matched) > 1:
+            raise AmbiguousCaseError(claim.group, claim.kind, [case.name for case, _ in matched])
+        if not matched or outcome == "none":
+            return not matched and outcome == "none"
+        case, s = matched[0]
+        if case.any_c or outcome == "any":
+            return (
+                case.any_c
+                and outcome == "any"
+                and s is not None
+                and all(
+                    values[s + 3 * i + j] == w and values[s + 9 + 3 * i + j] == (-den if i == j else 0)
+                    for i, row in enumerate(wan)
+                    for j, w in enumerate(row)
+                )
+            )
+        a, b = pairs[witness[0]]
+        c, d = values[s], values[s + 1 : s + 10]
+        return -a * den == c * b and all(
+            w * b + a * den == d[3 * i + j] * b if i == j else w == d[3 * i + j]
+            for i, row in enumerate(wan)
+            for j, w in enumerate(row)
         )
-    a, b = pairs[witness[0]]
-    (c, *d), den2 = case.solution_numerators(sigma)
-    return -a * den2 == c * b and all(
-        (w * b + a * den) * den2 == d[3 * i + j] * den * b
-        if i == j
-        else w * den2 == d[3 * i + j] * den
-        for i, row in enumerate(wan)
-        for j, w in enumerate(row)
-    )
+
+
+def _case_rows(case: TheoremCase, rows: list[Poly]) -> tuple:
+    """Append a case's rows (see ``_GroupKernel``) and return (case, start,
+    start of the neq rows, their end, start of the solution or None)."""
+    start = len(rows)
+    rows += [Poly.var(var) - expr for var, expr in case.subs] + list(case.extra_eq)
+    nonzero = len(rows)
+    rows += case.neq
+    solution: int | None = len(rows)
+    entries = [p for row in case.d for p in row]
+    if not case.any_c:
+        rows += [case.c, *entries]
+    elif all(p.degree_in("c") <= 1 for p in entries):
+        at0 = [p.substitute({"c": 0}) for p in entries]
+        rows += at0 + [p.substitute({"c": 1}) - q for p, q in zip(entries, at0)]
+    else:
+        solution = None  # no D(c) of higher degree in c is Wan - c*Id
+    return (case, start, nonzero, nonzero + len(case.neq), solution)
 
 
 # -- reproduction -------------------------------------------------------------
@@ -592,10 +679,10 @@ def verify_paper(
             points = generate_grid(
                 entry.spec, GridSpec(entry.id, tuple(ladder), max_points=max_points)
             )
-        for kind in (SolitonKind.FIRST, SolitonKind.SECOND):
-            claim = catalog.theorem_claim(gid, kind)
+        claims = {kind: catalog.theorem_claim(gid, kind) for kind in (SolitonKind.FIRST, SolitonKind.SECOND)}
+        for kind, claim in claims.items():
             items.extend(check_theorem_cases(entry, kind, claim))
-            classifications.append(classify_grid(entry, kind, points, claim))
+        classifications.extend(classify_group(entry, points, claims))
     return PaperReport(
         groups=group_ids,
         items=tuple(items),

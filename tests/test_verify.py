@@ -378,6 +378,62 @@ def test_classify_detects_wrong_claim(catalog):
     assert report.disagreements
 
 
+@pytest.mark.parametrize(
+    "sigma",
+    [
+        {"alpha": F(1), "beta": F(0), "gamma": F(0), "delta": F(-1)},  # alpha + delta = 0
+        {"alpha": F(1), "beta": F(1), "gamma": F(1), "delta": F(2)},  # alpha*gamma - beta*delta = -1
+        {"alpha": F(1), "beta": F(0), "gamma": F(0), "delta": F(1), "c": F(0)},  # c is no parameter
+    ],
+    ids=["neq", "eq", "c"],
+)
+def test_classify_grid_refuses_an_inadmissible_point(catalog, sigma):
+    """classify_grid raises with exactly validate_assignment's violations,
+    for either kind, wherever the point sits in the list."""
+    from wanas.algebra import InvalidAssignmentError
+
+    entry = catalog.get_group("g6")
+    expected = entry.spec.validate_assignment(sigma)
+    assert expected
+    good = default_grid(entry, min_points=2, max_points=2)[1]
+    for kind in SolitonKind:
+        with pytest.raises(InvalidAssignmentError) as err:
+            classify_grid(entry, kind, [*good, sigma], catalog.theorem_claim("g6", kind))
+        assert err.value.violations == tuple(expected)
+        assert str(err.value) == "; ".join(expected)
+
+
+def test_classify_grid_names_a_missing_variable(catalog):
+    from wanas.poly import MissingVariableError
+
+    entry = catalog.get_group("g6")
+    sigma = {"alpha": F(1), "beta": F(0), "delta": F(1)}
+    for kind in SolitonKind:
+        with pytest.raises(MissingVariableError) as err:
+            classify_grid(entry, kind, [sigma], catalog.theorem_claim("g6", kind))
+        assert err.value.names == ("gamma",)
+
+
+def test_classify_grid_refuses_overlapping_cases(catalog):
+    """A claim with two cases matching one point raises AmbiguousCaseError
+    naming both, through classify_grid as through predicate_eval."""
+    from wanas.catalog import AmbiguousCaseError, TheoremClaim, predicate_eval
+
+    entry = catalog.get_group("g2")
+    base = catalog.theorem_claim("g2", SolitonKind.FIRST).cases[0]
+    claim = TheoremClaim("g2", SolitonKind.FIRST, "cases", (base, dataclasses.replace(base, name="overlap")))
+    sigma = {"alpha": F(0), "beta": F(0), "gamma": F(1)}
+    with pytest.raises(AmbiguousCaseError) as direct:
+        predicate_eval(claim, sigma)
+    with pytest.raises(AmbiguousCaseError) as classified:
+        classify_grid(entry, SolitonKind.FIRST, [{"alpha": F(1), "beta": F(1), "gamma": F(1)}, sigma], claim)
+    assert direct.value.matched == classified.value.matched == ("i", "overlap")
+    assert str(classified.value) == "g2 first: point matches cases i, overlap"
+    # off the overlap the same claim classifies without complaint
+    report = classify_grid(entry, SolitonKind.FIRST, [{"alpha": F(1), "beta": F(1), "gamma": F(1)}], claim)
+    assert report.agreements == 1
+
+
 def test_symbolic_evaluation_commutes_with_numeric_pipeline(catalog):
     """classify_grid evaluates the symbolic Wan at each point; that must agree
     with running the whole pipeline on the numeric algebra, and so must its
@@ -506,6 +562,25 @@ def test_integer_agreement_finds_perturbed_claims(catalog):
                     assert len(report.disagreements) == len(hits), (gid, kind, case.name, name)
                     checked += 1
     assert checked == 4 * 26
+
+
+def test_integer_agreement_checks_the_whole_any_c_family(catalog):
+    """The family D(c) = Wan - c*Id is compared in every power of c: a
+    claimed -c^2*Id equals -c*Id at c = 0 and c = 1 but disagrees, as the
+    Fraction comparison says; a wrong constant term disagrees too."""
+    entry = catalog.get_group("g3")
+    claim = catalog.theorem_claim("g3", SolitonKind.FIRST)
+    index = next(k for k, case in enumerate(claim.cases) if case.any_c)
+    c = Poly.var("c")
+    origin = {"alpha": F(0), "beta": F(0), "gamma": F(0)}
+    for name, entry_d in (("claimed", -c), ("c^2", -c * c), ("shifted", 1 - c)):
+        d = tuple(tuple(entry_d if i == j else Poly.zero() for j in range(3)) for i in range(3))
+        cases = list(claim.cases)
+        cases[index] = dataclasses.replace(cases[index], d=d)
+        wrong = dataclasses.replace(claim, cases=tuple(cases))
+        (rec,) = classify_grid(entry, SolitonKind.FIRST, [origin], wrong).points
+        assert rec.computed.outcome == rec.expected.outcome == "any_c"
+        assert rec.agree == verdicts_equal(rec.computed, rec.expected) == (name == "claimed"), name
 
 
 def test_verdicts_equal_semantics():
@@ -661,6 +736,69 @@ def test_verify_paper_computes_each_catalog_spec_tensors_once(catalog, monkeypat
     assert report.ok
     assert [calls[id(catalog.get_group(gid).spec)] for gid in ALL_GROUPS] == [1] * 7
     assert sum(calls.values()) == 7  # no theorem case or branch recomputes the tensors
+
+
+def test_classification_evaluates_one_kernel_per_point(catalog, monkeypatch):
+    """verify_paper classifies both kinds of a grid point with one integer
+    kernel call, and matches no theorem case and validates no point on the
+    way; default_grid's calls are the only other kernel calls of the run."""
+    from wanas.algebra import LieAlgebraSpec
+    from wanas.catalog import TheoremCase
+    from wanas.poly import IntegerEvaluator
+
+    calls = collections.Counter()
+    stage = ["run"]
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls[stage[0], name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    def staged(name, original):
+        def wrapper(*args, **kwargs):
+            outer, stage[0] = stage[0], name
+            try:
+                return original(*args, **kwargs)
+            finally:
+                stage[0] = outer
+
+        return wrapper
+
+    monkeypatch.setattr(IntegerEvaluator, "__call__", counted("kernel", IntegerEvaluator.__call__))
+    monkeypatch.setattr(TheoremCase, "matches", counted("matches", TheoremCase.matches))
+    monkeypatch.setattr(
+        LieAlgebraSpec, "validate_assignment", counted("validate", LieAlgebraSpec.validate_assignment)
+    )
+    for name in ("default_grid", "classify_group"):
+        monkeypatch.setattr(verify_module, name, staged(name, getattr(verify_module, name)))
+    report = verify_paper(catalog, groups=("g3",))
+    assert report.ok
+    assert [c.total for c in report.classifications] == [512, 512]
+    assert calls["classify_group", "kernel"] == 512
+    assert calls["default_grid", "kernel"] > 0
+    assert {key for key in calls if key[0] != "default_grid"} == {("classify_group", "kernel")}
+
+
+def test_verify_paper_ladder_classifies_as_classify_grid(catalog):
+    """The --grid-ladder path classifies both kinds together exactly as the
+    one-kind classify_grid does for each kind."""
+    ladder = (F(-1), F(1, 2), F(2))
+    groups = ("g3", "g4", "g6")
+    report = verify_paper(catalog, groups=groups, ladder=ladder)
+    expected = []
+    for gid in groups:
+        entry = catalog.get_group(gid)
+        points = generate_grid(entry.spec, GridSpec(gid, ladder))
+        for kind in SolitonKind:
+            expected.append(classify_grid(entry, kind, points, catalog.theorem_claim(gid, kind)))
+    assert report.classifications == tuple(expected)
+    assert {r.computed.outcome for c in report.classifications for r in c.points} == {
+        "soliton",
+        "no_soliton",
+        "any_c",
+    }
 
 
 def test_verify_paper_builds_verdicts_only_when_read(catalog, monkeypatch):
