@@ -47,15 +47,6 @@ Tri = tuple[tuple[tuple[Vec3, ...], ...], ...]
 Mat3 = tuple[tuple[Poly, ...], ...]
 
 
-def identity3() -> Mat3:
-    one, zero = Poly.const(1), Poly.zero()
-    return (
-        (one, zero, zero),
-        (zero, one, zero),
-        (zero, zero, one),
-    )
-
-
 def scalar_matrix(value) -> Mat3:
     s = value if isinstance(value, Poly) else Poly.const(value)
     zero = Poly.zero()
@@ -72,10 +63,6 @@ def mat_sub(a: Mat3, b: Mat3) -> Mat3:
 
 def mat_substitute(m: Mat3, images: Mapping[str, Poly]) -> Mat3:
     return tuple(tuple(p.substitute(images) for p in row) for row in m)
-
-
-def mat_eq(a: Mat3, b: Mat3) -> bool:
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
 def standard_product_structure() -> Mat3:
@@ -208,20 +195,6 @@ def contract(k: Tri, sig: MetricSignature) -> Mat3:
     return tuple(rows)
 
 
-def contract_shortcut(k: Tri) -> Mat3:
-    """The (+,+,-) shortcut -sum_j K[i][j][kk][j]; equals contract for Lorentz."""
-    rows = []
-    for i in range(3):
-        row = []
-        for kk in range(3):
-            total = Poly.zero()
-            for j in range(3):
-                total = total - k[i][j][kk][j]
-            row.append(total)
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
 def operator_from_form(s: Mat3, sig: MetricSignature) -> Mat3:
     """Raise the second index with the diagonal metric: m[i][j] = s[i][j] * eps[j]."""
     eps = sig.eps
@@ -256,7 +229,7 @@ def wan_operator(ric: Mat3, abar: Mat3) -> Mat3:
 @dataclass(frozen=True)
 class TensorBundle:
     """Every stage of the pipeline for one algebra and one base connection;
-    W and its contraction, which no decision reads, are built when read."""
+    W, which no decision reads, is built when read."""
 
     spec: LieAlgebraSpec
     levi_civita: Conn
@@ -278,10 +251,6 @@ class TensorBundle:
             tuple(tuple(map(vec_sub, r, a)) for r, a in zip(r_i, a_i))
             for r_i, a_i in zip(self.curvature, self.a_tensor)
         )
-
-    @functools.cached_property
-    def wan_form(self) -> Mat3:
-        return contract(self.wanas, self.spec.signature)
 
 
 def compute_tensors(spec: LieAlgebraSpec, connection_kind: str = "canonical") -> TensorBundle:

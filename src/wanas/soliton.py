@@ -131,9 +131,6 @@ class SolitonVerdict:
     d_family: Mat3 | None = None
     witness: tuple[AffineEquation, ...] = ()
 
-    def is_soliton(self) -> bool:
-        return self.outcome in ("soliton", "any_c")
-
     def to_json_dict(self) -> dict:
         data: dict = {"outcome": self.outcome}
         data["c"] = format_rational(self.c) if self.c is not None else None

@@ -14,9 +14,10 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .algebra import (
     PAIR_KEYS,
@@ -46,7 +47,6 @@ from .soliton import (
     check_claimed_solution,
     decision_rows,
     normalize_eta,
-    solve_affine,
 )
 
 MATCH = "match"
@@ -165,28 +165,100 @@ class GridSpec:
     max_points: int = 5000
 
 
-def _single_var_nonvanishing(spec: LieAlgebraSpec) -> set[str]:
-    out = set()
-    for con in spec.constraints:
-        if con.kind == "neq" and con.poly.degree() == 1 and len(con.poly.terms) == 1:
-            vars_ = con.poly.variables()
-            if len(vars_) == 1:
-                out.add(vars_[0])
-    return out
-
-
 def _is_sign_constraint(con: Constraint) -> str | None:
     """The variable v when the constraint is v^2 - 1 = 0 (domain {1, -1})."""
-    if con.kind != "eq":
-        return None
-    for v in con.poly.variables():
-        if con.poly == Poly.var(v) ** 2 - 1:
-            return v
+    if con.kind == "eq":
+        for v in con.poly.variables():
+            if con.poly == Poly.var(v) ** 2 - 1:
+                return v
     return None
 
 
+class _GridKernel:
+    """The admissible points of one algebra's grids, in sorted order.
+
+    Variables run in canonical order, each over its sorted domain.  The
+    solved variable is the highest-ordered variable of the defining
+    equation, so the equation's (constant, slope) pair is fixed by the
+    variables before it: "one" gives x = -a/b, "any" the solved variable's
+    domain, "none" nothing.  Every candidate is tested on the spec's
+    constraint kernel: equation rows must vanish, NonVanishing rows not.
+    """
+
+    def __init__(self, spec: LieAlgebraSpec):
+        self.variables = spec.variables()
+        self.constraints = spec._constraint_values
+        self.eq_rows = tuple(con.kind == "eq" for con in spec.constraints)
+        # v != 0 excludes 0 from v's domain; v^2 = 1 makes it {-1, 1}
+        self.no_zero = {
+            con.poly.variables()[0]
+            for con in spec.constraints
+            if con.kind == "neq" and con.poly.degree() == 1 and len(con.poly.terms) == 1
+        }
+        self.sign_vars = {v for con in spec.constraints if (v := _is_sign_constraint(con))}
+        eqs = [con.poly for con in spec.constraints if con.kind == "eq" and not _is_sign_constraint(con)]
+        if len(eqs) > 1:
+            raise ValueError("grids support at most one defining equation")
+        # the solved variable's index, past the end when none is; points keep it last among their keys
+        self.solved, self.keys = len(self.variables), self.variables
+        if eqs:
+            (solve_eq,) = eqs
+            solved_var = solve_eq.variables()[-1]
+            if solve_eq.degree_in(solved_var) != 1:
+                raise ValueError(f"cannot solve {solve_eq} = 0 for {solved_var}")
+            self.solved = self.variables.index(solved_var)
+            self.keys = tuple(v for v in self.variables if v != solved_var) + (solved_var,)
+            # the equation as constant + slope*solved_var, both free of solved_var
+            constant = solve_eq.substitute({solved_var: 0})
+            self.solve_pair = IntegerEvaluator([constant, solve_eq.substitute({solved_var: 1}) - constant])
+
+    def domains(self, ladder: Iterable[Fraction]) -> list[list[Fraction]]:
+        return [
+            [Fraction(-1), Fraction(1)] if v in self.sign_vars
+            else sorted({*ladder} if v in self.no_zero else {*ladder, Fraction(0)})
+            for v in self.variables
+        ]
+
+    def admissible(self, sigma: Assignment) -> bool:
+        values, _ = self.constraints(sigma)
+        return tuple(map(operator.not_, values)) == self.eq_rows
+
+    def points(self, domains: Sequence[Sequence[Fraction]], solved_one: bool = True) -> Iterator[dict[str, Fraction]]:
+        """The admissible points over ``domains``, in sorted order; the
+        solved variable's list serves its "any" branch, and without
+        ``solved_one`` its "one" branch gives nothing."""
+        s = self.solved
+        for head in itertools.product(*domains[:s]):
+            solutions: Sequence[tuple] = [()]
+            if s < len(self.variables):
+                pair, _ = self.solve_pair(dict(zip(self.variables, head)))
+                outcome, _ = affine_outcome([pair])
+                if outcome == "one":
+                    solutions = [(Fraction(-pair[0], pair[1]),)] if solved_one else []
+                else:
+                    solutions = [(x,) for x in domains[s]] if outcome == "any" else []
+            for x in solutions:
+                for tail in itertools.product(*domains[s + 1 :]):
+                    sigma = dict(zip(self.keys, head + tail + x))
+                    if self.admissible(sigma):
+                        yield sigma
+
+    def new_points(self, old: Sequence[Sequence[Fraction]], new: Sequence[Sequence[Fraction]], value: Fraction) -> Iterator[dict[str, Fraction]]:
+        """The points over ``new`` that are not over ``old``, where each list
+        of ``new`` is its list of ``old`` plus ``value`` or unchanged.
+
+        Such a point has a free coordinate equal to ``value``, or the solved
+        one on an "any" branch; split by the first such coordinate i, the
+        coordinates before i range over ``old`` and those after over ``new``.
+        """
+        for i, (before, after) in enumerate(zip(old, new)):
+            if before != after:
+                yield from self.points([*old[:i], [value], *new[i + 1 :]], solved_one=i != self.solved)
+
+
 def generate_grid(spec: LieAlgebraSpec, grid: GridSpec) -> list[dict[str, Fraction]]:
-    """All admissible points of the grid, sorted by parameter tuple.
+    """The first ``grid.max_points`` admissible points of the grid, sorted by
+    parameter tuple, generated in that order (see ``_GridKernel``).
 
     Variables range over the ladder (plus 0 unless a constraint v != 0
     excludes it); sign variables (v^2 = 1) range over {1, -1}.  A single
@@ -195,73 +267,35 @@ def generate_grid(spec: LieAlgebraSpec, grid: GridSpec) -> list[dict[str, Fracti
     where the equation already holds, and skipping infeasible combinations.
     Every emitted point passes validate_assignment.
     """
-    variables = list(spec.variables())
-    no_zero = _single_var_nonvanishing(spec)
-    sign_vars = {v for con in spec.constraints if (v := _is_sign_constraint(con))}
-
-    solve_eq: Poly | None = None
-    for con in spec.constraints:
-        if con.kind != "eq" or _is_sign_constraint(con):
-            continue
-        if solve_eq is not None:
-            raise ValueError("grids support at most one defining equation")
-        solve_eq = con.poly
-
-    solved_var = None
-    if solve_eq is not None:
-        solved_var = solve_eq.variables()[-1]
-        if solve_eq.degree_in(solved_var) != 1:
-            raise ValueError(f"cannot solve {solve_eq} = 0 for {solved_var}")
-        # the equation as constant + slope*solved_var, both free of solved_var
-        constant = solve_eq.substitute({solved_var: 0})
-        slope = solve_eq.substitute({solved_var: 1}) - constant
-        solve_pair = IntegerEvaluator([constant, slope])
-
-    def domain(v: str) -> list[Fraction]:
-        if v in sign_vars:
-            return [Fraction(-1), Fraction(1)]
-        values = list(grid.ladder)
-        if v not in no_zero:
-            values.append(Fraction(0))
-        return sorted(set(values))
-
-    free_vars = [v for v in variables if v != solved_var]
-    points: list[dict[str, Fraction]] = []
-    for combo in itertools.product(*(domain(v) for v in free_vars)):
-        sigma = dict(zip(free_vars, combo))
-        if solved_var is None:
-            candidates = [dict(sigma)]
-        else:
-            pair, _ = solve_pair(sigma)
-            outcome, x, _ = solve_affine([pair])
-            values = [x] if outcome == "one" else domain(solved_var) if outcome == "any" else []
-            candidates = [dict(sigma, **{solved_var: v}) for v in values]
-        for candidate in candidates:
-            if not spec.validate_assignment(candidate):
-                points.append(candidate)
-
-    points.sort(key=lambda s: tuple(s[v] for v in variables))
-    return points[: grid.max_points]
+    kernel = _GridKernel(spec)
+    return list(itertools.islice(kernel.points(kernel.domains(grid.ladder)), grid.max_points))
 
 
 def default_grid(entry: GroupEntry, min_points: int = 200, max_points: int = 5000) -> tuple[GridSpec, list[dict[str, Fraction]]]:
     """Base-ladder grid, deterministically extended until >= min_points.
 
     Extension stops early when it stops gaining points (an algebra with few
-    or no free parameters can exhaust its admissible set).
+    or no free parameters can exhaust its admissible set); the counts are
+    capped at ``max_points``.  An extension value only adds points, so each
+    step counts just the new ones and the grid is built once, at the end.
     """
+    kernel = _GridKernel(entry.spec)
     ladder = list(BASE_LADDER)
+    domains = kernel.domains(ladder)
+    points = list(itertools.islice(kernel.points(domains), max_points))
+    total = len(points)
     extension = _ladder_extension()
-    best: tuple[GridSpec, list[dict[str, Fraction]]] | None = None
-    while True:
-        grid = GridSpec(entry.id, tuple(ladder), max_points=max_points)
-        points = generate_grid(entry.spec, grid)
-        if len(points) >= min_points:
-            return grid, points
-        if best is not None and len(points) <= len(best[1]):
-            return best
-        best = (grid, points)
-        ladder.append(next(extension))
+    while total < min_points:
+        value = next(extension)
+        extended = kernel.domains([*ladder, value])
+        gained = sum(1 for _ in itertools.islice(kernel.new_points(domains, extended, value), max_points - total))
+        if not gained:
+            break
+        ladder.append(value)
+        domains, total = extended, total + gained
+    if len(ladder) > len(BASE_LADDER):
+        points = list(itertools.islice(kernel.points(domains), max_points))
+    return GridSpec(entry.id, tuple(ladder), max_points=max_points), points
 
 
 # -- classification -----------------------------------------------------------

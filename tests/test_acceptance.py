@@ -21,10 +21,8 @@ from wanas.geometry import (
     canonical_connection,
     compute_tensors,
     contract,
-    contract_shortcut,
     form_from_operator,
     levi_civita,
-    mat_eq,
     operator_from_form,
     torsion,
 )
@@ -44,6 +42,8 @@ from wanas.verify import (
     reproduce_group,
     verify_paper,
 )
+
+from matrix_helpers import contract_shortcut, mat_eq
 
 UNIMODULAR = ("g1", "g2", "g3", "g4")
 # SHA-256 of the full `verify-paper --out` report: its bytes must never change

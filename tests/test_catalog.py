@@ -21,9 +21,10 @@ from wanas.catalog import (
     load_catalog,
     predicate_eval,
 )
-from wanas.geometry import mat_eq
 from wanas.poly import Poly, parse_poly
 from wanas.soliton import SolitonKind, SolitonVerdict
+
+from matrix_helpers import mat_eq
 
 P = parse_poly
 F = Fraction

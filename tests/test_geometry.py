@@ -11,12 +11,9 @@ from wanas.geometry import (
     canonical_connection,
     compute_tensors,
     contract,
-    contract_shortcut,
     curvature,
     form_from_operator,
-    identity3,
     levi_civita,
-    mat_eq,
     nabla_j,
     operator_from_form,
     render_matrix,
@@ -27,6 +24,8 @@ from wanas.geometry import (
     wan_operator,
 )
 from wanas.poly import Poly, parse_poly
+
+from matrix_helpers import contract_shortcut, identity3, mat_eq
 
 P = parse_poly
 
@@ -400,11 +399,16 @@ def test_wan_operator_g5(groups):
     assert mat_eq(bundle.wan, wan_operator(bundle.ric, bundle.abar))
 
 
+def wan_form(bundle):
+    """The contracted difference tensor W, as a bilinear form."""
+    return contract(bundle.wanas, bundle.spec.signature)
+
+
 def test_wan_operator_consistent_with_contracted_wanas(groups):
     # the operator of the contracted difference tensor equals Ric - Abar
     for entry in groups.values():
         bundle = compute_tensors(entry.spec)
-        assert mat_eq(operator_from_form(bundle.wan_form, LORENTZ), bundle.wan), entry.id
+        assert mat_eq(operator_from_form(wan_form(bundle), LORENTZ), bundle.wan), entry.id
 
 
 def test_wan_operator_g4_entry(groups):

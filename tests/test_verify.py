@@ -255,27 +255,32 @@ class _FakeEntry:
 
 
 def _reference_grid(spec, ladder):
-    """generate_grid for a spec with one defining equation, no sign variable
-    and no single-variable NonVanishing (g5-g7), solved and validated with
-    Poly.evaluate."""
+    """generate_grid by brute force, with no max_points: itertools.product
+    over every domain, the defining equation's variable solved with
+    Poly.evaluate, then validate_assignment and sort."""
     variables = spec.variables()
-    (eq,) = [con.poly for con in spec.constraints if con.kind == "eq"]
-    solved = eq.variables()[-1]
-    free = [v for v in variables if v != solved]
-    domain = sorted(set(ladder) | {F(0)})
-    points = []
-    for combo in itertools.product(domain, repeat=len(free)):
+    equations = [con.poly for con in spec.constraints if con.kind == "eq"]
+    signs = {v for v in variables if P(f"{v}^2 - 1") in equations}
+    nonzero = {v for v in variables if any(con.poly == P(v) for con in spec.constraints if con.kind == "neq")}
+    defining = [(eq, eq.variables()[-1]) for eq in equations if not set(eq.variables()) <= signs]
+
+    def domain(v):
+        if v in signs:
+            return [F(-1), F(1)]
+        return sorted(set(ladder) | (set() if v in nonzero else {F(0)}))
+
+    free = [v for v in variables if v not in {x for _, x in defining}]
+    candidates = []
+    for combo in itertools.product(*(domain(v) for v in free)):
         sigma = dict(zip(free, combo))
-        at0 = eq.evaluate({**sigma, solved: F(0)})
-        slope = eq.evaluate({**sigma, solved: F(1)}) - at0
-        values = [-at0 / slope] if slope else domain if not at0 else []
-        for x in values:
-            candidate = dict(sigma, **{solved: x})
-            if all(
-                (con.poly.evaluate(candidate) == 0) == (con.kind == "eq")
-                for con in spec.constraints
-            ):
-                points.append(candidate)
+        if not defining:
+            candidates.append(sigma)
+        for eq, x in defining:  # at most one
+            at0 = eq.evaluate({**sigma, x: F(0)})
+            slope = eq.evaluate({**sigma, x: F(1)}) - at0
+            values = [-at0 / slope] if slope else domain(x) if not at0 else []
+            candidates.extend({**sigma, x: value} for value in values)
+    points = [sigma for sigma in candidates if not spec.validate_assignment(sigma)]
     points.sort(key=lambda s: tuple(s[v] for v in variables))
     return points
 
@@ -339,6 +344,96 @@ def test_grid_cap_is_enforced(catalog):
     entry = catalog.get_group("g3")
     pts = generate_grid(entry.spec, GridSpec("g3", BASE_LADDER, max_points=100))
     assert len(pts) == 100
+
+
+def _extension(count):
+    return tuple(itertools.islice(verify_module._ladder_extension(), count))
+
+
+_SEEDED = random.Random("grid-kernel")
+GRID_LADDERS = {
+    "base": BASE_LADDER,
+    "base+1": BASE_LADDER + _extension(1),
+    "base+7": BASE_LADDER + _extension(7),
+    "duplicates-and-0": (F(2), F(0), F(-1, 3), F(2), F(0), F(5, 2), F(-1, 3)),
+    "seeded-height-1000": tuple(
+        F(_SEEDED.choice((-1, 1)) * _SEEDED.randint(1, 1000), _SEEDED.randint(1, 1000)) for _ in range(8)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", GRID_LADDERS)
+@pytest.mark.parametrize("gid", ALL_GROUPS)
+def test_generate_grid_equals_brute_force(catalog, gid, name):
+    """The points come out in sorted order and stop at max_points: the list,
+    order included, is the sorted and truncated brute-force grid."""
+    spec, ladder = catalog.get_group(gid).spec, GRID_LADDERS[name]
+    reference = _reference_grid(spec, ladder)
+    assert reference
+    for max_points in (1, 7, 10**6):
+        grid = GridSpec(gid, ladder, max_points=max_points)
+        assert generate_grid(spec, grid) == reference[:max_points], max_points
+
+
+def _default_grid_by_regeneration(entry, min_points, max_points):
+    """default_grid as it stood before the ladder was extended
+    incrementally: the whole grid is generated again at every step."""
+    ladder = list(BASE_LADDER)
+    extension = verify_module._ladder_extension()
+    best = None
+    while True:
+        grid = GridSpec(entry.id, tuple(ladder), max_points=max_points)
+        points = generate_grid(entry.spec, grid)
+        if len(points) >= min_points:
+            return grid, points
+        if best is not None and len(points) <= len(best[1]):
+            return best
+        best = (grid, points)
+        ladder.append(next(extension))
+
+
+@pytest.mark.parametrize("bounds", [(200, 5000), (1, 5000), (1000, 5000), (5000, 5000), (300, 100)])
+@pytest.mark.parametrize("gid", ALL_GROUPS)
+def test_default_grid_equals_regeneration(catalog, gid, bounds):
+    entry = catalog.get_group(gid)
+    assert default_grid(entry, *bounds) == _default_grid_by_regeneration(entry, *bounds)
+
+
+def test_default_grid_stops_when_the_ladder_gains_nothing():
+    """An algebra whose only parameter is a sign variable has two points on
+    every ladder: the base ladder is kept, as when regenerating."""
+    zero = vec3(0, 0, 0)
+    spec = LieAlgebraSpec(
+        StructureConstants.from_brackets(vec3(0, 0, P("eta")), zero, zero),
+        LORENTZ,
+        (Constraint("eq", P("eta^2 - 1")),),
+    )
+    entry = _FakeEntry("signs", spec)
+    grid, points = default_grid(entry)
+    assert (grid, points) == _default_grid_by_regeneration(entry, 200, 5000)
+    assert grid.ladder == BASE_LADDER and points == [{"eta": F(-1)}, {"eta": F(1)}]
+
+
+def test_default_grid_evaluates_each_candidate_at_most_twice(catalog, monkeypatch):
+    """The g1 ladder is extended 134 times to reach 20,000 points; each step
+    evaluates only its new candidates and the grid is generated once, so
+    the constraint kernel runs at most twice per candidate of the final
+    grid (g1 solves no equation: every kernel call tests one candidate)."""
+    from wanas.poly import IntegerEvaluator
+
+    calls = [0]
+    original = IntegerEvaluator.__call__
+
+    def counting(self, assignment):
+        calls[0] += 1
+        return original(self, assignment)
+
+    monkeypatch.setattr(IntegerEvaluator, "__call__", counting)
+    grid, points = default_grid(catalog.get_group("g1"), min_points=20000, max_points=100000)
+    assert (len(grid.ladder), len(points)) == (141, 20022)
+    candidates = len(grid.ladder) * (len(grid.ladder) + 1)  # alpha != 0; beta also takes 0
+    assert candidates == len(points)
+    assert calls[0] <= 2 * candidates
 
 
 # -- classification -------------------------------------------------------------------------
