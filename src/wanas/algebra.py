@@ -221,21 +221,27 @@ class LieAlgebraSpec:
         if missing:
             raise MissingVariableError(missing)
         values, den = self._constraint_values(sigma)
-        violations = []
-        for con, value in zip(self.constraints, values):
-            if con.kind == "eq" and value:
-                violations.append(
-                    f"{con.poly} = {format_rational(Fraction(value, den))}, expected 0"
-                )
-            elif con.kind == "neq" and not value:
-                violations.append(f"{con.poly} = 0, expected nonzero")
-        return violations
+        # violated: an equation row that is nonzero, a NonVanishing row that is zero
+        return [
+            f"{con.poly} = {format_rational(Fraction(value, den))}, expected 0" if eq
+            else f"{con.poly} = 0, expected nonzero"
+            for con, value, eq in zip(self.constraints, values, self._vanishing_rows)
+            if eq == bool(value)
+        ]
+
+    def is_admissible(self, sigma: Assignment) -> bool:
+        """validate_assignment(sigma) == [] for a sigma with every variable, without the messages."""
+        return "c" not in sigma and [not v for v in self._constraint_values(sigma)[0]] == self._vanishing_rows
 
     @cached_property
     def _constraint_values(self) -> IntegerEvaluator:
         """The constraint polynomials compiled once: a value is zero exactly
         when its integer numerator is."""
         return IntegerEvaluator([con.poly for con in self.constraints])
+
+    @cached_property
+    def _vanishing_rows(self) -> list[bool]:
+        return [con.kind == "eq" for con in self.constraints]
 
     def evaluate(self, sigma: Assignment) -> LieAlgebraSpec:
         """The numeric algebra at sigma (constraints checked, then dropped)."""

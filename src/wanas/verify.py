@@ -14,7 +14,6 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -167,10 +166,11 @@ class GridSpec:
 
 def _is_sign_constraint(con: Constraint) -> str | None:
     """The variable v when the constraint is v^2 - 1 = 0 (domain {1, -1})."""
-    if con.kind == "eq":
-        for v in con.poly.variables():
-            if con.poly == Poly.var(v) ** 2 - 1:
-                return v
+    if con.kind != "eq":
+        return None
+    for v in con.poly.variables():
+        if con.poly == Poly.var(v) ** 2 - 1:
+            return v
     return None
 
 
@@ -181,14 +181,12 @@ class _GridKernel:
     solved variable is the highest-ordered variable of the defining
     equation, so the equation's (constant, slope) pair is fixed by the
     variables before it: "one" gives x = -a/b, "any" the solved variable's
-    domain, "none" nothing.  Every candidate is tested on the spec's
-    constraint kernel: equation rows must vanish, NonVanishing rows not.
+    domain, "none" nothing.  Every candidate is tested with spec.is_admissible.
     """
 
     def __init__(self, spec: LieAlgebraSpec):
         self.variables = spec.variables()
-        self.constraints = spec._constraint_values
-        self.eq_rows = tuple(con.kind == "eq" for con in spec.constraints)
+        self.admissible = spec.is_admissible
         # v != 0 excludes 0 from v's domain; v^2 = 1 makes it {-1, 1}
         self.no_zero = {
             con.poly.variables()[0]
@@ -218,10 +216,6 @@ class _GridKernel:
             else sorted({*ladder} if v in self.no_zero else {*ladder, Fraction(0)})
             for v in self.variables
         ]
-
-    def admissible(self, sigma: Assignment) -> bool:
-        values, _ = self.constraints(sigma)
-        return tuple(map(operator.not_, values)) == self.eq_rows
 
     def points(self, domains: Sequence[Sequence[Fraction]], solved_one: bool = True) -> Iterator[dict[str, Fraction]]:
         """The admissible points over ``domains``, in sorted order; the

@@ -199,6 +199,20 @@ def test_validate_equals_reference_at_height_points(groups, height_points):
             assert spec.validate_assignment(sigma) == _reference_violations(spec, sigma) == []
 
 
+def test_is_admissible_equals_reference(groups, height_points):
+    """is_admissible(sigma) is whether the Poly.evaluate reference finds no
+    violation: at admissible points, with one coordinate moved off them or
+    to 0, and with the soliton scalar c added."""
+    for gid, points in height_points.items():
+        spec = groups[gid].spec
+        for sigma in points:
+            assert spec.is_admissible(sigma)
+            assert not spec.is_admissible({**sigma, "c": Fraction(1)})
+            for v in spec.variables():
+                for moved in ({**sigma, v: sigma[v] + Fraction(1, 3)}, {**sigma, v: Fraction(0)}):
+                    assert spec.is_admissible(moved) == (_reference_violations(spec, moved) == []), (gid, moved)
+
+
 @pytest.mark.parametrize(
     "gid, point, expected",
     [

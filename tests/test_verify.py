@@ -257,7 +257,8 @@ class _FakeEntry:
 def _reference_grid(spec, ladder):
     """generate_grid by brute force, with no max_points: itertools.product
     over every domain, the defining equation's variable solved with
-    Poly.evaluate, then validate_assignment and sort."""
+    Poly.evaluate, then each constraint checked with Poly.evaluate (apart
+    from the compiled constraint kernel) and sort."""
     variables = spec.variables()
     equations = [con.poly for con in spec.constraints if con.kind == "eq"]
     signs = {v for v in variables if P(f"{v}^2 - 1") in equations}
@@ -280,7 +281,11 @@ def _reference_grid(spec, ladder):
             slope = eq.evaluate({**sigma, x: F(1)}) - at0
             values = [-at0 / slope] if slope else domain(x) if not at0 else []
             candidates.extend({**sigma, x: value} for value in values)
-    points = [sigma for sigma in candidates if not spec.validate_assignment(sigma)]
+    points = [
+        sigma
+        for sigma in candidates
+        if all((con.poly.evaluate(sigma) == 0) == (con.kind == "eq") for con in spec.constraints)
+    ]
     points.sort(key=lambda s: tuple(s[v] for v in variables))
     return points
 
