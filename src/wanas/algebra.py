@@ -231,7 +231,12 @@ class LieAlgebraSpec:
 
     def is_admissible(self, sigma: Assignment) -> bool:
         """validate_assignment(sigma) == [] for a sigma with every variable, without the messages."""
-        return "c" not in sigma and [not v for v in self._constraint_values(sigma)[0]] == self._vanishing_rows
+        return "c" not in sigma and self.admits(self._constraint_values(sigma)[0])
+
+    def admits(self, values: Sequence[int]) -> bool:
+        """Whether the constraint values that lead ``values``, in constraint
+        order, satisfy them: each equation's vanishes, each NonVanishing's not."""
+        return [not v for v in values[: len(self.constraints)]] == self._vanishing_rows
 
     @cached_property
     def _constraint_values(self) -> IntegerEvaluator:

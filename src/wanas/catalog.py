@@ -89,34 +89,6 @@ class TheoremCase:
             return ({},)
         return tuple(dict(b) for b in self.branches)
 
-    def matches(self, sigma: Assignment) -> bool:
-        """Whether the point satisfies this case's defining conditions."""
-        values, _ = self._conditions(sigma)
-        vanishing = len(self.subs) + len(self.extra_eq)
-        return not any(values[:vanishing]) and all(values[vanishing:])
-
-    def solution_at(
-        self, sigma: Assignment
-    ) -> tuple[Fraction, tuple[tuple[Fraction, ...], ...]]:
-        """The case's c and D at the point (not for an any_c case)."""
-        values, den = self._solution(sigma)
-        c_val, *d_vals = (Fraction(x, den) for x in values)
-        return c_val, tuple(tuple(d_vals[3 * i : 3 * i + 3]) for i in range(3))
-
-    @cached_property
-    def _conditions(self) -> IntegerEvaluator:
-        """The conditions compiled once: each subs as var - expr and each
-        extra_eq must vanish, then each neq must not."""
-        return IntegerEvaluator(
-            [Poly.var(var) - expr for var, expr in self.subs]
-            + list(self.extra_eq)
-            + list(self.neq)
-        )
-
-    @cached_property
-    def _solution(self) -> IntegerEvaluator:
-        return IntegerEvaluator([self.c] + [p for row in self.d for p in row])
-
 
 @dataclass(frozen=True)
 class TheoremClaim:
@@ -125,15 +97,57 @@ class TheoremClaim:
     claim_type: str  # "cases" | "no_soliton" | "same_as_first"
     cases: tuple[TheoremCase, ...] = ()
 
-    def match(self, sigma: Assignment) -> TheoremCase | None:
-        """The one case whose conditions the point satisfies; None when no
-        case does or the claim is no_soliton.  Several raise AmbiguousCaseError."""
-        if self.claim_type == "no_soliton":
-            return None
-        matched = [case for case in self.cases if case.matches(sigma)]
+    @cached_property
+    def layout(self) -> tuple[list[Poly], tuple[tuple, ...]]:
+        """The rows of the claim's cases and one ``_case_rows`` entry per
+        case: a function of ``cases`` alone."""
+        rows: list[Poly] = []
+        return rows, tuple(_case_rows(case, rows) for case in self.cases)
+
+    @cached_property
+    def evaluate(self) -> IntegerEvaluator:
+        """The layout's rows compiled once, on first use."""
+        return IntegerEvaluator(self.layout[0])
+
+    def case_at(self, values: Sequence[int], offset: int = 0) -> tuple[TheoremCase, int | None] | None:
+        """(case, start of its solution) for the one case whose conditions
+        hold, its eq rows vanishing and its neq rows not, where the layout's
+        rows start at ``offset`` of ``values``; None when no case holds or
+        the claim is no_soliton.  Several raise AmbiguousCaseError."""
+        entries = () if self.claim_type == "no_soliton" else self.layout[1]
+        matched = [
+            (case, s if s is None else offset + s)
+            for case, start, nonzero, end, s in entries
+            if not any(values[offset + start : offset + nonzero]) and all(values[offset + nonzero : offset + end])
+        ]
         if len(matched) > 1:
-            raise AmbiguousCaseError(self.group, self.kind, [c.name for c in matched])
+            raise AmbiguousCaseError(self.group, self.kind, [case.name for case, _ in matched])
         return matched[0] if matched else None
+
+
+def _case_rows(case: TheoremCase, rows: list[Poly]) -> tuple:
+    """Append a case's rows and return (case, start, start of the neq rows,
+    their end, start of the solution or None).
+
+    The rows: each subs as var - expr and each extra_eq, which must vanish;
+    each neq, which must not; then the solution: c and D row-major, or for
+    an any_c case D(0) and D(1) - D(0), the two coefficients of D(c) when D
+    is affine in c.
+    """
+    start = len(rows)
+    rows += [Poly.var(var) - expr for var, expr in case.subs] + list(case.extra_eq)
+    nonzero = len(rows)
+    rows += case.neq
+    solution: int | None = len(rows)
+    entries = [p for row in case.d for p in row]
+    if not case.any_c:
+        rows += [case.c, *entries]
+    elif all(p.degree_in("c") <= 1 for p in entries):
+        at0 = [p.substitute({"c": 0}) for p in entries]
+        rows += at0 + [p.substitute({"c": 1}) - q for p, q in zip(entries, at0)]
+    else:
+        solution = None  # no D(c) of higher degree in c is Wan - c*Id
+    return (case, start, nonzero, nonzero + len(case.neq), solution)
 
 
 @dataclass(frozen=True)
@@ -146,6 +160,16 @@ class GroupEntry:
     systems: dict[SolitonKind, tuple[Poly, ...]]
     theorems: dict[SolitonKind, TheoremClaim]
     notes: tuple[str, ...]
+
+    @cached_property
+    def claims(self) -> dict[SolitonKind, TheoremClaim]:
+        """``theorems`` with same_as_first resolved to the first kind's cases, built once."""
+        first = self.theorems[SolitonKind.FIRST]
+        return {
+            kind: TheoremClaim(self.id, kind, first.claim_type, first.cases)
+            if claim.claim_type == "same_as_first" else claim
+            for kind, claim in self.theorems.items()
+        }
 
 
 @dataclass(frozen=True)
@@ -164,13 +188,9 @@ class Catalog:
         return self.groups[gid]
 
     def theorem_claim(self, group_id: str, kind: SolitonKind) -> TheoremClaim:
-        """The claim for (group, kind), with same-as-first resolved to cases."""
-        entry = self.get_group(group_id)
-        claim = entry.theorems[kind]
-        if claim.claim_type == "same_as_first":
-            first = entry.theorems[SolitonKind.FIRST]
-            return TheoremClaim(entry.id, kind, first.claim_type, first.cases)
-        return claim
+        """The claim for (group, kind), with same-as-first resolved to cases;
+        the same object on every call."""
+        return self.get_group(group_id).claims[kind]
 
 
 def compute_checksum(groups_data: Mapping) -> str:
@@ -242,6 +262,10 @@ def _load_group(gid: str, data: Mapping) -> GroupEntry:
         claim_type = th["type"]
         cases = []
         for case in th.get("cases", ()):
+            if ("c" in case) == bool(case.get("any_c", False)):
+                raise CatalogError(
+                    f"{gid} {kind_name} case {case['name']}: give exactly one of c and any_c: true"
+                )
             subs = tuple(sorted((k, p(v)) for k, v in case.get("subs", {}).items()))
             branches = tuple(
                 tuple(sorted((k, p(v)) for k, v in b.items()))
@@ -339,15 +363,17 @@ def load_catalog(path: str | None = None) -> Catalog:
 
 def predicate_eval(claim: TheoremClaim, sigma: Assignment) -> SolitonVerdict:
     """Expected verdict at sigma according to the theorem statement."""
-    case = claim.match(sigma)
-    if case is None:
+    values, den = claim.evaluate(sigma)
+    hit = claim.case_at(values)
+    if hit is None:
         return SolitonVerdict("no_soliton")
+    case, s = hit
     if case.any_c:
         numeric = {v: Fraction(x) for v, x in sigma.items()}
         family = tuple(tuple(p.substitute({v: Poly.const(x) for v, x in numeric.items()}) for p in row) for row in case.d)
         return SolitonVerdict("any_c", d_family=family)
-    c_val, d_val = case.solution_at(sigma)
-    return SolitonVerdict("soliton", c=c_val, d=d_val)
+    c_val, *d_vals = (Fraction(x, den) for x in values[s : s + 10])
+    return SolitonVerdict("soliton", c=c_val, d=tuple(tuple(d_vals[3 * i : 3 * i + 3]) for i in range(3)))
 
 
 def _main(argv: Sequence[str]) -> int:

@@ -28,10 +28,8 @@ from .algebra import (
 )
 from .catalog import (
     ALL_GROUPS,
-    AmbiguousCaseError,
     Catalog,
     GroupEntry,
-    TheoremCase,
     TheoremClaim,
     predicate_eval,
 )
@@ -403,62 +401,57 @@ def classify_group(
     predicate, one report per kind in ``claims`` order.  One call of the
     group's kernel per point gives everything both read, in integers; the
     records build their verdicts when read."""
-    kernel = _GroupKernel(entry.spec, claims)
-    records: dict[SolitonKind, list[PointRecord]] = {kind: [] for kind in claims}
-    sources = {kind: (kernel.decisions[kind], claim) for kind, claim in claims.items()}
+    kernel = _GroupKernel(entry.spec, list(claims.values()))
+    sources = list(zip(kernel.decisions, claims.values()))
+    records: list[list[PointRecord]] = [[] for _ in sources]
     for sigma in points:
         sigma = dict(sigma)
         values, den = kernel(sigma)
-        for kind, kind_records in records.items():
-            agree = kernel.agrees(kind, values, den)
-            kind_records.append(PointRecord(sigma, None, None, agree, sources[kind]))
-    return tuple(ClassificationReport(entry.id, kind, tuple(recs)) for kind, recs in records.items())
+        for index, kind_records in enumerate(records):
+            agree = kernel.agrees(index, values, den)
+            kind_records.append(PointRecord(sigma, None, None, agree, sources[index]))
+    return tuple(ClassificationReport(entry.id, kind, tuple(recs)) for kind, recs in zip(claims, records))
 
 
 class _GroupKernel:
     """One ``IntegerEvaluator`` for the classification of a group's points.
 
-    Its rows, in order: the spec's constraints; each kind's
-    ``decision_rows``; for each distinct theorem case (by identity, so the
-    kinds of a same_as_first claim share them), its conditions (each subs
-    as var - expr and each extra_eq must vanish, then each neq must not) and
-    its solution: c and D row-major, or for an any_c case D(0) and
-    D(1) - D(0), the two coefficients of D(c) when D is affine in c.  All
-    values of one call sit over its one denominator.
+    Its rows, in order: the spec's constraints; each claim's kind's
+    ``decision_rows``; each distinct claim's ``layout`` rows (by the
+    identity of its cases, so the kinds of a same_as_first claim share
+    them).  All values of one call sit over its one denominator.  Its
+    tables are indexed by position in ``claims``.
     """
 
-    def __init__(self, spec: LieAlgebraSpec, claims: Mapping[SolitonKind, TheoremClaim]):
+    def __init__(self, spec: LieAlgebraSpec, claims: Sequence[TheoremClaim]):
         self.spec = spec
         rows = [con.poly for con in spec.constraints]
-        self.eq = [k for k, con in enumerate(spec.constraints) if con.kind == "eq"]
-        self.neq = [k for k, con in enumerate(spec.constraints) if con.kind == "neq"]
-        starts = {}
-        for kind in claims:
-            starts[kind] = len(rows)
-            rows += decision_rows(spec, kind)
-        layouts: dict[int, tuple] = {}
-        self.claims = {}
-        for kind, claim in claims.items():
-            cases = () if claim.claim_type == "no_soliton" else claim.cases
-            for case in cases:
-                if id(case) not in layouts:
-                    layouts[id(case)] = _case_rows(case, rows)
-            self.claims[kind] = (claim, [layouts[id(case)] for case in cases])
+        starts = []
+        for claim in claims:
+            starts.append(len(rows))
+            rows += decision_rows(spec, claim.kind)
+        offsets: dict[int, int] = {}
+        for claim in claims:
+            if id(claim.cases) not in offsets:
+                offsets[id(claim.cases)] = len(rows)
+                rows += claim.layout[0]
+        self.claims = [(claim, offsets[id(claim.cases)]) for claim in claims]
         self.evaluate = IntegerEvaluator(rows)
-        self.decisions = {kind: CompiledDecision(self.evaluate, start) for kind, start in starts.items()}
+        self.decisions = [CompiledDecision(self.evaluate, start) for start in starts]
 
     def __call__(self, sigma: Assignment) -> tuple[list[int], int]:
         """The values at an admissible point; an inadmissible one raises
         with ``validate_assignment``'s violations."""
         if "c" not in sigma:
             values, den = self.evaluate(sigma)
-            if not any(values[k] for k in self.eq) and all(values[k] for k in self.neq):
+            if self.spec.admits(values):
                 return values, den
         raise InvalidAssignmentError(self.spec.validate_assignment(sigma))
 
-    def agrees(self, kind: SolitonKind, values: Sequence[int], den: int) -> bool:
+    def agrees(self, index: int, values: Sequence[int], den: int) -> bool:
         """``verdicts_equal`` between the decision and ``predicate_eval``
-        at the point, read off the values with no Fraction made.
+        for the ``index``-th claim at the point, read off the values with
+        no Fraction made.
 
         The pair (a, b) that fixed c gives c = -a/b, so the case's c agrees
         when -a*den == c*b, an off-diagonal D entry when w == d and a
@@ -466,19 +459,13 @@ class _GroupKernel:
         D(c) = Wan - c*Id agrees when D(0) == w and D(1) - D(0) == -den on
         the diagonal and 0 off it.
         """
-        claim, layouts = self.claims[kind]
-        pairs, wan = self.decisions[kind].split(values)
+        claim, offset = self.claims[index]
+        pairs, wan = self.decisions[index].split(values)
         outcome, witness = affine_outcome(pairs)
-        matched = [
-            (case, s)
-            for case, start, nonzero, end, s in layouts
-            if not any(values[start:nonzero]) and all(values[nonzero:end])
-        ]
-        if len(matched) > 1:
-            raise AmbiguousCaseError(claim.group, claim.kind, [case.name for case, _ in matched])
-        if not matched or outcome == "none":
-            return not matched and outcome == "none"
-        case, s = matched[0]
+        hit = claim.case_at(values, offset)
+        if hit is None or outcome == "none":
+            return hit is None and outcome == "none"
+        case, s = hit
         if case.any_c or outcome == "any":
             return (
                 case.any_c
@@ -497,25 +484,6 @@ class _GroupKernel:
             for i, row in enumerate(wan)
             for j, w in enumerate(row)
         )
-
-
-def _case_rows(case: TheoremCase, rows: list[Poly]) -> tuple:
-    """Append a case's rows (see ``_GroupKernel``) and return (case, start,
-    start of the neq rows, their end, start of the solution or None)."""
-    start = len(rows)
-    rows += [Poly.var(var) - expr for var, expr in case.subs] + list(case.extra_eq)
-    nonzero = len(rows)
-    rows += case.neq
-    solution: int | None = len(rows)
-    entries = [p for row in case.d for p in row]
-    if not case.any_c:
-        rows += [case.c, *entries]
-    elif all(p.degree_in("c") <= 1 for p in entries):
-        at0 = [p.substitute({"c": 0}) for p in entries]
-        rows += at0 + [p.substitute({"c": 1}) - q for p, q in zip(entries, at0)]
-    else:
-        solution = None  # no D(c) of higher degree in c is Wan - c*Id
-    return (case, start, nonzero, nonzero + len(case.neq), solution)
 
 
 # -- reproduction -------------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import collections
+import dataclasses
 import itertools
 import json
 from fractions import Fraction
@@ -245,6 +246,34 @@ def test_conflict_annotation_must_be_genuine(catalog, tmp_path):
         load_catalog(str(bad))
 
 
+@pytest.mark.parametrize("form", ["neither", "both"])
+def test_case_needs_exactly_one_of_c_and_any_c(catalog, tmp_path, monkeypatch, capsys, form):
+    """A case with neither c nor any_c: true, or with both, is refused at
+    load; the CLI prints one error line and exits 2, with no traceback."""
+    from wanas import cli
+
+    raw = _raw_catalog(catalog)
+    if form == "neither":
+        case = raw["groups"]["g2"]["theorems"]["first"]["cases"][0]
+        del case["c"]
+    else:
+        case = next(c for c in raw["groups"]["g3"]["theorems"]["first"]["cases"] if c.get("any_c"))
+        case["c"] = "0"
+    bad = tmp_path / "catalog.json"
+    bad.write_text(json.dumps(raw))
+    assert catalog_module._main(["rehash", str(bad)]) == 0
+    capsys.readouterr()
+    with pytest.raises(CatalogError, match="exactly one of c and any_c: true"):
+        load_catalog(str(bad))
+    monkeypatch.setenv("WANAS_CATALOG", str(bad))
+    for argv in (["verify-paper", "--group", "g2"], ["classify", "--group", "g2", "--kind", "first"]):
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+        assert f"case {case['name']}: give exactly one of c and any_c: true" in err
+
+
 # -- predicate evaluation --------------------------------------------------------------------
 
 
@@ -316,7 +345,8 @@ def test_catalog_cases_are_mutually_exclusive_on_grids(catalog):
 
 
 def _reference_matches(case, sigma):
-    """TheoremCase.matches computed with Poly.evaluate, one condition at a time."""
+    """Whether sigma satisfies a case's conditions, by Poly.evaluate, one
+    condition at a time."""
     for var, expr in case.subs:
         if Fraction(sigma[var]) != expr.evaluate(sigma):
             return False
@@ -345,6 +375,18 @@ def _reference_predicate(claim, sigma):
     return SolitonVerdict("soliton", c=c_val, d=d_val)
 
 
+def _one_case_claims(claim):
+    """The claim restricted to each of its cases in turn."""
+    return [dataclasses.replace(claim, cases=(case,)) for case in claim.cases]
+
+
+def _matches(one_case_claim, sigma):
+    """Whether sigma satisfies the one case's conditions, by case_at."""
+    hit = one_case_claim.case_at(one_case_claim.evaluate(sigma)[0])
+    assert hit is None or hit[0] is one_case_claim.cases[0]
+    return hit is not None
+
+
 def test_predicates_equal_reference_at_height_points_and_default_grids(catalog, height_points):
     """The compiled case conditions and solutions give exactly the verdicts
     of the Poly.evaluate formulation, for every group, kind and case."""
@@ -354,14 +396,15 @@ def test_predicates_equal_reference_at_height_points_and_default_grids(catalog, 
         _, grid = default_grid(catalog.get_group(gid))
         for kind in SolitonKind:
             claim = catalog.theorem_claim(gid, kind)
+            singles = _one_case_claims(claim)
             for sigma in height_points[gid] + grid:
-                for case in claim.cases:
-                    assert case.matches(sigma) == _reference_matches(case, sigma)
+                for one in singles:
+                    assert _matches(one, sigma) == _reference_matches(one.cases[0], sigma)
                 assert predicate_eval(claim, sigma) == _reference_predicate(claim, sigma)
 
 
 def test_case_conditions_equal_reference_off_the_admissible_set(catalog):
-    """matches does not validate the point: compare on a plain product grid of
+    """case_at does not validate the point: compare on a plain product grid of
     each group's parameters, which also reaches cases that no admissible point
     matches (g6 case iii conflicts with alpha + delta != 0)."""
     values = (F(-2), F(-1), F(0), F(1), F(1, 2))
@@ -372,10 +415,10 @@ def test_case_conditions_equal_reference_off_the_admissible_set(catalog):
             for combo in itertools.product(values, repeat=len(variables))
         ]
         for kind in SolitonKind:
-            for case in catalog.theorem_claim(gid, kind).cases:
-                hits = [case.matches(sigma) for sigma in points]
-                assert hits == [_reference_matches(case, sigma) for sigma in points]
-                assert any(hits), (gid, kind, case.name)
+            for one in _one_case_claims(catalog.theorem_claim(gid, kind)):
+                hits = [_matches(one, sigma) for sigma in points]
+                assert hits == [_reference_matches(one.cases[0], sigma) for sigma in points]
+                assert any(hits), (gid, kind, one.cases[0].name)
 
 
 def test_loading_compiles_no_evaluator(monkeypatch):
@@ -393,13 +436,40 @@ def test_loading_compiles_no_evaluator(monkeypatch):
     assert generated == []
     for entry in fresh.groups.values():
         assert "_constraint_values" not in vars(entry.spec)
+        assert "claims" not in vars(entry)
         for claim in entry.theorems.values():
-            for case in claim.cases:
-                assert not {"_conditions", "_solution"} & set(vars(case))
+            assert not {"layout", "evaluate"} & set(vars(claim))
     claim = fresh.theorem_claim("g2", SolitonKind.FIRST)
     predicate_eval(claim, {"alpha": F(0), "beta": F(0), "gamma": F(1)})
-    assert {"_conditions", "_solution"} <= set(vars(claim.cases[0]))
-    assert generated
+    assert {"layout", "evaluate"} <= set(vars(claim))
+    assert len(generated) == 1
+
+
+def test_theorem_claim_is_one_object_compiled_once(monkeypatch):
+    """theorem_claim returns the same claim on every call, same_as_first
+    kinds included, so its kernel is compiled once: 200 predicate_eval
+    calls on g3 second kind generate kernel source once."""
+    from wanas.verify import default_grid
+
+    fresh = load_catalog()
+    for gid in ALL_GROUPS:
+        for kind in SolitonKind:
+            assert fresh.theorem_claim(gid, kind) is fresh.theorem_claim(gid, kind)
+    _, points = default_grid(fresh.get_group("g3"))
+    generated = []
+    original = poly_module._kernel_source
+
+    def counting(*args):
+        generated.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(poly_module, "_kernel_source", counting)
+    outcomes = collections.Counter(
+        predicate_eval(fresh.theorem_claim("g3", SolitonKind.SECOND), sigma).outcome
+        for sigma in points[:200]
+    )
+    assert sum(outcomes.values()) == 200 and set(outcomes) == {"soliton", "no_soliton"}
+    assert len(generated) == 1
 
 
 def test_loading_parses_each_distinct_text_once_per_group(monkeypatch):

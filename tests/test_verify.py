@@ -478,6 +478,23 @@ def test_classify_detects_wrong_claim(catalog):
     assert report.disagreements
 
 
+def test_classify_group_keeps_a_no_soliton_claim_apart_from_shared_cases(catalog):
+    """A no_soliton claim that carries the cases of the other kind's claim
+    matches none of them, in either order, as each kind alone does."""
+    from wanas.verify import classify_group
+
+    entry = catalog.get_group("g3")
+    _, points = default_grid(entry)
+    second = catalog.theorem_claim("g3", SolitonKind.SECOND)
+    first = dataclasses.replace(catalog.theorem_claim("g3", SolitonKind.FIRST), claim_type="no_soliton")
+    assert first.cases is second.cases
+    alone = {kind: classify_grid(entry, kind, points, claim) for kind, claim in ((SolitonKind.FIRST, first), (SolitonKind.SECOND, second))}
+    assert alone[SolitonKind.FIRST].disagreements and not alone[SolitonKind.SECOND].disagreements
+    for order in ((SolitonKind.FIRST, SolitonKind.SECOND), (SolitonKind.SECOND, SolitonKind.FIRST)):
+        claims = {kind: {SolitonKind.FIRST: first, SolitonKind.SECOND: second}[kind] for kind in order}
+        assert classify_group(entry, points, claims) == tuple(alone[kind] for kind in order)
+
+
 @pytest.mark.parametrize(
     "sigma",
     [
@@ -643,12 +660,14 @@ def test_integer_agreement_finds_perturbed_claims(catalog):
         for kind in SolitonKind:
             claim = catalog.theorem_claim(gid, kind)
             for index, case in enumerate(claim.cases):
-                hits = [sigma for sigma in grid_points if case.matches(sigma)]
+                one = dataclasses.replace(claim, cases=(case,))
+                matched = [one.case_at(one.evaluate(sigma)[0]) is not None for sigma in grid_points]
+                hits = [sigma for sigma, hit in zip(grid_points, matched) if hit]
                 if case.any_c or not hits:
                     continue
                 # a sample of the case's points and of the rest
                 hits = hits[:: 1 + len(hits) // 40]
-                points = hits + [s for s in grid_points[::25] if not case.matches(s)]
+                points = hits + [s for s, hit in zip(grid_points[::25], matched[::25]) if not hit]
                 variants = {
                     name: claim.cases[:index] + (wrong,) + claim.cases[index + 1 :]
                     for name, wrong in _perturbations(case).items()
@@ -838,12 +857,31 @@ def test_verify_paper_computes_each_catalog_spec_tensors_once(catalog, monkeypat
     assert sum(calls.values()) == 7  # no theorem case or branch recomputes the tensors
 
 
+def _count_claim_kernel(monkeypatch, count):
+    """Make every call of a TheoremClaim's compiled kernel call ``count``
+    first, on claims compiled before as after."""
+    from wanas.catalog import TheoremClaim
+
+    compiled = TheoremClaim.evaluate
+
+    def evaluate(claim):
+        kernel = compiled.__get__(claim, TheoremClaim)
+
+        def counted(sigma):
+            count()
+            return kernel(sigma)
+
+        return counted
+
+    monkeypatch.setattr(TheoremClaim, "evaluate", property(evaluate))
+
+
 def test_classification_evaluates_one_kernel_per_point(catalog, monkeypatch):
     """verify_paper classifies both kinds of a grid point with one integer
-    kernel call, and matches no theorem case and validates no point on the
-    way; default_grid's calls are the only other kernel calls of the run."""
+    kernel call, and calls no claim kernel and no predicate_eval and
+    validates no point on the way; default_grid's calls are the only other
+    kernel calls of the run."""
     from wanas.algebra import LieAlgebraSpec
-    from wanas.catalog import TheoremCase
     from wanas.poly import IntegerEvaluator
 
     calls = collections.Counter()
@@ -867,7 +905,8 @@ def test_classification_evaluates_one_kernel_per_point(catalog, monkeypatch):
         return wrapper
 
     monkeypatch.setattr(IntegerEvaluator, "__call__", counted("kernel", IntegerEvaluator.__call__))
-    monkeypatch.setattr(TheoremCase, "matches", counted("matches", TheoremCase.matches))
+    _count_claim_kernel(monkeypatch, counted("claim_kernel", lambda: None))
+    monkeypatch.setattr(verify_module, "predicate_eval", counted("predicate_eval", verify_module.predicate_eval))
     monkeypatch.setattr(
         LieAlgebraSpec, "validate_assignment", counted("validate", LieAlgebraSpec.validate_assignment)
     )
@@ -879,6 +918,7 @@ def test_classification_evaluates_one_kernel_per_point(catalog, monkeypatch):
     assert calls["classify_group", "kernel"] == 512
     assert calls["default_grid", "kernel"] > 0
     assert {key for key in calls if key[0] != "default_grid"} == {("classify_group", "kernel")}
+    assert "claim_kernel" not in {name for _, name in calls}
 
 
 def test_verify_paper_ladder_classifies_as_classify_grid(catalog):
@@ -903,9 +943,9 @@ def test_verify_paper_ladder_classifies_as_classify_grid(catalog):
 
 def test_verify_paper_builds_verdicts_only_when_read(catalog, monkeypatch):
     """The run compares in integers and keeps no verdict: no Fraction
-    verdict and no theorem-case solution is built until a record is read."""
+    verdict is built and no theorem predicate evaluated until a record is
+    read."""
     from wanas import soliton as soliton_module
-    from wanas.catalog import TheoremCase
 
     calls = collections.Counter()
 
@@ -917,7 +957,8 @@ def test_verify_paper_builds_verdicts_only_when_read(catalog, monkeypatch):
         return wrapper
 
     monkeypatch.setattr(soliton_module, "_verdict", counted("_verdict", soliton_module._verdict))
-    monkeypatch.setattr(TheoremCase, "solution_at", counted("solution_at", TheoremCase.solution_at))
+    monkeypatch.setattr(verify_module, "predicate_eval", counted("predicate_eval", verify_module.predicate_eval))
+    _count_claim_kernel(monkeypatch, counted("claim_kernel", lambda: None))
     report = verify_paper(catalog, groups=("g2", "g5"))
     assert report.ok
     assert calls == collections.Counter()
@@ -927,9 +968,9 @@ def test_verify_paper_builds_verdicts_only_when_read(catalog, monkeypatch):
     assert rec.computed.outcome == "soliton"
     assert calls == collections.Counter(_verdict=1)
     assert rec.computed == rec.expected  # the first read is kept
-    assert calls == collections.Counter(_verdict=1, solution_at=1)
+    assert calls == collections.Counter(_verdict=1, predicate_eval=1, claim_kernel=1)
     rec.computed, rec.expected
-    assert calls == collections.Counter(_verdict=1, solution_at=1)
+    assert calls == collections.Counter(_verdict=1, predicate_eval=1, claim_kernel=1)
 
 
 def test_point_record_given_verdicts_keeps_fields_and_equality(catalog):
