@@ -93,13 +93,13 @@ def antisymmetric(
 
 @dataclass(frozen=True)
 class MetricSignature:
-    """Diagonal metric g(e_i, e_j) = eps[i] * delta_ij with eps entries +-1."""
+    """Diagonal metric g(e_i, e_j) = eps[i] * delta_ij with int eps entries +-1."""
 
     eps: tuple[int, int, int]
 
     def __post_init__(self):
-        if len(self.eps) != 3 or any(e not in (1, -1) for e in self.eps):
-            raise ValueError(f"signature entries must be +-1, got {self.eps}")
+        if len(self.eps) != 3 or any(type(e) is not int or e not in (1, -1) for e in self.eps):
+            raise ValueError(f"signature entries must be the integers 1 or -1, got {self.eps}")
 
 
 LORENTZ = MetricSignature((1, 1, -1))

@@ -369,8 +369,8 @@ def predicate_eval(claim: TheoremClaim, sigma: Assignment) -> SolitonVerdict:
         return SolitonVerdict("no_soliton")
     case, s = hit
     if case.any_c:
-        numeric = {v: Fraction(x) for v, x in sigma.items()}
-        family = tuple(tuple(p.substitute({v: Poly.const(x) for v, x in numeric.items()}) for p in row) for row in case.d)
+        point = {v: Poly.const(x) for v, x in sigma.items()}
+        family = tuple(tuple(p.substitute(point) for p in row) for row in case.d)
         return SolitonVerdict("any_c", d_family=family)
     c_val, *d_vals = (Fraction(x, den) for x in values[s : s + 10])
     return SolitonVerdict("soliton", c=c_val, d=tuple(tuple(d_vals[3 * i : 3 * i + 3]) for i in range(3)))

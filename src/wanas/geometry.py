@@ -75,11 +75,6 @@ def standard_product_structure() -> Mat3:
     )
 
 
-def apply_operator(m: Mat3, v: Vec3) -> Vec3:
-    """Image of a vector under the operator (row i = image of e_i)."""
-    return vec_combination(v, m)
-
-
 def levi_civita(spec: LieAlgebraSpec) -> Conn:
     """Koszul formula for a left-invariant metric:
 
@@ -112,7 +107,7 @@ def nabla_j(conn: Conn, j: Mat3) -> tuple[tuple[Vec3, ...], ...]:
     for i in range(3):
         row = []
         for m in range(3):
-            row.append(vec_sub(vec_combination(j[m], conn[i]), apply_operator(j, conn[i][m])))
+            row.append(vec_sub(vec_combination(j[m], conn[i]), vec_combination(conn[i][m], j)))
         table.append(tuple(row))
     return tuple(table)
 
@@ -201,10 +196,8 @@ def operator_from_form(s: Mat3, sig: MetricSignature) -> Mat3:
     return tuple(tuple(s[i][j] * eps[j] for j in range(3)) for i in range(3))
 
 
-def form_from_operator(m: Mat3, sig: MetricSignature) -> Mat3:
-    """Lower the second index: s[i][j] = m[i][j] * eps[j] (eps[j]^2 = 1)."""
-    eps = sig.eps
-    return tuple(tuple(m[i][j] * eps[j] for j in range(3)) for i in range(3))
+# lowering the second index is the same map, as eps[j]^2 = 1
+form_from_operator = operator_from_form
 
 
 def symmetrize_operator(m: Mat3, sig: MetricSignature) -> Mat3:

@@ -157,39 +157,32 @@ class SolitonVerdict:
 
 
 def solve_affine(pairs: Sequence[tuple[Scalar, Scalar]]):
-    """Solve constant + slope*x = 0 over (constant, slope) pairs.
+    """Solve constant + slope*x = 0 over (constant, slope) pairs, in one pass.
 
     The pairs are Fractions, or integer numerators over one shared positive
     denominator: values are only tested for zero and compared by
     cross-multiplication, so both give the same outcome and witness.
     Returns ("one", x, witness), ("any", None, ()) or ("none", None, witness).
     The witness holds indices into ``pairs``: for "one" the equation that
-    fixed x; for "none" the first two flat contradictions, else the first
-    sloped equation and the first one disagreeing with it, else the first
-    flat contradiction and the first sloped equation.
+    fixed x; for "none" the first sloped equation and the first one
+    disagreeing with it, else the first flat contradiction and the first
+    sloped equation, else the first two flat contradictions.
     """
-    outcome, witness = affine_outcome(pairs)
-    if outcome != "one":
-        return (outcome, None, witness)
-    constant, slope = pairs[witness[0]]
-    return ("one", Fraction(-constant, slope), witness)
-
-
-def affine_outcome(pairs: Sequence[tuple[Scalar, Scalar]]) -> tuple[str, tuple[int, ...]]:
-    """``solve_affine``'s outcome and witness without the value: no Fraction
-    is made, and for "one" the witness's pair (a, b) gives x = -a/b."""
-    sloped = [k for k, (_, slope) in enumerate(pairs) if slope]
-    flat_bad = [k for k, (constant, slope) in enumerate(pairs) if constant and not slope]
-    if not sloped:
-        return ("none", tuple(flat_bad[:2])) if flat_bad else ("any", ())
-    first = sloped[0]
-    constant, slope = pairs[first]
-    for k in sloped[1:]:
-        if pairs[k][0] * slope != constant * pairs[k][1]:
-            return ("none", (first, k))
+    first = None
+    flat_bad: list[int] = []
+    for k, (constant, slope) in enumerate(pairs):
+        if not slope:
+            if constant and len(flat_bad) < 2:
+                flat_bad.append(k)
+        elif first is None:
+            first, a, b = k, constant, slope
+        elif constant * b != a * slope:
+            return ("none", None, (first, k))
+    if first is None:
+        return ("none", None, tuple(flat_bad)) if flat_bad else ("any", None, ())
     if flat_bad:
-        return ("none", (flat_bad[0], first))
-    return ("one", (first,))
+        return ("none", None, (flat_bad[0], first))
+    return ("one", Fraction(-a, b), (first,))
 
 
 def soliton_decide(spec: LieAlgebraSpec, kind: SolitonKind, wan: Mat3) -> SolitonVerdict:
@@ -207,12 +200,11 @@ def soliton_decide(spec: LieAlgebraSpec, kind: SolitonKind, wan: Mat3) -> Solito
 class CompiledDecision:
     """``soliton_decide`` at any admissible point of one algebra: a view of
     the 27 ``decision_rows`` that an evaluator holds from row ``start`` on.
-    ``compile_decision`` compiles them alone; a grid classification compiles
-    them with the constraints and theorem cases of the group.  The point is
-    not validated."""
+    A grid classification compiles them with the constraints and theorem
+    cases of the group.  The point is not validated."""
 
     evaluate: IntegerEvaluator
-    start: int = 0
+    start: int
 
     def split(self, values: Sequence[int]):
         """(pairs, wan): the nine (constant, slope) pairs and the Wan rows
@@ -232,13 +224,6 @@ def decision_rows(spec: LieAlgebraSpec, kind: SolitonKind) -> list[Poly]:
     wan = wan_for_kind(spec, kind)
     constants, slopes = zip(*affine_residuals(spec, wan))
     return [*constants, *slopes, *(p for row in wan for p in row)]
-
-
-def compile_decision(spec: LieAlgebraSpec, kind: SolitonKind) -> CompiledDecision:
-    """``soliton_decide`` at any admissible point of ``spec``, compiled once
-    into one ``IntegerEvaluator``; each call evaluates the rows in integers
-    and builds the verdict."""
-    return CompiledDecision(IntegerEvaluator(decision_rows(spec, kind)))
 
 
 def _verdict(pairs, wan, den: int = 1) -> SolitonVerdict:

@@ -36,14 +36,13 @@ from .catalog import (
 from .geometry import compute_tensors, mat_substitute
 from .poly import IntegerEvaluator, Poly, UnsupportedRelationError, format_rational
 from .soliton import (
-    ETA_RELATION,
     CompiledDecision,
     SolitonKind,
     SolitonVerdict,
-    affine_outcome,
     check_claimed_solution,
     decision_rows,
     normalize_eta,
+    solve_affine,
 )
 
 MATCH = "match"
@@ -94,29 +93,6 @@ class DiscrepancyReport:
 # -- polynomial comparison under the group's constraints --------------------
 
 
-def _binomial_relation(con: Constraint) -> tuple[Poly, str] | None:
-    """A reducible Equation constraint, as (relation, leading variable).
-
-    Needs at most two terms with some variable occurring in exactly one of
-    them and a term-order-decreasing rewrite; the eta^2 = 1 equation is
-    handled separately and skipped here.
-    """
-    if con.kind != "eq":
-        return None
-    if con.poly == ETA_RELATION:
-        return None
-    terms = con.poly.terms
-    if not 1 <= len(terms) <= 2:
-        return None
-    for leading in con.poly.variables():
-        try:
-            Poly.const(1).reduce(con.poly, leading)
-        except UnsupportedRelationError:
-            continue
-        return (con.poly, leading)
-    return None
-
-
 def compare_polys(
     computed: Poly,
     claimed: Poly,
@@ -135,12 +111,17 @@ def compare_polys(
     if not set(diff.variables()) <= set(entry.spec.variables()):
         return (MISMATCH, None)
     for con in entry.spec.constraints:
-        rel = _binomial_relation(con)
-        if rel is None:
+        if con.kind != "eq":
             continue
-        relation, leading = rel
-        if diff.reduce(relation, leading).is_zero():
-            return (MATCH_ON_VARIETY, f"reduces to 0 modulo {con.poly} = 0")
+        # by the first leading variable that Poly.reduce accepts for the relation
+        for leading in con.poly.variables():
+            try:
+                reduced = diff.reduce(con.poly, leading)
+            except UnsupportedRelationError:
+                continue
+            if reduced.is_zero():
+                return (MATCH_ON_VARIETY, f"reduces to 0 modulo {con.poly} = 0")
+            break
     samples = sample_points()
     if samples and all(diff.evaluate(s) == 0 for s in samples):
         return (
@@ -224,9 +205,9 @@ class _GridKernel:
             solutions: Sequence[tuple] = [()]
             if s < len(self.variables):
                 pair, _ = self.solve_pair(dict(zip(self.variables, head)))
-                outcome, _ = affine_outcome([pair])
+                outcome, root, _ = solve_affine([pair])
                 if outcome == "one":
-                    solutions = [(Fraction(-pair[0], pair[1]),)] if solved_one else []
+                    solutions = [(root,)] if solved_one else []
                 else:
                     solutions = [(x,) for x in domains[s]] if outcome == "any" else []
             for x in solutions:
@@ -450,8 +431,8 @@ class _GroupKernel:
 
     def agrees(self, index: int, values: Sequence[int], den: int) -> bool:
         """``verdicts_equal`` between the decision and ``predicate_eval``
-        for the ``index``-th claim at the point, read off the values with
-        no Fraction made.
+        for the ``index``-th claim at the point, read off the values and
+        compared in integers (the solver's c is not read).
 
         The pair (a, b) that fixed c gives c = -a/b, so the case's c agrees
         when -a*den == c*b, an off-diagonal D entry when w == d and a
@@ -461,7 +442,7 @@ class _GroupKernel:
         """
         claim, offset = self.claims[index]
         pairs, wan = self.decisions[index].split(values)
-        outcome, witness = affine_outcome(pairs)
+        outcome, _, witness = solve_affine(pairs)
         hit = claim.case_at(values, offset)
         if hit is None or outcome == "none":
             return hit is None and outcome == "none"

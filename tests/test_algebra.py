@@ -33,8 +33,9 @@ def abelian_spec() -> LieAlgebraSpec:
 
 
 def test_signature_requires_unit_entries():
-    with pytest.raises(ValueError):
-        MetricSignature((1, 2, -1))
+    for eps in ((1, 2, -1), (1.0, 1, -1), (True, 1, -1)):
+        with pytest.raises(ValueError):
+            MetricSignature(eps)
     assert LORENTZ.eps == (1, 1, -1)
 
 

@@ -181,9 +181,28 @@ def test_solve_affine_outcomes_and_witnesses():
     assert solve_affine([(F(1), F(1)), (F(5), F(0))]) == ("none", None, (1, 0))
 
 
+def two_list_solve(pairs):
+    """Reference: the solver as two index lists over all pairs (sloped
+    equations, flat contradictions), decided after both are built."""
+    sloped = [k for k, (_, slope) in enumerate(pairs) if slope]
+    flat_bad = [k for k, (constant, slope) in enumerate(pairs) if constant and not slope]
+    if not sloped:
+        return ("none", None, tuple(flat_bad[:2])) if flat_bad else ("any", None, ())
+    first = sloped[0]
+    constant, slope = pairs[first]
+    for k in sloped[1:]:
+        if pairs[k][0] * slope != constant * pairs[k][1]:
+            return ("none", None, (first, k))
+    if flat_bad:
+        return ("none", None, (flat_bad[0], first))
+    return ("one", Fraction(-constant, slope), (first,))
+
+
 def test_solve_affine_integer_pairs_over_common_denominator():
     """Integer numerators over a shared positive denominator decide exactly
-    like the Fractions they stand for: same outcome, value and witness."""
+    like the Fractions they stand for: same outcome, value and witness.  The
+    one-pass solver equals the two-list reference on every system, on each
+    of its prefixes and on each of its pairs alone."""
     rng = random.Random(31337)
     outcomes = set()
     for _ in range(500):
@@ -202,6 +221,8 @@ def test_solve_affine_integer_pairs_over_common_denominator():
                 pairs.append((rng.randint(-9, 9), rng.randint(-9, 9)))
         den = rng.randint(1, 60)
         result = solve_affine(pairs)
+        for system in [pairs[:n] for n in range(len(pairs) + 1)] + [[pair] for pair in pairs]:
+            assert solve_affine(system) == two_list_solve(system), system
         assert result == solve_affine([(F(a, den), F(b, den)) for a, b in pairs])
         outcome, x, witness = result
         if outcome == "any":

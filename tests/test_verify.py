@@ -146,6 +146,60 @@ def test_compare_match_on_variety_via_sampling():
     assert certificate == "vanishes at all 50 sampled variety points"
 
 
+def _spec_with_equations(*equations: str) -> LieAlgebraSpec:
+    """A custom algebra in all five parameters with the given eq constraints."""
+    return LieAlgebraSpec(
+        StructureConstants.from_brackets(
+            vec3(P("alpha"), P("beta"), 0), vec3(0, P("gamma"), P("delta")), vec3(P("eta"), 0, 0)
+        ),
+        LORENTZ,
+        tuple(Constraint("eq", P(eq)) for eq in equations),
+    )
+
+
+def test_compare_reduces_by_each_eq_constraint_in_turn():
+    """The eta^2 - 1 constraint leaves an eta-normalised difference as it is,
+    so a multiple of the binomial after it is certified by reduction, with
+    no sample built."""
+    entry_like = _FakeEntry("custom", _spec_with_equations("eta^2 - 1", "alpha*gamma - beta*delta"))
+
+    def no_samples():
+        raise AssertionError("the reduction certifies this entry")
+
+    for multiple in ("1", "eta", "alpha + 3*eta*delta"):
+        diff = P(multiple) * P("alpha*gamma - beta*delta")
+        assert compare_polys(P("beta^2") + diff, P("beta^2"), entry_like, no_samples) == (
+            MATCH_ON_VARIETY,
+            "reduces to 0 modulo alpha*gamma - beta*delta = 0",
+        )
+    on_variety = {v: Fraction(x) for v, x in zip(("alpha", "beta", "gamma", "delta", "eta"), (2, 1, 1, 2, 1))}
+    assert compare_polys(P("alpha"), P("beta"), entry_like, lambda: [on_variety]) == (MISMATCH, None)
+
+
+def test_compare_reduction_skips_order_increasing_rewrites():
+    """alpha - beta^2 cannot rewrite alpha (to the larger beta^2), so it is
+    reduced by beta; alpha*beta - alpha^2 increases the order for every
+    variable and leaves the entry to the sampling fallback."""
+    entry_like = _FakeEntry("custom", _spec_with_equations("alpha - beta^2"))
+    diff = P("gamma*beta") * P("alpha - beta^2")
+    assert compare_polys(diff, P("0"), entry_like, lambda: []) == (
+        MATCH_ON_VARIETY,
+        "reduces to 0 modulo -beta^2 + alpha = 0",
+    )
+    entry_like = _FakeEntry("custom", _spec_with_equations("alpha*beta - alpha^2"))
+    calls = []
+
+    def samples():
+        calls.append(1)
+        return [{"alpha": x, "beta": x, "gamma": Fraction(1), "delta": Fraction(0), "eta": Fraction(1)} for x in BASE_LADDER]
+
+    assert compare_polys(P("gamma") * P("alpha*beta - alpha^2"), P("0"), entry_like, samples) == (
+        MATCH_ON_VARIETY,
+        f"vanishes at all {len(BASE_LADDER)} sampled variety points",
+    )
+    assert calls == [1]
+
+
 def _count_default_grid_calls(monkeypatch) -> list:
     calls = []
     original = verify_module.default_grid
@@ -599,10 +653,11 @@ def _fraction_path(entry, kind, points, claim):
     """classify_grid's report built eagerly: both verdicts as Fractions and
     verdicts_equal between them."""
     from wanas.catalog import predicate_eval
-    from wanas.soliton import compile_decision
+    from wanas.poly import IntegerEvaluator
+    from wanas.soliton import CompiledDecision, decision_rows
     from wanas.verify import ClassificationReport, PointRecord
 
-    decide = compile_decision(entry.spec, kind)
+    decide = CompiledDecision(IntegerEvaluator(decision_rows(entry.spec, kind)), 0)
     records = []
     for sigma in points:
         computed, expected = decide(dict(sigma)), predicate_eval(claim, sigma)
