@@ -22,6 +22,7 @@ from .poly import (
     PolyLike,
     VARIABLES,
     as_poly,
+    dot,
     format_rational,
     parse_poly,
     parse_rational,
@@ -71,12 +72,8 @@ def vec_scale(s: PolyLike, a: Vec3) -> Vec3:
 
 
 def vec_combination(coeffs: Sequence[Poly], vectors: Sequence[Vec3]) -> Vec3:
-    """sum_m coeffs[m] * vectors[m], in order, skipping zero coefficients."""
-    out = ZERO_VEC
-    for s, v in zip(coeffs, vectors):
-        if not s.is_zero():
-            out = vec_add(out, vec_scale(s, v))
-    return out
+    """sum_m coeffs[m] * vectors[m], one ``dot`` per component."""
+    return tuple(dot((1, s, v[k]) for s, v in zip(coeffs, vectors)) for k in range(3))
 
 
 def antisymmetric(
@@ -115,9 +112,9 @@ class StructureConstants:
         if len(t) != 3 or any(len(plane) != 3 for plane in t):
             raise ValueError("structure constants need a 3x3 table of 3-vectors")
         for i in range(3):
-            for j in range(3):
+            for j in range(i, 3):
                 for k in range(3):
-                    if t[i][j][k] != -t[j][i][k]:
+                    if not t[i][j][k].is_negation_of(t[j][i][k]):
                         raise ValueError(
                             f"antisymmetry violated at c[{i + 1}][{j + 1}][{k + 1}]"
                         )
@@ -182,21 +179,9 @@ class LieAlgebraSpec:
 
     def bracket(self, x: Sequence[PolyLike], y: Sequence[PolyLike]) -> Vec3:
         """Bilinear antisymmetric extension of the structure constants."""
-        x = vec3(*x)
-        y = vec3(*y)
-        out = list(ZERO_VEC)
-        for i in range(3):
-            if x[i].is_zero():
-                continue
-            for j in range(3):
-                if i == j or y[j].is_zero():
-                    continue
-                coeff = x[i] * y[j]
-                cij = self.constants[i, j]
-                for k in range(3):
-                    if not cij[k].is_zero():
-                        out[k] = out[k] + coeff * cij[k]
-        return tuple(out)
+        x, y = vec3(*x), vec3(*y)
+        products = [(x[i] * y[j], self.constants[i, j]) for i in range(3) for j in range(3) if i != j]
+        return tuple(dot((1, xy, cij[k]) for xy, cij in products) for k in range(3))
 
     def basis_vector(self, i: int) -> Vec3:
         out = [Poly.zero()] * 3
@@ -249,11 +234,29 @@ class LieAlgebraSpec:
         return [con.kind == "eq" for con in self.constraints]
 
     def evaluate(self, sigma: Assignment) -> LieAlgebraSpec:
-        """The numeric algebra at sigma (constraints checked, then dropped)."""
-        violations = self.validate_assignment(sigma)
-        if violations:
-            raise InvalidAssignmentError(violations)
-        return self.substitute({v: Poly.const(sigma[v]) for v in self.variables()})
+        """The numeric algebra at sigma: brackets and constraints become their
+        values there, as constant polynomials.  Raises InvalidAssignmentError
+        (with validate_assignment's messages) unless sigma is admissible."""
+        if "c" not in sigma:
+            values, den = self._point_values(sigma)
+            if self.admits(values):
+                consts = [Poly.const(Fraction(v, den)) for v in values]
+                n = len(self.constraints)
+                brackets = [consts[k : k + 3] for k in range(n, n + 9, 3)]
+                return LieAlgebraSpec(
+                    StructureConstants.from_brackets(*brackets),
+                    self.signature,
+                    tuple(Constraint(con.kind, x) for con, x in zip(self.constraints, consts)),
+                )
+        raise InvalidAssignmentError(self.validate_assignment(sigma))
+
+    @cached_property
+    def _point_values(self) -> IntegerEvaluator:
+        """The constraints and then the nine bracket components, in PAIRS
+        order, compiled once."""
+        return IntegerEvaluator(
+            [con.poly for con in self.constraints] + [x for ij in PAIRS for x in self.constants[ij]]
+        )
 
     def substitute(self, images: Mapping[str, PolyLike]) -> LieAlgebraSpec:
         """Substitute parameters in brackets and constraints (no validation)."""

@@ -34,7 +34,7 @@ from .algebra import (
     vec_scale,
     vec_sub,
 )
-from .poly import VARIABLES, Poly
+from .poly import VARIABLES, Poly, dot
 
 # Component tables, all 0-indexed:
 #   Conn[i][j]       components of nabla_{e_i} e_j
@@ -176,18 +176,12 @@ def contract(k: Tri, sig: MetricSignature) -> Mat3:
     computed literally as the signed sum of g-evaluations; with signature
     (+, +, -) this coincides with -sum_j K[i][j][k][j].
     """
-    eps = sig.eps
-    signs = (-1, -1, 1)
-    rows = []
-    for i in range(3):
-        row = []
-        for kk in range(3):
-            total = Poly.zero()
-            for j in range(3):
-                total = total + signs[j] * eps[j] * k[i][j][kk][j]
-            row.append(total)
-        rows.append(tuple(row))
-    return tuple(rows)
+    signs = [s * e for s, e in zip((-1, -1, 1), sig.eps)]
+    one = Poly.const(1)
+    return tuple(
+        tuple(dot((signs[j], k[i][j][kk][j], one) for j in range(3)) for kk in range(3))
+        for i in range(3)
+    )
 
 
 def operator_from_form(s: Mat3, sig: MetricSignature) -> Mat3:

@@ -133,9 +133,7 @@ class Poly:
             raise PolyParseError(
                 f"unknown variable {name!r}; the universe is {', '.join(VARIABLES)}"
             ) from None
-        mono = [0] * _NVARS
-        mono[idx] = 1
-        return _raw({tuple(mono): 1}, 1)
+        return _VARS[idx]
 
     # -- inspection ---------------------------------------------------
 
@@ -206,27 +204,7 @@ class Poly:
             if not other:
                 return _ZERO
             return _canonical({m: k * other for m, k in self._terms.items()}, self._den)
-        other = as_poly(other)
-        a, b = self._terms, other._terms
-        if not a or not b:
-            return _ZERO
-        den = self._den * other._den
-        if len(a) == 1 and _ZERO_MONO in a:
-            a, b = b, a
-        if len(b) == 1 and _ZERO_MONO in b:
-            # a constant factor scales the numerators; no monomial is formed
-            k = b[_ZERO_MONO]
-            return _canonical({m: x * k for m, x in a.items()}, den)
-        out: dict[Mono, int] = {}
-        for ma, ka in a.items():
-            for mb, kb in b.items():
-                mono = _mono_mul(ma, mb)
-                acc = out.get(mono, 0) + ka * kb
-                if acc:
-                    out[mono] = acc
-                else:
-                    del out[mono]
-        return _canonical(out, den)
+        return dot(((1, self, as_poly(other)),))
 
     __rmul__ = __mul__
 
@@ -259,6 +237,15 @@ class Poly:
         return self._den == other._den and self._terms == other._terms
 
     __hash__ = None  # equal to ints and Fractions under __eq__, so a hash would have to match theirs
+
+    def is_negation_of(self, other: Poly) -> bool:
+        """self == -other, without forming -other."""
+        a, b = self._terms, other._terms
+        return (
+            self._den == other._den
+            and len(a) == len(b)
+            and all(b.get(m) == -k for m, k in a.items())
+        )
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -298,7 +285,7 @@ class Poly:
         for name in images_p:
             if name not in _VAR_INDEX:
                 raise PolyParseError(f"unknown variable {name!r} in substitution")
-        basis = [images_p.get(v, Poly.var(v)) for v in VARIABLES]
+        basis = [images_p.get(v, x) for v, x in zip(VARIABLES, _VARS)]
         powers: dict[tuple[int, int], Poly] = {}
         total = _ZERO
         for mono, k in self._terms.items():
@@ -443,8 +430,40 @@ def _sum(p: Poly, q: Poly, sign: int) -> Poly:
     return _canonical(out, den)
 
 
+def dot(terms: Iterable[tuple[int, Poly, Poly]], den: int = 1) -> Poly:
+    """sum of n * a * b over the (n, a, b) triples, divided by the positive
+    integer ``den``, accumulated in one numerator dict.
+
+    The numerators are put over ``den`` times the lcm of the products'
+    denominators and reduced by one gcd at the end; a constant factor
+    scales numerators instead of forming monomials.
+    """
+    products = [(n, a, b) for n, a, b in terms if n and a._terms and b._terms]
+    if not products:
+        return _ZERO
+    lcm = math.lcm(*[a._den * b._den for _, a, b in products])
+    out: dict[Mono, int] = {}
+    for n, a, b in products:
+        f = n * (lcm // (a._den * b._den))
+        at, bt = a._terms, b._terms
+        if len(at) == 1 and _ZERO_MONO in at:
+            at, bt = bt, at
+        if len(bt) == 1 and _ZERO_MONO in bt:
+            f *= bt[_ZERO_MONO]
+            for m, k in at.items():
+                out[m] = out.get(m, 0) + k * f
+        else:
+            for ma, ka in at.items():
+                ka *= f
+                for mb, kb in bt.items():
+                    mono = _mono_mul(ma, mb)
+                    out[mono] = out.get(mono, 0) + ka * kb
+    return _canonical({m: k for m, k in out.items() if k}, lcm * den)
+
+
 _ZERO = _raw({}, 1)
 _ONE = _raw({_ZERO_MONO: 1}, 1)
+_VARS = tuple(_raw({tuple(int(i == j) for j in range(_NVARS)): 1}, 1) for i in range(_NVARS))
 
 
 def as_poly(value: PolyLike) -> Poly:
@@ -494,7 +513,13 @@ class IntegerEvaluator:
             raise MissingVariableError(
                 v for v in self.variables if v not in assignment
             ) from None
-        return self._kernel(*args)
+        try:
+            return self._kernel(*args)
+        except AttributeError as exc:  # a value without .numerator: checked only now
+            error = exc
+        for x in args:
+            _ratio(x)  # raises the TypeError of a value that is not int or Fraction
+        raise error
 
 
 _CHAIN = 32  # terms per `a + b + ...` chain; longer rows sum a flat tuple of chains

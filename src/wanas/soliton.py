@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 
 from .algebra import PAIR_KEYS, PAIRS, Assignment, LieAlgebraSpec, Vec3
 from .geometry import Mat3, mat_sub, mat_substitute, matrix_json, scalar_matrix, wan_forms
-from .poly import IntegerEvaluator, Poly, Scalar, format_rational
+from .poly import IntegerEvaluator, Poly, Scalar, dot, format_rational
 
 
 class SolitonKind(enum.Enum):
@@ -30,25 +30,13 @@ def wan_for_kind(spec: LieAlgebraSpec, kind: SolitonKind) -> Mat3:
     """The decision operator: Wan for FIRST, its symmetrization for SECOND.
 
     Evaluated from ``geometry.wan_forms``, the quadratic forms in the nine
-    bracket components that ``compute_tensors`` gives: each product of two
-    components is formed once.
+    bracket components that ``compute_tensors`` gives, one ``dot`` per entry.
     """
     s = [comp for pair in PAIRS for comp in spec.constants[pair]]
-    products: dict[tuple[int, int], Poly] = {}
-    rows = []
-    for form_row in wan_forms(spec.signature)[kind is SolitonKind.SECOND]:
-        row = []
-        for den, terms in form_row:
-            total = Poly.zero()
-            for a, b, n in terms:
-                if s[a] and s[b]:
-                    product = products.get((a, b))
-                    if product is None:
-                        product = products[a, b] = s[a] * s[b]
-                    total = total + product * n
-            row.append(total / den)
-        rows.append(tuple(row))
-    return tuple(rows)
+    return tuple(
+        tuple(dot(((n, s[a], s[b]) for a, b, n in terms), den) for den, terms in form_row)
+        for form_row in wan_forms(spec.signature)[kind is SolitonKind.SECOND]
+    )
 
 
 def derivation_residual(d: Mat3, spec: LieAlgebraSpec) -> tuple[Vec3, Vec3, Vec3]:
@@ -58,18 +46,17 @@ def derivation_residual(d: Mat3, spec: LieAlgebraSpec) -> tuple[Vec3, Vec3, Vec3
     is a derivation of the algebra.
     """
     c = spec.constants
-    residuals = []
-    for i, j in PAIRS:
-        comps = []
-        for l in range(3):
-            total = Poly.zero()
-            for k in range(3):
-                total = total + c[i, j][k] * d[k][l]
-                total = total - d[i][k] * c[k, j][l]
-                total = total - d[j][k] * c[i, k][l]
-            comps.append(total)
-        residuals.append(tuple(comps))
-    return tuple(residuals)
+    return tuple(
+        tuple(
+            dot(
+                t
+                for k in range(3)
+                for t in ((1, c[i, j][k], d[k][l]), (-1, d[i][k], c[k, j][l]), (-1, d[j][k], c[i, k][l]))
+            )
+            for l in range(3)
+        )
+        for i, j in PAIRS
+    )
 
 
 def affine_residuals(spec: LieAlgebraSpec, wan: Mat3) -> tuple[tuple[Poly, Poly], ...]:

@@ -43,8 +43,14 @@ def test_structure_constants_enforce_antisymmetry():
     table = [[vec3(0, 0, 0)] * 3 for _ in range(3)]
     table[0][1] = vec3(P("alpha"), 0, 0)
     table[1][0] = vec3(P("alpha"), 0, 0)  # should be the negative
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"c\[1\]\[2\]\[1\]"):
         StructureConstants(table)
+    diagonal = [[vec3(0, 0, 0)] * 3 for _ in range(3)]
+    diagonal[1][1] = vec3(0, 0, P("beta"))  # [e2, e2] must vanish
+    with pytest.raises(ValueError, match=r"c\[2\]\[2\]\[3\]"):
+        StructureConstants(diagonal)
+    table[1][0] = vec3(-P("alpha"), 0, 0)
+    assert StructureConstants(table)[1, 0] == vec3(-P("alpha"), 0, 0)
 
 
 def test_from_brackets_builds_antisymmetric_table(groups):
@@ -269,6 +275,27 @@ def test_evaluate_g4_worked_example(groups):
 def test_evaluate_rejects_invalid_assignment(groups):
     with pytest.raises(InvalidAssignmentError):
         groups["g1"].spec.evaluate({"alpha": Fraction(0), "beta": Fraction(1)})
+
+
+def test_evaluate_equals_substitution_at_height_points(groups, height_points):
+    """evaluate(sigma) is the spec with each variable replaced by its value,
+    and raises what validation raises: at an inadmissible point, with a
+    missing variable, and with the soliton scalar c."""
+    for gid, points in height_points.items():
+        spec = groups[gid].spec
+        for sigma in points:
+            assert spec.evaluate(sigma) == spec.substitute({v: Poly.const(x) for v, x in sigma.items()})
+        sigma = points[0]
+        for bad in ({**sigma, "c": Fraction(1)}, *({**sigma, v: Fraction(0)} for v in spec.variables())):
+            violations = spec.validate_assignment(bad)
+            if violations:
+                with pytest.raises(InvalidAssignmentError) as err:
+                    spec.evaluate(bad)
+                assert err.value.violations == tuple(violations)
+        for v in spec.variables():
+            with pytest.raises(MissingVariableError) as err:
+                spec.evaluate({w: x for w, x in sigma.items() if w != v})
+            assert err.value.names == (v,)
 
 
 def test_numeric_algebras_still_satisfy_jacobi(groups):

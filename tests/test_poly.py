@@ -21,6 +21,7 @@ from wanas.poly import (
     PolyParseError,
     UnsupportedRelationError,
     VARIABLES,
+    dot,
     format_rational,
     parse_poly,
     parse_rational,
@@ -336,6 +337,39 @@ def test_ring_axioms_randomized():
     assert cases >= 1000
 
 
+def test_dot_equals_naive_sum_randomized():
+    """dot(terms, den) is sum(n * a * b) / den, in canonical form, with mixed
+    denominators, zero and constant factors, n = 0, and sums that cancel."""
+    rng = random.Random(20261019)
+    cancelled = 0
+    for _ in range(300):
+        terms = []
+        for _ in range(rng.randint(0, 6)):
+            a, b = random_poly(rng), random_poly(rng)
+            roll = rng.random()
+            if roll < 0.15:
+                b = Poly.zero()
+            elif roll < 0.4:
+                b = Poly.const(_random_rational(rng))
+            if rng.random() < 0.5:
+                a, b = b, a
+            terms.append((rng.randint(-3, 3), a, b))
+        if terms and rng.random() < 0.3:
+            n, a, b = terms[0]
+            terms.append((-n, b, a))  # cancels the first product
+        den = rng.choice((1, 1, 2, 6, 35))
+        naive = sum((n * a * b for n, a, b in terms), Poly.zero()) / den
+        result = dot(iter(terms), den)
+        assert result == naive
+        _assert_canonical(result)
+        cancelled += result.is_zero() and bool(terms)
+    x, y = P("1/2*alpha + 1/3*beta"), P("2*alpha - 3/5")
+    assert dot([(1, x, y), (-1, y, x)]) == Poly.zero()
+    assert dot([]) == dot([(0, x, y)]) == dot([(2, x, Poly.zero())]) == Poly.zero()
+    assert dot([(3, Poly.const(Fraction(2, 7)), x)], 4) == x * Fraction(3, 14)
+    assert cancelled >= 10
+
+
 def test_evaluation_is_ring_homomorphism_randomized():
     rng = random.Random(987654)
     for _ in range(300):
@@ -481,10 +515,20 @@ def test_equality_across_construction_paths():
         lambda: ALPHA + 0.5,
         lambda: format_rational(0.1),
         lambda: format_rational("1/3"),
+        lambda: IntegerEvaluator([ALPHA * BETA])({"alpha": 0.5, "beta": 1}),
+        lambda: IntegerEvaluator([ALPHA])({"alpha": "1/3"}),
+        lambda: load_catalog().groups["g1"].spec.evaluate({"alpha": 0.5, "beta": 1}),
+        lambda: load_catalog().groups["g1"].spec.validate_assignment({"alpha": 0.5, "beta": 1}),
+        lambda: load_catalog().groups["g7"].spec.is_admissible(
+            {"alpha": 1, "beta": 1, "gamma": 0.0, "delta": 1}
+        ),
+        lambda: load_catalog().groups["g3"].spec.evaluate({"alpha": 1, "beta": 0.5, "gamma": 1}),
     ],
     ids=[
         "const", "init", "truediv", "const-str", "evaluate", "mul", "add",
-        "format-rational", "format-rational-str",
+        "format-rational", "format-rational-str", "integer-evaluator",
+        "integer-evaluator-str", "spec-evaluate", "validate-assignment",
+        "is-admissible", "spec-evaluate-no-constraints",
     ],
 )
 def test_non_exact_scalars_are_rejected(make):
