@@ -1,10 +1,11 @@
 """Three-dimensional metric Lie algebras with polynomial structure constants.
 
-A :class:`LieAlgebraSpec` couples an antisymmetric bracket table
-[e_i, e_j] = sum_k c[i][j][k] e_k (polynomial entries), a diagonal metric
-signature, and the parameter constraints that carve out the admissible
-region (equations that must vanish, expressions that must not).  The basis
-is fixed and ordered; indices are 0-based in code, 1-based in rendering.
+A :class:`LieAlgebraSpec` couples the three brackets [e_i, e_j] =
+sum_k c[i][j][k] e_k with i < j (polynomial entries; the rest of the table
+follows by antisymmetry), a diagonal metric signature, and the parameter
+constraints that carve out the admissible region (equations that must
+vanish, expressions that must not).  The basis is fixed and ordered;
+indices are 0-based in code, 1-based in rendering.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from typing import Callable, Mapping, Sequence, TypeVar
 
 from .poly import (
     IntegerEvaluator,
-    MissingVariableError,
     Poly,
     PolyLike,
     VARIABLES,
@@ -102,39 +102,6 @@ class MetricSignature:
 LORENTZ = MetricSignature((1, 1, -1))
 
 
-class StructureConstants:
-    """Full antisymmetric table c[i][j][k] with [e_i, e_j] = sum_k c[i][j][k] e_k."""
-
-    __slots__ = ("table",)
-
-    def __init__(self, table: Sequence[Sequence[Vec3]]):
-        t = tuple(tuple(vec3(*row) for row in plane) for plane in table)
-        if len(t) != 3 or any(len(plane) != 3 for plane in t):
-            raise ValueError("structure constants need a 3x3 table of 3-vectors")
-        for i in range(3):
-            for j in range(i, 3):
-                for k in range(3):
-                    if not t[i][j][k].is_negation_of(t[j][i][k]):
-                        raise ValueError(
-                            f"antisymmetry violated at c[{i + 1}][{j + 1}][{k + 1}]"
-                        )
-        self.table = t
-
-    @classmethod
-    def from_brackets(cls, c12: Vec3, c13: Vec3, c23: Vec3) -> StructureConstants:
-        """Build the full table from the three upper brackets."""
-        return cls(antisymmetric([vec3(*c12), vec3(*c13), vec3(*c23)], ZERO_VEC, vec_neg))
-
-    def __getitem__(self, ij: tuple[int, int]) -> Vec3:
-        i, j = ij
-        return self.table[i][j]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, StructureConstants):
-            return NotImplemented
-        return self.table == other.table
-
-
 @dataclass(frozen=True)
 class Constraint:
     """An Equation (poly == 0) or NonVanishing (poly != 0) parameter condition."""
@@ -155,11 +122,25 @@ class Constraint:
 
 @dataclass(frozen=True)
 class LieAlgebraSpec:
-    """Bracket table + signature + parameter constraints."""
+    """Three brackets + signature + parameter constraints.
 
-    constants: StructureConstants
+    ``brackets`` holds [e1,e2], [e1,e3] and [e2,e3], in PAIRS order (the
+    wire format); the rest of the table follows by antisymmetry.
+    """
+
+    brackets: tuple[Vec3, Vec3, Vec3]
     signature: MetricSignature
     constraints: tuple[Constraint, ...] = ()
+
+    @cached_property
+    def constants(self) -> tuple[tuple[Vec3, ...], ...]:
+        """The full table: [e_i, e_j] = sum_k constants[i][j][k] e_k."""
+        return antisymmetric(self.brackets, ZERO_VEC, vec_neg)
+
+    @cached_property
+    def components(self) -> tuple[Poly, ...]:
+        """The nine bracket components, in PAIRS order."""
+        return tuple(x for vec in self.brackets for x in vec)
 
     def variables(self) -> tuple[str, ...]:
         """All parameters occurring in brackets or constraints, canonical order."""
@@ -167,10 +148,7 @@ class LieAlgebraSpec:
 
     @cached_property
     def _variables(self) -> tuple[str, ...]:
-        seen: set[str] = set()
-        for i, j in PAIRS:
-            for comp in self.constants[i, j]:
-                seen.update(comp.variables())
+        seen = {v for p in self.components for v in p.variables()}
         for con in self.constraints:
             seen.update(con.poly.variables())
         return tuple(v for v in VARIABLES if v in seen)
@@ -180,7 +158,7 @@ class LieAlgebraSpec:
     def bracket(self, x: Sequence[PolyLike], y: Sequence[PolyLike]) -> Vec3:
         """Bilinear antisymmetric extension of the structure constants."""
         x, y = vec3(*x), vec3(*y)
-        products = [(x[i] * y[j], self.constants[i, j]) for i in range(3) for j in range(3) if i != j]
+        products = [(x[i] * y[j], self.constants[i][j]) for i in range(3) for j in range(3) if i != j]
         return tuple(dot((1, xy, cij[k]) for xy, cij in products) for k in range(3))
 
     def basis_vector(self, i: int) -> Vec3:
@@ -202,10 +180,7 @@ class LieAlgebraSpec:
         """Empty list if sigma is admissible, else the violated conditions."""
         if "c" in sigma:
             return ["the soliton scalar c is not a group parameter"]
-        missing = [v for v in self.variables() if v not in sigma]
-        if missing:
-            raise MissingVariableError(missing)
-        values, den = self._constraint_values(sigma)
+        values, den = self._point_values(sigma)
         # violated: an equation row that is nonzero, a NonVanishing row that is zero
         return [
             f"{con.poly} = {format_rational(Fraction(value, den))}, expected 0" if eq
@@ -216,46 +191,44 @@ class LieAlgebraSpec:
 
     def is_admissible(self, sigma: Assignment) -> bool:
         """validate_assignment(sigma) == [] for a sigma with every variable, without the messages."""
-        return "c" not in sigma and self.admits(self._constraint_values(sigma)[0])
+        return "c" not in sigma and self.admits(self._point_values(sigma)[0])
 
     def admits(self, values: Sequence[int]) -> bool:
         """Whether the constraint values that lead ``values``, in constraint
         order, satisfy them: each equation's vanishes, each NonVanishing's not."""
         return [not v for v in values[: len(self.constraints)]] == self._vanishing_rows
 
-    @cached_property
-    def _constraint_values(self) -> IntegerEvaluator:
-        """The constraint polynomials compiled once: a value is zero exactly
-        when its integer numerator is."""
-        return IntegerEvaluator([con.poly for con in self.constraints])
+    def admitted(self, evaluate: IntegerEvaluator, sigma: Assignment) -> tuple[list[int], int]:
+        """``evaluate(sigma)`` for an evaluator whose leading rows are the
+        constraints.  Raises InvalidAssignmentError (with
+        validate_assignment's messages) unless sigma is admissible."""
+        if "c" not in sigma:
+            values, den = evaluate(sigma)
+            if self.admits(values):
+                return values, den
+        raise InvalidAssignmentError(self.validate_assignment(sigma))
 
     @cached_property
     def _vanishing_rows(self) -> list[bool]:
         return [con.kind == "eq" for con in self.constraints]
 
+    @cached_property
+    def _point_values(self) -> IntegerEvaluator:
+        """The constraints and then the nine bracket components, compiled
+        once: a value is zero exactly when its integer numerator is."""
+        return IntegerEvaluator([con.poly for con in self.constraints] + list(self.components))
+
     def evaluate(self, sigma: Assignment) -> LieAlgebraSpec:
         """The numeric algebra at sigma: brackets and constraints become their
         values there, as constant polynomials.  Raises InvalidAssignmentError
         (with validate_assignment's messages) unless sigma is admissible."""
-        if "c" not in sigma:
-            values, den = self._point_values(sigma)
-            if self.admits(values):
-                consts = [Poly.const(Fraction(v, den)) for v in values]
-                n = len(self.constraints)
-                brackets = [consts[k : k + 3] for k in range(n, n + 9, 3)]
-                return LieAlgebraSpec(
-                    StructureConstants.from_brackets(*brackets),
-                    self.signature,
-                    tuple(Constraint(con.kind, x) for con, x in zip(self.constraints, consts)),
-                )
-        raise InvalidAssignmentError(self.validate_assignment(sigma))
-
-    @cached_property
-    def _point_values(self) -> IntegerEvaluator:
-        """The constraints and then the nine bracket components, in PAIRS
-        order, compiled once."""
-        return IntegerEvaluator(
-            [con.poly for con in self.constraints] + [x for ij in PAIRS for x in self.constants[ij]]
+        values, den = self.admitted(self._point_values, sigma)
+        consts = [Poly.const(Fraction(v, den)) for v in values]
+        n = len(self.constraints)
+        return LieAlgebraSpec(
+            tuple(tuple(consts[k : k + 3]) for k in range(n, n + 9, 3)),
+            self.signature,
+            tuple(Constraint(con.kind, x) for con, x in zip(self.constraints, consts)),
         )
 
     def substitute(self, images: Mapping[str, PolyLike]) -> LieAlgebraSpec:
@@ -263,21 +236,17 @@ class LieAlgebraSpec:
         def sub(p: Poly) -> Poly:
             return p.substitute(images)
 
-        brackets = [tuple(map(sub, self.constants[i, j])) for i, j in PAIRS]
-        constraints = tuple(
-            Constraint(con.kind, sub(con.poly)) for con in self.constraints
-        )
         return LieAlgebraSpec(
-            StructureConstants.from_brackets(*brackets), self.signature, constraints
+            tuple(tuple(map(sub, vec)) for vec in self.brackets),
+            self.signature,
+            tuple(Constraint(con.kind, sub(con.poly)) for con in self.constraints),
         )
 
     # -- serialization ----------------------------------------------------
 
     def to_json_dict(self) -> dict:
         return {
-            "brackets": {
-                key: [str(p) for p in self.constants[ij]] for key, ij in zip(PAIR_KEYS, PAIRS)
-            },
+            "brackets": {key: [str(p) for p in vec] for key, vec in zip(PAIR_KEYS, self.brackets)},
             "signature": list(self.signature.eps),
             "constraints": {
                 "eq": [str(c.poly) for c in self.constraints if c.kind == "eq"],
@@ -294,6 +263,12 @@ class LieAlgebraSpec:
         cons = data.get("constraints", {})
         if not isinstance(signature, (list, tuple)) or not isinstance(cons, Mapping):
             raise ValueError("'signature' must be a list and 'constraints' an object")
+        known_keys = (("bracket", data["brackets"], PAIR_KEYS), ("constraints", cons, ("eq", "neq")))
+        for what, given, known in known_keys:
+            for key in given:
+                if key not in known:
+                    expected = " or ".join(map(repr, known))
+                    raise ValueError(f"unknown {what} key {key!r}; expected {expected}")
 
         def polys(what: str, value) -> list[Poly]:
             if not isinstance(value, (list, tuple)) or not all(isinstance(s, str) for s in value):
@@ -304,14 +279,13 @@ class LieAlgebraSpec:
             comps = polys(f"bracket {key}", data["brackets"].get(key, ["0", "0", "0"]))
             if len(comps) != 3:
                 raise ValueError(f"bracket {key} needs 3 components")
-            return vec3(*comps)
+            return tuple(comps)
 
-        constants = StructureConstants.from_brackets(*map(vec, PAIR_KEYS))
         constraints = tuple(
             [Constraint("eq", p) for p in polys("constraints eq", cons.get("eq", ()))]
             + [Constraint("neq", p) for p in polys("constraints neq", cons.get("neq", ()))]
         )
-        return cls(constants, MetricSignature(tuple(signature)), constraints)
+        return cls(tuple(map(vec, PAIR_KEYS)), MetricSignature(tuple(signature)), constraints)
 
 
 def load_spec_file(path: str) -> LieAlgebraSpec:

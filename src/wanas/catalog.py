@@ -28,7 +28,6 @@ from .algebra import (
     Constraint,
     LieAlgebraSpec,
     LORENTZ,
-    StructureConstants,
     Vec3,
     ZERO_VEC,
     antisymmetric,
@@ -223,7 +222,7 @@ def _load_group(gid: str, data: Mapping) -> GroupEntry:
         return vec3(*map(p, strings))
 
     spec = LieAlgebraSpec(
-        StructureConstants.from_brackets(*(vec(data["brackets"][key]) for key in PAIR_KEYS)),
+        tuple(vec(data["brackets"][key]) for key in PAIR_KEYS),
         LORENTZ,
         tuple(
             [Constraint("eq", p(s)) for s in data["constraints"]["eq"]]

@@ -25,7 +25,6 @@ from .algebra import (
     PAIRS,
     LieAlgebraSpec,
     MetricSignature,
-    StructureConstants,
     Vec3,
     ZERO_VEC,
     antisymmetric,
@@ -91,9 +90,9 @@ def levi_civita(spec: LieAlgebraSpec) -> Conn:
             comps = []
             for k in range(3):
                 inner = (
-                    c[i, j][k] * eps[k]
-                    - c[j, k][i] * eps[i]
-                    + c[k, i][j] * eps[j]
+                    c[i][j][k] * eps[k]
+                    - c[j][k][i] * eps[i]
+                    + c[k][i][j] * eps[j]
                 )
                 comps.append(half * eps[k] * inner)
             row.append(tuple(comps))
@@ -134,7 +133,7 @@ def canonical_connection(spec: LieAlgebraSpec, lc: Conn | None = None) -> Conn:
 
 def torsion(conn: Conn, spec: LieAlgebraSpec) -> Tor:
     """T(e_i, e_j) = nabla_{e_i} e_j - nabla_{e_j} e_i - [e_i, e_j]."""
-    upper = [vec_sub(vec_sub(conn[i][j], conn[j][i]), spec.constants[i, j]) for i, j in PAIRS]
+    upper = [vec_sub(vec_sub(conn[i][j], conn[j][i]), spec.constants[i][j]) for i, j in PAIRS]
     return antisymmetric(upper, ZERO_VEC, vec_neg)
 
 
@@ -146,8 +145,7 @@ def tri_table(upper: Sequence[tuple[Vec3, ...]]) -> Tri:
 def curvature(conn: Conn, spec: LieAlgebraSpec) -> Tri:
     """R(e_i,e_j)e_k = nabla_i nabla_j e_k - nabla_j nabla_i e_k - nabla_{[e_i,e_j]} e_k."""
     upper = []
-    for i, j in PAIRS:
-        cij = spec.constants[i, j]
+    for (i, j), cij in zip(PAIRS, spec.brackets):
         row = []
         for k in range(3):
             first = vec_combination(conn[j][k], conn[i])
@@ -302,7 +300,7 @@ def wan_forms(sig: MetricSignature) -> tuple[tuple[tuple[QuadraticEntry, ...], .
         brackets = [ZERO_VEC] * 3
         for n, p in enumerate(generic):
             brackets[p] = tuple(Poly.var(VARIABLES[3 * n + k]) for k in range(3))
-        bundle = compute_tensors(LieAlgebraSpec(StructureConstants.from_brackets(*brackets), sig))
+        bundle = compute_tensors(LieAlgebraSpec(tuple(brackets), sig))
         found = {}
         for kind, m in enumerate((bundle.wan, bundle.wan_tilde)):
             for i, j in itertools.product(range(3), repeat=2):

@@ -238,15 +238,6 @@ class Poly:
 
     __hash__ = None  # equal to ints and Fractions under __eq__, so a hash would have to match theirs
 
-    def is_negation_of(self, other: Poly) -> bool:
-        """self == -other, without forming -other."""
-        a, b = self._terms, other._terms
-        return (
-            self._den == other._den
-            and len(a) == len(b)
-            and all(b.get(m) == -k for m, k in a.items())
-        )
-
     def __bool__(self) -> bool:
         return bool(self._terms)
 

@@ -32,7 +32,7 @@ def wan_for_kind(spec: LieAlgebraSpec, kind: SolitonKind) -> Mat3:
     Evaluated from ``geometry.wan_forms``, the quadratic forms in the nine
     bracket components that ``compute_tensors`` gives, one ``dot`` per entry.
     """
-    s = [comp for pair in PAIRS for comp in spec.constants[pair]]
+    s = spec.components
     return tuple(
         tuple(dot(((n, s[a], s[b]) for a, b, n in terms), den) for den, terms in form_row)
         for form_row in wan_forms(spec.signature)[kind is SolitonKind.SECOND]
@@ -51,7 +51,7 @@ def derivation_residual(d: Mat3, spec: LieAlgebraSpec) -> tuple[Vec3, Vec3, Vec3
             dot(
                 t
                 for k in range(3)
-                for t in ((1, c[i, j][k], d[k][l]), (-1, d[i][k], c[k, j][l]), (-1, d[j][k], c[i, k][l]))
+                for t in ((1, c[i][j][k], d[k][l]), (-1, d[i][k], c[k][j][l]), (-1, d[j][k], c[i][k][l]))
             )
             for l in range(3)
         )
@@ -69,8 +69,7 @@ def affine_residuals(spec: LieAlgebraSpec, wan: Mat3) -> tuple[tuple[Poly, Poly]
     bracket components.
     """
     constants = [comp for vec in derivation_residual(wan, spec) for comp in vec]
-    slopes = [comp for i, j in PAIRS for comp in spec.constants[i, j]]
-    return tuple(zip(constants, slopes))
+    return tuple(zip(constants, spec.components))
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,6 @@ from .algebra import (
     PAIRS,
     Assignment,
     Constraint,
-    InvalidAssignmentError,
     LieAlgebraSpec,
 )
 from .catalog import (
@@ -387,7 +386,7 @@ def classify_group(
     records: list[list[PointRecord]] = [[] for _ in sources]
     for sigma in points:
         sigma = dict(sigma)
-        values, den = kernel(sigma)
+        values, den = entry.spec.admitted(kernel.evaluate, sigma)
         for index, kind_records in enumerate(records):
             agree = kernel.agrees(index, values, den)
             kind_records.append(PointRecord(sigma, None, None, agree, sources[index]))
@@ -397,7 +396,8 @@ def classify_group(
 class _GroupKernel:
     """One ``IntegerEvaluator`` for the classification of a group's points.
 
-    Its rows, in order: the spec's constraints; each claim's kind's
+    Its rows, in order: the spec's constraints (so ``spec.admitted``
+    reads its values); each claim's kind's
     ``decision_rows``; each distinct claim's ``layout`` rows (by the
     identity of its cases, so the kinds of a same_as_first claim share
     them).  All values of one call sit over its one denominator.  Its
@@ -405,7 +405,6 @@ class _GroupKernel:
     """
 
     def __init__(self, spec: LieAlgebraSpec, claims: Sequence[TheoremClaim]):
-        self.spec = spec
         rows = [con.poly for con in spec.constraints]
         starts = []
         for claim in claims:
@@ -419,15 +418,6 @@ class _GroupKernel:
         self.claims = [(claim, offsets[id(claim.cases)]) for claim in claims]
         self.evaluate = IntegerEvaluator(rows)
         self.decisions = [CompiledDecision(self.evaluate, start) for start in starts]
-
-    def __call__(self, sigma: Assignment) -> tuple[list[int], int]:
-        """The values at an admissible point; an inadmissible one raises
-        with ``validate_assignment``'s violations."""
-        if "c" not in sigma:
-            values, den = self.evaluate(sigma)
-            if self.spec.admits(values):
-                return values, den
-        raise InvalidAssignmentError(self.spec.validate_assignment(sigma))
 
     def agrees(self, index: int, values: Sequence[int], den: int) -> bool:
         """``verdicts_equal`` between the decision and ``predicate_eval``

@@ -14,19 +14,19 @@ from wanas.algebra import (
     LieAlgebraSpec,
     LORENTZ,
     MetricSignature,
-    StructureConstants,
     load_spec_file,
     parse_assignment,
     vec3,
 )
 from wanas.poly import MissingVariableError, Poly, format_rational, parse_poly
+from wanas.soliton import SolitonKind
 
 P = parse_poly
 
 
 def abelian_spec() -> LieAlgebraSpec:
     zero = vec3(0, 0, 0)
-    return LieAlgebraSpec(StructureConstants.from_brackets(zero, zero, zero), LORENTZ)
+    return LieAlgebraSpec((zero, zero, zero), LORENTZ)
 
 
 # -- construction invariants ----------------------------------------------------
@@ -39,28 +39,31 @@ def test_signature_requires_unit_entries():
     assert LORENTZ.eps == (1, 1, -1)
 
 
-def test_structure_constants_enforce_antisymmetry():
-    table = [[vec3(0, 0, 0)] * 3 for _ in range(3)]
-    table[0][1] = vec3(P("alpha"), 0, 0)
-    table[1][0] = vec3(P("alpha"), 0, 0)  # should be the negative
-    with pytest.raises(ValueError, match=r"c\[1\]\[2\]\[1\]"):
-        StructureConstants(table)
-    diagonal = [[vec3(0, 0, 0)] * 3 for _ in range(3)]
-    diagonal[1][1] = vec3(0, 0, P("beta"))  # [e2, e2] must vanish
-    with pytest.raises(ValueError, match=r"c\[2\]\[2\]\[3\]"):
-        StructureConstants(diagonal)
-    table[1][0] = vec3(-P("alpha"), 0, 0)
-    assert StructureConstants(table)[1, 0] == vec3(-P("alpha"), 0, 0)
-
-
-def test_from_brackets_builds_antisymmetric_table(groups):
-    c = groups["g1"].spec.constants
+def _assert_table_from_brackets(spec: LieAlgebraSpec):
+    c = spec.constants
     for i in range(3):
         for j in range(3):
             for k in range(3):
-                assert c[i, j][k] == -c[j, i][k]
+                assert c[j][i][k] == -c[i][j][k]
             if i == j:
-                assert all(p.is_zero() for p in c[i, j])
+                assert all(p.is_zero() for p in c[i][j])
+    assert spec.components == tuple(x for vec in spec.brackets for x in vec)
+    assert spec.brackets == (c[0][1], c[0][2], c[1][2])
+
+
+def test_from_brackets_builds_antisymmetric_table(catalog, groups, height_points):
+    """Every spec derives its full table and its nine components from its
+    three brackets: the catalog's, evaluated at height points, substituted
+    by each theorem case, and restored from JSON."""
+    for gid, entry in groups.items():
+        spec = entry.spec
+        specs = [spec, LieAlgebraSpec.from_json_dict(spec.to_json_dict())]
+        specs += [spec.evaluate(sigma) for sigma in height_points[gid]]
+        for kind in SolitonKind:
+            specs += [spec.substitute(case.subs_map()) for case in catalog.theorem_claim(gid, kind).cases]
+        for s in specs:
+            _assert_table_from_brackets(s)
+    assert groups["g1"].spec.constants[1][0] == (P("-alpha"), Poly.zero(), P("beta"))
 
 
 def test_constraints_never_involve_c():
@@ -141,7 +144,7 @@ def test_jacobi_violating_table_detected():
     # residual is what the cyclic sum says (here it happens to vanish), so use
     # a genuinely failing table: [e1,e2]=e1 with [e1,e3]=e2.
     spec = LieAlgebraSpec(
-        StructureConstants.from_brackets(
+        (
             vec3(1, 0, 0), vec3(0, 1, 0), vec3(0, 0, 0)
         ),
         LORENTZ,
@@ -259,7 +262,7 @@ def test_evaluate_g3_abelian_point(groups):
         {"alpha": Fraction(0), "beta": Fraction(0), "gamma": Fraction(0)}
     )
     for i, j in ((0, 1), (0, 2), (1, 2)):
-        assert all(p.is_zero() for p in numeric.constants[i, j])
+        assert all(p.is_zero() for p in numeric.constants[i][j])
 
 
 def test_evaluate_g4_worked_example(groups):

@@ -107,8 +107,8 @@ def test_standing_constraints_encoding(catalog):
 
 def test_g1_brackets_match_encoding(catalog):
     c = catalog.get_group("g1").spec.constants
-    assert c[0, 1] == (P("alpha"), Poly.zero(), P("-beta"))
-    assert c[1, 2] == (P("beta"), P("alpha"), P("alpha"))
+    assert c[0][1] == (P("alpha"), Poly.zero(), P("-beta"))
+    assert c[1][2] == (P("beta"), P("alpha"), P("alpha"))
 
 
 def test_g4_shorthands_available(catalog):
@@ -435,7 +435,7 @@ def test_loading_compiles_no_evaluator(monkeypatch):
     fresh = load_catalog()
     assert generated == []
     for entry in fresh.groups.values():
-        assert "_constraint_values" not in vars(entry.spec)
+        assert "_point_values" not in vars(entry.spec)
         assert "claims" not in vars(entry)
         for claim in entry.theorems.values():
             assert not {"layout", "evaluate"} & set(vars(claim))

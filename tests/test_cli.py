@@ -375,6 +375,9 @@ NON_LIE = '{"brackets": {"e1,e2": ["1", "0", "0"], "e1,e3": ["0", "1", "0"]}}'
         # signature entries must be the integers 1 and -1, not a float or a bool
         ["tensors", "--spec-file", '{"brackets": {"e1,e2": ["alpha", "0", "0"]}, "signature": [1.0, 1, -1]}', "--tensor", "wan"],
         ["check", "--spec-file", '{"brackets": {"e1,e2": ["alpha", "0", "0"]}, "signature": [true, 1, -1]}', "--kind", "first", "--at", "alpha=1"],
+        # an unknown bracket or constraint key is refused, not dropped
+        ["check", "--spec-file", '{"brackets": {"e2,e1": ["1", "0", "0"], "e1,e2": ["0", "0", "1"]}}', "--kind", "first", "--at", ""],
+        ["check", "--spec-file", '{"brackets": {"e1,e2": ["alpha", "0", "0"]}, "constraints": {"ne": ["alpha"]}}', "--kind", "first", "--at", "alpha=1"],
     ),
 )
 def test_bad_group_or_spec_file_exits_2(capsys, tmp_path, argv):

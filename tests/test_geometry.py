@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from wanas.algebra import LORENTZ, LieAlgebraSpec, StructureConstants, vec3
+from wanas.algebra import LORENTZ, LieAlgebraSpec, vec3
 from wanas.geometry import (
     a_tensor,
     canonical_connection,
@@ -32,7 +32,7 @@ P = parse_poly
 
 def abelian_spec() -> LieAlgebraSpec:
     zero = vec3(0, 0, 0)
-    return LieAlgebraSpec(StructureConstants.from_brackets(zero, zero, zero), LORENTZ)
+    return LieAlgebraSpec((zero, zero, zero), LORENTZ)
 
 
 def koszul_oracle(spec: LieAlgebraSpec, i: int, j: int, k: int) -> Poly:
@@ -43,7 +43,7 @@ def koszul_oracle(spec: LieAlgebraSpec, i: int, j: int, k: int) -> Poly:
     def g(v, m):
         return v[m] * eps[m]
 
-    val = g(c[i, j], k) - g(c[j, k], i) + g(c[k, i], j)
+    val = g(c[i][j], k) - g(c[j][k], i) + g(c[k][i], j)
     return val * Fraction(1, 2) * eps[k]
 
 

@@ -523,12 +523,19 @@ def test_equality_across_construction_paths():
             {"alpha": 1, "beta": 1, "gamma": 0.0, "delta": 1}
         ),
         lambda: load_catalog().groups["g3"].spec.evaluate({"alpha": 1, "beta": 0.5, "gamma": 1}),
+        # variables that no constraint reads: every g3 variable, and g1's beta
+        lambda: load_catalog().groups["g3"].spec.validate_assignment({"alpha": 1, "beta": 0.5, "gamma": 1}),
+        lambda: load_catalog().groups["g3"].spec.is_admissible({"alpha": 0.5, "beta": 1, "gamma": 1}),
+        lambda: load_catalog().groups["g1"].spec.validate_assignment({"alpha": 1, "beta": 0.5}),
+        lambda: load_catalog().groups["g1"].spec.is_admissible({"alpha": 1, "beta": 0.5}),
     ],
     ids=[
         "const", "init", "truediv", "const-str", "evaluate", "mul", "add",
         "format-rational", "format-rational-str", "integer-evaluator",
         "integer-evaluator-str", "spec-evaluate", "validate-assignment",
-        "is-admissible", "spec-evaluate-no-constraints",
+        "is-admissible", "spec-evaluate-no-constraints", "validate-assignment-no-constraints",
+        "is-admissible-no-constraints", "validate-assignment-unconstrained-beta",
+        "is-admissible-unconstrained-beta",
     ],
 )
 def test_non_exact_scalars_are_rejected(make):
@@ -563,7 +570,7 @@ def test_integer_evaluator_matches_evaluate_on_catalog_groups(groups, height_poi
     values and the large solved coordinate of g5-g7."""
     for gid, entry in groups.items():
         spec = entry.spec
-        polys = [p for i, j in PAIRS for p in spec.constants[i, j]]
+        polys = [p for i, j in PAIRS for p in spec.constants[i][j]]
         polys += [con.poly for con in spec.constraints]
         for kind in SolitonKind:
             wan = wan_for_kind(spec, kind)

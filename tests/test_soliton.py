@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from wanas import geometry
-from wanas.algebra import LORENTZ, LieAlgebraSpec, MetricSignature, StructureConstants, vec3
+from wanas.algebra import LORENTZ, LieAlgebraSpec, MetricSignature, vec3
 from wanas.catalog import ALL_GROUPS
 from wanas.geometry import compute_tensors, mat_sub, scalar_matrix
 from wanas.poly import Poly, parse_poly
@@ -33,7 +33,7 @@ F = Fraction
 
 def abelian_spec() -> LieAlgebraSpec:
     zero = vec3(0, 0, 0)
-    return LieAlgebraSpec(StructureConstants.from_brackets(zero, zero, zero), LORENTZ)
+    return LieAlgebraSpec((zero, zero, zero), LORENTZ)
 
 
 def numeric_matrix(rows):
@@ -159,7 +159,7 @@ def test_decide_flat_infeasible_equation_witness():
     # [e1,e2] = e3 with the operator e3 -> e1: the residual of D = W - c*Id
     # at (e1,e2) is e1 + c*e3, whose e1 component 1 = 0 has no c in it at all
     spec = LieAlgebraSpec(
-        StructureConstants.from_brackets(vec3(0, 0, 1), vec3(0, 0, 0), vec3(0, 0, 0)),
+        (vec3(0, 0, 1), vec3(0, 0, 0), vec3(0, 0, 0)),
         LORENTZ,
     )
     wan = numeric_matrix(((0, 0, 0), (0, 0, 0), (1, 0, 0)))
@@ -270,7 +270,7 @@ def written_out_affine_pairs(spec, wan):
     brackets, independently of ``derivation_residual``: substituting
     D = Wan - c*Id into D[e_i,e_j] - [D e_i, e_j] - [e_i, D e_j] leaves
     constant + slope*c, and the slope is the bracket [e_i, e_j] itself."""
-    upper = {(0, 1): spec.constants[0, 1], (0, 2): spec.constants[0, 2], (1, 2): spec.constants[1, 2]}
+    upper = {(0, 1): spec.constants[0][1], (0, 2): spec.constants[0][2], (1, 2): spec.constants[1][2]}
     zero = (Poly.zero(),) * 3
     table = [[zero] * 3 for _ in range(3)]
     for (i, j), v in upper.items():
@@ -442,11 +442,11 @@ def test_wan_forms_equal_the_pipeline(catalog):
     assert len(specs) == 7 + 32
     rng = random.Random("wan-forms")
     tables = [_random_brackets(rng) for _ in range(50)]
-    random_specs = [LieAlgebraSpec(StructureConstants.from_brackets(*t), LORENTZ) for t in tables]
+    random_specs = [LieAlgebraSpec(tuple(t), LORENTZ) for t in tables]
     assert sum(any(spec.jacobi_residual()) for spec in random_specs) > 25
     specs.extend(random_specs)
     other = MetricSignature((1, -1, 1))
-    specs.extend(LieAlgebraSpec(StructureConstants.from_brackets(*t), other) for t in tables[:10])
+    specs.extend(LieAlgebraSpec(tuple(t), other) for t in tables[:10])
     for n, spec in enumerate(specs):
         bundle = compute_tensors(spec)
         assert wan_for_kind(spec, SolitonKind.FIRST) == bundle.wan, n
@@ -472,7 +472,7 @@ def _patched_pipeline(monkeypatch, extra):
         (lambda spec: P("alpha*beta*gamma"), "not quadratic"),
         (lambda spec: P("1"), "not quadratic"),
         # a coefficient that depends on which bracket is zero
-        (lambda spec: P("alpha*beta") if not any(spec.constants[0, 1]) else Poly.zero(), "differs"),
+        (lambda spec: P("alpha*beta") if not any(spec.constants[0][1]) else Poly.zero(), "differs"),
     ],
     ids=["cubic", "constant", "inconsistent"],
 )

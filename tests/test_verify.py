@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from wanas import verify as verify_module
-from wanas.algebra import Constraint, LORENTZ, LieAlgebraSpec, StructureConstants, vec3
+from wanas.algebra import Constraint, LORENTZ, LieAlgebraSpec, vec3
 from wanas.catalog import ALL_GROUPS, ClaimedTensors, GroupEntry
 from wanas.geometry import compute_tensors
 from wanas.poly import Poly, parse_poly
@@ -87,7 +87,7 @@ def test_fault_injection_detected_at_exact_location(catalog):
 
 def test_abelian_spec_against_zero_claims(catalog):
     zero = vec3(0, 0, 0)
-    spec = LieAlgebraSpec(StructureConstants.from_brackets(zero, zero, zero), LORENTZ)
+    spec = LieAlgebraSpec((zero, zero, zero), LORENTZ)
     entry = catalog.get_group("g3")
     z9 = tuple(tuple(Poly.zero() for _ in range(3)) for _ in range(3))
     zero_vec_table = tuple(tuple(zero for _ in range(3)) for _ in range(3))
@@ -123,7 +123,7 @@ def _three_term_spec() -> LieAlgebraSpec:
     """A custom algebra whose defining equation has three terms, so binomial
     reduction is unavailable and only variety sampling can certify it."""
     return LieAlgebraSpec(
-        StructureConstants.from_brackets(
+        (
             vec3(P("alpha"), 0, 0), vec3(0, P("beta"), 0), vec3(0, 0, P("gamma"))
         ),
         LORENTZ,
@@ -149,7 +149,7 @@ def test_compare_match_on_variety_via_sampling():
 def _spec_with_equations(*equations: str) -> LieAlgebraSpec:
     """A custom algebra in all five parameters with the given eq constraints."""
     return LieAlgebraSpec(
-        StructureConstants.from_brackets(
+        (
             vec3(P("alpha"), P("beta"), 0), vec3(0, P("gamma"), P("delta")), vec3(P("eta"), 0, 0)
         ),
         LORENTZ,
@@ -463,7 +463,7 @@ def test_default_grid_stops_when_the_ladder_gains_nothing():
     every ladder: the base ladder is kept, as when regenerating."""
     zero = vec3(0, 0, 0)
     spec = LieAlgebraSpec(
-        StructureConstants.from_brackets(vec3(0, 0, P("eta")), zero, zero),
+        (vec3(0, 0, P("eta")), zero, zero),
         LORENTZ,
         (Constraint("eq", P("eta^2 - 1")),),
     )
