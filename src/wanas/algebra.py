@@ -66,11 +66,6 @@ def vec_neg(a: Vec3) -> Vec3:
     return (-a[0], -a[1], -a[2])
 
 
-def vec_scale(s: PolyLike, a: Vec3) -> Vec3:
-    s = as_poly(s)
-    return (s * a[0], s * a[1], s * a[2])
-
-
 def vec_combination(coeffs: Sequence[Poly], vectors: Sequence[Vec3]) -> Vec3:
     """sum_m coeffs[m] * vectors[m], one ``dot`` per component."""
     return tuple(dot((1, s, v[k]) for s, v in zip(coeffs, vectors)) for k in range(3))
@@ -263,7 +258,11 @@ class LieAlgebraSpec:
         cons = data.get("constraints", {})
         if not isinstance(signature, (list, tuple)) or not isinstance(cons, Mapping):
             raise ValueError("'signature' must be a list and 'constraints' an object")
-        known_keys = (("bracket", data["brackets"], PAIR_KEYS), ("constraints", cons, ("eq", "neq")))
+        known_keys = (
+            ("spec", data, ("brackets", "signature", "constraints")),
+            ("bracket", data["brackets"], PAIR_KEYS),
+            ("constraints", cons, ("eq", "neq")),
+        )
         for what, given, known in known_keys:
             for key in given:
                 if key not in known:
@@ -279,6 +278,9 @@ class LieAlgebraSpec:
             comps = polys(f"bracket {key}", data["brackets"].get(key, ["0", "0", "0"]))
             if len(comps) != 3:
                 raise ValueError(f"bracket {key} needs 3 components")
+            for p in comps:
+                if "c" in p.variables():
+                    raise ValueError(f"bracket {key} may not involve the soliton scalar c: {p}")
             return tuple(comps)
 
         constraints = tuple(

@@ -53,14 +53,14 @@ def _fail(message: str) -> None:
 
 
 def _load_algebra(args, catalog: Catalog | None) -> tuple[str, LieAlgebraSpec]:
-    if getattr(args, "spec_file", None):
-        if getattr(args, "group", None):
+    if args.spec_file:
+        if args.group:
             _fail("--group and --spec-file are mutually exclusive")
         try:
             return ("spec-file", load_spec_file(args.spec_file))
         except (OSError, ValueError) as exc:
             _fail(f"could not load spec file {args.spec_file}: {exc}")
-    if not getattr(args, "group", None):
+    if not args.group:
         _fail("one of --group or --spec-file is required")
     entry = catalog.get_group(args.group)
     return (entry.id, entry.spec)
@@ -97,7 +97,7 @@ def _parse_at(spec: LieAlgebraSpec, text: str) -> dict[str, Fraction]:
 
 
 def _emit(args, payload: dict, text: str) -> None:
-    if getattr(args, "json", False):
+    if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         print(text, end="" if text.endswith("\n") else "\n")
@@ -253,7 +253,7 @@ def _cmd_verify_paper(args, catalog: Catalog) -> int:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(report.to_json())
-    if getattr(args, "json", False):
+    if args.json:
         print(json.dumps(report.to_json_dict(), indent=2, sort_keys=True))
     else:
         print(report.to_text(), end="")
@@ -294,13 +294,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_group_args(p, spec_file=True):
+    def add_group_args(p):
         p.add_argument("--group", help="catalog group id (g1..g7, case-insensitive)")
-        if spec_file:
-            p.add_argument(
-                "--spec-file",
-                help="JSON algebra spec to use instead of a catalog group",
-            )
+        p.add_argument("--spec-file", help="JSON algebra spec to use instead of a catalog group")
 
     p = sub.add_parser("tensors", help="print a tensor table or operator matrix")
     add_group_args(p)

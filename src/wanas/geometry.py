@@ -4,7 +4,9 @@ Everything is computed from first principles over exact rationals: the
 Levi-Civita connection via the Koszul formula, the canonical connection
 nabla0 = nabla - (1/2)(nabla J)J for the product structure J = diag(1,1,-1),
 and the derived torsion, curvature, torsion-square, Wanas difference tensor,
-signed Ricci-type contractions, and their operators.
+signed Ricci-type contractions, and their operators.  As J^2 = Id, nabla0 =
+(1/2)(nabla + J nabla J) is a projection: it keeps the e_k component of
+nabla_{e_i} e_j if e_j and e_k lie in one eigenspace of J, else sets it to 0.
 
 Matrix convention (matches the source tables this reproduces): row i of a
 3x3 operator matrix holds the coefficients of the image of e_i, i.e. the
@@ -30,7 +32,6 @@ from .algebra import (
     antisymmetric,
     vec_combination,
     vec_neg,
-    vec_scale,
     vec_sub,
 )
 from .poly import VARIABLES, Poly, dot
@@ -44,6 +45,9 @@ Conn = tuple[tuple[Vec3, ...], ...]
 Tor = tuple[tuple[Vec3, ...], ...]
 Tri = tuple[tuple[tuple[Vec3, ...], ...], ...]
 Mat3 = tuple[tuple[Poly, ...], ...]
+
+# the eigenvalues of the product structure J on e1, e2, e3: J = diag(1, 1, -1)
+J_EIGENVALUES = (1, 1, -1)
 
 
 def scalar_matrix(value) -> Mat3:
@@ -62,16 +66,6 @@ def mat_sub(a: Mat3, b: Mat3) -> Mat3:
 
 def mat_substitute(m: Mat3, images: Mapping[str, Poly]) -> Mat3:
     return tuple(tuple(p.substitute(images) for p in row) for row in m)
-
-
-def standard_product_structure() -> Mat3:
-    """J = diag(1, 1, -1): J e1 = e1, J e2 = e2, J e3 = -e3."""
-    one, zero = Poly.const(1), Poly.zero()
-    return (
-        (one, zero, zero),
-        (zero, one, zero),
-        (zero, zero, -one),
-    )
 
 
 def levi_civita(spec: LieAlgebraSpec) -> Conn:
@@ -100,35 +94,22 @@ def levi_civita(spec: LieAlgebraSpec) -> Conn:
     return tuple(table)
 
 
-def nabla_j(conn: Conn, j: Mat3) -> tuple[tuple[Vec3, ...], ...]:
-    """Components of (nabla_{e_i} J) e_m = nabla_{e_i}(J e_m) - J(nabla_{e_i} e_m)."""
-    table = []
-    for i in range(3):
-        row = []
-        for m in range(3):
-            row.append(vec_sub(vec_combination(j[m], conn[i]), vec_combination(conn[i][m], j)))
-        table.append(tuple(row))
-    return tuple(table)
-
-
 def canonical_connection(spec: LieAlgebraSpec, lc: Conn | None = None) -> Conn:
     """nabla0_X Y = nabla_X Y - (1/2)(nabla_X J)(J Y), from the Koszul nabla,
-    for the standard product structure J.
+    for the standard product structure J, as the eigenspace projection.
 
     ``lc`` is the Levi-Civita table of ``spec`` when the caller already has it.
     """
-    j = standard_product_structure()
     if lc is None:
         lc = levi_civita(spec)
-    nj = nabla_j(lc, j)
-    table = []
-    for i in range(3):
-        row = []
-        for m in range(3):
-            correction = vec_combination(j[m], nj[i])
-            row.append(vec_sub(lc[i][m], vec_scale(Poly.const(1) / 2, correction)))
-        table.append(tuple(row))
-    return tuple(table)
+    zero = Poly.zero()
+    return tuple(
+        tuple(
+            tuple(lc[i][j][k] if J_EIGENVALUES[j] == J_EIGENVALUES[k] else zero for k in range(3))
+            for j in range(3)
+        )
+        for i in range(3)
+    )
 
 
 def torsion(conn: Conn, spec: LieAlgebraSpec) -> Tor:
@@ -188,27 +169,17 @@ def operator_from_form(s: Mat3, sig: MetricSignature) -> Mat3:
     return tuple(tuple(s[i][j] * eps[j] for j in range(3)) for i in range(3))
 
 
-# lowering the second index is the same map, as eps[j]^2 = 1
-form_from_operator = operator_from_form
-
-
 def symmetrize_operator(m: Mat3, sig: MetricSignature) -> Mat3:
     """Symmetrize at the *form* level, then raise back.
 
     With an indefinite metric this differs from plain matrix symmetrization:
-    lower to s, replace s by (s + s^T)/2, raise again.
+    lower to s, replace s by (s + s^T)/2, raise again.  As eps[j]^2 = 1
+    that is (m[i][j] + eps[i]*eps[j]*m[j][i]) / 2.
     """
-    s = form_from_operator(m, sig)
-    half = Poly.const(1) / 2
-    sym = tuple(
-        tuple(half * (s[i][j] + s[j][i]) for j in range(3)) for i in range(3)
+    eps = sig.eps
+    return tuple(
+        tuple((m[i][j] + m[j][i] * (eps[i] * eps[j])) / 2 for j in range(3)) for i in range(3)
     )
-    return operator_from_form(sym, sig)
-
-
-def wan_operator(ric: Mat3, abar: Mat3) -> Mat3:
-    """Wan = Ric - Abar, entrywise."""
-    return mat_sub(ric, abar)
 
 
 @dataclass(frozen=True)
@@ -259,7 +230,7 @@ def compute_tensors(spec: LieAlgebraSpec, connection_kind: str = "canonical") ->
     a_form = contract(a, sig)
     ric = operator_from_form(rho, sig)
     abar = operator_from_form(a_form, sig)
-    wan = wan_operator(ric, abar)
+    wan = mat_sub(ric, abar)
     wan_tilde = symmetrize_operator(wan, sig)
     return TensorBundle(
         spec=spec,

@@ -21,7 +21,6 @@ from wanas.geometry import (
     canonical_connection,
     compute_tensors,
     contract,
-    form_from_operator,
     levi_civita,
     operator_from_form,
     torsion,
@@ -194,9 +193,9 @@ def test_criterion_7_property_suites(catalog):
             )
         for m in (bundle.ric, bundle.abar, bundle.wan, bundle.wan_tilde):
             duality_ok = duality_ok and mat_eq(
-                operator_from_form(form_from_operator(m, LORENTZ), LORENTZ), m
+                operator_from_form(operator_from_form(m, LORENTZ), LORENTZ), m
             )
-        s = form_from_operator(bundle.wan_tilde, LORENTZ)
+        s = operator_from_form(bundle.wan_tilde, LORENTZ)
         symmetry_ok = symmetry_ok and all(
             s[i][j] == s[j][i] for i in range(3) for j in range(3)
         )

@@ -356,6 +356,10 @@ def test_spec_file_and_group_are_exclusive(capsys, tmp_path):
 
 
 NON_LIE = '{"brackets": {"e1,e2": ["1", "0", "0"], "e1,e3": ["0", "1", "0"]}}'
+# a misspelt top-level key would drop the constraint alpha != 0
+MISSPELT = '{"brackets": {"e1,e2": ["alpha", "0", "0"]}, "constraint": {"neq": ["alpha"]}}'
+# c is the soliton scalar, not a group parameter
+C_BRACKET = '{"brackets": {"e1,e2": ["c", "0", "0"]}}'
 
 
 @pytest.mark.parametrize(
@@ -378,6 +382,13 @@ NON_LIE = '{"brackets": {"e1,e2": ["1", "0", "0"], "e1,e3": ["0", "1", "0"]}}'
         # an unknown bracket or constraint key is refused, not dropped
         ["check", "--spec-file", '{"brackets": {"e2,e1": ["1", "0", "0"], "e1,e2": ["0", "0", "1"]}}', "--kind", "first", "--at", ""],
         ["check", "--spec-file", '{"brackets": {"e1,e2": ["alpha", "0", "0"]}, "constraints": {"ne": ["alpha"]}}', "--kind", "first", "--at", "alpha=1"],
+        # an unknown top-level key, or the soliton scalar c in a bracket, is refused
+        ["check", "--spec-file", MISSPELT, "--kind", "first", "--at", "alpha=0"],
+        ["tensors", "--spec-file", MISSPELT, "--tensor", "wan"],
+        ["jacobi", "--spec-file", MISSPELT],
+        ["check", "--spec-file", C_BRACKET, "--kind", "first", "--at", ""],
+        ["tensors", "--spec-file", C_BRACKET, "--tensor", "wan"],
+        ["jacobi", "--spec-file", C_BRACKET],
     ),
 )
 def test_bad_group_or_spec_file_exits_2(capsys, tmp_path, argv):
@@ -389,8 +400,8 @@ def test_bad_group_or_spec_file_exits_2(capsys, tmp_path, argv):
         path = tmp_path / "spec.json"
         path.write_text(argv[k])
         argv[k] = str(path)
-    code, _, err = run(capsys, *argv)
-    assert code == 2
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
 
 

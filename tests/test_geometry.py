@@ -3,29 +3,41 @@ from the lemma tables, contraction identities, operator/form duality."""
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
-from wanas.algebra import LORENTZ, LieAlgebraSpec, vec3
+from wanas.algebra import (
+    LORENTZ,
+    ZERO_VEC,
+    LieAlgebraSpec,
+    MetricSignature,
+    vec3,
+    vec_combination,
+    vec_sub,
+)
 from wanas.geometry import (
     a_tensor,
     canonical_connection,
     compute_tensors,
     contract,
     curvature,
-    form_from_operator,
     levi_civita,
-    nabla_j,
+    mat_sub,
     operator_from_form,
     render_matrix,
     render_vector,
-    standard_product_structure,
     symmetrize_operator,
     torsion,
-    wan_operator,
 )
-from wanas.poly import Poly, parse_poly
+from wanas.poly import VARIABLES, Poly, parse_poly
 
-from matrix_helpers import contract_shortcut, identity3, mat_eq
+from matrix_helpers import (
+    contract_shortcut,
+    identity3,
+    mat_eq,
+    nabla_j,
+    standard_product_structure,
+)
 
 P = parse_poly
 
@@ -197,6 +209,30 @@ def test_canonical_connection_still_metric_compatible(groups):
                     assert (conn[i][j][k] * eps[k] + conn[i][k][j] * eps[j]).is_zero()
 
 
+def test_canonical_connection_is_its_definition(groups):
+    # the eigenspace projection equals nabla - (1/2)(nabla J)J term by term: on
+    # every catalog group, on the generic two-bracket algebras wan_forms reads,
+    # and on g5's brackets under two more signatures
+    specs = [entry.spec for entry in groups.values()]
+    for generic in itertools.combinations(range(3), 2):
+        brackets = [ZERO_VEC] * 3
+        for n, p in enumerate(generic):
+            brackets[p] = tuple(Poly.var(VARIABLES[3 * n + k]) for k in range(3))
+        specs.append(LieAlgebraSpec(tuple(brackets), LORENTZ))
+    for eps in ((1, 1, 1), (-1, 1, 1)):
+        specs.append(LieAlgebraSpec(groups["g5"].spec.brackets, MetricSignature(eps)))
+    j = standard_product_structure()
+    for spec in specs:
+        lc = levi_civita(spec)
+        nj = nabla_j(lc, j)
+        conn = canonical_connection(spec)
+        for i in range(3):
+            for m in range(3):
+                correction = vec_combination(j[m], nj[i])
+                expected = vec_sub(lc[i][m], tuple(x / 2 for x in correction))
+                assert conn[i][m] == expected, (spec, i, m)
+
+
 # -- torsion and curvature -------------------------------------------------------------
 
 
@@ -331,9 +367,9 @@ def test_operator_form_round_trip(groups):
     for entry in groups.values():
         bundle = compute_tensors(entry.spec)
         for m in (bundle.ric, bundle.abar, bundle.wan):
-            assert mat_eq(operator_from_form(form_from_operator(m, LORENTZ), LORENTZ), m)
+            assert mat_eq(operator_from_form(operator_from_form(m, LORENTZ), LORENTZ), m)
             # duality relation m[i][j]*eps[j] == s[i][j]
-            s = form_from_operator(m, LORENTZ)
+            s = operator_from_form(m, LORENTZ)
             for i in range(3):
                 for j in range(3):
                     assert m[i][j] * LORENTZ.eps[j] == s[i][j]
@@ -365,6 +401,16 @@ def test_symmetrize_diagonal_operator_unchanged():
     assert mat_eq(symmetrize_operator(m, LORENTZ), m)
 
 
+def test_symmetrize_operator_is_lower_symmetrize_raise():
+    # the closed form (m[i][j] + eps[i]*eps[j]*m[j][i]) / 2 against its definition
+    m = tuple(tuple(P(f"{i + 1}*alpha + {j + 1}/3*beta^2") for j in range(3)) for i in range(3))
+    for eps in itertools.product((1, -1), repeat=3):
+        sig = MetricSignature(eps)
+        s = operator_from_form(m, sig)  # lowering is the same map, as eps[j]^2 = 1
+        sym = tuple(tuple((s[i][j] + s[j][i]) / 2 for j in range(3)) for i in range(3))
+        assert mat_eq(symmetrize_operator(m, sig), operator_from_form(sym, sig)), eps
+
+
 def test_symmetrize_g6_wan_entry(groups):
     bundle = compute_tensors(groups["g6"].spec)
     assert bundle.wan_tilde[1][2] == P("1/2*gamma*alpha+1/4*delta*(beta-gamma)")
@@ -383,7 +429,7 @@ def test_symmetrize_differs_from_matrix_symmetrization(groups):
 def test_symmetrized_form_is_symmetric(groups):
     for entry in groups.values():
         bundle = compute_tensors(entry.spec)
-        s = form_from_operator(bundle.wan_tilde, LORENTZ)
+        s = operator_from_form(bundle.wan_tilde, LORENTZ)
         for i in range(3):
             for j in range(3):
                 assert s[i][j] == s[j][i]
@@ -396,7 +442,7 @@ def test_wan_operator_g5(groups):
         bundle.wan,
         ((Poly.zero(),) * 3, (Poly.zero(),) * 3, (Poly.zero(), Poly.zero(), k)),
     )
-    assert mat_eq(bundle.wan, wan_operator(bundle.ric, bundle.abar))
+    assert mat_eq(bundle.wan, mat_sub(bundle.ric, bundle.abar))
 
 
 def wan_form(bundle):
