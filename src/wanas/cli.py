@@ -250,11 +250,12 @@ def _cmd_verify_paper(args, catalog: Catalog) -> int:
         min_points=args.min_points,
         max_points=args.max_points,
     )
+    text = report.to_json() if args.out or args.json else None
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json())
+            fh.write(text)
     if args.json:
-        print(json.dumps(report.to_json_dict(), indent=2, sort_keys=True))
+        print(text, end="")
     else:
         print(report.to_text(), end="")
     return 0 if report.ok else 1

@@ -73,25 +73,18 @@ def levi_civita(spec: LieAlgebraSpec) -> Conn:
 
     2 g(nabla_{e_i} e_j, e_k) =
         g([e_i,e_j], e_k) - g([e_j,e_k], e_i) + g([e_k,e_i], e_j)
+
+    As eps[k]^2 = 1, each component is one ``dot`` over the three brackets, over 2.
     """
     eps = spec.signature.eps
     c = spec.constants
-    half = Poly.const(1) / 2
-    table = []
-    for i in range(3):
-        row = []
-        for j in range(3):
-            comps = []
-            for k in range(3):
-                inner = (
-                    c[i][j][k] * eps[k]
-                    - c[j][k][i] * eps[i]
-                    + c[k][i][j] * eps[j]
-                )
-                comps.append(half * eps[k] * inner)
-            row.append(tuple(comps))
-        table.append(tuple(row))
-    return tuple(table)
+    one = Poly.const(1)
+
+    def component(i: int, j: int, k: int) -> Poly:
+        signs = (1, -eps[k] * eps[i], eps[k] * eps[j])
+        return dot(zip(signs, (c[i][j][k], c[j][k][i], c[k][i][j]), (one,) * 3), 2)
+
+    return tuple(tuple(tuple(component(i, j, k) for k in range(3)) for j in range(3)) for i in range(3))
 
 
 def canonical_connection(spec: LieAlgebraSpec, lc: Conn | None = None) -> Conn:
@@ -124,17 +117,21 @@ def tri_table(upper: Sequence[tuple[Vec3, ...]]) -> Tri:
 
 
 def curvature(conn: Conn, spec: LieAlgebraSpec) -> Tri:
-    """R(e_i,e_j)e_k = nabla_i nabla_j e_k - nabla_j nabla_i e_k - nabla_{[e_i,e_j]} e_k."""
-    upper = []
-    for (i, j), cij in zip(PAIRS, spec.brackets):
-        row = []
-        for k in range(3):
-            first = vec_combination(conn[j][k], conn[i])
-            second = vec_combination(conn[i][k], conn[j])
-            third = vec_combination(cij, [conn[m][k] for m in range(3)])
-            row.append(vec_sub(vec_sub(first, second), third))
-        upper.append(tuple(row))
-    return tri_table(upper)
+    """R(e_i,e_j)e_k = nabla_i nabla_j e_k - nabla_j nabla_i e_k - nabla_{[e_i,e_j]} e_k.
+
+    Component l is one ``dot`` over m of nabla_j e_k[m] * nabla_i e_m[l]
+    - nabla_i e_k[m] * nabla_j e_m[l] - [e_i,e_j][m] * nabla_m e_k[l].
+    """
+
+    def component(i: int, j: int, k: int, l: int) -> Poly:
+        cij = spec.constants[i][j]
+        return dot(
+            [(1, conn[j][k][m], conn[i][m][l]) for m in range(3)]
+            + [(-1, conn[i][k][m], conn[j][m][l]) for m in range(3)]
+            + [(-1, cij[m], conn[m][k][l]) for m in range(3)]
+        )
+
+    return tri_table([tuple(tuple(component(i, j, k, l) for l in range(3)) for k in range(3)) for i, j in PAIRS])
 
 
 def a_tensor(t: Tor) -> Tri:
@@ -177,8 +174,9 @@ def symmetrize_operator(m: Mat3, sig: MetricSignature) -> Mat3:
     that is (m[i][j] + eps[i]*eps[j]*m[j][i]) / 2.
     """
     eps = sig.eps
+    one = Poly.const(1)
     return tuple(
-        tuple((m[i][j] + m[j][i] * (eps[i] * eps[j])) / 2 for j in range(3)) for i in range(3)
+        tuple(dot(((1, m[i][j], one), (eps[i] * eps[j], m[j][i], one)), 2) for j in range(3)) for i in range(3)
     )
 
 
@@ -307,8 +305,7 @@ def render_vector(v: Vec3) -> str:
         if comp.is_zero():
             continue
         basis = f"e{k + 1}"
-        terms = comp.sorted_terms()
-        if len(terms) == 1:
+        if len(comp.terms) == 1:
             text = str(comp)
             if text == "1":
                 body, negative = basis, False

@@ -278,17 +278,17 @@ class Poly:
                 raise PolyParseError(f"unknown variable {name!r} in substitution")
         basis = [images_p.get(v, x) for v, x in zip(VARIABLES, _VARS)]
         powers: dict[tuple[int, int], Poly] = {}
-        total = _ZERO
+        products = []
         for mono, k in self._terms.items():
-            term = None
+            term = _ONE
             for i, e in enumerate(mono):
                 if e:
                     power = powers.get((i, e))
                     if power is None:
                         power = powers[i, e] = basis[i] ** e
-                    term = power if term is None else term * power
-            total = total + (Poly.const(k) if term is None else term * k)
-        return total / self._den
+                    term = power if term is _ONE else term * power
+            products.append((k, term, _ONE))
+        return dot(products, self._den)
 
     def reduce(self, relation: Poly, leading: str) -> Poly:
         """Reduce modulo a (at most) binomial rewrite rule.
@@ -350,31 +350,30 @@ class Poly:
 
     # -- rendering ------------------------------------------------------
 
-    def sorted_terms(self) -> list[tuple[Mono, Fraction]]:
-        """Terms in descending graded-lex order (the printing order)."""
-        return sorted(self.terms.items(), key=lambda kv: _mono_key(kv[0]), reverse=True)
-
     def __str__(self) -> str:
         if not self._terms:
             return "0"
+        den = self._den
         parts: list[str] = []
-        for mono, coeff in self.sorted_terms():
+        for mono in sorted(self._terms, key=_mono_key, reverse=True):
+            k = self._terms[mono]
             factors = [
                 name if e == 1 else f"{name}^{e}"
                 for name, e in zip(VARIABLES, mono)
                 if e
             ]
-            mag = abs(coeff)
+            g = math.gcd(k, den)  # |k| / den in lowest terms, printed as Fraction prints it
+            mag = str(abs(k) // g) if g == den else f"{abs(k) // g}/{den // g}"
             if not factors:
-                body = str(mag)
-            elif mag == 1:
+                body = mag
+            elif mag == "1":
                 body = "*".join(factors)
             else:
-                body = "*".join([str(mag)] + factors)
+                body = "*".join([mag] + factors)
             if not parts:
-                parts.append(body if coeff > 0 else f"-{body}")
+                parts.append(body if k > 0 else f"-{body}")
             else:
-                parts.append(f"+ {body}" if coeff > 0 else f"- {body}")
+                parts.append(f"+ {body}" if k > 0 else f"- {body}")
         return " ".join(parts)
 
     def __repr__(self) -> str:

@@ -39,23 +39,34 @@ def wan_for_kind(spec: LieAlgebraSpec, kind: SolitonKind) -> Mat3:
     )
 
 
+# [e_a, e_b][l] = sign * components[base + l] for a != b; residual (pair, l) is the sum of
+# n * components[slot] * d[row][col] over its (n, slot, (row, col)) triples
+_SLOTS = {(a, b): (sign, 3 * p) for p, (i, j) in enumerate(PAIRS) for a, b, sign in ((i, j, 1), (j, i, -1))}
+_RESIDUAL_TERMS = tuple(
+    tuple(
+        tuple(
+            (n * _SLOTS[key][0], _SLOTS[key][1] + comp, entry)
+            for k in range(3)
+            for n, key, comp, entry in ((1, (i, j), k, (k, l)), (-1, (k, j), l, (i, k)), (-1, (i, k), l, (j, k)))
+            if key in _SLOTS
+        )
+        for l in range(3)
+    )
+    for i, j in PAIRS
+)
+
+
 def derivation_residual(d: Mat3, spec: LieAlgebraSpec) -> tuple[Vec3, Vec3, Vec3]:
-    """D[e_i,e_j] - [D e_i, e_j] - [e_i, D e_j] for the three basis pairs.
+    """D[e_i,e_j] - [D e_i, e_j] - [e_i, D e_j] for the three basis pairs,
+    one ``dot`` over ``_RESIDUAL_TERMS`` per component.
 
     All nine scalar components vanish exactly iff D (row i = image of e_i)
     is a derivation of the algebra.
     """
-    c = spec.constants
+    s = spec.components
     return tuple(
-        tuple(
-            dot(
-                t
-                for k in range(3)
-                for t in ((1, c[i][j][k], d[k][l]), (-1, d[i][k], c[k][j][l]), (-1, d[j][k], c[i][k][l]))
-            )
-            for l in range(3)
-        )
-        for i, j in PAIRS
+        tuple(dot((n, s[slot], d[r][col]) for n, slot, (r, col) in terms) for terms in row)
+        for row in _RESIDUAL_TERMS
     )
 
 

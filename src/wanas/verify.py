@@ -472,13 +472,14 @@ def reproduce_group(entry: GroupEntry) -> list[DiscrepancyReport]:
 
     def emit(item: str, location: tuple, computed: Poly, claimed_p: Poly):
         verdict, certificate = compare_polys(computed, claimed_p, entry, samples)
+        text = str(computed)
         reports.append(
             DiscrepancyReport(
                 group=entry.id,
                 item=item,
                 location=location,
-                computed=str(computed),
-                claimed=str(claimed_p),
+                computed=text,
+                claimed=text if computed == claimed_p else str(claimed_p),
                 verdict=verdict,
                 certificate=certificate,
             )

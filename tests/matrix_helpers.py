@@ -2,12 +2,19 @@
 polynomial matrices, the identity, the Lorentz shortcut of the signed
 contraction, an independent formula to check ``geometry.contract`` against,
 and the product structure J with nabla J by their literal definitions, to
-check ``geometry.canonical_connection`` against."""
+check ``geometry.canonical_connection`` against.
+
+The oracles at the end build each Koszul component and each curvature
+component from intermediate polynomials, one operation at a time; the
+pipeline forms each such entry in one ``dot``, and the tests check that
+both give the same polynomial."""
 
 from __future__ import annotations
 
-from wanas.algebra import vec_combination, vec_sub
-from wanas.geometry import Conn, Mat3, Tri
+from fractions import Fraction
+
+from wanas.algebra import LieAlgebraSpec, PAIRS, vec_combination, vec_sub
+from wanas.geometry import Conn, Mat3, Tri, tri_table
 from wanas.poly import Poly
 
 
@@ -54,3 +61,30 @@ def contract_shortcut(k: Tri) -> Mat3:
             row.append(total)
         rows.append(tuple(row))
     return tuple(rows)
+
+
+def koszul_oracle(spec: LieAlgebraSpec, i: int, j: int, k: int) -> Poly:
+    """Independent evaluation of 2g(nabla_i e_j, e_k) / (2 eps_k)."""
+    eps = spec.signature.eps
+    c = spec.constants
+
+    def g(v, m):
+        return v[m] * eps[m]
+
+    val = g(c[i][j], k) - g(c[j][k], i) + g(c[k][i], j)
+    return val * Fraction(1, 2) * eps[k]
+
+
+def curvature_chained(conn: Conn, spec: LieAlgebraSpec) -> Tri:
+    """R(e_i,e_j)e_k = nabla_i nabla_j e_k - nabla_j nabla_i e_k - nabla_{[e_i,e_j]} e_k,
+    each of the three terms a ``vec_combination`` and then two ``vec_sub``s."""
+    upper = []
+    for (i, j), cij in zip(PAIRS, spec.brackets):
+        row = []
+        for k in range(3):
+            first = vec_combination(conn[j][k], conn[i])
+            second = vec_combination(conn[i][k], conn[j])
+            third = vec_combination(cij, [conn[m][k] for m in range(3)])
+            row.append(vec_sub(vec_sub(first, second), third))
+        upper.append(tuple(row))
+    return tri_table(upper)

@@ -11,7 +11,7 @@ import pytest
 from wanas.cli import main
 from wanas.catalog import ALL_GROUPS, default_catalog_path
 from wanas.poly import format_rational
-from wanas.verify import default_grid
+from wanas.verify import PaperReport, default_grid
 
 
 def run(capsys, *argv):
@@ -276,6 +276,18 @@ def test_verify_paper_reports_are_byte_identical(capsys, tmp_path):
     assert run(capsys, "verify-paper", "--group", "g1", "--out", str(a))[0] == 0
     assert run(capsys, "verify-paper", "--group", "g1", "--out", str(b))[0] == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_verify_paper_json_prints_the_bytes_it_writes(capsys, tmp_path, monkeypatch):
+    # --out with --json serialises the report once and prints exactly the file's bytes
+    calls = []
+    to_json_dict = PaperReport.to_json_dict
+    monkeypatch.setattr(PaperReport, "to_json_dict", lambda self: calls.append(1) or to_json_dict(self))
+    out_path = tmp_path / "report.json"
+    code, out, _ = run(capsys, "verify-paper", "--group", "g2", "--out", str(out_path), "--json")
+    assert code == 0
+    assert out.encode() == out_path.read_bytes()
+    assert len(calls) == 1
 
 
 def test_verify_paper_repeated_group_reports_it_once(capsys, tmp_path):

@@ -33,7 +33,9 @@ from wanas.poly import VARIABLES, Poly, parse_poly
 
 from matrix_helpers import (
     contract_shortcut,
+    curvature_chained,
     identity3,
+    koszul_oracle,
     mat_eq,
     nabla_j,
     standard_product_structure,
@@ -47,16 +49,27 @@ def abelian_spec() -> LieAlgebraSpec:
     return LieAlgebraSpec((zero, zero, zero), LORENTZ)
 
 
-def koszul_oracle(spec: LieAlgebraSpec, i: int, j: int, k: int) -> Poly:
-    """Independent evaluation of 2g(nabla_i e_j, e_k) / (2 eps_k)."""
-    eps = spec.signature.eps
-    c = spec.constants
+def generic_two_bracket_specs(sig: MetricSignature = LORENTZ) -> list[LieAlgebraSpec]:
+    """The three algebras ``wan_forms`` reads: two brackets generic (the six
+    polynomial variables as placeholders), the third zero."""
+    specs = []
+    for generic in itertools.combinations(range(3), 2):
+        brackets = [ZERO_VEC] * 3
+        for n, p in enumerate(generic):
+            brackets[p] = tuple(Poly.var(VARIABLES[3 * n + k]) for k in range(3))
+        specs.append(LieAlgebraSpec(tuple(brackets), sig))
+    return specs
 
-    def g(v, m):
-        return v[m] * eps[m]
 
-    val = g(c[i][j], k) - g(c[j][k], i) + g(c[k][i], j)
-    return val * Fraction(1, 2) * eps[k]
+def every_signature_specs(groups) -> list[LieAlgebraSpec]:
+    """Every catalog group's brackets and the three generic two-bracket
+    algebras, under all eight diagonal signatures."""
+    specs = []
+    for eps in itertools.product((1, -1), repeat=3):
+        sig = MetricSignature(eps)
+        specs += [LieAlgebraSpec(entry.spec.brackets, sig) for entry in groups.values()]
+        specs += generic_two_bracket_specs(sig)
+    return specs
 
 
 # -- Levi-Civita -----------------------------------------------------------------
@@ -68,12 +81,12 @@ def test_levi_civita_abelian_is_flat():
 
 
 def test_levi_civita_matches_koszul_oracle(groups):
-    for entry in groups.values():
-        lc = levi_civita(entry.spec)
+    for spec in every_signature_specs(groups):
+        lc = levi_civita(spec)
         for i in range(3):
             for j in range(3):
                 for k in range(3):
-                    assert lc[i][j][k] == koszul_oracle(entry.spec, i, j, k)
+                    assert lc[i][j][k] == koszul_oracle(spec, i, j, k), (spec, i, j, k)
 
 
 def test_g3_levi_civita_worked_entry(groups):
@@ -213,12 +226,7 @@ def test_canonical_connection_is_its_definition(groups):
     # the eigenspace projection equals nabla - (1/2)(nabla J)J term by term: on
     # every catalog group, on the generic two-bracket algebras wan_forms reads,
     # and on g5's brackets under two more signatures
-    specs = [entry.spec for entry in groups.values()]
-    for generic in itertools.combinations(range(3), 2):
-        brackets = [ZERO_VEC] * 3
-        for n, p in enumerate(generic):
-            brackets[p] = tuple(Poly.var(VARIABLES[3 * n + k]) for k in range(3))
-        specs.append(LieAlgebraSpec(tuple(brackets), LORENTZ))
+    specs = [entry.spec for entry in groups.values()] + generic_two_bracket_specs()
     for eps in ((1, 1, 1), (-1, 1, 1)):
         specs.append(LieAlgebraSpec(groups["g5"].spec.brackets, MetricSignature(eps)))
     j = standard_product_structure()
@@ -261,6 +269,15 @@ def test_curvature_abelian_vanishes():
     spec = abelian_spec()
     r = curvature(canonical_connection(spec), spec)
     assert all(p.is_zero() for plane in r for row in plane for v in row for p in v)
+
+
+def test_curvature_is_the_chained_definition(groups):
+    # one nine-term dot per component equals nabla nabla - nabla nabla - nabla_[.,.]
+    # built from vec_combination, for both connections
+    for spec in every_signature_specs(groups):
+        lc = levi_civita(spec)
+        for conn in (lc, canonical_connection(spec, lc=lc)):
+            assert curvature(conn, spec) == curvature_chained(conn, spec), spec
 
 
 def test_curvature_antisymmetric_first_slots(groups):

@@ -209,6 +209,42 @@ def test_poly_rendering_sorted_and_signed():
     assert str(Poly.const(Fraction(-1, 3))) == "-1/3"
 
 
+def render_with_fractions(p: Poly) -> str:
+    """The canonical rendering written with Fraction coefficients: terms in
+    descending graded-lex order, each magnitude printed by Fraction."""
+    if p.is_zero():
+        return "0"
+    parts = []
+    for mono, coeff in sorted(p.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True):
+        factors = [name if e == 1 else f"{name}^{e}" for name, e in zip(VARIABLES, mono) if e]
+        mag = abs(coeff)
+        body = "*".join(([] if mag == 1 and factors else [str(mag)]) + factors)
+        sign = "" if coeff > 0 and not parts else "-" if not parts else "+ " if coeff > 0 else "- "
+        parts.append(sign + body)
+    return " ".join(parts)
+
+
+def test_rendering_equals_fraction_reference_randomized():
+    rng = random.Random(20261019)
+    magnitudes = (1, 1, 2, 7, 12, Fraction(1, 2), Fraction(3, 4), Fraction(5, 6), Fraction(12, 35))
+    seen = set()
+    for _ in range(300):
+        terms = {}
+        for _ in range(rng.randint(1, 6)):
+            mono = tuple(rng.choice((0, 0, 0, 1, 2, 5)) for _ in VARIABLES)
+            if rng.random() < 0.15:
+                mono = (0,) * len(VARIABLES)  # constant term
+            terms[mono] = rng.choice((1, -1)) * rng.choice(magnitudes)
+        p = Poly(terms)
+        assert str(p) == render_with_fractions(p), terms
+        assert parse_poly(str(p)) == p
+        for mono, coeff in p.terms.items():
+            magnitude = "unit" if abs(coeff) == 1 else "integer" if coeff.denominator == 1 else "fraction"
+            seen.add((coeff > 0, magnitude, sum(mono) == 0, max(mono) > 1))
+    # both signs of every magnitude, each on a constant, a linear term and a higher power
+    assert len(seen) == 2 * 3 * 3
+
+
 def test_parse_round_trip_is_identity():
     for text in (
         "alpha^2 - 2*alpha*beta + beta^2",
@@ -443,6 +479,26 @@ def _oracle_reduce_eta_squared(terms: dict, rhs: dict) -> dict:
             term = oracle_mul(term, rhs)
         total = oracle_add(total, term)
     return total
+
+
+def test_substitute_equals_oracle_on_theorem_cases(catalog):
+    # one dot per substitution equals the term-by-term running sum of the
+    # dict oracle, for every theorem case's subs and branch images on each
+    # group's brackets, constraints, Wan entries and the case's own c and D
+    checked = 0
+    for gid, entry in catalog.groups.items():
+        wans = [p for kind in SolitonKind for row in wan_for_kind(entry.spec, kind) for p in row]
+        polys = list(entry.spec.components) + [con.poly for con in entry.spec.constraints] + wans
+        for kind in SolitonKind:
+            for case in catalog.theorem_claim(gid, kind).cases:
+                own = [p for row in case.d for p in row] + ([case.c] if case.c is not None else [])
+                for images in (case.subs_map(), *case.branch_maps()):
+                    oracle_images = {name: q.terms for name, q in images.items()}
+                    for p in polys + own:
+                        expected = _oracle_substitute(p.terms, oracle_images)
+                        assert p.substitute(images).terms == expected, (gid, case.name, str(p))
+                        checked += 1
+    assert checked > 1000
 
 
 def test_canonical_form_randomized():
