@@ -66,11 +66,6 @@ def vec_neg(a: Vec3) -> Vec3:
     return (-a[0], -a[1], -a[2])
 
 
-def vec_combination(coeffs: Sequence[Poly], vectors: Sequence[Vec3]) -> Vec3:
-    """sum_m coeffs[m] * vectors[m], one ``dot`` per component."""
-    return tuple(dot((1, s, v[k]) for s, v in zip(coeffs, vectors)) for k in range(3))
-
-
 def antisymmetric(
     upper: Sequence[_T], zero: _T, negate: Callable[[_T], _T]
 ) -> tuple[tuple[_T, ...], ...]:

@@ -133,12 +133,9 @@ def _cmd_tensors(args, catalog: Catalog) -> int:
                 lines.append(f"{key} = {render_vector(table[i][j])}")
         payload["entries"] = entries
     elif tensor in ("torsion", "curvature", "a-tensor", "wanas"):
-        label, table = {
-            "torsion": ("T", bundle.torsion),
-            "curvature": ("R", bundle.curvature),
-            "a-tensor": ("A", bundle.a_tensor),
-            "wanas": ("W", bundle.wanas),
-        }[tensor]
+        # read only the requested table: R, A and W are built when first read
+        label = {"torsion": "T", "curvature": "R", "a-tensor": "A", "wanas": "W"}[tensor]
+        table = getattr(bundle, tensor.replace("-", "_"))
         entries = {}
         for key, (i, j) in zip(PAIR_KEYS, PAIRS):
             # T(e_i, e_j) is one vector; the others act on a third basis vector
@@ -152,12 +149,7 @@ def _cmd_tensors(args, catalog: Catalog) -> int:
                 lines.append(f"{name} = {render_vector(v)}")
         payload["entries"] = entries
     else:
-        matrix = {
-            "abar": bundle.abar,
-            "ric": bundle.ric,
-            "wan": bundle.wan,
-            "wan-tilde": bundle.wan_tilde,
-        }[tensor]
+        matrix = getattr(bundle, tensor.replace("-", "_"))
         payload["matrix"] = matrix_json(matrix)
         lines.append(f"{tensor} operator (row i = image of e_i):")
         lines.append(render_matrix(matrix))

@@ -21,7 +21,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .algebra import (
     PAIRS,
@@ -30,7 +30,6 @@ from .algebra import (
     Vec3,
     ZERO_VEC,
     antisymmetric,
-    vec_combination,
     vec_neg,
     vec_sub,
 )
@@ -41,13 +40,16 @@ from .poly import VARIABLES, Poly, dot
 #   Tor[i][j]        components of T(e_i, e_j)           (antisymmetric in i,j)
 #   Tri[i][j][k]     components of K(e_i, e_j) e_k       (antisymmetric in i,j)
 #   Mat3[i][j]       operator row i = image of e_i, or bilinear form s(e_i, e_j)
+# and Terms(i, j, k, l), the (n, a, b) triples whose ``dot`` is K(e_i, e_j) e_k[l]
 Conn = tuple[tuple[Vec3, ...], ...]
 Tor = tuple[tuple[Vec3, ...], ...]
 Tri = tuple[tuple[tuple[Vec3, ...], ...], ...]
 Mat3 = tuple[tuple[Poly, ...], ...]
+Terms = Callable[[int, int, int, int], list[tuple[int, Poly, Poly]]]
 
 # the eigenvalues of the product structure J on e1, e2, e3: J = diag(1, 1, -1)
 J_EIGENVALUES = (1, 1, -1)
+_ONE = Poly.const(1)
 
 
 def scalar_matrix(value) -> Mat3:
@@ -68,37 +70,33 @@ def mat_substitute(m: Mat3, images: Mapping[str, Poly]) -> Mat3:
     return tuple(tuple(p.substitute(images) for p in row) for row in m)
 
 
-def levi_civita(spec: LieAlgebraSpec) -> Conn:
-    """Koszul formula for a left-invariant metric:
+def koszul(spec: LieAlgebraSpec, i: int, j: int, k: int) -> Poly:
+    """Component k of the Levi-Civita nabla_{e_i} e_j, by the Koszul formula
+    for a left-invariant metric:
 
     2 g(nabla_{e_i} e_j, e_k) =
         g([e_i,e_j], e_k) - g([e_j,e_k], e_i) + g([e_k,e_i], e_j)
 
-    As eps[k]^2 = 1, each component is one ``dot`` over the three brackets, over 2.
+    As eps[k]^2 = 1, it is one ``dot`` over the three brackets, over 2.
     """
     eps = spec.signature.eps
     c = spec.constants
-    one = Poly.const(1)
-
-    def component(i: int, j: int, k: int) -> Poly:
-        signs = (1, -eps[k] * eps[i], eps[k] * eps[j])
-        return dot(zip(signs, (c[i][j][k], c[j][k][i], c[k][i][j]), (one,) * 3), 2)
-
-    return tuple(tuple(tuple(component(i, j, k) for k in range(3)) for j in range(3)) for i in range(3))
+    signs = (1, -eps[k] * eps[i], eps[k] * eps[j])
+    return dot(zip(signs, (c[i][j][k], c[j][k][i], c[k][i][j]), (_ONE,) * 3), 2)
 
 
-def canonical_connection(spec: LieAlgebraSpec, lc: Conn | None = None) -> Conn:
+def levi_civita(spec: LieAlgebraSpec) -> Conn:
+    return tuple(tuple(tuple(koszul(spec, i, j, k) for k in range(3)) for j in range(3)) for i in range(3))
+
+
+def canonical_connection(spec: LieAlgebraSpec) -> Conn:
     """nabla0_X Y = nabla_X Y - (1/2)(nabla_X J)(J Y), from the Koszul nabla,
-    for the standard product structure J, as the eigenspace projection.
-
-    ``lc`` is the Levi-Civita table of ``spec`` when the caller already has it.
-    """
-    if lc is None:
-        lc = levi_civita(spec)
+    for the standard product structure J, as the eigenspace projection: only
+    the 15 Koszul components it keeps are formed."""
     zero = Poly.zero()
     return tuple(
         tuple(
-            tuple(lc[i][j][k] if J_EIGENVALUES[j] == J_EIGENVALUES[k] else zero for k in range(3))
+            tuple(koszul(spec, i, j, k) if J_EIGENVALUES[j] == J_EIGENVALUES[k] else zero for k in range(3))
             for j in range(3)
         )
         for i in range(3)
@@ -116,46 +114,55 @@ def tri_table(upper: Sequence[tuple[Vec3, ...]]) -> Tri:
     return antisymmetric(upper, (ZERO_VEC,) * 3, lambda vecs: tuple(map(vec_neg, vecs)))
 
 
-def curvature(conn: Conn, spec: LieAlgebraSpec) -> Tri:
+def curvature_terms(conn: Conn, spec: LieAlgebraSpec) -> Terms:
     """R(e_i,e_j)e_k = nabla_i nabla_j e_k - nabla_j nabla_i e_k - nabla_{[e_i,e_j]} e_k.
 
-    Component l is one ``dot`` over m of nabla_j e_k[m] * nabla_i e_m[l]
+    Component l is the nine triples over m of nabla_j e_k[m] * nabla_i e_m[l]
     - nabla_i e_k[m] * nabla_j e_m[l] - [e_i,e_j][m] * nabla_m e_k[l].
     """
-
-    def component(i: int, j: int, k: int, l: int) -> Poly:
-        cij = spec.constants[i][j]
-        return dot(
-            [(1, conn[j][k][m], conn[i][m][l]) for m in range(3)]
-            + [(-1, conn[i][k][m], conn[j][m][l]) for m in range(3)]
-            + [(-1, cij[m], conn[m][k][l]) for m in range(3)]
-        )
-
-    return tri_table([tuple(tuple(component(i, j, k, l) for l in range(3)) for k in range(3)) for i, j in PAIRS])
-
-
-def a_tensor(t: Tor) -> Tri:
-    """A(X,Y)Z = T(T(X,Y), Z), expanded by bilinearity of T."""
-    return tri_table(
-        [
-            tuple(vec_combination(t[i][j], [t[m][k] for m in range(3)]) for k in range(3))
-            for i, j in PAIRS
-        ]
+    c = spec.constants
+    return lambda i, j, k, l: (
+        [(1, conn[j][k][m], conn[i][m][l]) for m in range(3)]
+        + [(-1, conn[i][k][m], conn[j][m][l]) for m in range(3)]
+        + [(-1, c[i][j][m], conn[m][k][l]) for m in range(3)]
     )
 
 
-def contract(k: Tri, sig: MetricSignature) -> Mat3:
-    """Signed Ricci-type trace over the middle slot:
+def a_terms(t: Tor) -> Terms:
+    """A(e_i,e_j)e_k = T(T(e_i,e_j), e_k): component l is the triples over m
+    of T(e_i,e_j)[m] * T(e_m,e_k)[l], by bilinearity of T."""
+    return lambda i, j, k, l: [(1, t[i][j][m], t[m][k][l]) for m in range(3)]
+
+
+def tensor_table(terms: Terms) -> Tri:
+    """The Tri table whose component K(e_i,e_j)e_k[l] is the ``dot`` of terms(i, j, k, l)."""
+    return tri_table([tuple(tuple(dot(terms(i, j, k, l)) for l in range(3)) for k in range(3)) for i, j in PAIRS])
+
+
+def curvature(conn: Conn, spec: LieAlgebraSpec) -> Tri:
+    return tensor_table(curvature_terms(conn, spec))
+
+
+def a_tensor(t: Tor) -> Tri:
+    return tensor_table(a_terms(t))
+
+
+def contract(terms: Terms, sig: MetricSignature) -> Mat3:
+    """Signed Ricci-type trace over the middle slot of the tensor K whose
+    components are the ``dot``s of ``terms``:
 
     s(X, Y) = - g(K(X,e1)Y, e1) - g(K(X,e2)Y, e2) + g(K(X,e3)Y, e3)
 
-    computed literally as the signed sum of g-evaluations; with signature
-    (+, +, -) this coincides with -sum_j K[i][j][k][j].
+    Entry (i, k) is one ``dot`` over the signed triples of K(e_i,e_j)e_k[j]
+    for j != i, as K(e_i,e_i) = 0; with signature (+, +, -) it is
+    -sum_j K[i][j][k][j].
     """
     signs = [s * e for s, e in zip((-1, -1, 1), sig.eps)]
-    one = Poly.const(1)
     return tuple(
-        tuple(dot((signs[j], k[i][j][kk][j], one) for j in range(3)) for kk in range(3))
+        tuple(
+            dot([(signs[j] * n, a, b) for j in range(3) if j != i for n, a, b in terms(i, j, k, j)])
+            for k in range(3)
+        )
         for i in range(3)
     )
 
@@ -174,29 +181,39 @@ def symmetrize_operator(m: Mat3, sig: MetricSignature) -> Mat3:
     that is (m[i][j] + eps[i]*eps[j]*m[j][i]) / 2.
     """
     eps = sig.eps
-    one = Poly.const(1)
     return tuple(
-        tuple(dot(((1, m[i][j], one), (eps[i] * eps[j], m[j][i], one)), 2) for j in range(3)) for i in range(3)
+        tuple(dot(((1, m[i][j], _ONE), (eps[i] * eps[j], m[j][i], _ONE)), 2) for j in range(3)) for i in range(3)
     )
 
 
 @dataclass(frozen=True)
 class TensorBundle:
-    """Every stage of the pipeline for one algebra and one base connection;
-    W, which no decision reads, is built when read."""
+    """The pipeline for one algebra and one base connection.  The forms and
+    operators are built with the bundle; the Levi-Civita table, R, A and W,
+    which no decision reads, are built when first read."""
 
     spec: LieAlgebraSpec
-    levi_civita: Conn
+    connection_kind: str
     connection: Conn
     torsion: Tor
-    curvature: Tri
-    a_tensor: Tri
     ricci_form: Mat3
     a_form: Mat3
     ric: Mat3
     abar: Mat3
     wan: Mat3
     wan_tilde: Mat3
+
+    @functools.cached_property
+    def levi_civita(self) -> Conn:
+        return self.connection if self.connection_kind == "levi-civita" else levi_civita(self.spec)
+
+    @functools.cached_property
+    def curvature(self) -> Tri:
+        return curvature(self.connection, self.spec)
+
+    @functools.cached_property
+    def a_tensor(self) -> Tri:
+        return a_tensor(self.torsion)
 
     @functools.cached_property
     def wanas(self) -> Tri:
@@ -208,35 +225,31 @@ class TensorBundle:
 
 
 def compute_tensors(spec: LieAlgebraSpec, connection_kind: str = "canonical") -> TensorBundle:
-    """Run the full pipeline from the bracket table.
+    """Run the pipeline from the bracket table to Wan and WanTilde; the
+    Ricci and A-bar forms contract the triples of R and A, not their tables.
 
     connection_kind selects the base connection: "canonical" (default) or
     "levi-civita" (whose torsion, hence A, vanishes identically).
     """
-    lc = levi_civita(spec)
     if connection_kind == "canonical":
-        conn = canonical_connection(spec, lc=lc)
+        conn = canonical_connection(spec)
     elif connection_kind == "levi-civita":
-        conn = lc
+        conn = levi_civita(spec)
     else:
         raise ValueError(f"unknown connection kind {connection_kind!r}")
     t = torsion(conn, spec)
-    r = curvature(conn, spec)
-    a = a_tensor(t)
     sig = spec.signature
-    rho = contract(r, sig)
-    a_form = contract(a, sig)
+    rho = contract(curvature_terms(conn, spec), sig)
+    a_form = contract(a_terms(t), sig)
     ric = operator_from_form(rho, sig)
     abar = operator_from_form(a_form, sig)
     wan = mat_sub(ric, abar)
     wan_tilde = symmetrize_operator(wan, sig)
     return TensorBundle(
         spec=spec,
-        levi_civita=lc,
+        connection_kind=connection_kind,
         connection=conn,
         torsion=t,
-        curvature=r,
-        a_tensor=a,
         ricci_form=rho,
         a_form=a_form,
         ric=ric,

@@ -276,6 +276,8 @@ class Poly:
         for name in images_p:
             if name not in _VAR_INDEX:
                 raise PolyParseError(f"unknown variable {name!r} in substitution")
+        if not self._terms:
+            return self
         basis = [images_p.get(v, x) for v, x in zip(VARIABLES, _VARS)]
         powers: dict[tuple[int, int], Poly] = {}
         products = []

@@ -1,8 +1,9 @@
 """Matrix helpers that only the tests read: exact equality of two 3x3
-polynomial matrices, the identity, the Lorentz shortcut of the signed
-contraction, an independent formula to check ``geometry.contract`` against,
-and the product structure J with nabla J by their literal definitions, to
-check ``geometry.canonical_connection`` against.
+polynomial matrices, the identity, the signed contraction of a built
+tensor table and its Lorentz shortcut, independent formulas to check
+``geometry.contract`` (which contracts component triples) against, and the
+product structure J with nabla J by their literal definitions, to check
+``geometry.canonical_connection`` against.
 
 The oracles at the end build each Koszul component and each curvature
 component from intermediate polynomials, one operation at a time; the
@@ -12,10 +13,16 @@ both give the same polynomial."""
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Sequence
 
-from wanas.algebra import LieAlgebraSpec, PAIRS, vec_combination, vec_sub
+from wanas.algebra import LieAlgebraSpec, MetricSignature, PAIRS, Vec3, vec_sub
 from wanas.geometry import Conn, Mat3, Tri, tri_table
-from wanas.poly import Poly
+from wanas.poly import Poly, dot
+
+
+def vec_combination(coeffs: Sequence[Poly], vectors: Sequence[Vec3]) -> Vec3:
+    """sum_m coeffs[m] * vectors[m], one ``dot`` per component."""
+    return tuple(dot((1, s, v[k]) for s, v in zip(coeffs, vectors)) for k in range(3))
 
 
 def identity3() -> Mat3:
@@ -47,6 +54,22 @@ def nabla_j(conn: Conn, j: Mat3) -> Conn:
 
 def mat_eq(a: Mat3, b: Mat3) -> bool:
     return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+
+
+def contract(k: Tri, sig: MetricSignature) -> Mat3:
+    """Signed Ricci-type trace over the middle slot of a built table:
+
+    s(X, Y) = - g(K(X,e1)Y, e1) - g(K(X,e2)Y, e2) + g(K(X,e3)Y, e3)
+
+    computed literally as the signed sum of g-evaluations; with signature
+    (+, +, -) this coincides with -sum_j K[i][j][k][j].
+    """
+    signs = [s * e for s, e in zip((-1, -1, 1), sig.eps)]
+    one = Poly.const(1)
+    return tuple(
+        tuple(dot((signs[j], k[i][j][kk][j], one) for j in range(3)) for kk in range(3))
+        for i in range(3)
+    )
 
 
 def contract_shortcut(k: Tri) -> Mat3:

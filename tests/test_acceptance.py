@@ -20,7 +20,6 @@ from wanas.catalog import ALL_GROUPS
 from wanas.geometry import (
     canonical_connection,
     compute_tensors,
-    contract,
     levi_civita,
     operator_from_form,
     torsion,
@@ -42,7 +41,7 @@ from wanas.verify import (
     verify_paper,
 )
 
-from matrix_helpers import contract_shortcut, mat_eq
+from matrix_helpers import contract, contract_shortcut, mat_eq
 
 UNIMODULAR = ("g1", "g2", "g3", "g4")
 # SHA-256 of the full `verify-paper --out` report: its bytes must never change

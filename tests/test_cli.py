@@ -47,6 +47,26 @@ def test_tensors_torsion_at_point(capsys):
     assert "T(e1,e3) = e1" in out
 
 
+# SHA-256 of stdout for tables that R does not enter
+_NO_CURVATURE_SHA256 = {
+    ("--group", "g1", "--tensor", "torsion"): "4e5f0dceba4062eeed26b1e063170d87b4db0d8fc0342c2fc86604253aff95c1",
+    ("--group", "g4", "--tensor", "torsion", "--json"): "64ca61dd18a5b0278c8f7424d590ee798381516e1333f7b412f7003bc09ae53a",
+    ("--group", "g1", "--tensor", "wan"): "1bd1c0805883238ccbd8d330161d529f07e8f97fb9669c5f17e9324eb66888be",
+    ("--group", "g6", "--tensor", "wan", "--json"): "99246065cab3ac7933a0da0ffc08bdf1df08ce6b84246ff660ae3b422d117861",
+}
+
+
+def test_tensors_reads_only_the_printed_table(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the curvature table was built")
+
+    monkeypatch.setattr("wanas.geometry.curvature", refuse)
+    for argv, digest in _NO_CURVATURE_SHA256.items():
+        code, out, _ = run(capsys, "tensors", *argv)
+        assert code == 0, argv
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
 def test_tensors_levi_civita_kind(capsys):
     code, out, _ = run(
         capsys,

@@ -3,6 +3,7 @@ from the lemma tables, contraction identities, operator/form duality."""
 
 from __future__ import annotations
 
+import collections
 import itertools
 from fractions import Fraction
 
@@ -12,14 +13,13 @@ from wanas.algebra import (
     LieAlgebraSpec,
     MetricSignature,
     vec3,
-    vec_combination,
     vec_sub,
 )
+from wanas import geometry
 from wanas.geometry import (
     a_tensor,
     canonical_connection,
     compute_tensors,
-    contract,
     curvature,
     levi_civita,
     mat_sub,
@@ -32,6 +32,7 @@ from wanas.geometry import (
 from wanas.poly import VARIABLES, Poly, parse_poly
 
 from matrix_helpers import (
+    contract,
     contract_shortcut,
     curvature_chained,
     identity3,
@@ -39,6 +40,7 @@ from matrix_helpers import (
     mat_eq,
     nabla_j,
     standard_product_structure,
+    vec_combination,
 )
 
 P = parse_poly
@@ -276,8 +278,52 @@ def test_curvature_is_the_chained_definition(groups):
     # built from vec_combination, for both connections
     for spec in every_signature_specs(groups):
         lc = levi_civita(spec)
-        for conn in (lc, canonical_connection(spec, lc=lc)):
+        for conn in (lc, canonical_connection(spec)):
             assert curvature(conn, spec) == curvature_chained(conn, spec), spec
+
+
+def test_contract_of_triples_is_the_table_contraction(groups):
+    # the one-dot contraction of R's and A's component triples equals the signed
+    # trace of their built tables, under all eight signatures, for both connections
+    for spec in every_signature_specs(groups):
+        sig = spec.signature
+        for conn in (levi_civita(spec), canonical_connection(spec)):
+            t = torsion(conn, spec)
+            ricci = geometry.contract(geometry.curvature_terms(conn, spec), sig)
+            assert mat_eq(ricci, contract(curvature(conn, spec), sig)), spec
+            assert mat_eq(geometry.contract(geometry.a_terms(t), sig), contract(a_tensor(t), sig)), spec
+
+
+def test_compute_tensors_builds_r_a_and_levi_civita_only_when_read(groups, monkeypatch):
+    built = collections.Counter()
+
+    def counted(name):
+        real = getattr(geometry, name)
+
+        def build(*args):
+            built[name] += 1
+            return real(*args)
+
+        return build
+
+    for name in ("curvature", "a_tensor", "levi_civita"):
+        monkeypatch.setattr(geometry, name, counted(name))
+    bundle = compute_tensors(groups["g4"].spec)
+    for field in ("connection", "torsion", "ricci_form", "a_form", "ric", "abar", "wan", "wan_tilde"):
+        getattr(bundle, field)
+    assert not built
+    # each table is built on its first read, once; W reads the cached R and A
+    for _ in range(2):
+        assert bundle.curvature is bundle.curvature
+        assert bundle.a_tensor is bundle.a_tensor
+        assert bundle.levi_civita is bundle.levi_civita
+        assert bundle.wanas is bundle.wanas
+    assert built == {"curvature": 1, "a_tensor": 1, "levi_civita": 1}
+    # the Levi-Civita bundle's table is its connection, not a second build
+    built.clear()
+    bundle = compute_tensors(groups["g4"].spec, "levi-civita")
+    assert bundle.levi_civita is bundle.connection
+    assert built == {"levi_civita": 1}
 
 
 def test_curvature_antisymmetric_first_slots(groups):

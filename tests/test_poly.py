@@ -146,6 +146,17 @@ def test_substitute_is_simultaneous():
     assert swapped == p
 
 
+def test_substitute_zero_checks_its_images_first():
+    # the zero polynomial is returned as is, but only after the image names
+    # and types are checked, as for any other polynomial
+    zero = Poly.zero()
+    assert zero.substitute({"alpha": BETA + 1}) is zero
+    with pytest.raises(PolyParseError):
+        zero.substitute({"x": 1})
+    with pytest.raises(TypeError, match=r"^cannot coerce float to Poly$"):
+        zero.substitute({"alpha": 0.5})
+
+
 # -- reduction -------------------------------------------------------------------
 
 
