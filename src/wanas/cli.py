@@ -347,6 +347,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # exact answers have any number of digits: lift CPython's int/str conversion limit while running
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args, load_catalog())
     except (_CliError, CatalogError) as exc:
@@ -355,6 +359,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except InvalidAssignmentError as exc:
         print(f"error: invalid parameter point: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":  # pragma: no cover

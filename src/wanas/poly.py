@@ -596,10 +596,10 @@ def parse_rational(text: str) -> Fraction:
             num, den = text.split("/", 1)
             return Fraction(int(num.strip()), int(den.strip()))
         return Fraction(int(text))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise PolyParseError(
-            f"invalid rational {text!r} (expected p or p/q in lowest integer terms)"
-        ) from exc
+    except ZeroDivisionError as exc:
+        raise PolyParseError(f"invalid rational {text!r} (zero denominator)") from exc
+    except ValueError as exc:
+        raise PolyParseError(f"invalid rational {text!r} (not an integer ratio)") from exc
 
 
 # -- polynomial expression parser ---------------------------------------

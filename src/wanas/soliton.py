@@ -16,9 +16,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .algebra import PAIR_KEYS, PAIRS, Assignment, LieAlgebraSpec, Vec3
+from .algebra import PAIR_KEYS, PAIRS, LieAlgebraSpec, Vec3
 from .geometry import Mat3, mat_sub, mat_substitute, matrix_json, scalar_matrix, wan_forms
-from .poly import IntegerEvaluator, Poly, Scalar, dot, format_rational
+from .poly import Poly, Scalar, dot, format_rational
 
 
 class SolitonKind(enum.Enum):
@@ -186,33 +186,21 @@ def soliton_decide(spec: LieAlgebraSpec, kind: SolitonKind, wan: Mat3) -> Solito
     """Decide solitonhood at a numeric point, exactly.
 
     ``spec`` must be a numeric algebra (constant structure polynomials) and
-    ``wan`` the matching numeric decision operator for ``kind``.
+    ``wan`` the matching numeric decision operator for ``kind``.  The Wan
+    entries become Fractions only for a soliton's D.
     """
     pairs = [(a.constant_value(), b.constant_value()) for a, b in affine_residuals(spec, wan)]
-    wan = tuple(tuple(p.constant_value() for p in row) for row in wan)
-    return _verdict(pairs, wan)
-
-
-@dataclass(frozen=True)
-class CompiledDecision:
-    """``soliton_decide`` at any admissible point of one algebra: a view of
-    the 27 ``decision_rows`` that an evaluator holds from row ``start`` on.
-    A grid classification compiles them with the constraints and theorem
-    cases of the group.  The point is not validated."""
-
-    evaluate: IntegerEvaluator
-    start: int
-
-    def split(self, values: Sequence[int]):
-        """(pairs, wan): the nine (constant, slope) pairs and the Wan rows
-        among the evaluator's values."""
-        s = self.start
-        pairs = list(zip(values[s : s + 9], values[s + 9 : s + 18]))
-        return pairs, (values[s + 18 : s + 21], values[s + 21 : s + 24], values[s + 24 : s + 27])
-
-    def __call__(self, sigma: Assignment) -> SolitonVerdict:
-        values, den = self.evaluate(sigma)
-        return _verdict(*self.split(values), den)
+    outcome, c_value, witness = solve_affine(pairs)
+    if outcome == "none":
+        witness = tuple(AffineEquation(PAIRS[k // 3], k % 3, *pairs[k]) for k in witness)
+        return SolitonVerdict("no_soliton", witness=witness)
+    if outcome == "any":
+        return SolitonVerdict("any_c", d_family=mat_sub(wan, scalar_matrix(Poly.var("c"))))
+    d = tuple(
+        tuple(wan[i][j].constant_value() - (c_value if i == j else 0) for j in range(3))
+        for i in range(3)
+    )
+    return SolitonVerdict("soliton", c=c_value, d=d)
 
 
 def decision_rows(spec: LieAlgebraSpec, kind: SolitonKind) -> list[Poly]:
@@ -221,30 +209,6 @@ def decision_rows(spec: LieAlgebraSpec, kind: SolitonKind) -> list[Poly]:
     wan = wan_for_kind(spec, kind)
     constants, slopes = zip(*affine_residuals(spec, wan))
     return [*constants, *slopes, *(p for row in wan for p in row)]
-
-
-def _verdict(pairs, wan, den: int = 1) -> SolitonVerdict:
-    """The verdict from the nine affine pairs and the Wan rows, all values
-    over the positive denominator ``den`` (1 for Fraction values).  Fractions
-    are made only for what the verdict holds: c, D, the witness, D(c)."""
-    outcome, c_value, witness = solve_affine(pairs)
-    if outcome == "none":
-        witness = tuple(
-            AffineEquation(
-                PAIRS[k // 3], k % 3, Fraction(pairs[k][0], den), Fraction(pairs[k][1], den)
-            )
-            for k in witness
-        )
-        return SolitonVerdict("no_soliton", witness=witness)
-    if outcome == "any":
-        wan_poly = tuple(tuple(Poly.const(Fraction(x, den)) for x in row) for row in wan)
-        return SolitonVerdict("any_c", d_family=mat_sub(wan_poly, scalar_matrix(Poly.var("c"))))
-    wan = tuple(tuple(Fraction(x, den) for x in row) for row in wan)
-    d = tuple(
-        tuple(wan[i][j] - (c_value if i == j else 0) for j in range(3))
-        for i in range(3)
-    )
-    return SolitonVerdict("soliton", c=c_value, d=d)
 
 
 def residual_system(spec: LieAlgebraSpec, kind: SolitonKind) -> tuple[Poly, ...]:

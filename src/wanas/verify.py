@@ -35,13 +35,14 @@ from .catalog import (
 from .geometry import compute_tensors, mat_substitute
 from .poly import IntegerEvaluator, Poly, UnsupportedRelationError, format_rational
 from .soliton import (
-    CompiledDecision,
     SolitonKind,
     SolitonVerdict,
     check_claimed_solution,
     decision_rows,
     normalize_eta,
+    soliton_decide,
     solve_affine,
+    wan_for_kind,
 )
 
 MATCH = "match"
@@ -278,20 +279,22 @@ class PointRecord:
     whether they agree.
 
     ``classify_group`` keeps only sigma, agree and one ``source`` shared by
-    the kind's whole classification (its view of the group kernel and its
-    claim): the verdicts are rebuilt from sigma on first read.
+    the kind's whole classification (the group's spec and the kind's claim):
+    the verdicts are built on first read, by ``soliton_decide`` on the
+    numeric algebra as ``wanas check`` does and by ``predicate_eval``.
     """
 
     __slots__ = ("sigma", "agree", "_source", "_computed", "_expected")
 
     def __init__(self, sigma, computed, expected, agree, source=None):
         self.sigma, self._computed, self._expected, self.agree = sigma, computed, expected, agree
-        self._source: tuple[CompiledDecision, TheoremClaim] | None = source
+        self._source: tuple[LieAlgebraSpec, TheoremClaim] | None = source
 
     @property
     def computed(self) -> SolitonVerdict:
         if self._computed is None:
-            self._computed = self._source[0](self.sigma)
+            numeric, kind = self._source[0].evaluate(self.sigma), self._source[1].kind
+            self._computed = soliton_decide(numeric, kind, wan_for_kind(numeric, kind))
         return self._computed
 
     @property
@@ -382,7 +385,7 @@ def classify_group(
     group's kernel per point gives everything both read, in integers; the
     records build their verdicts when read."""
     kernel = _GroupKernel(entry.spec, list(claims.values()))
-    sources = list(zip(kernel.decisions, claims.values()))
+    sources = [(entry.spec, claim) for claim in claims.values()]
     records: list[list[PointRecord]] = [[] for _ in sources]
     for sigma in points:
         sigma = dict(sigma)
@@ -400,8 +403,9 @@ class _GroupKernel:
     reads its values); each claim's kind's
     ``decision_rows``; each distinct claim's ``layout`` rows (by the
     identity of its cases, so the kinds of a same_as_first claim share
-    them).  All values of one call sit over its one denominator.  Its
-    tables are indexed by position in ``claims``.
+    them).  All values of one call sit over its one denominator.
+    ``self.claims`` holds, by position in ``claims``, each claim with the
+    start of its kind's decision rows and of its layout rows.
     """
 
     def __init__(self, spec: LieAlgebraSpec, claims: Sequence[TheoremClaim]):
@@ -415,9 +419,8 @@ class _GroupKernel:
             if id(claim.cases) not in offsets:
                 offsets[id(claim.cases)] = len(rows)
                 rows += claim.layout[0]
-        self.claims = [(claim, offsets[id(claim.cases)]) for claim in claims]
+        self.claims = [(claim, start, offsets[id(claim.cases)]) for claim, start in zip(claims, starts)]
         self.evaluate = IntegerEvaluator(rows)
-        self.decisions = [CompiledDecision(self.evaluate, start) for start in starts]
 
     def agrees(self, index: int, values: Sequence[int], den: int) -> bool:
         """``verdicts_equal`` between the decision and ``predicate_eval``
@@ -430,8 +433,9 @@ class _GroupKernel:
         D(c) = Wan - c*Id agrees when D(0) == w and D(1) - D(0) == -den on
         the diagonal and 0 off it.
         """
-        claim, offset = self.claims[index]
-        pairs, wan = self.decisions[index].split(values)
+        claim, start, offset = self.claims[index]
+        pairs = list(zip(values[start : start + 9], values[start + 9 : start + 18]))
+        wan = [values[start + 18 + 3 * i : start + 21 + 3 * i] for i in range(3)]
         outcome, _, witness = solve_affine(pairs)
         hit = claim.case_at(values, offset)
         if hit is None or outcome == "none":

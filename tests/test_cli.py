@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import shutil
+import sys
+from fractions import Fraction
 
 import pytest
 
 from wanas.cli import main
 from wanas.catalog import ALL_GROUPS, default_catalog_path
-from wanas.poly import format_rational
+from wanas.poly import format_rational, parse_rational
+from wanas.soliton import SolitonKind, soliton_decide, wan_for_kind
 from wanas.verify import PaperReport, default_grid
 
 
@@ -219,6 +223,74 @@ def test_check_extraneous_parameter_exits_2(capsys):
     )
     assert code == 2
     assert "gamma" in err
+
+
+# -- answers past CPython's int/str digit limit (4300 digits by default) -------------
+
+_SEVENS_1450 = "7" * 1450
+
+
+@pytest.fixture
+def digit_limit():
+    """The interpreter's int/str digit limit, which ``main`` must leave as it was."""
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this Python has no int/str digit limit")
+    return sys.get_int_max_str_digits()
+
+
+def _parse_unlimited(text):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return parse_rational(text)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_check_and_tensors_print_exact_answers_of_any_size(capsys, catalog, digit_limit):
+    """A residual constant or Wan entry of more digits than the limit is
+    printed, and exactly: the witness constants parse back to soliton_decide's."""
+    at = f"alpha=1,beta={_SEVENS_1450},gamma=1"
+    code, out, _ = run(capsys, "check", "--group", "g2", "--kind", "first", "--at", at)
+    assert code == 0
+    assert out.startswith("g2 (first kind): no soliton (residual(e1,e2)[e2]: ")
+    code, out, _ = run(capsys, "check", "--group", "g2", "--kind", "first", "--at", at, "--json")
+    assert code == 0
+    numeric = catalog.get_group("g2").spec.evaluate({"alpha": 1, "beta": int(_SEVENS_1450), "gamma": 1})
+    verdict = soliton_decide(numeric, SolitonKind.FIRST, wan_for_kind(numeric, SolitonKind.FIRST))
+    printed = json.loads(out)["verdict"]["witness"]
+    assert [(_parse_unlimited(eq["constant"]), _parse_unlimited(eq["slope"])) for eq in printed] == [
+        (eq.constant, eq.slope) for eq in verdict.witness
+    ]
+    assert max(len(eq["constant"]) for eq in printed) > digit_limit
+    at = "alpha=1,beta={},gamma=1".format("7" * 2500)
+    code, out, _ = run(capsys, "tensors", "--group", "g2", "--tensor", "wan", "--at", at)
+    assert code == 0
+    assert out.startswith("wan operator")
+    assert sys.get_int_max_str_digits() == digit_limit
+
+
+def test_check_parses_a_point_of_any_size(capsys, digit_limit):
+    """An --at value of 4,400 digits parses, and the printed c = -2*gamma^2
+    parses back to the exact Fraction."""
+    gamma = "7" * 4400
+    code, out, _ = run(
+        capsys, "check", "--group", "g2", "--kind", "first", "--at", f"alpha=0,beta=0,gamma={gamma}", "--json"
+    )
+    assert code == 0
+    verdict = json.loads(out)["verdict"]
+    assert verdict["outcome"] == "soliton"
+    assert _parse_unlimited(verdict["c"]) == -2 * _parse_unlimited(gamma) ** 2
+    assert sys.get_int_max_str_digits() == digit_limit
+
+
+def test_main_restores_the_digit_limit(capsys, digit_limit):
+    """``main`` lifts the limit only while it runs: it is back after a
+    success and after a usage error."""
+    assert run(capsys, "check", "--group", "g2", "--kind", "first", "--at", "alpha=0,beta=0,gamma=1")[0] == 0
+    assert sys.get_int_max_str_digits() == digit_limit
+    assert run(capsys, "check", "--group", "g2", "--kind", "first", "--at", "alpha=0,beta=0,gamma=0")[0] == 2
+    assert sys.get_int_max_str_digits() == digit_limit
 
 
 # -- classify ----------------------------------------------------------------------
@@ -547,3 +619,55 @@ def test_golden_cli_outputs(capsys, monkeypatch, catalog, height_points):
     )
     digests["check"] = _digest(capsys, _check_runs(catalog, height_points))
     assert digests == GOLDEN_CLI_SHA256
+
+
+def _planted_catalog(catalog):
+    """The catalog with four wrong theorem claims: g1 first kind a soliton
+    with c = 0 and D = 0 everywhere; g2 first kind's case i with c + 1/7 and
+    its second kind no_soliton; g3 first kind (so also its same_as_first
+    second kind) no_soliton, which its abelian origin contradicts."""
+    from wanas.catalog import TheoremCase, TheoremClaim
+    from wanas.poly import Poly
+
+    first, second = SolitonKind.FIRST, SolitonKind.SECOND
+    zero = tuple(tuple(Poly.zero() for _ in range(3)) for _ in range(3))
+    everywhere = TheoremCase("planted", (), (), (), False, Poly.zero(), zero, (), False)
+    g2_first = catalog.theorem_claim("g2", first)
+    (case_i,) = g2_first.cases
+    planted = {
+        "g1": {first: TheoremClaim("g1", first, "cases", (everywhere,))},
+        "g2": {
+            first: dataclasses.replace(g2_first, cases=(dataclasses.replace(case_i, c=case_i.c + Fraction(1, 7)),)),
+            second: TheoremClaim("g2", second, "no_soliton"),
+        },
+        "g3": {first: TheoremClaim("g3", first, "no_soliton")},
+    }
+    groups = dict(catalog.groups)
+    for gid, claims in planted.items():
+        groups[gid] = dataclasses.replace(groups[gid], theorems={**groups[gid].theorems, **claims})
+    return dataclasses.replace(catalog, groups=groups)
+
+
+GOLDEN_PLANTED_SHA256 = "c7d104b5aca9ef87fc0663e6400e19b499eb6452f29f61fa8270ae226c830a52"
+
+
+def test_golden_planted_disagreement_outputs(capsys, monkeypatch, catalog):
+    """`classify` (text and JSON) and `verify-paper --json` on planted wrong
+    claims print every disagreement's two verdicts (soliton c and D,
+    no_soliton witnesses, the any_c family) byte for byte, and exit 1."""
+    planted = _planted_catalog(catalog)
+    monkeypatch.setattr("wanas.cli.load_catalog", lambda: planted)
+    invocations = [
+        ("classify", "--group", gid, "--kind", kind, "--min-points", "40", *fmt)
+        for gid, kind in (("g1", "first"), ("g2", "first"), ("g2", "second"), ("g3", "first"))
+        for fmt in ((), ("--json",))
+    ]
+    invocations.append(("verify-paper", "--group", "g1", "--group", "g2", "--group", "g3", "--json"))
+    codes = []
+    h = hashlib.sha256()
+    for argv in invocations:
+        code, out, _ = run(capsys, *argv)
+        codes.append(code)
+        h.update(f"{' '.join(argv)}\n{code}\n{out}\n".encode())
+    assert codes == [1] * len(invocations)
+    assert h.hexdigest() == GOLDEN_PLANTED_SHA256

@@ -213,6 +213,21 @@ def test_rational_rendering():
         parse_rational("0.5")
 
 
+@pytest.mark.parametrize(
+    "text, cause",
+    [
+        ("1/0", "zero denominator"),
+        ("-3/0", "zero denominator"),
+        ("0.5", "not an integer ratio"),
+        ("1/x", "not an integer ratio"),
+        ("", "not an integer ratio"),
+    ],
+)
+def test_parse_rational_names_the_cause(text, cause):
+    with pytest.raises(PolyParseError, match=re.escape(f"invalid rational {text!r} ({cause})")):
+        parse_rational(text)
+
+
 def test_poly_rendering_sorted_and_signed():
     assert str(P("c + -3/2*alpha^2*beta")) == "-3/2*alpha^2*beta + c"
     assert str(P("beta^2 - 2*alpha*beta + alpha^2")) == "alpha^2 - 2*alpha*beta + beta^2"

@@ -608,7 +608,8 @@ def test_classify_grid_refuses_overlapping_cases(catalog):
 def test_symbolic_evaluation_commutes_with_numeric_pipeline(catalog):
     """classify_grid evaluates the symbolic Wan at each point; that must agree
     with running the whole pipeline on the numeric algebra, and so must its
-    verdicts."""
+    agreement with the theorem."""
+    from wanas.catalog import predicate_eval
     from wanas.poly import Poly
     from wanas.soliton import soliton_decide, wan_for_kind
 
@@ -617,21 +618,24 @@ def test_symbolic_evaluation_commutes_with_numeric_pipeline(catalog):
         _, points = default_grid(entry)
         for kind in SolitonKind:
             wan_sym = wan_for_kind(entry.spec, kind)
-            report = classify_grid(entry, kind, points[:8], catalog.theorem_claim(gid, kind))
+            claim = catalog.theorem_claim(gid, kind)
+            report = classify_grid(entry, kind, points[:8], claim)
             for sigma, rec in zip(points[:8], report.points):
                 numeric = entry.spec.evaluate(sigma)
                 direct = wan_for_kind(numeric, kind)
                 for i in range(3):
                     for j in range(3):
                         assert direct[i][j] == Poly.const(wan_sym[i][j].evaluate(sigma))
-                assert rec.computed == soliton_decide(numeric, kind, direct)
+                expected = predicate_eval(claim, sigma)
+                assert rec.agree == verdicts_equal(soliton_decide(numeric, kind, direct), expected)
 
 
 def test_classify_grid_equals_numeric_pipeline_at_height_points(catalog, height_points):
-    """The integer kernel in classify_grid gives exactly soliton_decide's
-    verdict (whole dataclass, witness included) on the full numeric
-    pipeline, for every group and both kinds, at seeded points of height
-    <= 1000 with 0, negative values and the large solved coordinate."""
+    """The integer kernel in classify_grid agrees exactly when soliton_decide
+    on the full numeric pipeline and predicate_eval give equal verdicts,
+    for every group and both kinds, at seeded points of height <= 1000
+    with 0, negative values and the large solved coordinate."""
+    from wanas.catalog import predicate_eval
     from wanas.soliton import soliton_decide, wan_for_kind
 
     outcomes = set()
@@ -639,28 +643,33 @@ def test_classify_grid_equals_numeric_pipeline_at_height_points(catalog, height_
         entry = catalog.get_group(gid)
         points = height_points[gid]
         for kind in SolitonKind:
-            report = classify_grid(entry, kind, points, catalog.theorem_claim(gid, kind))
+            claim = catalog.theorem_claim(gid, kind)
+            report = classify_grid(entry, kind, points, claim)
             assert report.total == len(points)
             for sigma, rec in zip(points, report.points):
                 numeric = entry.spec.evaluate(sigma)
                 direct = soliton_decide(numeric, kind, wan_for_kind(numeric, kind))
-                assert rec.computed == direct, (gid, kind, sigma)
+                assert rec.agree == verdicts_equal(direct, predicate_eval(claim, sigma)), (gid, kind, sigma)
                 outcomes.add(direct.outcome)
     assert outcomes == {"soliton", "no_soliton"}
 
 
-def _fraction_path(entry, kind, points, claim):
-    """classify_grid's report built eagerly: both verdicts as Fractions and
-    verdicts_equal between them."""
+def _decisions(entry, kind, points):
+    """soliton_decide on the numeric algebra at each point."""
+    from wanas.soliton import soliton_decide, wan_for_kind
+
+    return [soliton_decide(numeric, kind, wan_for_kind(numeric, kind)) for numeric in map(entry.spec.evaluate, points)]
+
+
+def _fraction_path(entry, kind, points, claim, decisions):
+    """classify_grid's report built eagerly from the points' ``_decisions``:
+    both verdicts as Fractions and verdicts_equal between them."""
     from wanas.catalog import predicate_eval
-    from wanas.poly import IntegerEvaluator
-    from wanas.soliton import CompiledDecision, decision_rows
     from wanas.verify import ClassificationReport, PointRecord
 
-    decide = CompiledDecision(IntegerEvaluator(decision_rows(entry.spec, kind)), 0)
     records = []
-    for sigma in points:
-        computed, expected = decide(dict(sigma)), predicate_eval(claim, sigma)
+    for sigma, computed in zip(points, decisions):
+        expected = predicate_eval(claim, sigma)
         records.append(PointRecord(dict(sigma), computed, expected, verdicts_equal(computed, expected)))
     return ClassificationReport(entry.id, kind, tuple(records))
 
@@ -668,25 +677,18 @@ def _fraction_path(entry, kind, points, claim):
 def test_integer_agreement_equals_fraction_comparison(catalog, height_points):
     """classify_grid compares verdicts in integers; on every group and kind,
     at height points and on the default grids, that equals verdicts_equal on
-    the verdicts the records build, and those equal soliton_decide on the
-    numeric pipeline (all height points, every 80th default-grid point)."""
-    from wanas.soliton import soliton_decide, wan_for_kind
-
+    the verdicts the records build by soliton_decide and predicate_eval."""
     outcomes = collections.Counter()
     for gid in ALL_GROUPS:
         entry = catalog.get_group(gid)
         _, grid_points = default_grid(entry)
         for kind in SolitonKind:
             claim = catalog.theorem_claim(gid, kind)
-            for points, stride in ((height_points[gid], 1), (grid_points, 80)):
+            for points in (height_points[gid], grid_points):
                 report = classify_grid(entry, kind, points, claim)
-                for n, rec in enumerate(report.points):
+                for rec in report.points:
                     assert rec.agree == verdicts_equal(rec.computed, rec.expected), (gid, kind, rec.sigma)
                     outcomes[rec.computed.outcome, rec.agree] += 1
-                    if n % stride == 0:
-                        numeric = entry.spec.evaluate(rec.sigma)
-                        direct = soliton_decide(numeric, kind, wan_for_kind(numeric, kind))
-                        assert rec.computed == direct, (gid, kind, rec.sigma)
     assert set(outcomes) == {("soliton", True), ("no_soliton", True), ("any_c", True)}
 
 
@@ -728,10 +730,11 @@ def test_integer_agreement_finds_perturbed_claims(catalog):
                     for name, wrong in _perturbations(case).items()
                 }
                 variants["dropped"] = claim.cases[:index] + claim.cases[index + 1 :]
+                decisions = _decisions(entry, kind, points)
                 for name, cases in variants.items():
                     wrong_claim = dataclasses.replace(claim, cases=cases)
                     report = classify_grid(entry, kind, points, wrong_claim)
-                    expected = _fraction_path(entry, kind, points, wrong_claim)
+                    expected = _fraction_path(entry, kind, points, wrong_claim, decisions)
                     assert report.to_json_dict() == expected.to_json_dict(), (gid, kind, case.name, name)
                     assert len(report.disagreements) == len(hits), (gid, kind, case.name, name)
                     checked += 1
@@ -1000,8 +1003,6 @@ def test_verify_paper_builds_verdicts_only_when_read(catalog, monkeypatch):
     """The run compares in integers and keeps no verdict: no Fraction
     verdict is built and no theorem predicate evaluated until a record is
     read."""
-    from wanas import soliton as soliton_module
-
     calls = collections.Counter()
 
     def counted(name, original):
@@ -1011,7 +1012,7 @@ def test_verify_paper_builds_verdicts_only_when_read(catalog, monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(soliton_module, "_verdict", counted("_verdict", soliton_module._verdict))
+    monkeypatch.setattr(verify_module, "soliton_decide", counted("soliton_decide", verify_module.soliton_decide))
     monkeypatch.setattr(verify_module, "predicate_eval", counted("predicate_eval", verify_module.predicate_eval))
     _count_claim_kernel(monkeypatch, counted("claim_kernel", lambda: None))
     report = verify_paper(catalog, groups=("g2", "g5"))
@@ -1021,11 +1022,11 @@ def test_verify_paper_builds_verdicts_only_when_read(catalog, monkeypatch):
     soliton_point = {"alpha": F(0), "beta": F(0), "gamma": F(1)}
     rec = next(r for r in report.classifications[0].points if r.sigma == soliton_point)
     assert rec.computed.outcome == "soliton"
-    assert calls == collections.Counter(_verdict=1)
+    assert calls == collections.Counter(soliton_decide=1)
     assert rec.computed == rec.expected  # the first read is kept
-    assert calls == collections.Counter(_verdict=1, predicate_eval=1, claim_kernel=1)
+    assert calls == collections.Counter(soliton_decide=1, predicate_eval=1, claim_kernel=1)
     rec.computed, rec.expected
-    assert calls == collections.Counter(_verdict=1, predicate_eval=1, claim_kernel=1)
+    assert calls == collections.Counter(soliton_decide=1, predicate_eval=1, claim_kernel=1)
 
 
 def test_point_record_given_verdicts_keeps_fields_and_equality(catalog):
