@@ -152,9 +152,7 @@ class LieAlgebraSpec:
         return tuple(dot((1, xy, cij[k]) for xy, cij in products) for k in range(3))
 
     def basis_vector(self, i: int) -> Vec3:
-        out = [Poly.zero()] * 3
-        out[i] = Poly.const(1)
-        return tuple(out)
+        return tuple(Poly.const(int(k == i)) for k in range(3))
 
     def jacobi_residual(self) -> Vec3:
         """Components of [e1,[e2,e3]] + [e2,[e3,e1]] + [e3,[e1,e2]]."""

@@ -29,7 +29,7 @@ from .geometry import (
     render_matrix,
     render_vector,
 )
-from .poly import MissingVariableError, PolyParseError, parse_rational
+from .poly import MissingVariableError, PolyParseError, format_rational, parse_rational
 from .soliton import SolitonKind, soliton_decide, wan_for_kind
 from .verify import GridSpec, classify_grid, default_grid, generate_grid, verify_paper
 
@@ -120,7 +120,7 @@ def _cmd_tensors(args, catalog: Catalog) -> int:
     lines: list[str] = []
     payload: dict = {"group": gid, "tensor": tensor, "connection_kind": base}
     if sigma is not None:
-        payload["at"] = {v: str(x) for v, x in sorted(sigma.items())}
+        payload["at"] = {v: format_rational(x) for v, x in sorted(sigma.items())}
 
     if tensor in ("connection", "levi-civita"):
         table = bundle.levi_civita if tensor == "levi-civita" else bundle.connection
@@ -171,7 +171,7 @@ def _cmd_check(args, catalog: Catalog) -> int:
     payload = {
         "group": gid,
         "kind": kind.value,
-        "at": {v: str(x) for v, x in sorted(sigma.items())},
+        "at": {v: format_rational(x) for v, x in sorted(sigma.items())},
         "verdict": verdict.to_json_dict(),
     }
     _emit(args, payload, f"{gid} ({kind.value} kind): {verdict.describe()}")
@@ -347,10 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # exact answers have any number of digits: lift CPython's int/str conversion limit while running
-    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
-    if limit is not None:
-        sys.set_int_max_str_digits(0)
     try:
         return args.func(args, load_catalog())
     except (_CliError, CatalogError) as exc:
@@ -359,9 +355,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except InvalidAssignmentError as exc:
         print(f"error: invalid parameter point: {exc}", file=sys.stderr)
         return 2
-    finally:
-        if limit is not None:
-            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":  # pragma: no cover

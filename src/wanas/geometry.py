@@ -33,7 +33,7 @@ from .algebra import (
     vec_neg,
     vec_sub,
 )
-from .poly import VARIABLES, Poly, dot
+from .poly import VARIABLES, Poly, as_poly, dot
 
 # Component tables, all 0-indexed:
 #   Conn[i][j]       components of nabla_{e_i} e_j
@@ -53,13 +53,8 @@ _ONE = Poly.const(1)
 
 
 def scalar_matrix(value) -> Mat3:
-    s = value if isinstance(value, Poly) else Poly.const(value)
-    zero = Poly.zero()
-    return (
-        (s, zero, zero),
-        (zero, s, zero),
-        (zero, zero, s),
-    )
+    s = as_poly(value)
+    return tuple(tuple(s if i == j else Poly.zero() for j in range(3)) for i in range(3))
 
 
 def mat_sub(a: Mat3, b: Mat3) -> Mat3:
@@ -77,12 +72,15 @@ def koszul(spec: LieAlgebraSpec, i: int, j: int, k: int) -> Poly:
     2 g(nabla_{e_i} e_j, e_k) =
         g([e_i,e_j], e_k) - g([e_j,e_k], e_i) + g([e_k,e_i], e_j)
 
-    As eps[k]^2 = 1, it is one ``dot`` over the three brackets, over 2.
+    As eps[k]^2 = 1, it is one ``dot`` over the three brackets, over 2 (none when all are zero).
     """
     eps = spec.signature.eps
     c = spec.constants
+    brackets = (c[i][j][k], c[j][k][i], c[k][i][j])
+    if not any(brackets):
+        return Poly.zero()
     signs = (1, -eps[k] * eps[i], eps[k] * eps[j])
-    return dot(zip(signs, (c[i][j][k], c[j][k][i], c[k][i][j]), (_ONE,) * 3), 2)
+    return dot(zip(signs, brackets, (_ONE,) * 3), 2)
 
 
 def levi_civita(spec: LieAlgebraSpec) -> Conn:
@@ -118,20 +116,20 @@ def curvature_terms(conn: Conn, spec: LieAlgebraSpec) -> Terms:
     """R(e_i,e_j)e_k = nabla_i nabla_j e_k - nabla_j nabla_i e_k - nabla_{[e_i,e_j]} e_k.
 
     Component l is the nine triples over m of nabla_j e_k[m] * nabla_i e_m[l]
-    - nabla_i e_k[m] * nabla_j e_m[l] - [e_i,e_j][m] * nabla_m e_k[l].
+    - nabla_i e_k[m] * nabla_j e_m[l] - [e_i,e_j][m] * nabla_m e_k[l], less those whose first factor is 0.
     """
     c = spec.constants
     return lambda i, j, k, l: (
-        [(1, conn[j][k][m], conn[i][m][l]) for m in range(3)]
-        + [(-1, conn[i][k][m], conn[j][m][l]) for m in range(3)]
-        + [(-1, c[i][j][m], conn[m][k][l]) for m in range(3)]
+        [(1, conn[j][k][m], conn[i][m][l]) for m in range(3) if conn[j][k][m]]
+        + [(-1, conn[i][k][m], conn[j][m][l]) for m in range(3) if conn[i][k][m]]
+        + [(-1, c[i][j][m], conn[m][k][l]) for m in range(3) if c[i][j][m]]
     )
 
 
 def a_terms(t: Tor) -> Terms:
     """A(e_i,e_j)e_k = T(T(e_i,e_j), e_k): component l is the triples over m
-    of T(e_i,e_j)[m] * T(e_m,e_k)[l], by bilinearity of T."""
-    return lambda i, j, k, l: [(1, t[i][j][m], t[m][k][l]) for m in range(3)]
+    of T(e_i,e_j)[m] * T(e_m,e_k)[l] with T(e_i,e_j)[m] nonzero, by bilinearity of T."""
+    return lambda i, j, k, l: [(1, t[i][j][m], t[m][k][l]) for m in range(3) if t[i][j][m]]
 
 
 def tensor_table(terms: Terms) -> Tri:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import operator
+from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -159,24 +160,15 @@ class Poly:
 
     def degree(self) -> int:
         """Total degree; the zero polynomial has degree 0 by convention."""
-        if not self._terms:
-            return 0
-        return max(sum(m) for m in self._terms)
+        return max(map(sum, self._terms), default=0)
 
     def degree_in(self, name: str) -> int:
         idx = _VAR_INDEX[name]
-        if not self._terms:
-            return 0
-        return max(m[idx] for m in self._terms)
+        return max((m[idx] for m in self._terms), default=0)
 
     def variables(self) -> tuple[str, ...]:
         """Variables occurring with nonzero exponent, in canonical order."""
-        seen = [False] * _NVARS
-        for mono in self._terms:
-            for i, e in enumerate(mono):
-                if e:
-                    seen[i] = True
-        return tuple(v for v, s in zip(VARIABLES, seen) if s)
+        return tuple(v for v, column in zip(VARIABLES, zip(*self._terms)) if any(column))
 
     # -- ring operations ----------------------------------------------
 
@@ -230,10 +222,10 @@ class Poly:
         return result
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = Poly.const(other)
         if not isinstance(other, Poly):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = Poly.const(other)
         return self._den == other._den and self._terms == other._terms
 
     __hash__ = None  # equal to ints and Fractions under __eq__, so a hash would have to match theirs
@@ -269,14 +261,15 @@ class Poly:
         return Fraction(total, self._den)
 
     def substitute(self, images: Mapping[str, PolyLike]) -> Poly:
-        """Simultaneously substitute polynomials for the listed variables."""
+        """Simultaneously substitute polynomials for the listed variables;
+        a polynomial in none of them is returned as it is."""
         if not images:
             return self
         images_p = {name: as_poly(p) for name, p in images.items()}
         for name in images_p:
             if name not in _VAR_INDEX:
                 raise PolyParseError(f"unknown variable {name!r} in substitution")
-        if not self._terms:
+        if images_p.keys().isdisjoint(self.variables()):
             return self
         basis = [images_p.get(v, x) for v, x in zip(VARIABLES, _VARS)]
         powers: dict[tuple[int, int], Poly] = {}
@@ -357,7 +350,7 @@ class Poly:
             return "0"
         den = self._den
         parts: list[str] = []
-        for mono in sorted(self._terms, key=_mono_key, reverse=True):
+        for mono in self._terms if len(self._terms) == 1 else sorted(self._terms, key=_mono_key, reverse=True):
             k = self._terms[mono]
             factors = [
                 name if e == 1 else f"{name}^{e}"
@@ -365,7 +358,7 @@ class Poly:
                 if e
             ]
             g = math.gcd(k, den)  # |k| / den in lowest terms, printed as Fraction prints it
-            mag = str(abs(k) // g) if g == den else f"{abs(k) // g}/{den // g}"
+            mag = _int_str(abs(k) // g) if g == den else f"{_int_str(abs(k) // g)}/{_int_str(den // g)}"
             if not factors:
                 body = mag
             elif mag == "1":
@@ -450,7 +443,9 @@ def dot(terms: Iterable[tuple[int, Poly, Poly]], den: int = 1) -> Poly:
                 for mb, kb in bt.items():
                     mono = _mono_mul(ma, mb)
                     out[mono] = out.get(mono, 0) + ka * kb
-    return _canonical({m: k for m, k in out.items() if k}, lcm * den)
+    if 0 in out.values():  # a numerator cancelled
+        out = {m: k for m, k in out.items() if k}
+    return _canonical(out, lcm * den)
 
 
 _ZERO = _raw({}, 1)
@@ -531,6 +526,12 @@ def _kernel_source(
     terms is a ``sum`` over a flat tuple of chains.
     """
     n = len(degrees)
+
+    def literal(k: int) -> str:  # compile() keeps the int/str digit limit; hexadecimal has none
+        try:
+            return str(k)
+        except ValueError:
+            return hex(k)
     lines = [f"def kernel({', '.join(f'x{i}' for i in range(n))}):"]
     for i in range(n):
         lines.append(f"    p{i} = x{i}.numerator; q{i} = x{i}.denominator")
@@ -561,12 +562,12 @@ def _kernel_source(
             else:
                 name = monos[mono] = f"m{len(monos)}"
                 lines.append(f"    {name} = {' * '.join(factors) or '1'}")
-    den = [str(scale)] if scale != 1 or not n else []
+    den = [literal(scale)] if scale != 1 or not n else []
     den += [powers.get((i, 0)) or power(i, 0) for i in range(n)]
 
     def term(mono: tuple[int, ...], k: int, first: bool) -> str:
         sign = "-" if k < 0 else "" if first else "+"
-        body = monos[mono] if abs(k) == 1 else f"{abs(k)}*{monos[mono]}"
+        body = monos[mono] if abs(k) == 1 else f"{literal(abs(k))}*{monos[mono]}"
         return f"{sign}{body}" if first else f" {sign} {body}"
 
     values = []
@@ -582,20 +583,39 @@ def _kernel_source(
     return "\n".join(lines) + "\n"
 
 
+def _int_str(n: int) -> str:
+    """str(n) past CPython's int/str digit limit (4300 by default), through decimal, which has none."""
+    try:
+        return str(n)
+    except ValueError:
+        return str(Decimal(n))
+
+
+def _int(text: str) -> int:
+    """int(text) of a decimal integer literal of any number of digits."""
+    try:
+        return int(text)
+    except ValueError:
+        body = text.strip()
+        if not (body[1:] if body[:1] in "+-" else body).isdecimal():
+            raise
+        return int(Decimal(body))
+
+
 def format_rational(value: Scalar) -> str:
     """Canonical wire rendering of a rational: "p/q", or "p" when q == 1."""
     num, den = _ratio(value)
-    return f"{num}/{den}" if den != 1 else str(num)
+    return f"{_int_str(num)}/{_int_str(den)}" if den != 1 else _int_str(num)
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "p" or "p/q" exactly; decimal notation is rejected."""
+    """Parse "p" or "p/q" exactly, of any number of digits; decimal notation is rejected."""
     text = text.strip()
     try:
         if "/" in text:
             num, den = text.split("/", 1)
-            return Fraction(int(num.strip()), int(den.strip()))
-        return Fraction(int(text))
+            return Fraction(_int(num), _int(den))
+        return Fraction(_int(text))
     except ZeroDivisionError as exc:
         raise PolyParseError(f"invalid rational {text!r} (zero denominator)") from exc
     except ValueError as exc:
@@ -704,7 +724,7 @@ class _Parser:
                 raise PolyParseError("unbalanced parentheses")
             return inner
         if tok.isdigit():
-            return Poly.const(int(tok))
+            return Poly.const(_int(tok))
         if tok in _VAR_INDEX:
             return Poly.var(tok)
         if tok in self.names:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -105,6 +106,8 @@ def compare_polys(
     neither exact equality nor a binomial reduction settles the entry.  A
     difference in a variable the algebra does not have is a mismatch.
     """
+    if computed == claimed:
+        return (MATCH, None)
     diff = normalize_eta(computed - claimed)
     if diff.is_zero():
         return (MATCH, None)
@@ -282,6 +285,8 @@ class PointRecord:
     the kind's whole classification (the group's spec and the kind's claim):
     the verdicts are built on first read, by ``soliton_decide`` on the
     numeric algebra as ``wanas check`` does and by ``predicate_eval``.
+    Records of one source (the same spec and claim objects) compare by
+    sigma and agree, with no verdict built.
     """
 
     __slots__ = ("sigma", "agree", "_source", "_computed", "_expected")
@@ -303,16 +308,17 @@ class PointRecord:
             self._expected = predicate_eval(self._source[1], self.sigma)
         return self._expected
 
-    def _fields(self) -> tuple:
-        return (self.sigma, self.computed, self.expected, self.agree)
-
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, PointRecord) and self._fields() == other._fields()
+        if not isinstance(other, PointRecord) or (self.sigma, self.agree) != (other.sigma, other.agree):
+            return False
+        if self._source and other._source and all(map(operator.is_, self._source, other._source)):
+            return True
+        return (self.computed, self.expected) == (other.computed, other.expected)
 
     __hash__ = None  # sigma is a dict
 
     def __repr__(self) -> str:
-        return "PointRecord(sigma={!r}, computed={!r}, expected={!r}, agree={!r})".format(*self._fields())
+        return f"PointRecord(sigma={self.sigma!r}, computed={self.computed!r}, expected={self.expected!r}, agree={self.agree!r})"
 
     def sigma_str(self) -> str:
         return ",".join(f"{v}={format_rational(x)}" for v, x in sorted(self.sigma.items()))
@@ -475,7 +481,8 @@ def reproduce_group(entry: GroupEntry) -> list[DiscrepancyReport]:
     reports: list[DiscrepancyReport] = []
 
     def emit(item: str, location: tuple, computed: Poly, claimed_p: Poly):
-        verdict, certificate = compare_polys(computed, claimed_p, entry, samples)
+        equal = computed == claimed_p
+        verdict, certificate = (MATCH, None) if equal else compare_polys(computed, claimed_p, entry, samples)
         text = str(computed)
         reports.append(
             DiscrepancyReport(
@@ -483,7 +490,7 @@ def reproduce_group(entry: GroupEntry) -> list[DiscrepancyReport]:
                 item=item,
                 location=location,
                 computed=text,
-                claimed=text if computed == claimed_p else str(claimed_p),
+                claimed=text if equal else str(claimed_p),
                 verdict=verdict,
                 certificate=certificate,
             )

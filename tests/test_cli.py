@@ -285,8 +285,8 @@ def test_check_parses_a_point_of_any_size(capsys, digit_limit):
 
 
 def test_main_restores_the_digit_limit(capsys, digit_limit):
-    """``main`` lifts the limit only while it runs: it is back after a
-    success and after a usage error."""
+    """``main`` leaves the interpreter's limit as it was, after a success
+    and after a usage error."""
     assert run(capsys, "check", "--group", "g2", "--kind", "first", "--at", "alpha=0,beta=0,gamma=1")[0] == 0
     assert sys.get_int_max_str_digits() == digit_limit
     assert run(capsys, "check", "--group", "g2", "--kind", "first", "--at", "alpha=0,beta=0,gamma=0")[0] == 2

@@ -541,3 +541,45 @@ def test_render_matrix_shape():
     text = render_matrix(identity3())
     assert text.count("\n") == 2
     assert text.splitlines()[0].startswith("[")
+
+
+# -- no dot for a term known to be zero ---------------------------------------------
+
+
+def _fields(p: Poly) -> tuple:
+    return p._terms, p._den
+
+
+def test_zero_brackets_and_zero_first_factors_build_no_term(groups):
+    # koszul skips the dot of three zero brackets, and the curvature and A
+    # triples drop every m whose first factor is zero; each result is
+    # field-equal to the full dot over all the triples, under all eight
+    # signatures, for both connections
+    one = Poly.const(1)
+    skipped = 0
+    for spec in every_signature_specs(groups):
+        eps, c = spec.signature.eps, spec.constants
+        for i, j, k in itertools.product(range(3), repeat=3):
+            brackets = (c[i][j][k], c[j][k][i], c[k][i][j])
+            signs = (1, -eps[k] * eps[i], eps[k] * eps[j])
+            full = geometry.dot(zip(signs, brackets, (one,) * 3), 2)
+            assert _fields(geometry.koszul(spec, i, j, k)) == _fields(full), (spec, i, j, k)
+        for conn in (levi_civita(spec), canonical_connection(spec)):
+            t = torsion(conn, spec)
+            r_terms, a_terms = geometry.curvature_terms(conn, spec), geometry.a_terms(t)
+            for (i, j), k, l in itertools.product(((0, 1), (0, 2), (1, 2)), range(3), range(3)):
+                r_full = [
+                    (n, x[m], y[m])
+                    for n, x, y in (
+                        (1, conn[j][k], [conn[i][m][l] for m in range(3)]),
+                        (-1, conn[i][k], [conn[j][m][l] for m in range(3)]),
+                        (-1, c[i][j], [conn[m][k][l] for m in range(3)]),
+                    )
+                    for m in range(3)
+                ]
+                a_full = [(1, t[i][j][m], t[m][k][l]) for m in range(3)]
+                for terms, full in ((r_terms(i, j, k, l), r_full), (a_terms(i, j, k, l), a_full)):
+                    assert all(not a.is_zero() for _, a, _ in terms)
+                    assert _fields(geometry.dot(terms)) == _fields(geometry.dot(full))
+                    skipped += len(full) - len(terms)
+    assert skipped > 1000

@@ -26,7 +26,7 @@ from wanas.poly import (
     parse_poly,
     parse_rational,
 )
-from wanas.soliton import SolitonKind, derivation_residual, wan_for_kind
+from wanas.soliton import SolitonKind, SolitonVerdict, derivation_residual, wan_for_kind
 from wanas.verify import verify_paper
 
 P = parse_poly
@@ -796,3 +796,102 @@ def test_integer_evaluator_scale_is_lcm_of_coefficient_denominators(monkeypatch)
         assert evaluate.scale == math.lcm(
             *(c.denominator for p in polys for c in p.terms.values())
         )
+
+
+# -- shortcuts: each result is field-equal to the general path ------------------------
+
+
+def _fields(p: Poly) -> tuple:
+    return p._terms, p._den
+
+
+def test_substitute_returns_the_polynomial_itself_when_no_image_variable_occurs():
+    rng = random.Random(20261021)
+    untouched = touched = 0
+    for _ in range(400):
+        p = random_poly(rng, max_terms=4, max_exp=2)
+        images = {v: random_poly(rng, max_terms=2, max_exp=1) for v in rng.sample(VARIABLES, rng.randint(1, 3))}
+        result = p.substitute(images)
+        general = Poly(_oracle_substitute(p.terms, {v: q.terms for v, q in images.items()}))
+        assert _fields(result) == _fields(general)
+        if images.keys().isdisjoint(p.variables()):
+            assert result is p
+            untouched += 1
+        else:
+            touched += 1
+    assert untouched > 50 and touched > 50
+
+
+@pytest.mark.parametrize("p", [Poly.zero(), Poly.const(Fraction(-3, 4)), ALPHA], ids=str)
+def test_substitute_checks_image_names_before_returning_itself(p):
+    assert p.substitute({"beta": GAMMA + 1}) is p
+    with pytest.raises(PolyParseError, match="unknown variable 'x' in substitution"):
+        p.substitute({"x": 1})
+    with pytest.raises(PolyParseError, match="unknown variable 'x' in substitution"):
+        p.substitute({"beta": 1, "x": BETA})
+    with pytest.raises(TypeError, match=r"^cannot coerce float to Poly$"):
+        p.substitute({"beta": 0.5})
+
+
+def test_variables_equal_the_exponent_scan():
+    assert Poly.zero().variables() == ()
+    assert Poly.const(7).variables() == ()
+    rng = random.Random(20261022)
+    for _ in range(300):
+        p = random_poly(rng)
+        assert p.variables() == tuple(v for i, v in enumerate(VARIABLES) if any(m[i] for m in p.terms))
+
+
+def test_dot_cancellation_gives_the_canonical_form():
+    x, y = P("1/2*alpha + 1/3*beta"), P("2*alpha - 3/5")
+    # total cancellation: zero is the empty map over 1
+    assert _fields(dot([(1, x, y), (-1, y, x)])) == ({}, 1)
+    assert _fields(dot([(2, x, y), (-1, y, x), (-1, x, y)], 6)) == ({}, 1)
+    # partial cancellation: the alpha^2 and alpha*beta numerators cancel
+    partial = dot([(1, x, y), (-1, x, P("2*alpha"))])
+    assert _fields(partial) == _fields(x * Fraction(-3, 5))
+    _assert_canonical(partial)
+    # the surviving numerators share the factor 2 with the denominator: one gcd takes it out
+    shared = dot([(1, P("1/2*alpha + beta"), ALPHA), (-1, P("1/2*alpha"), ALPHA)])
+    assert _fields(shared) == ({(1, 1, 0, 0, 0, 0): 1}, 1)
+    # nothing cancels: the accumulator is kept as it is
+    assert _fields(dot([(1, x, y)])) == _fields(P("alpha^2 + 2/3*alpha*beta - 3/10*alpha - 1/5*beta"))
+
+
+def test_eq_compares_polynomials_then_exact_scalars():
+    assert P("2*alpha") == P("alpha + alpha") and P("3/2") == Fraction(3, 2) and P("4") == 4
+    assert Poly.zero() == 0 and 0 == Poly.zero() and ALPHA != 1
+    assert ALPHA.__eq__(0.5) is NotImplemented and ALPHA != "alpha"
+
+
+# -- exact values past CPython's int/str digit limit (4300 digits by default) ------------
+
+_SEVENS = "7" * 4400
+_BIG = 7 * (10**4400 - 1) // 9  # the int of _SEVENS, made without a string
+
+
+def test_rationals_of_any_size_parse_and_render():
+    assert parse_rational(_SEVENS) == _BIG
+    assert parse_rational(f" -{_SEVENS} / 3 ") == Fraction(-_BIG, 3)
+    assert parse_rational(f"1/+{_SEVENS}") == Fraction(1, _BIG)
+    assert format_rational(Fraction(10**4400)) == "1" + "0" * 4400
+    assert format_rational(Fraction(-_BIG, 10**4400 + 1)) == f"-{_SEVENS}/1{'0' * 4399}1"
+    assert format_rational(-_BIG) == f"-{_SEVENS}"
+
+
+@pytest.mark.parametrize("text", ["+-5", f"{_SEVENS}.5", f"{_SEVENS}e2", f"--{_SEVENS}", f"{_SEVENS}/x"])
+def test_parse_rational_of_any_size_still_names_the_cause(text):
+    with pytest.raises(PolyParseError, match=r"\(not an integer ratio\)$"):
+        parse_rational(text)
+
+
+def test_polynomials_of_any_size_parse_render_and_evaluate():
+    p = P(f"{_SEVENS}*alpha - 1/{_SEVENS}")
+    assert p == _BIG * ALPHA - Poly.const(Fraction(1, _BIG))
+    assert str(p) == f"{_SEVENS}*alpha - 1/{_SEVENS}"
+    # the compiled kernel holds the coefficient _BIG^2 as an integer literal
+    numerators, den = IntegerEvaluator([p, P("alpha")])({"alpha": Fraction(2, 3)})
+    assert [Fraction(n, den) for n in numerators] == [p.evaluate({"alpha": Fraction(2, 3)}), Fraction(2, 3)]
+    verdict = SolitonVerdict("soliton", c=Fraction(_BIG), d=((Fraction(1, _BIG),) * 3,) * 3)
+    data = verdict.to_json_dict()
+    assert data["c"] == _SEVENS and data["D"][2][2] == f"1/{_SEVENS}"

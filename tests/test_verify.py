@@ -14,7 +14,7 @@ import pytest
 
 from wanas import verify as verify_module
 from wanas.algebra import Constraint, LORENTZ, LieAlgebraSpec, vec3
-from wanas.catalog import ALL_GROUPS, ClaimedTensors, GroupEntry
+from wanas.catalog import ALL_GROUPS, ClaimedTensors, GroupEntry, load_catalog
 from wanas.geometry import compute_tensors
 from wanas.poly import Poly, parse_poly
 from wanas.soliton import SolitonKind, SolitonVerdict
@@ -254,6 +254,42 @@ def test_reproduce_builds_variety_samples_once_when_needed(monkeypatch):
             assert r.certificate == "vanishes at all 50 sampled variety points"
         else:
             assert r.verdict == MATCH
+
+
+def test_compare_equal_polynomials_match_before_any_difference(catalog, monkeypatch):
+    """Equal polynomials match with no difference built or reduced; one equal
+    only after the eta^2 = 1 reduction still matches, through it."""
+    entry = catalog.get_group("g4")
+    reduced = []
+    original = verify_module.normalize_eta
+    monkeypatch.setattr(verify_module, "normalize_eta", lambda p: reduced.append(p) or original(p))
+
+    def no_samples():
+        raise AssertionError("an exact comparison reads no variety samples")
+
+    p = P("alpha*eta + 1/2*beta^2")
+    assert compare_polys(p, P("1/2*beta^2 + eta*alpha"), entry, no_samples) == (MATCH, None)
+    assert compare_polys(Poly.zero(), Poly.zero(), entry, no_samples) == (MATCH, None)
+    assert reduced == []
+    assert compare_polys(p * P("eta^2"), p, entry, no_samples) == (MATCH, None)
+    assert compare_polys(P("eta^3*alpha"), P("eta*alpha"), entry, no_samples) == (MATCH, None)
+    assert reduced == [p * P("eta^2") - p, P("eta^3*alpha - eta*alpha")]
+    assert compare_polys(p, p + 1, entry, lambda: []) == (MISMATCH, None)
+
+
+def test_reproduce_reports_a_claim_equal_after_eta_reduction_with_its_own_text(catalog):
+    """A claimed entry equal to the computed one only modulo eta^2 = 1 is a
+    match that keeps the claimed text; every other item is unchanged."""
+    entry = catalog.get_group("g4")
+    i, j = next((i, j) for i in range(3) for j in range(3) if entry.claimed.wan[i][j])
+    planted = entry.claimed.wan[i][j] * P("eta^2")
+    wan = tuple(tuple(planted if (r, s) == (i, j) else entry.claimed.wan[r][s] for s in range(3)) for r in range(3))
+    reports = reproduce_group(dataclasses.replace(entry, claimed=dataclasses.replace(entry.claimed, wan=wan)))
+    changed = [(got, was) for got, was in zip(reports, reproduce_group(entry)) if got != was]
+    assert len(changed) == 1
+    got, was = changed[0]
+    assert (got.item, got.location, got.verdict, got.certificate) == ("wan", (i + 1, j + 1), MATCH, None)
+    assert got.computed == was.computed == was.claimed != got.claimed == str(planted)
 
 
 def test_compare_mismatch_when_genuinely_different(catalog):
@@ -1058,3 +1094,34 @@ def test_verify_paper_verifies_a_repeated_group_once(catalog):
     assert twice.groups == ("g1", "g4")
     assert twice.to_json_dict()["groups"][0] == once.to_json_dict()["groups"][0]
     assert twice.classifications[:2] == once.classifications
+
+
+def test_point_records_of_one_source_compare_without_building_verdicts(catalog, monkeypatch):
+    """Records of the same spec and claim objects compare by sigma and agree
+    alone; records of equal but distinct sources build and compare verdicts."""
+    from wanas.verify import PointRecord
+
+    calls = collections.Counter()
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("soliton_decide", "predicate_eval"):
+        monkeypatch.setattr(verify_module, name, counted(name, getattr(verify_module, name)))
+    entry, kind = catalog.get_group("g2"), SolitonKind.FIRST
+    claim = catalog.theorem_claim("g2", kind)
+    _, points = default_grid(entry, min_points=40, max_points=40)
+    report = classify_grid(entry, kind, points, claim)
+    assert report == classify_grid(entry, kind, points, claim)
+    first, second = report.points[:2]
+    assert first != second
+    assert first != PointRecord(dict(first.sigma), None, None, not first.agree, (entry.spec, claim))
+    assert first == PointRecord(dict(first.sigma), None, None, first.agree, (entry.spec, claim))
+    assert calls == collections.Counter()
+    fresh = load_catalog()
+    assert report == classify_grid(fresh.get_group("g2"), kind, points, fresh.theorem_claim("g2", kind))
+    assert calls == collections.Counter(soliton_decide=2 * len(points), predicate_eval=2 * len(points))
