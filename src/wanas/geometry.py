@@ -316,7 +316,7 @@ def render_vector(v: Vec3) -> str:
         if comp.is_zero():
             continue
         basis = f"e{k + 1}"
-        if len(comp.terms) == 1:
+        if len(comp._terms) == 1:
             text = str(comp)
             if text == "1":
                 body, negative = basis, False

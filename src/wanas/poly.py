@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
@@ -476,7 +477,7 @@ class IntegerEvaluator:
     ``_kernel_source``) that takes the values of ``variables`` positionally.
     """
 
-    __slots__ = ("variables", "degrees", "scale", "_kernel")
+    __slots__ = ("variables", "degrees", "scale", "_args", "_kernel")
 
     def __init__(self, polys: Sequence[Poly]):
         names = {v for p in polys for v in p.variables()}
@@ -491,11 +492,14 @@ class IntegerEvaluator:
         namespace: dict = {}
         exec(compile(_kernel_source(self.degrees, self.scale, rows), "<kernel>", "exec"), namespace)
         self._kernel = namespace["kernel"]
+        # the kernel's arguments in one call: itemgetter gives a tuple for two or more names
+        get = operator.itemgetter(*self.variables) if self.variables else lambda assignment: ()
+        self._args = (lambda assignment: (get(assignment),)) if len(self.variables) == 1 else get
 
     def __call__(self, assignment: Mapping[str, Scalar]) -> tuple[list[int], int]:
         """(numerators, denominator) of every polynomial at the point."""
         try:
-            args = [assignment[v] for v in self.variables]
+            args = self._args(assignment)
         except KeyError:
             raise MissingVariableError(
                 v for v in self.variables if v not in assignment
@@ -521,9 +525,10 @@ def _kernel_source(
     variables, integer coefficient) terms.  The source contains only integer
     literals and made-up names: x_i (argument), p_i/q_i (its numerator and
     denominator), w_i_e (the power p_i^e * q_i^(d_i - e)), m_j (a distinct
-    monomial).  Every expression has bounded depth: a monomial is a product
-    of at most one power per variable, and a row of more than ``_CHAIN``
-    terms is a ``sum`` over a flat tuple of chains.
+    monomial), r_j (a repeated row of several terms, formed once; named in
+    order of first occurrence).  Every expression has bounded depth: a
+    monomial is a product of at most one power per variable, and a row of
+    more than ``_CHAIN`` terms is a ``sum`` over a flat tuple of chains.
     """
     n = len(degrees)
 
@@ -570,15 +575,25 @@ def _kernel_source(
         body = monos[mono] if abs(k) == 1 else f"{literal(abs(k))}*{monos[mono]}"
         return f"{sign}{body}" if first else f" {sign} {body}"
 
+    # each row of several terms by its term set: equal polynomials have equal sets
+    keys = [frozenset(row) if len(row) > 1 else None for row in rows]
+    counts = Counter(keys)
+    shared: dict[frozenset, str] = {}
     values = []
-    for row in rows:
+    for row, key in zip(rows, keys):
+        if key in shared:
+            values.append(shared[key])
+            continue
         chains = [
             "".join(term(m, k, j == 0) for j, (m, k) in enumerate(row[start : start + _CHAIN]))
             for start in range(0, len(row), _CHAIN)
         ]
-        values.append(
-            "0" if not chains else chains[0] if len(chains) == 1 else f"sum(({', '.join(chains)}))"
-        )
+        value = "0" if not chains else chains[0] if len(chains) == 1 else f"sum(({', '.join(chains)}))"
+        if key is not None and counts[key] > 1:
+            name = shared[key] = f"r{len(shared)}"
+            lines.append(f"    {name} = {value}")
+            value = name
+        values.append(value)
     lines.append(f"    return [{', '.join(values)}], {' * '.join(den)}")
     return "\n".join(lines) + "\n"
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .algebra import PAIR_KEYS, PAIRS, LieAlgebraSpec, Vec3
 from .geometry import Mat3, mat_sub, mat_substitute, matrix_json, scalar_matrix, wan_forms
@@ -153,8 +153,9 @@ class SolitonVerdict:
         return f"no soliton ({lines})"
 
 
-def solve_affine(pairs: Sequence[tuple[Scalar, Scalar]]):
-    """Solve constant + slope*x = 0 over (constant, slope) pairs, in one pass.
+def solve_affine(pairs: Iterable[tuple[Scalar, Scalar]]):
+    """Solve constant + slope*x = 0 over (constant, slope) pairs, in one pass
+    over any iterable of them (a list, or a zip read in place).
 
     The pairs are Fractions, or integer numerators over one shared positive
     denominator: values are only tested for zero and compared by
@@ -217,23 +218,6 @@ def residual_system(spec: LieAlgebraSpec, kind: SolitonKind) -> tuple[Poly, ...]
     variable."""
     c = Poly.var("c")
     return tuple(a + b * c for a, b in affine_residuals(spec, wan_for_kind(spec, kind)))
-
-
-def solve_affine_in_c(equations: Sequence[Poly], sigma: Mapping[str, Fraction]):
-    """Solution set in c of a system affine in c, at the point sigma.
-
-    Returns ("any", None), ("one", c), or ("none", None).  Used to compare a
-    residual system against an independently printed system at sampled points.
-    """
-    pairs = []
-    for eq in equations:
-        if eq.degree_in("c") > 1:
-            raise ValueError(f"equation is not affine in c: {eq}")
-        at0 = eq.evaluate({**sigma, "c": Fraction(0)})
-        at1 = eq.evaluate({**sigma, "c": Fraction(1)})
-        pairs.append((at0, at1 - at0))
-    outcome, c_value, _ = solve_affine(pairs)
-    return (outcome, c_value)
 
 
 ETA_RELATION = Poly.var("eta") ** 2 - 1

@@ -173,7 +173,7 @@ class _GridKernel:
         self.no_zero = {
             con.poly.variables()[0]
             for con in spec.constraints
-            if con.kind == "neq" and con.poly.degree() == 1 and len(con.poly.terms) == 1
+            if con.kind == "neq" and con.poly.degree() == 1 and len(con.poly._terms) == 1
         }
         self.sign_vars = {v for con in spec.constraints if (v := _is_sign_constraint(con))}
         eqs = [con.poly for con in spec.constraints if con.kind == "eq" and not _is_sign_constraint(con)]
@@ -334,7 +334,7 @@ class ClassificationReport:
     def total(self) -> int:
         return len(self.points)
 
-    @property
+    @functools.cached_property
     def agreements(self) -> int:
         return sum(1 for p in self.points if p.agree)
 
@@ -388,17 +388,20 @@ def classify_group(
 ) -> tuple[ClassificationReport, ...]:
     """Decide every grid point for each kind and compare with its theorem
     predicate, one report per kind in ``claims`` order.  One call of the
-    group's kernel per point gives everything both read, in integers; the
-    records build their verdicts when read."""
+    group's kernel per point gives everything both read, in integers; a kind
+    that decides alike with an earlier one takes its agreement, and each
+    record builds its own kind's verdicts when read."""
     kernel = _GroupKernel(entry.spec, list(claims.values()))
     sources = [(entry.spec, claim) for claim in claims.values()]
     records: list[list[PointRecord]] = [[] for _ in sources]
     for sigma in points:
         sigma = dict(sigma)
         values, den = entry.spec.admitted(kernel.evaluate, sigma)
-        for index, kind_records in enumerate(records):
-            agree = kernel.agrees(index, values, den)
-            kind_records.append(PointRecord(sigma, None, None, agree, sources[index]))
+        agreements: list[bool] = []
+        for index, share in enumerate(kernel.shares):
+            agreements.append(agreements[share] if share < index else kernel.agrees(index, values, den))
+        for kind_records, source, agree in zip(records, sources, agreements):
+            kind_records.append(PointRecord(sigma, None, None, agree, source))
     return tuple(ClassificationReport(entry.id, kind, tuple(recs)) for kind, recs in zip(claims, records))
 
 
@@ -406,20 +409,28 @@ class _GroupKernel:
     """One ``IntegerEvaluator`` for the classification of a group's points.
 
     Its rows, in order: the spec's constraints (so ``spec.admitted``
-    reads its values); each claim's kind's
-    ``decision_rows``; each distinct claim's ``layout`` rows (by the
-    identity of its cases, so the kinds of a same_as_first claim share
-    them).  All values of one call sit over its one denominator.
-    ``self.claims`` holds, by position in ``claims``, each claim with the
-    start of its kind's decision rows and of its layout rows.
+    reads its values); each claim's kind's ``decision_rows``, unless an
+    earlier claim has the same cases object, claim type and equal decision
+    rows (then the two decide alike, and ``shares`` holds the earlier
+    one's position, else the claim's own); each distinct claim's ``layout``
+    rows (by the identity of its cases).  All values sit over one
+    denominator.  ``claims`` holds each claim with the start of its decision
+    rows and of its layout rows.
     """
 
     def __init__(self, spec: LieAlgebraSpec, claims: Sequence[TheoremClaim]):
         rows = [con.poly for con in spec.constraints]
-        starts = []
-        for claim in claims:
-            starts.append(len(rows))
-            rows += decision_rows(spec, claim.kind)
+        decided: list[list[Poly]] = []
+        self.shares: list[int] = []
+        starts: list[int] = []
+        for index, claim in enumerate(claims):
+            decided.append(decision_rows(spec, claim.kind))
+            alike = (other.cases is claim.cases and other.claim_type == claim.claim_type for other in claims)
+            share = next(j for j, same in enumerate(alike) if same and decided[j] == decided[index])
+            self.shares.append(share)
+            starts.append(starts[share] if share < index else len(rows))
+            if share == index:
+                rows += decided[index]
         offsets: dict[int, int] = {}
         for claim in claims:
             if id(claim.cases) not in offsets:
@@ -430,40 +441,30 @@ class _GroupKernel:
 
     def agrees(self, index: int, values: Sequence[int], den: int) -> bool:
         """``verdicts_equal`` between the decision and ``predicate_eval``
-        for the ``index``-th claim at the point, read off the values and
-        compared in integers (the solver's c is not read).
+        for the ``index``-th claim at the point, read off the values in
+        place and compared in integers (the solver's c is not read).
 
         The pair (a, b) that fixed c gives c = -a/b, so the case's c agrees
         when -a*den == c*b, an off-diagonal D entry when w == d and a
-        diagonal one, w/den + a/b, when w*b + a*den == d*b.  A family
-        D(c) = Wan - c*Id agrees when D(0) == w and D(1) - D(0) == -den on
-        the diagonal and 0 off it.
+        diagonal one (k = 0, 4, 8 row-major), w/den + a/b, when
+        w*b + a*den == d*b.  A family D(c) = Wan - c*Id agrees when
+        D(0) == w and D(1) - D(0) == -den on the diagonal and 0 off it.
         """
         claim, start, offset = self.claims[index]
-        pairs = list(zip(values[start : start + 9], values[start + 9 : start + 18]))
-        wan = [values[start + 18 + 3 * i : start + 21 + 3 * i] for i in range(3)]
-        outcome, _, witness = solve_affine(pairs)
+        outcome, _, witness = solve_affine(zip(values[start : start + 9], values[start + 9 : start + 18]))
         hit = claim.case_at(values, offset)
         if hit is None or outcome == "none":
             return hit is None and outcome == "none"
         case, s = hit
+        w = start + 18  # the Wan entries, row-major
         if case.any_c or outcome == "any":
-            return (
-                case.any_c
-                and outcome == "any"
-                and s is not None
-                and all(
-                    values[s + 3 * i + j] == w and values[s + 9 + 3 * i + j] == (-den if i == j else 0)
-                    for i, row in enumerate(wan)
-                    for j, w in enumerate(row)
-                )
+            return case.any_c and outcome == "any" and s is not None and all(
+                values[s + k] == values[w + k] and values[s + 9 + k] == (0 if k % 4 else -den) for k in range(9)
             )
-        a, b = pairs[witness[0]]
-        c, d = values[s], values[s + 1 : s + 10]
-        return -a * den == c * b and all(
-            w * b + a * den == d[3 * i + j] * b if i == j else w == d[3 * i + j]
-            for i, row in enumerate(wan)
-            for j, w in enumerate(row)
+        a, b = values[start + witness[0]], values[start + 9 + witness[0]]
+        return -a * den == values[s] * b and all(
+            values[w + k] == values[s + 1 + k] if k % 4 else values[w + k] * b + a * den == values[s + 1 + k] * b
+            for k in range(9)
         )
 
 

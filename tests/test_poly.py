@@ -745,13 +745,12 @@ def test_integer_evaluator_missing_variables_are_named_sorted():
     assert info.value.names == ("eta", "gamma")
 
 
-_KERNEL_NAME = re.compile(r"(def|kernel|return|sum|numerator|denominator|[xpqm]\d+|w\d+_\d+)")
+_KERNEL_NAME = re.compile(r"(def|kernel|return|sum|numerator|denominator|[xpqmr]\d+|w\d+_\d+)")
 
 
-def test_integer_evaluator_kernel_source_has_only_its_own_names(monkeypatch):
-    """The generated source holds integer literals and names the evaluator
-    makes up; nothing of a polynomial or a variable name is copied in."""
-    sources = []
+def _kernel_sources(monkeypatch) -> list[str]:
+    """Record the source of every kernel compiled from now on."""
+    sources: list[str] = []
     original = poly_module._kernel_source
 
     def recording(*args):
@@ -759,6 +758,13 @@ def test_integer_evaluator_kernel_source_has_only_its_own_names(monkeypatch):
         return sources[-1]
 
     monkeypatch.setattr(poly_module, "_kernel_source", recording)
+    return sources
+
+
+def test_integer_evaluator_kernel_source_has_only_its_own_names(monkeypatch):
+    """The generated source holds integer literals and names the evaluator
+    makes up; nothing of a polynomial or a variable name is copied in."""
+    sources = _kernel_sources(monkeypatch)
     IntegerEvaluator([P("-1/2*alpha^3*eta + 7*c - 4"), P("eta^2*c"), Poly.zero(), P("-3/7")])
     IntegerEvaluator([P("beta - 1")] * 40 + [P("(beta + c + 1)^12")])
     IntegerEvaluator([])
@@ -776,12 +782,82 @@ def test_integer_evaluator_kernel_source_has_only_its_own_names(monkeypatch):
                 ), tok
 
 
+def test_integer_evaluator_forms_each_repeated_row_once(monkeypatch):
+    """A row of several terms that occurs more than once, however it was
+    built, is formed once as a local r_j (numbered in order of first
+    occurrence) that the return list repeats; a zero row stays 0 and a
+    one-term row its own expression.  Every value equals Poly.evaluate."""
+    sources = _kernel_sources(monkeypatch)
+    sum_a, sum_b = P("alpha*beta - 2*gamma"), -2 * GAMMA + ALPHA * BETA
+    square_a, square_b = P("alpha^2 - gamma^2/4"), (ALPHA - GAMMA / 2) * (ALPHA + GAMMA / 2)
+    assert sum_a == sum_b and list(sum_a._terms) != list(sum_b._terms)  # equal, built in other orders
+    assert square_a == square_b
+    polys = [
+        P("alpha*beta"), sum_a, Poly.zero(), square_a, ALPHA * BETA, sum_b,
+        P("alpha - alpha"), P("3*gamma"), square_b, P("beta + 1"), 3 * GAMMA, sum_a,
+    ]
+    evaluate = IntegerEvaluator(polys)
+    (source,) = sources
+    assignments = re.findall(r"^    (r\d+) = (.*)$", source, re.MULTILINE)
+    assert [name for name, _ in assignments] == ["r0", "r1"]
+    assert len({expr for _, expr in assignments}) == 2
+    (returned,) = re.findall(r"^    return \[(.*)\], ", source, re.MULTILINE)
+    values = returned.split(", ")
+    assert len(values) == len(polys)
+    assert [values[k] for k in (1, 5, 11)] == ["r0"] * 3
+    assert [values[k] for k in (3, 8)] == ["r1"] * 2
+    assert values[2] == values[6] == "0"
+    assert values[0] == values[4] and re.fullmatch(r"(\d+\*)?m\d+", values[0])  # one term: k times its monomial
+    assert values[7] == values[10] and not values[7].startswith("r")
+    assert not values[9].startswith("r")  # several terms, but once
+    for expr in (expr for _, expr in assignments):
+        assert source.count(expr) == 1
+    rng = random.Random(20261019)
+    for _ in range(40):
+        sigma = {v: Fraction(rng.randint(-50, 50), rng.randint(1, 30)) for v in ("alpha", "beta", "gamma")}
+        numerators, den = evaluate(sigma)
+        assert [Fraction(n, den) for n in numerators] == [p.evaluate(sigma) for p in polys]
+
+
+_SOURCES_OF_A_RUN = r"""
+import re
+from wanas import poly
+from wanas.catalog import load_catalog
+from wanas.verify import verify_paper
+sources = []
+original = poly._kernel_source
+poly._kernel_source = lambda *args: sources.append(original(*args)) or sources[-1]
+verify_paper(load_catalog())
+print(len(sources), sum(len(re.findall(r"^    r\d+ = ", source, re.MULTILINE)) for source in sources))
+print("".join(sources))
+"""
+
+
+def test_kernel_sources_of_a_run_do_not_depend_on_the_hash_seed():
+    """Repeated rows are found by hashing each row's term set; the sources
+    that the kernels of one verify_paper run compile are the same under two
+    hash seeds, and they share rows."""
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.dirname(os.path.dirname(poly_module.__file__))
+    outputs = []
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        run = subprocess.run([sys.executable, "-c", _SOURCES_OF_A_RUN], env=env, capture_output=True, text=True, check=True)
+        outputs.append(run.stdout)
+    assert outputs[0] == outputs[1]
+    kernels, shared = map(int, outputs[0].split("\n", 1)[0].split())
+    assert kernels == 17 and shared > 0
+
+
 def test_integer_evaluator_scale_is_lcm_of_coefficient_denominators(monkeypatch):
     """Every evaluator a verify-paper run builds scales by the lcm of the
     reduced denominators of its polynomials' coefficients.  A fresh catalog,
     since the session one holds evaluators compiled by earlier tests.  The
     run compiles one classification kernel per group, so the coverage is
-    counted in polynomials (699 in 17 evaluators)."""
+    counted in polynomials (708 in 17 evaluators)."""
     built = []
     original = IntegerEvaluator.__init__
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 import dataclasses
 import random
 from fractions import Fraction
+from typing import Mapping, Sequence
 
 import pytest
 
@@ -22,7 +23,6 @@ from wanas.soliton import (
     derivation_residual,
     residual_system,
     solve_affine,
-    solve_affine_in_c,
     soliton_decide,
     wan_for_kind,
 )
@@ -34,6 +34,23 @@ F = Fraction
 def abelian_spec() -> LieAlgebraSpec:
     zero = vec3(0, 0, 0)
     return LieAlgebraSpec((zero, zero, zero), LORENTZ)
+
+
+def solve_affine_in_c(equations: Sequence[Poly], sigma: Mapping[str, Fraction]):
+    """Solution set in c of a system affine in c, at the point sigma.
+
+    Returns ("any", None), ("one", c), or ("none", None).  Used to compare a
+    residual system against an independently printed system at sampled points.
+    """
+    pairs = []
+    for eq in equations:
+        if eq.degree_in("c") > 1:
+            raise ValueError(f"equation is not affine in c: {eq}")
+        at0 = eq.evaluate({**sigma, "c": Fraction(0)})
+        at1 = eq.evaluate({**sigma, "c": Fraction(1)})
+        pairs.append((at0, at1 - at0))
+    outcome, c_value, _ = solve_affine(pairs)
+    return (outcome, c_value)
 
 
 def numeric_matrix(rows):

@@ -585,6 +585,64 @@ def test_classify_group_keeps_a_no_soliton_claim_apart_from_shared_cases(catalog
         assert classify_group(entry, points, claims) == tuple(alone[kind] for kind in order)
 
 
+def test_only_g3_and_g5_second_kind_share_the_first_kinds_agreement(catalog):
+    """Wan - W~an vanishes for g3 and g5 alone, and their same_as_first
+    claims carry the first kind's cases: their second kind takes the first
+    kind's agreement and compiles no decision rows of its own.  Every
+    record keeps its own kind's claim, so its verdicts are of its kind."""
+    from wanas.verify import _GroupKernel
+
+    shared = []
+    for gid in ALL_GROUPS:
+        first, second = (catalog.theorem_claim(gid, kind) for kind in SolitonKind)
+        kernel = _GroupKernel(catalog.get_group(gid).spec, [first, second])
+        if kernel.shares == [0, 0]:
+            shared.append(gid)
+            assert [start for _, start, _ in kernel.claims] == [kernel.claims[0][1]] * 2
+        else:
+            assert kernel.shares == [0, 1], gid
+        # the first kind's own claim for the second kind still decides apart where W~an != Wan
+        borrowed = dataclasses.replace(second, claim_type=first.claim_type, cases=first.cases)
+        assert _GroupKernel(catalog.get_group(gid).spec, [first, borrowed]).shares == kernel.shares
+    assert shared == ["g3", "g5"]
+    report = verify_paper(catalog, groups=("g3", "g5"))
+    assert report.ok
+    for classification in report.classifications:
+        kind = classification.kind
+        assert {rec._source[1].kind for rec in classification.points} == {kind}
+        rec = classification.points[0]
+        assert rec.computed.outcome == rec.expected.outcome
+
+
+@pytest.mark.parametrize("perturbed", [False, True], ids=["equal_cases", "c_plus_1_7"])
+def test_a_second_claim_with_its_own_cases_keeps_its_own_agreement(catalog, perturbed):
+    """A g5 second-kind claim whose cases are a separately built tuple, equal
+    or with c + 1/7, shares nothing with the first kind: the planted wrong c
+    disagrees at every g5 point (all lie in case i) in that kind only."""
+    from wanas.verify import _GroupKernel, classify_group
+
+    entry = catalog.get_group("g5")
+    _, points = default_grid(entry)
+    first = catalog.theorem_claim("g5", SolitonKind.FIRST)
+    shift = F(1, 7) if perturbed else 0
+    cases = tuple(dataclasses.replace(case, c=case.c + shift) for case in first.cases)
+    assert cases is not first.cases and (cases != first.cases) == perturbed
+    second = dataclasses.replace(catalog.theorem_claim("g5", SolitonKind.SECOND), cases=cases)
+    assert _GroupKernel(entry.spec, [first, second]).shares == [0, 1]
+    reports = classify_group(entry, points, {SolitonKind.FIRST: first, SolitonKind.SECOND: second})
+    assert [r.total for r in reports] == [449, 449]
+    assert reports[0].agreements == 449
+    assert reports[1].agreements == (0 if perturbed else 449)
+    assert reports == tuple(classify_grid(entry, kind, points, claim) for kind, claim in ((SolitonKind.FIRST, first), (SolitonKind.SECOND, second)))
+    if perturbed:
+        rec = reports[1].disagreements[0]
+        assert rec.expected.c - rec.computed.c == F(1, 7)
+
+
+def test_verify_paper_twice_in_one_process_gives_the_same_bytes(catalog):
+    assert verify_paper(catalog).to_json() == verify_paper(catalog).to_json()
+
+
 @pytest.mark.parametrize(
     "sigma",
     [
