@@ -4,9 +4,10 @@ and classify deterministic parameter grids against the theorem predicates.
 
 Comparison verdicts distinguish "match" (equal as polynomials, with the
 eta^2 = 1 reduction where eta occurs) from "match_on_variety" (equal only
-modulo the group's defining equation, certified by binomial reduction or by
-vanishing at sampled constraint-satisfying points) — collapsing the two
-would hide information about how literally a table reproduces.
+modulo the group's defining equation, certified by a zero remainder under
+``Poly.reduce``) — collapsing the two would hide information about how
+literally a table reproduces.  A difference no reduction settles is a
+"mismatch": agreement at sample points is never a certificate.
 """
 
 from __future__ import annotations
@@ -17,15 +18,9 @@ import json
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
-from .algebra import (
-    PAIR_KEYS,
-    PAIRS,
-    Assignment,
-    Constraint,
-    LieAlgebraSpec,
-)
+from .algebra import PAIR_KEYS, PAIRS, Constraint, LieAlgebraSpec
 from .catalog import (
     ALL_GROUPS,
     Catalog,
@@ -94,16 +89,11 @@ class DiscrepancyReport:
 # -- polynomial comparison under the group's constraints --------------------
 
 
-def compare_polys(
-    computed: Poly,
-    claimed: Poly,
-    entry: GroupEntry,
-    sample_points: Callable[[], Sequence[Assignment]],
-) -> tuple[str, str | None]:
+def compare_polys(computed: Poly, claimed: Poly, entry: GroupEntry) -> tuple[str, str | None]:
     """(verdict, certificate) for one table entry.
 
-    ``sample_points`` provides the variety samples; it is called only when
-    neither exact equality nor a binomial reduction settles the entry.  A
+    A zero remainder modulo one ``eq`` constraint f is membership in (f),
+    since one polynomial is a Groebner basis of the ideal it generates.  A
     difference in a variable the algebra does not have is a mismatch.
     """
     if computed == claimed:
@@ -125,12 +115,6 @@ def compare_polys(
             if reduced.is_zero():
                 return (MATCH_ON_VARIETY, f"reduces to 0 modulo {con.poly} = 0")
             break
-    samples = sample_points()
-    if samples and all(diff.evaluate(s) == 0 for s in samples):
-        return (
-            MATCH_ON_VARIETY,
-            f"vanishes at all {len(samples)} sampled variety points",
-        )
     return (MISMATCH, None)
 
 
@@ -472,18 +456,14 @@ class _GroupKernel:
 
 
 def reproduce_group(entry: GroupEntry) -> list[DiscrepancyReport]:
-    """Recompute the full pipeline and compare entrywise against the claims.
-
-    The 50 variety samples are built on the first entry that needs them, if any.
-    """
+    """Recompute the full pipeline and compare entrywise against the claims."""
     bundle = compute_tensors(entry.spec)
     claimed = entry.claimed
-    samples = functools.cache(lambda: default_grid(entry, min_points=50, max_points=50)[1])
     reports: list[DiscrepancyReport] = []
 
     def emit(item: str, location: tuple, computed: Poly, claimed_p: Poly):
         equal = computed == claimed_p
-        verdict, certificate = (MATCH, None) if equal else compare_polys(computed, claimed_p, entry, samples)
+        verdict, certificate = (MATCH, None) if equal else compare_polys(computed, claimed_p, entry)
         text = str(computed)
         reports.append(
             DiscrepancyReport(

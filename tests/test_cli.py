@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from wanas.cli import main
-from wanas.catalog import ALL_GROUPS, default_catalog_path
+from wanas.catalog import ALL_GROUPS, compute_checksum, default_catalog_path
 from wanas.poly import format_rational, parse_rational
 from wanas.soliton import SolitonKind, soliton_decide, wan_for_kind
 from wanas.verify import PaperReport, default_grid
@@ -530,6 +530,23 @@ def test_corrupt_catalog_env_exits_2(capsys, tmp_path, monkeypatch):
     code, _, err = run(capsys, "check", "--group", "g1", "--kind", "first", "--at", "alpha=1,beta=0")
     assert code == 2
     assert "checksum" in err
+
+
+def test_catalog_with_a_wrong_claim_off_the_variety_exits_1(capsys, tmp_path, monkeypatch):
+    """g7's Wan(1,1) claimed off by gamma, which vanishes at the first sorted
+    grid points but not on alpha*gamma = 0, is a mismatch under a valid
+    checksum."""
+    data = json.loads(open(default_catalog_path()).read())
+    wan = data["groups"]["g7"]["claimed"]["wan"]
+    wan[0][0] = f"({wan[0][0]}) + gamma"
+    data["checksum"] = compute_checksum(data["groups"])
+    bad = tmp_path / "bad_g7.json"
+    bad.write_text(json.dumps(data))
+    monkeypatch.setenv("WANAS_CATALOG", str(bad))
+    code, out, _ = run(capsys, "verify-paper", "--group", "g7")
+    assert code == 1
+    assert "table entries: 100 match, 0 match on variety, 1 mismatch" in out
+    assert [line.split(":")[0].strip() for line in out.splitlines() if "MISMATCH" in line] == ["MISMATCH g7 wan (1, 1)"]
 
 
 # -- golden outputs ------------------------------------------------------------------

@@ -36,21 +36,32 @@ def abelian_spec() -> LieAlgebraSpec:
     return LieAlgebraSpec((zero, zero, zero), LORENTZ)
 
 
+def split_in_c(equations: Sequence[Poly]) -> list[tuple[Poly, Poly]]:
+    """Each equation of a system affine in c as its (constant, slope) pair of
+    polynomials in the parameters."""
+    pairs = []
+    for eq in equations:
+        if eq.degree_in("c") > 1:
+            raise ValueError(f"equation is not affine in c: {eq}")
+        at0 = eq.substitute({"c": 0})
+        pairs.append((at0, eq.substitute({"c": 1}) - at0))
+    return pairs
+
+
+def solve_split_in_c(pairs: Sequence[tuple[Poly, Poly]], sigma: Mapping[str, Fraction]):
+    """Solution set in c of split_in_c's pairs at the point sigma: ("any",
+    None), ("one", c), or ("none", None)."""
+    outcome, c_value, _ = solve_affine([(a.evaluate(sigma), b.evaluate(sigma)) for a, b in pairs])
+    return (outcome, c_value)
+
+
 def solve_affine_in_c(equations: Sequence[Poly], sigma: Mapping[str, Fraction]):
     """Solution set in c of a system affine in c, at the point sigma.
 
     Returns ("any", None), ("one", c), or ("none", None).  Used to compare a
     residual system against an independently printed system at sampled points.
     """
-    pairs = []
-    for eq in equations:
-        if eq.degree_in("c") > 1:
-            raise ValueError(f"equation is not affine in c: {eq}")
-        at0 = eq.evaluate({**sigma, "c": Fraction(0)})
-        at1 = eq.evaluate({**sigma, "c": Fraction(1)})
-        pairs.append((at0, at1 - at0))
-    outcome, c_value, _ = solve_affine(pairs)
-    return (outcome, c_value)
+    return solve_split_in_c(split_in_c(equations), sigma)
 
 
 def numeric_matrix(rows):
@@ -350,22 +361,22 @@ def test_g1_system_unsolvable_at_sampled_points(groups):
 
 def test_printed_systems_equivalent_at_sampled_points(catalog):
     """The published per-group systems have the same c-solution sets as the
-    first-principles residual systems at every sampled admissible point."""
-    from wanas.verify import GridSpec, generate_grid, BASE_LADDER
+    first-principles residual systems at every 8th default-grid point and at
+    every grid point in one of the kind's theorem cases, unique c included."""
+    from wanas.verify import default_grid
 
     for gid, entry in catalog.groups.items():
-        if not entry.systems:
-            continue
-        points = generate_grid(entry.spec, GridSpec(gid, BASE_LADDER, max_points=60))
-        assert len(points) >= 50
+        _, grid = default_grid(entry)
         for kind, printed in entry.systems.items():
-            mine = residual_system(entry.spec, kind)
+            claim = entry.claims[kind]
+            points = [s for i, s in enumerate(grid) if i % 8 == 0 or claim.case_at(claim.evaluate(s)[0])]
+            mine, theirs = split_in_c(residual_system(entry.spec, kind)), split_in_c(printed)
+            outcomes = set()
             for sigma in points:
-                assert solve_affine_in_c(mine, sigma) == solve_affine_in_c(printed, sigma), (
-                    gid,
-                    kind,
-                    sigma,
-                )
+                solution = solve_split_in_c(mine, sigma)
+                assert solution == solve_split_in_c(theirs, sigma), (gid, kind, sigma)
+                outcomes.add(solution[0])
+            assert "one" in outcomes, (gid, kind)
 
 
 def test_solve_affine_in_c_rejects_quadratic():

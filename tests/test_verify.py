@@ -114,14 +114,24 @@ def test_compare_match_on_variety_via_reduction(catalog):
     entry = catalog.get_group("g5")
     computed = P("alpha^2")
     claimed = P("alpha^2 + alpha*gamma + beta*delta")  # differs by the relation
-    verdict, certificate = compare_polys(computed, claimed, entry, lambda: [])
+    verdict, certificate = compare_polys(computed, claimed, entry)
     assert verdict == MATCH_ON_VARIETY
     assert "modulo" in certificate
 
 
+def _forbid_grids(monkeypatch):
+    """Make every grid function of wanas.verify raise when called."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a table verdict builds no grid")
+
+    for name in ("default_grid", "generate_grid", "_GridKernel"):
+        monkeypatch.setattr(verify_module, name, refuse)
+
+
 def _three_term_spec() -> LieAlgebraSpec:
     """A custom algebra whose defining equation has three terms, so binomial
-    reduction is unavailable and only variety sampling can certify it."""
+    reduction is unavailable and no difference is certified modulo it."""
     return LieAlgebraSpec(
         (
             vec3(P("alpha"), 0, 0), vec3(0, P("beta"), 0), vec3(0, 0, P("gamma"))
@@ -131,19 +141,13 @@ def _three_term_spec() -> LieAlgebraSpec:
     )
 
 
-def test_compare_match_on_variety_via_sampling():
-    # three-term defining equation: binomial reduction is unavailable, so the
-    # sampled-vanishing certificate has to carry the comparison
-    spec = _three_term_spec()
-    entry_like = _FakeEntry("custom", spec)
-    points = generate_grid(spec, GridSpec("custom", BASE_LADDER, max_points=50))
-    assert len(points) >= 50
-    verdict, certificate = compare_polys(
-        P("delta"), P("delta + alpha + beta + gamma"), entry_like, lambda: points
-    )
-    assert verdict == MATCH_ON_VARIETY
-    assert "sampled" in certificate
-    assert certificate == "vanishes at all 50 sampled variety points"
+def test_compare_multiple_of_a_three_term_equation_is_a_mismatch(monkeypatch):
+    """A difference that vanishes on the variety of a three-term equation,
+    which Poly.reduce refuses, has no exact certificate: it is a mismatch,
+    decided with no grid built."""
+    _forbid_grids(monkeypatch)
+    entry_like = _FakeEntry("custom", _three_term_spec())
+    assert compare_polys(P("delta"), P("delta + alpha + beta + gamma"), entry_like) == (MISMATCH, None)
 
 
 def _spec_with_equations(*equations: str) -> LieAlgebraSpec:
@@ -159,71 +163,44 @@ def _spec_with_equations(*equations: str) -> LieAlgebraSpec:
 
 def test_compare_reduces_by_each_eq_constraint_in_turn():
     """The eta^2 - 1 constraint leaves an eta-normalised difference as it is,
-    so a multiple of the binomial after it is certified by reduction, with
-    no sample built."""
+    so a multiple of the binomial after it is certified by reduction."""
     entry_like = _FakeEntry("custom", _spec_with_equations("eta^2 - 1", "alpha*gamma - beta*delta"))
-
-    def no_samples():
-        raise AssertionError("the reduction certifies this entry")
-
     for multiple in ("1", "eta", "alpha + 3*eta*delta"):
         diff = P(multiple) * P("alpha*gamma - beta*delta")
-        assert compare_polys(P("beta^2") + diff, P("beta^2"), entry_like, no_samples) == (
+        assert compare_polys(P("beta^2") + diff, P("beta^2"), entry_like) == (
             MATCH_ON_VARIETY,
             "reduces to 0 modulo alpha*gamma - beta*delta = 0",
         )
-    on_variety = {v: Fraction(x) for v, x in zip(("alpha", "beta", "gamma", "delta", "eta"), (2, 1, 1, 2, 1))}
-    assert compare_polys(P("alpha"), P("beta"), entry_like, lambda: [on_variety]) == (MISMATCH, None)
+    assert compare_polys(P("alpha"), P("beta"), entry_like) == (MISMATCH, None)
 
 
-def test_compare_reduction_skips_order_increasing_rewrites():
+def test_compare_reduction_skips_order_increasing_rewrites_else_mismatch(monkeypatch):
     """alpha - beta^2 cannot rewrite alpha (to the larger beta^2), so it is
     reduced by beta; alpha*beta - alpha^2 increases the order for every
-    variable and leaves the entry to the sampling fallback."""
+    variable, so a multiple of it has no certificate and is a mismatch,
+    decided with no grid built."""
+    _forbid_grids(monkeypatch)
     entry_like = _FakeEntry("custom", _spec_with_equations("alpha - beta^2"))
     diff = P("gamma*beta") * P("alpha - beta^2")
-    assert compare_polys(diff, P("0"), entry_like, lambda: []) == (
+    assert compare_polys(diff, P("0"), entry_like) == (
         MATCH_ON_VARIETY,
         "reduces to 0 modulo -beta^2 + alpha = 0",
     )
     entry_like = _FakeEntry("custom", _spec_with_equations("alpha*beta - alpha^2"))
-    calls = []
-
-    def samples():
-        calls.append(1)
-        return [{"alpha": x, "beta": x, "gamma": Fraction(1), "delta": Fraction(0), "eta": Fraction(1)} for x in BASE_LADDER]
-
-    assert compare_polys(P("gamma") * P("alpha*beta - alpha^2"), P("0"), entry_like, samples) == (
-        MATCH_ON_VARIETY,
-        f"vanishes at all {len(BASE_LADDER)} sampled variety points",
-    )
-    assert calls == [1]
-
-
-def _count_default_grid_calls(monkeypatch) -> list:
-    calls = []
-    original = verify_module.default_grid
-
-    def counting(entry, *args, **kwargs):
-        calls.append(entry.id)
-        return original(entry, *args, **kwargs)
-
-    monkeypatch.setattr(verify_module, "default_grid", counting)
-    return calls
+    assert compare_polys(P("gamma") * P("alpha*beta - alpha^2"), P("0"), entry_like) == (MISMATCH, None)
 
 
 def test_reproduce_builds_no_variety_samples_on_the_catalog(catalog, monkeypatch):
-    """Every catalog entry matches exactly, so no sample grid is ever built."""
-    calls = _count_default_grid_calls(monkeypatch)
+    """Reproducing every catalog group builds no grid."""
+    _forbid_grids(monkeypatch)
     for gid in ALL_GROUPS:
         reproduce_group(catalog.get_group(gid))
-    assert calls == []
 
 
-def test_reproduce_builds_variety_samples_once_when_needed(monkeypatch):
+def test_reproduce_reports_multiples_of_a_three_term_equation_as_mismatch(monkeypatch):
     """Two claimed entries that differ from the computed ones by multiples of
-    the three-term equation reach the sampling fallback; the samples are
-    built once and certify both."""
+    the three-term equation have no exact certificate: both are mismatches,
+    and no grid is built."""
     spec = _three_term_spec()
     bundle = compute_tensors(spec)
     relation = P("alpha+beta+gamma")
@@ -244,16 +221,63 @@ def test_reproduce_builds_variety_samples_once_when_needed(monkeypatch):
         wan_tilde=bundle.wan_tilde,
     )
     entry = GroupEntry("custom", False, spec, {}, claimed, {}, {}, ())
-    calls = _count_default_grid_calls(monkeypatch)
+    _forbid_grids(monkeypatch)
     reports = reproduce_group(entry)
-    assert calls == ["custom"]
-    sampled = [(r.item, r.location) for r in reports if r.verdict == MATCH_ON_VARIETY]
-    assert sampled == [("abar", (1, 1)), ("wan", (2, 3))]
+    refused = [(r.item, r.location) for r in reports if r.verdict == MISMATCH]
+    assert refused == [("abar", (1, 1)), ("wan", (2, 3))]
     for r in reports:
-        if r.verdict == MATCH_ON_VARIETY:
-            assert r.certificate == "vanishes at all 50 sampled variety points"
+        if r.verdict == MISMATCH:
+            assert r.certificate is None
         else:
             assert r.verdict == MATCH
+
+
+@pytest.mark.parametrize(
+    "gid, planted",
+    [("g7", "gamma"), ("g5", "alpha + 2"), ("g6", "(alpha + 2)*beta")],
+)
+def test_reproduce_reports_a_claim_off_the_variety_as_mismatch(catalog, gid, planted, monkeypatch):
+    """A Wan(1,1) claim off by a polynomial that vanishes where the first
+    sorted grid points lie (alpha = -2, and gamma = 0 for g7) but not on the
+    group's variety is a mismatch, reached with no grid built."""
+    entry = catalog.get_group(gid)
+    wan = [list(row) for row in entry.claimed.wan]
+    wan[0][0] += P(planted)
+    wrong = dataclasses.replace(entry, claimed=dataclasses.replace(entry.claimed, wan=tuple(map(tuple, wan))))
+    _forbid_grids(monkeypatch)
+    reports = reproduce_group(wrong)
+    assert [(r.item, r.location, r.verdict) for r in reports if r.verdict != MATCH] == [("wan", (1, 1), MISMATCH)]
+
+
+@pytest.mark.parametrize("gid", ["g5", "g6", "g7"])
+def test_compare_certifies_exactly_the_multiples_of_the_defining_equation(catalog, gid):
+    """base + q*f against base reduces to 0 modulo the group's equation f;
+    adding a monomial free of f's leading variable leaves a nonzero
+    remainder, which is a mismatch."""
+    entry = catalog.get_group(gid)
+    (f,) = [con.poly for con in entry.spec.constraints if con.kind == "eq"]
+    names = entry.spec.variables()
+    rng = random.Random(f"certify-{gid}")
+
+    def random_poly(max_terms):
+        p = Poly.zero()
+        for _ in range(rng.randint(1, max_terms)):
+            mono = Poly.const(Fraction(rng.randint(-5, 5), rng.randint(1, 3)))
+            for v in names:
+                mono *= Poly.var(v) ** rng.randint(0, 2)
+            p += mono
+        return p
+
+    free = [v for v in names if v != f.variables()[0]]
+    for _ in range(20):
+        base = random_poly(4)
+        q = Poly.zero()
+        while q.is_zero():
+            q = random_poly(3)
+        on_variety = base + q * f
+        assert compare_polys(on_variety, base, entry) == (MATCH_ON_VARIETY, f"reduces to 0 modulo {f} = 0")
+        monomial = Poly.var(rng.choice(free)) ** rng.randint(1, 3) * rng.randint(1, 4)
+        assert compare_polys(on_variety + monomial, base, entry) == (MISMATCH, None)
 
 
 def test_compare_equal_polynomials_match_before_any_difference(catalog, monkeypatch):
@@ -264,17 +288,14 @@ def test_compare_equal_polynomials_match_before_any_difference(catalog, monkeypa
     original = verify_module.normalize_eta
     monkeypatch.setattr(verify_module, "normalize_eta", lambda p: reduced.append(p) or original(p))
 
-    def no_samples():
-        raise AssertionError("an exact comparison reads no variety samples")
-
     p = P("alpha*eta + 1/2*beta^2")
-    assert compare_polys(p, P("1/2*beta^2 + eta*alpha"), entry, no_samples) == (MATCH, None)
-    assert compare_polys(Poly.zero(), Poly.zero(), entry, no_samples) == (MATCH, None)
+    assert compare_polys(p, P("1/2*beta^2 + eta*alpha"), entry) == (MATCH, None)
+    assert compare_polys(Poly.zero(), Poly.zero(), entry) == (MATCH, None)
     assert reduced == []
-    assert compare_polys(p * P("eta^2"), p, entry, no_samples) == (MATCH, None)
-    assert compare_polys(P("eta^3*alpha"), P("eta*alpha"), entry, no_samples) == (MATCH, None)
+    assert compare_polys(p * P("eta^2"), p, entry) == (MATCH, None)
+    assert compare_polys(P("eta^3*alpha"), P("eta*alpha"), entry) == (MATCH, None)
     assert reduced == [p * P("eta^2") - p, P("eta^3*alpha - eta*alpha")]
-    assert compare_polys(p, p + 1, entry, lambda: []) == (MISMATCH, None)
+    assert compare_polys(p, p + 1, entry) == (MISMATCH, None)
 
 
 def test_reproduce_reports_a_claim_equal_after_eta_reduction_with_its_own_text(catalog):
@@ -294,18 +315,15 @@ def test_reproduce_reports_a_claim_equal_after_eta_reduction_with_its_own_text(c
 
 def test_compare_mismatch_when_genuinely_different(catalog):
     entry = catalog.get_group("g5")
-    samples = generate_grid(entry.spec, GridSpec("g5", BASE_LADDER, max_points=50))
-    verdict, _ = compare_polys(P("alpha^2"), P("alpha^2+1"), entry, lambda: samples)
+    verdict, _ = compare_polys(P("alpha^2"), P("alpha^2+1"), entry)
     assert verdict == MISMATCH
 
 
 def test_compare_mismatch_on_a_variable_the_algebra_lacks():
-    """A claimed entry in a parameter the algebra does not have is reported,
-    not raised from the sampling fallback."""
-    spec = _three_term_spec()
-    points = generate_grid(spec, GridSpec("custom", BASE_LADDER, max_points=50))
-    entry_like = _FakeEntry("custom", spec)
-    assert compare_polys(P("alpha"), P("alpha+delta"), entry_like, lambda: points) == (
+    """A claimed entry in a parameter the algebra does not have is reported
+    as a mismatch, not raised."""
+    entry_like = _FakeEntry("custom", _three_term_spec())
+    assert compare_polys(P("alpha"), P("alpha+delta"), entry_like) == (
         MISMATCH,
         None,
     )
