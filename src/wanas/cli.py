@@ -3,7 +3,8 @@ the full catalog verification, and validate Jacobi.
 
 Every command is a thin adapter over the library; no computation logic lives
 here.  Exit codes: 0 success, 1 verification discrepancies, 2 usage errors
-(including invalid parameter points and bad flags).
+(including invalid parameter points, bad flags and a polynomial degree above
+``poly.MAX_DEGREE``).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .geometry import (
     render_matrix,
     render_vector,
 )
-from .poly import MissingVariableError, PolyParseError, format_rational, parse_rational
+from .poly import DegreeOverflowError, MissingVariableError, PolyParseError, format_rational, parse_rational
 from .soliton import SolitonKind, soliton_decide, wan_for_kind
 from .verify import GridSpec, classify_grid, default_grid, generate_grid, verify_paper
 
@@ -42,6 +43,9 @@ _TENSOR_CHOICES = (
     "a-tensor",
     "wanas",
 ) + _MATRIX_TENSORS
+
+
+_MAX_POINTS_HELP = "cap on the grid size (default 5000); a grid that reaches it keeps its first points in sorted order"
 
 
 class _CliError(Exception):
@@ -209,8 +213,9 @@ def _cmd_classify(args, catalog: Catalog) -> int:
     claim = catalog.theorem_claim(entry.id, kind)
     report = classify_grid(entry, kind, points, claim)
     payload = report.to_json_dict()
+    capped = f" (the first {report.total} in sorted order: --max-points reached)" if report.total == args.max_points else ""
     lines = [
-        f"{entry.id} {kind.value} kind: {report.total} grid points, "
+        f"{entry.id} {kind.value} kind: {report.total} grid points{capped}, "
         f"{report.agreements} agree with the classification theorem"
     ]
     for rec in report.disagreements:
@@ -316,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", required=True, choices=("first", "second"))
     p.add_argument("--grid-ladder", help="comma-separated rationals overriding the ladder")
     p.add_argument("--min-points", type=_positive_int, default=200)
-    p.add_argument("--max-points", type=_positive_int, default=5000)
+    p.add_argument("--max-points", type=_positive_int, default=5000, help=_MAX_POINTS_HELP)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_classify)
 
@@ -331,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the JSON report to this path")
     p.add_argument("--grid-ladder", help="comma-separated rationals overriding the ladder")
     p.add_argument("--min-points", type=_positive_int, default=200)
-    p.add_argument("--max-points", type=_positive_int, default=5000)
+    p.add_argument("--max-points", type=_positive_int, default=5000, help=_MAX_POINTS_HELP)
     p.add_argument("--json", action="store_true", help="print the JSON report to stdout")
     p.set_defaults(func=_cmd_verify_paper)
 
@@ -349,7 +354,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, load_catalog())
-    except (_CliError, CatalogError) as exc:
+    except (_CliError, CatalogError, DegreeOverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InvalidAssignmentError as exc:

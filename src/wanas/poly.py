@@ -1,25 +1,31 @@
 """Exact sparse multivariate polynomial arithmetic over the rationals.
 
 The variable universe is closed: the six scalars alpha, beta, gamma, delta,
-eta and c.  A polynomial maps monomials (exponent 6-tuples, one slot per
-variable) to nonzero integer numerators over one positive denominator,
-with no factor common to all of them; zero is the empty map over 1.
-Arithmetic is in integers only: a sum puts both operands over the lcm of
-their denominators (none when they are equal), a product multiplies them,
-and one gcd per result restores the canonical form.  A constant factor
-scales the numerators instead of multiplying monomials.  Coefficients and
-values leave as ``Fraction``; only ``int`` and ``Fraction`` scalars come in
-(anything else raises ``TypeError``), everything is immutable, and no
-floating point is involved anywhere.
+eta and c.  A polynomial maps monomials to nonzero integer numerators over
+one positive denominator, with no factor common to all of them; zero is the
+empty map over 1.  Arithmetic is in integers only: a sum puts both operands
+over the lcm of their denominators, a product multiplies them, and one gcd
+per result restores the canonical form.  Coefficients and values leave as
+``Fraction``; only ``int`` and ``Fraction`` scalars come in (anything else
+raises ``TypeError``), everything is immutable, and no floating point is
+involved anywhere.
 
-Monomials are ordered graded-lexicographically with alpha < beta < gamma <
-delta < eta < c; rendering and binomial reduction both use this order, so
-string output is canonical and usable as a wire format ("3/2*alpha^2*beta",
-"p/q" for rationals).
+Inside this module a monomial is one ``int`` packing the total degree, then
+one ``_WIDTH``-bit exponent field per variable, alpha most significant
+(Bachmann & Schoenemann, ISSAC 1998; Monagan & Pearce, CASC 2007): a product
+of monomials is one addition, and integer order is the graded-lex order with
+alpha < beta < gamma < delta < eta < c, which rendering and binomial
+reduction use ("3/2*alpha^2*beta", "p/q" for rationals: a canonical wire
+format).  The API speaks exponent 6-tuples: ``Poly(terms)`` takes them and
+``.terms`` returns them.  No field carries while every degree is at most
+``MAX_DEGREE``: ``Poly(...)`` refuses a monomial past it (``ValueError``),
+``parse_poly`` an exponent past it (``PolyParseError``), and ``dot``, behind
+every product, raises ``DegreeOverflowError`` when it forms one.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from collections import Counter
@@ -30,7 +36,14 @@ from typing import Iterable, Mapping, Sequence, Union
 VARIABLES = ("alpha", "beta", "gamma", "delta", "eta", "c")
 _VAR_INDEX = {name: i for i, name in enumerate(VARIABLES)}
 _NVARS = len(VARIABLES)
-_ZERO_MONO = (0,) * _NVARS
+
+# the packed monomial: degree, then alpha .. c, one _WIDTH-bit field each
+_WIDTH = 16
+MAX_DEGREE = (1 << _WIDTH) - 1
+_SHIFTS = tuple(_WIDTH * (_NVARS - 1 - i) for i in range(_NVARS))
+_PAST_MAX = (MAX_DEGREE + 1) << (_WIDTH * _NVARS)  # the least monomial of degree MAX_DEGREE + 1
+_BORROWS = sum(1 << (s + _WIDTH) for s in _SHIFTS)  # the bit above each variable's field
+_FIELDS = tuple((v, MAX_DEGREE << s) for v, s in zip(VARIABLES, _SHIFTS))
 
 Mono = tuple  # exponent 6-tuple, one entry per VARIABLES slot
 Scalar = Union[int, Fraction]
@@ -56,21 +69,31 @@ class PolyParseError(ValueError):
     """A polynomial string could not be parsed."""
 
 
-def _mono_key(mono: Mono) -> tuple:
-    # graded lex: compare total degree first, then the exponent tuple
-    return (sum(mono), mono)
+class DegreeOverflowError(OverflowError):
+    """A product would have a monomial of total degree above ``MAX_DEGREE``."""
 
 
-def _mono_mul(a: Mono, b: Mono) -> Mono:
-    return tuple(map(operator.add, a, b))
+def _pack(exponents: Mono) -> int:
+    mono = sum(exponents)
+    for e in exponents:
+        mono = mono << _WIDTH | e
+    return mono
 
 
-def _mono_divides(a: Mono, b: Mono) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+def _exponents(mono: int) -> Mono:
+    return tuple(mono >> s & MAX_DEGREE for s in _SHIFTS)
 
 
-def _mono_div(a: Mono, b: Mono) -> Mono:
-    return tuple(map(operator.sub, a, b))
+@functools.lru_cache(maxsize=1 << 12)
+def _support(mono: int) -> tuple[tuple[int, int], ...]:
+    """(variable index, exponent) for each variable of a monomial, in canonical order."""
+    return tuple((i, e) for i, s in enumerate(_SHIFTS) if (e := mono >> s & MAX_DEGREE))
+
+
+@functools.lru_cache(maxsize=1 << 12)
+def _mono_text(mono: int) -> str:
+    """"alpha^2*beta" for a monomial; "" for 1."""
+    return "*".join(VARIABLES[i] if e == 1 else f"{VARIABLES[i]}^{e}" for i, e in _support(mono))
 
 
 def _ratio(value: Scalar) -> tuple[int, int]:
@@ -85,27 +108,27 @@ def _ratio(value: Scalar) -> tuple[int, int]:
 class Poly:
     """Immutable sparse polynomial in alpha, beta, gamma, delta, eta, c.
 
-    The coefficient of ``mono`` is ``_terms[mono] / _den``: nonzero integer
-    numerators over one positive denominator with
-    ``gcd(_den, *numerators) == 1``, so equal polynomials have equal fields.
+    ``terms`` maps exponent 6-tuples to coefficients; each monomial's total
+    degree must be at most ``MAX_DEGREE``.  The coefficient of the packed
+    monomial ``mono`` is ``_terms[mono] / _den``: nonzero integer numerators
+    over one positive denominator with ``gcd(_den, *numerators) == 1``, so
+    equal polynomials have equal fields.
     """
 
     __slots__ = ("_terms", "_den")
 
     def __init__(self, terms: Mapping[Mono, Scalar] | None = None):
-        ratios: dict[Mono, tuple[int, int]] = {}
+        ratios: dict[int, tuple[int, int]] = {}
         if terms:
             for mono, coeff in terms.items():
                 mono = tuple(mono)
-                if len(mono) != _NVARS or any(
-                    not isinstance(e, int) or e < 0 for e in mono
-                ):
-                    raise ValueError(
-                        f"monomial must be {_NVARS} non-negative integer exponents, got {mono}"
-                    )
+                if len(mono) != _NVARS or any(not isinstance(e, int) or e < 0 for e in mono):
+                    raise ValueError(f"monomial must be {_NVARS} non-negative integer exponents, got {mono}")
+                if sum(mono) > MAX_DEGREE:
+                    raise ValueError(f"monomial {mono} has degree {sum(mono)}; degrees are limited to {MAX_DEGREE}")
                 num, den = _ratio(coeff)
                 if num:
-                    ratios[mono] = (num, den)
+                    ratios[_pack(mono)] = (num, den)
         # reduced fractions over the lcm of their denominators share no factor
         den = math.lcm(*(d for _, d in ratios.values()))
         object.__setattr__(self, "_terms", {m: n * (den // d) for m, (n, d) in ratios.items()})
@@ -125,7 +148,7 @@ class Poly:
         num, den = _ratio(value)
         if not num:
             return _ZERO
-        return _raw({_ZERO_MONO: num}, den)
+        return _raw({0: num}, den)
 
     @classmethod
     def var(cls, name: str) -> Poly:
@@ -143,13 +166,13 @@ class Poly:
     def terms(self) -> dict[Mono, Fraction]:
         """Copy of the canonical term map, with Fraction coefficients."""
         den = self._den
-        return {m: Fraction(k, den) for m, k in self._terms.items()}
+        return {_exponents(m): Fraction(k, den) for m, k in self._terms.items()}
 
     def is_zero(self) -> bool:
         return not self._terms
 
     def is_constant(self) -> bool:
-        return all(m == _ZERO_MONO for m in self._terms)
+        return not self._terms or (len(self._terms) == 1 and 0 in self._terms)
 
     def constant_value(self) -> Fraction:
         """The value of a constant polynomial (raises if non-constant)."""
@@ -157,19 +180,20 @@ class Poly:
             return Fraction(0)
         if not self.is_constant():
             raise ValueError(f"not a constant polynomial: {self}")
-        return Fraction(self._terms[_ZERO_MONO], self._den)
+        return Fraction(self._terms[0], self._den)
 
     def degree(self) -> int:
         """Total degree; the zero polynomial has degree 0 by convention."""
-        return max(map(sum, self._terms), default=0)
+        return max(self._terms, default=0) >> _WIDTH * _NVARS
 
     def degree_in(self, name: str) -> int:
-        idx = _VAR_INDEX[name]
-        return max((m[idx] for m in self._terms), default=0)
+        shift = _SHIFTS[_VAR_INDEX[name]]
+        return max((m >> shift & MAX_DEGREE for m in self._terms), default=0)
 
     def variables(self) -> tuple[str, ...]:
         """Variables occurring with nonzero exponent, in canonical order."""
-        return tuple(v for v, column in zip(VARIABLES, zip(*self._terms)) if any(column))
+        union = functools.reduce(operator.or_, self._terms, 0)
+        return tuple([v for v, field in _FIELDS if union & field])
 
     # -- ring operations ----------------------------------------------
 
@@ -212,9 +236,7 @@ class Poly:
     def __pow__(self, exponent: int) -> Poly:
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial powers must be non-negative integers")
-        result = _ONE
-        base = self
-        n = exponent
+        result, base, n = _ONE, self, exponent
         while n:
             if n & 1:
                 result = result * base
@@ -246,18 +268,15 @@ class Poly:
         total = 0
         for mono, k in self._terms.items():
             term = k
-            for i, e in enumerate(mono):
-                if e:
-                    val = values[i]
-                    if val is None:
-                        name = VARIABLES[i]
-                        if name not in assignment:
-                            raise MissingVariableError(
-                                v for v in self.variables() if v not in assignment
-                            )
-                        val = values[i] = assignment[name]
-                        _ratio(val)  # only int and Fraction values are exact
-                    term *= val if e == 1 else val**e
+            for i, e in _support(mono):
+                val = values[i]
+                if val is None:
+                    name = VARIABLES[i]
+                    if name not in assignment:
+                        raise MissingVariableError(v for v in self.variables() if v not in assignment)
+                    val = values[i] = assignment[name]
+                    _ratio(val)  # only int and Fraction values are exact
+                term *= val if e == 1 else val**e
             total += term
         return Fraction(total, self._den)
 
@@ -277,12 +296,11 @@ class Poly:
         products = []
         for mono, k in self._terms.items():
             term = _ONE
-            for i, e in enumerate(mono):
-                if e:
-                    power = powers.get((i, e))
-                    if power is None:
-                        power = powers[i, e] = basis[i] ** e
-                    term = power if term is _ONE else term * power
+            for i, e in _support(mono):
+                power = powers.get((i, e))
+                if power is None:
+                    power = powers[i, e] = basis[i] ** e
+                term = power if term is _ONE else term * power
             products.append((k, term, _ONE))
         return dot(products, self._den)
 
@@ -297,14 +315,11 @@ class Poly:
         """
         if leading not in _VAR_INDEX:
             raise UnsupportedRelationError(f"unknown leading variable {leading!r}")
-        idx = _VAR_INDEX[leading]
+        shift = _SHIFTS[_VAR_INDEX[leading]]
         items = list(relation._terms.items())
         if not 1 <= len(items) <= 2:
-            raise UnsupportedRelationError(
-                "relation must have one or two terms, got "
-                f"{len(items)}: {relation}"
-            )
-        lead_items = [(m, k) for m, k in items if m[idx] > 0]
+            raise UnsupportedRelationError(f"relation must have one or two terms, got {len(items)}: {relation}")
+        lead_items = [(m, k) for m, k in items if m >> shift & MAX_DEGREE]
         if len(lead_items) != 1:
             raise UnsupportedRelationError(
                 f"leading variable {leading} must occur in exactly one term of {relation}"
@@ -316,18 +331,16 @@ class Poly:
             # lead_mono is rewritten to rhs_num / rhs_den * rhs_mono
             rhs = Fraction(-rhs_k, lead_k)
             rhs_num, rhs_den = rhs.numerator, rhs.denominator
-            if _mono_key(rhs_mono) >= _mono_key(lead_mono):
-                raise UnsupportedRelationError(
-                    f"rewrite in {relation} does not decrease the term order"
-                )
+            if rhs_mono >= lead_mono:
+                raise UnsupportedRelationError(f"rewrite in {relation} does not decrease the term order")
         else:
-            rhs_mono, rhs_num, rhs_den = _ZERO_MONO, 0, 1
+            rhs_mono, rhs_num, rhs_den = 0, 0, 1
 
         current = self
         while True:
             hit = None
             for mono in current._terms:
-                if _mono_divides(lead_mono, mono):
+                if not ((mono - lead_mono) ^ mono ^ lead_mono) & _BORROWS:  # no field borrows: divisible
                     hit = mono
                     break
             if hit is None:
@@ -336,7 +349,7 @@ class Poly:
             out = {m: x * rhs_den for m, x in current._terms.items()}
             del out[hit]
             if rhs_num:
-                mono = _mono_mul(_mono_div(hit, lead_mono), rhs_mono)
+                mono = hit - lead_mono + rhs_mono
                 acc = out.get(mono, 0) + k * rhs_num
                 if acc:
                     out[mono] = acc
@@ -351,32 +364,21 @@ class Poly:
             return "0"
         den = self._den
         parts: list[str] = []
-        for mono in self._terms if len(self._terms) == 1 else sorted(self._terms, key=_mono_key, reverse=True):
+        for mono in self._terms if len(self._terms) == 1 else sorted(self._terms, reverse=True):
             k = self._terms[mono]
-            factors = [
-                name if e == 1 else f"{name}^{e}"
-                for name, e in zip(VARIABLES, mono)
-                if e
-            ]
+            text = _mono_text(mono)
             g = math.gcd(k, den)  # |k| / den in lowest terms, printed as Fraction prints it
             mag = _int_str(abs(k) // g) if g == den else f"{_int_str(abs(k) // g)}/{_int_str(den // g)}"
-            if not factors:
-                body = mag
-            elif mag == "1":
-                body = "*".join(factors)
-            else:
-                body = "*".join([mag] + factors)
-            if not parts:
-                parts.append(body if k > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if k > 0 else f"- {body}")
+            body = f"{mag}*{text}" if text and mag != "1" else text or mag
+            sign = ("" if k > 0 else "-") if not parts else ("+ " if k > 0 else "- ")
+            parts.append(sign + body)
         return " ".join(parts)
 
     def __repr__(self) -> str:
         return f"Poly({self})"
 
 
-def _raw(terms: dict[Mono, int], den: int) -> Poly:
+def _raw(terms: dict[int, int], den: int) -> Poly:
     """Wrap an already-canonical numerator dict and denominator without copying."""
     p = object.__new__(Poly)
     object.__setattr__(p, "_terms", terms)
@@ -384,7 +386,7 @@ def _raw(terms: dict[Mono, int], den: int) -> Poly:
     return p
 
 
-def _canonical(terms: dict[Mono, int], den: int) -> Poly:
+def _canonical(terms: dict[int, int], den: int) -> Poly:
     """The Poly of nonzero integer numerators over a positive ``den``:
     one gcd takes out their common factor."""
     if not terms:
@@ -422,36 +424,41 @@ def dot(terms: Iterable[tuple[int, Poly, Poly]], den: int = 1) -> Poly:
 
     The numerators are put over ``den`` times the lcm of the products'
     denominators and reduced by one gcd at the end; a constant factor
-    scales numerators instead of forming monomials.
+    scales numerators instead of forming monomials.  Every product stays a
+    key until the final filter, so one ``max`` guards the degree bound.
     """
     products = [(n, a, b) for n, a, b in terms if n and a._terms and b._terms]
     if not products:
         return _ZERO
     lcm = math.lcm(*[a._den * b._den for _, a, b in products])
-    out: dict[Mono, int] = {}
+    out: dict[int, int] = {}
+    formed = False
     for n, a, b in products:
         f = n * (lcm // (a._den * b._den))
         at, bt = a._terms, b._terms
-        if len(at) == 1 and _ZERO_MONO in at:
+        if len(at) == 1 and 0 in at:
             at, bt = bt, at
-        if len(bt) == 1 and _ZERO_MONO in bt:
-            f *= bt[_ZERO_MONO]
+        if len(bt) == 1 and 0 in bt:
+            f *= bt[0]
             for m, k in at.items():
                 out[m] = out.get(m, 0) + k * f
         else:
+            formed = True
             for ma, ka in at.items():
                 ka *= f
                 for mb, kb in bt.items():
-                    mono = _mono_mul(ma, mb)
+                    mono = ma + mb
                     out[mono] = out.get(mono, 0) + ka * kb
+    if formed and max(out) >= _PAST_MAX:  # a field carried only if the degree passed the bound
+        raise DegreeOverflowError(f"a product has degree above {MAX_DEGREE}, the limit of a monomial")
     if 0 in out.values():  # a numerator cancelled
         out = {m: k for m, k in out.items() if k}
     return _canonical(out, lcm * den)
 
 
 _ZERO = _raw({}, 1)
-_ONE = _raw({_ZERO_MONO: 1}, 1)
-_VARS = tuple(_raw({tuple(int(i == j) for j in range(_NVARS)): 1}, 1) for i in range(_NVARS))
+_ONE = _raw({0: 1}, 1)
+_VARS = tuple(_raw({_pack(tuple(int(i == j) for j in range(_NVARS))): 1}, 1) for i in range(_NVARS))
 
 
 def as_poly(value: PolyLike) -> Poly:
@@ -482,13 +489,13 @@ class IntegerEvaluator:
     def __init__(self, polys: Sequence[Poly]):
         names = {v for p in polys for v in p.variables()}
         self.variables = tuple(v for v in VARIABLES if v in names)
-        slots = [_VAR_INDEX[v] for v in self.variables]
-        self.degrees = tuple(max(m[i] for p in polys for m in p._terms) for i in slots)
+        shifts = [_SHIFTS[_VAR_INDEX[v]] for v in self.variables]
         self.scale = math.lcm(*(p._den for p in polys))
         rows = [
-            [(tuple(mono[i] for i in slots), k * (self.scale // p._den)) for mono, k in p._terms.items()]
+            [(tuple(mono >> s & MAX_DEGREE for s in shifts), k * (self.scale // p._den)) for mono, k in p._terms.items()]
             for p in polys
         ]
+        self.degrees = tuple(map(max, zip(*(mono for row in rows for mono, _ in row))))
         namespace: dict = {}
         exec(compile(_kernel_source(self.degrees, self.scale, rows), "<kernel>", "exec"), namespace)
         self._kernel = namespace["kernel"]
@@ -728,7 +735,11 @@ class _Parser:
             exp_tok = self.take()
             if not exp_tok.isdigit():
                 raise PolyParseError(f"exponent must be a non-negative integer, got {exp_tok!r}")
-            base = base ** int(exp_tok)
+            # a prefix one digit longer than the bound's, so no int() of a long literal
+            exponent = int(exp_tok.lstrip("0")[: len(str(MAX_DEGREE)) + 1] or 0)
+            if exponent > MAX_DEGREE:
+                raise PolyParseError(f"exponent {exp_tok} is above {MAX_DEGREE}, the limit of a monomial's degree")
+            base = base**exponent
         return -base if sign < 0 else base
 
     def parse_atom(self) -> Poly:
@@ -753,10 +764,14 @@ def parse_poly(text: str, names: Mapping[str, Poly] | None = None) -> Poly:
 
     ``names`` can supply extra symbols (shorthands) that expand to
     polynomials.  Supports + - * / ^ and parentheses; division only by
-    nonzero rational constants; no decimal literals.
+    nonzero rational constants; no decimal literals.  A degree or exponent
+    above ``MAX_DEGREE`` raises ``PolyParseError``.
     """
     parser = _Parser(_tokenize(text), names or {})
-    result = parser.parse_expr()
+    try:
+        result = parser.parse_expr()
+    except DegreeOverflowError as exc:
+        raise PolyParseError(str(exc)) from None
     if parser.peek() is not None:
         raise PolyParseError(f"trailing input at {parser.peek()!r} in {text!r}")
     return result

@@ -13,7 +13,7 @@ import pytest
 
 from wanas.cli import main
 from wanas.catalog import ALL_GROUPS, compute_checksum, default_catalog_path
-from wanas.poly import format_rational, parse_rational
+from wanas.poly import MAX_DEGREE, format_rational, parse_rational
 from wanas.soliton import SolitonKind, soliton_decide, wan_for_kind
 from wanas.verify import PaperReport, default_grid
 
@@ -340,6 +340,30 @@ def test_vacuous_grid_bounds_exit_2(command, flag, value):
     assert exc.value.code == 2
 
 
+def test_classify_says_when_the_grid_reached_max_points(capsys):
+    """A capped grid is its first points in sorted order (for g7 at 50, all
+    have alpha = -2 and gamma = 0): the text line says so; JSON is unchanged."""
+    argv = ("classify", "--group", "g7", "--kind", "first")
+    code, out, _ = run(capsys, *argv, "--max-points", "50")
+    assert code == 0
+    assert out == (
+        "g7 first kind: 50 grid points (the first 50 in sorted order: --max-points reached), "
+        "50 agree with the classification theorem\n"
+    )
+    code, out, _ = run(capsys, *argv, "--max-points", "50", "--json")
+    assert code == 0 and json.loads(out)["points"] == 50 and "max-points" not in out
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out == "g7 first kind: 848 grid points, 848 agree with the classification theorem\n"
+
+
+@pytest.mark.parametrize("command", ("classify", "verify-paper"))
+def test_max_points_help_says_a_capped_grid_keeps_its_first_points(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert "keeps its first points in sorted order" in " ".join(capsys.readouterr().out.split())
+
+
 def test_classify_bad_ladder_exits_2(capsys):
     code, _, err = run(
         capsys, "classify", "--group", "g2", "--kind", "first", "--grid-ladder", "0.5,1"
@@ -507,6 +531,22 @@ def test_bad_group_or_spec_file_exits_2(capsys, tmp_path, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# a bracket whose own degree passes the bound, and one whose tensor products pass it
+PAST_BOUND = '{"brackets": {"e1,e2": ["alpha^%d", "0", "0"]}}' % (MAX_DEGREE + 1)
+PRODUCTS_PAST_BOUND = '{"brackets": {"e1,e2": ["alpha^40000*beta", "0", "0"]}}'
+
+
+@pytest.mark.parametrize("tensor", ("connection", "curvature", "wan"))
+@pytest.mark.parametrize("spec", (PAST_BOUND, PRODUCTS_PAST_BOUND), ids=("bracket", "products"))
+def test_tensors_refuse_a_degree_past_the_bound(capsys, tmp_path, spec, tensor):
+    assert 40001 <= MAX_DEGREE < 2 * 40001
+    path = tmp_path / "spec.json"
+    path.write_text(spec)
+    code, out, err = run(capsys, "tensors", "--spec-file", str(path), "--tensor", tensor)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(MAX_DEGREE) in err
 
 
 # -- catalog override -------------------------------------------------------------------

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import inspect
 import io
+import itertools
 import math
 import random
 import re
@@ -15,6 +17,8 @@ from wanas import poly as poly_module
 from wanas.algebra import PAIRS
 from wanas.catalog import load_catalog
 from wanas.poly import (
+    MAX_DEGREE,
+    DegreeOverflowError,
     IntegerEvaluator,
     MissingVariableError,
     Poly,
@@ -576,9 +580,11 @@ def test_equality_across_construction_paths():
         (ALPHA - 1) * (ALPHA + 1) - ALPHA**2 + ALPHA + 1,
         ALPHA.substitute({"alpha": Poly.const(Fraction(1, 2)) * ALPHA}) * 2,
     ]
+    canonical = Poly({mono: 1})
+    assert canonical.terms == {mono: 1} and canonical._den == 1
     for p in paths:
         assert p == ALPHA
-        assert (p._terms, p._den) == ({mono: 1}, 1)
+        assert (p._terms, p._den) == (canonical._terms, canonical._den)
     assert Poly.const(Fraction(6, 4)) == P("3/2") == Fraction(3, 2)
     assert Poly.const(6) / 4 == P("3/2")
     assert Poly.zero() == Poly({mono: 0}) == ALPHA - ALPHA == 0
@@ -929,7 +935,9 @@ def test_dot_cancellation_gives_the_canonical_form():
     _assert_canonical(partial)
     # the surviving numerators share the factor 2 with the denominator: one gcd takes it out
     shared = dot([(1, P("1/2*alpha + beta"), ALPHA), (-1, P("1/2*alpha"), ALPHA)])
-    assert _fields(shared) == ({(1, 1, 0, 0, 0, 0): 1}, 1)
+    canonical = Poly({(1, 1, 0, 0, 0, 0): 1})
+    assert canonical.terms == {(1, 1, 0, 0, 0, 0): 1}
+    assert _fields(shared) == _fields(canonical) and canonical._den == 1
     # nothing cancels: the accumulator is kept as it is
     assert _fields(dot([(1, x, y)])) == _fields(P("alpha^2 + 2/3*alpha*beta - 3/10*alpha - 1/5*beta"))
 
@@ -971,3 +979,173 @@ def test_polynomials_of_any_size_parse_render_and_evaluate():
     verdict = SolitonVerdict("soliton", c=Fraction(_BIG), d=((Fraction(1, _BIG),) * 3,) * 3)
     data = verdict.to_json_dict()
     assert data["c"] == _SEVENS and data["D"][2][2] == f"1/{_SEVENS}"
+
+
+# -- packed monomials: a tuple reference, the degree bound, the kernel sources -------------
+
+
+def _tuple_reduce(terms: dict, relation: dict, leading: int) -> dict | None:
+    """Reduction modulo a binomial relation on exponent tuples: rewrite any
+    multiple of the leading monomial until none is left (one polynomial is a
+    Groebner basis of its ideal, so the order does not matter); None when
+    the rewrite does not decrease the term order."""
+    (lead,) = [m for m in relation if m[leading]]
+    rest = {m: -c / relation[lead] for m, c in relation.items() if m != lead}
+    if any((sum(m), m) >= (sum(lead), lead) for m in rest):
+        return None
+    terms = dict(terms)
+    while True:
+        hit = next((m for m in terms if all(x >= y for x, y in zip(m, lead))), None)
+        if hit is None:
+            return terms
+        quotient = {tuple(x - y for x, y in zip(hit, lead)): terms.pop(hit)}
+        terms = oracle_add(terms, oracle_mul(quotient, rest))
+
+
+def _random_wide_poly(rng: random.Random) -> Poly:
+    """Small exponents, and now and then one of up to 20,000, so that the
+    fields of a product fill most of their 16 bits."""
+    terms = {}
+    for _ in range(rng.randint(0, 5)):
+        mono = [rng.randint(0, 3) if rng.random() < 0.4 else 0 for _ in VARIABLES]
+        if rng.random() < 0.2:
+            mono[rng.randrange(len(VARIABLES))] = rng.randint(4, 20000)
+        terms[tuple(mono)] = Fraction(rng.randint(-6, 6), rng.randint(1, 6))
+    return Poly(terms)
+
+
+def test_packed_monomials_agree_with_a_tuple_reference():
+    """+, *, **, dot, substitute, reduce, degree, degree_in, variables and
+    str agree with the same operations on the exponent tuples of .terms;
+    str lists the terms in descending (total degree, exponent tuple) order."""
+    rng = random.Random(20261020)
+    reductions = 0
+    for _ in range(300):
+        p, q, r = _random_wide_poly(rng), _random_wide_poly(rng), random_poly(rng, max_terms=3, max_exp=2)
+        pt, qt, rt = p.terms, q.terms, r.terms
+        assert (p + q).terms == oracle_add(pt, qt)
+        assert (p - q).terms == oracle_add(pt, {m: -c for m, c in qt.items()})
+        assert (p * q).terms == oracle_mul(pt, qt)
+        assert (r**3).terms == oracle_mul(oracle_mul(rt, rt), rt)
+        n, k = rng.randint(-3, 3), rng.randint(1, 5)
+        expected = oracle_add(
+            {m: c * n for m, c in oracle_mul(pt, qt).items()}, {m: -c for m, c in oracle_mul(qt, rt).items()}
+        )
+        assert dot([(n, p, q), (-1, q, r)], k).terms == {m: c / k for m, c in expected.items() if c}
+        images = {v: random_poly(rng, max_terms=2, max_exp=1) for v in rng.sample(VARIABLES, 2)}
+        assert r.substitute(images).terms == _oracle_substitute(rt, {v: s.terms for v, s in images.items()})
+        for s in (p, q, r):
+            terms = s.terms
+            assert s.degree() == max(map(sum, terms), default=0)
+            for i, v in enumerate(VARIABLES):
+                assert s.degree_in(v) == max((m[i] for m in terms), default=0)
+            assert s.variables() == tuple(v for i, v in enumerate(VARIABLES) if any(m[i] for m in terms))
+            order = sorted(terms, key=lambda m: (sum(m), m), reverse=True)
+            assert str(s) == render_with_fractions(s)  # its terms in this order
+            assert str(s) == (" + ".join(str(Poly({m: terms[m]})) for m in order) or "0").replace("+ -", "- ")
+        leading = rng.randrange(len(VARIABLES))
+        lead = tuple(rng.randint(1, 2) if i == leading else rng.randint(0, 1) for i in range(len(VARIABLES)))
+        other = tuple(0 if i == leading else rng.randint(0, 2) for i in range(len(VARIABLES)))
+        relation = Poly({lead: rng.randint(1, 3), other: rng.choice((-2, -1, 1, Fraction(1, 2)))})
+        expected = _tuple_reduce(r.terms, relation.terms, leading)
+        if expected is None:
+            with pytest.raises(UnsupportedRelationError, match="does not decrease"):
+                r.reduce(relation, VARIABLES[leading])
+        else:
+            assert r.reduce(relation, VARIABLES[leading]).terms == expected
+            reductions += 1
+    assert reductions > 100
+
+
+def test_reduce_finds_exactly_the_multiples_of_the_leading_monomial():
+    """A one-term relation rewrites to 0 exactly the monomials it divides:
+    every leading monomial with exponents 0 and 1 against every monomial
+    with exponents 0 to 2, so each field's borrow is tested on its own."""
+    for lead in itertools.product((0, 1), repeat=len(VARIABLES)):
+        if not any(lead):
+            continue
+        relation, leading = Poly({lead: 1}), VARIABLES[lead.index(1)]
+        for mono in itertools.product(range(3), repeat=len(VARIABLES)):
+            divides = all(x <= y for x, y in zip(lead, mono))
+            assert Poly({mono: 1}).reduce(relation, leading).is_zero() == divides, (lead, mono)
+
+
+def test_degree_bound_holds_at_its_edge():
+    """Degree MAX_DEGREE builds through *, ** and Poly(...); one more raises,
+    whether an exponent field or only the degree passes the bound."""
+    top = (MAX_DEGREE, 0, 0, 0, 0, 0)
+    assert MAX_DEGREE == 2**16 - 1
+    assert Poly({top: 1}).terms == {top: 1}
+    assert (ALPHA ** MAX_DEGREE).terms == {top: 1}
+    assert ((ALPHA**32768) * (ALPHA**32767)).terms == {top: 1}
+    split = (ALPHA**40000) * (BETA ** (MAX_DEGREE - 40000))
+    assert split.degree() == MAX_DEGREE and split.terms == {(40000, MAX_DEGREE - 40000, 0, 0, 0, 0): 1}
+    assert ((ALPHA * BETA) ** 32767).degree() == 2 * 32767
+    assert str(ETA ** MAX_DEGREE - 1) == f"eta^{MAX_DEGREE} - 1"
+    for past in ((MAX_DEGREE + 1, 0, 0, 0, 0, 0), (1, 0, 0, 0, 0, MAX_DEGREE)):
+        with pytest.raises(ValueError, match=f"degrees are limited to {MAX_DEGREE}"):
+            Poly({past: 1})
+    for make in (
+        lambda: ALPHA ** (MAX_DEGREE + 1),  # the alpha field carries
+        lambda: (ALPHA**32768) * (ALPHA**32768),
+        lambda: (ALPHA**40000) * (BETA**30000),  # no field carries; the degree passes the bound
+        lambda: split * C,
+        lambda: (ALPHA * BETA) ** 32768,
+        lambda: dot([(1, ALPHA**MAX_DEGREE, P("gamma + 1"))]),
+        lambda: (ETA**40000 + 1).substitute({"eta": ETA**2}),
+    ):
+        with pytest.raises(DegreeOverflowError, match=str(MAX_DEGREE)):
+            make()
+    assert issubclass(DegreeOverflowError, OverflowError)
+
+
+def test_parse_refuses_an_exponent_past_the_bound_before_building_a_power(monkeypatch):
+    assert P(f"alpha^{MAX_DEGREE}") == ALPHA**MAX_DEGREE
+    assert P(f"alpha^000{MAX_DEGREE}") == ALPHA**MAX_DEGREE
+    monkeypatch.setattr(Poly, "__pow__", lambda *args: pytest.fail("a power was built"))
+    for text in ("alpha^99999999999999999999", f"alpha^{MAX_DEGREE + 1}", f"2^{MAX_DEGREE + 1}", "beta^" + "9" * 5000):
+        with pytest.raises(PolyParseError, match=f"is above {MAX_DEGREE}, the limit"):
+            P(text)
+    monkeypatch.undo()
+    for text in ("alpha^40000*alpha^40000", "(alpha^300)^300", "(alpha^40000 + 1)*(beta^30000 - 1)"):
+        with pytest.raises(PolyParseError, match=f"above {MAX_DEGREE}"):
+            P(text)
+
+
+def test_kernel_sources_equal_those_of_rows_built_from_terms(monkeypatch):
+    """For every polynomial list a verify_paper run compiles, the kernel
+    source of rows built from .terms (exponent tuples, scaled Fraction
+    coefficients) equals the evaluator's own source."""
+    built = []
+    original_init, original_source = IntegerEvaluator.__init__, poly_module._kernel_source
+    sources = []
+
+    def recording(self, polys):
+        original_init(self, polys)
+        built.append((self, list(polys), sources[-1]))
+
+    monkeypatch.setattr(poly_module, "_kernel_source", lambda *args: sources.append(original_source(*args)) or sources[-1])
+    monkeypatch.setattr(IntegerEvaluator, "__init__", recording)
+    verify_paper(load_catalog())
+    assert len(built) >= 17
+    for evaluate, polys, source in built:
+        slots = [VARIABLES.index(v) for v in evaluate.variables]
+        rows = []
+        for p in polys:
+            row = []
+            for mono, coeff in p.terms.items():
+                scaled = coeff * evaluate.scale
+                assert scaled.denominator == 1
+                row.append((tuple(mono[i] for i in slots), scaled.numerator))
+            rows.append(row)
+        degrees = tuple(max((m[i] for p in polys for m in p.terms), default=0) for i in slots)
+        assert degrees == evaluate.degrees
+        assert poly_module._kernel_source(degrees, evaluate.scale, rows) == source
+
+
+def test_monomial_memos_are_bounded_and_keyed_by_the_monomial():
+    """The monomial-format memos are bounded and take the monomial alone."""
+    for helper in (poly_module._support, poly_module._mono_text):
+        assert helper.cache_parameters()["maxsize"] is not None
+        assert list(inspect.signature(helper).parameters) == ["mono"]
+    assert poly_module._mono_text(poly_module._pack((2, 1, 0, 0, 0, 3))) == "alpha^2*beta*c^3"
