@@ -251,16 +251,9 @@ class LieAlgebraSpec:
         cons = data.get("constraints", {})
         if not isinstance(signature, (list, tuple)) or not isinstance(cons, Mapping):
             raise ValueError("'signature' must be a list and 'constraints' an object")
-        known_keys = (
-            ("spec", data, ("brackets", "signature", "constraints")),
-            ("bracket", data["brackets"], PAIR_KEYS),
-            ("constraints", cons, ("eq", "neq")),
-        )
-        for what, given, known in known_keys:
-            for key in given:
-                if key not in known:
-                    expected = " or ".join(map(repr, known))
-                    raise ValueError(f"unknown {what} key {key!r}; expected {expected}")
+        check_keys("spec", data, ("brackets", "signature", "constraints"))
+        check_keys("bracket", data["brackets"], PAIR_KEYS)
+        check_keys("constraints", cons, ("eq", "neq"))
 
         def polys(what: str, value) -> list[Poly]:
             if not isinstance(value, (list, tuple)) or not all(isinstance(s, str) for s in value):
@@ -283,10 +276,24 @@ class LieAlgebraSpec:
         return cls(tuple(map(vec, PAIR_KEYS)), MetricSignature(tuple(signature)), constraints)
 
 
+def check_keys(what: str, given: Mapping, known: Sequence[str], required: Sequence[str] = (), error=ValueError) -> None:
+    """Raise ``error`` naming a key of ``given`` outside ``known``, else a missing one of ``required``."""
+    for key in given:
+        if key not in known:
+            raise error(f"unknown {what} key {key!r}; expected {' or '.join(map(repr, known))}")
+    for key in required:
+        if key not in given:
+            raise error(f"missing {what} key {key!r}")
+
+
 def load_spec_file(path: str) -> LieAlgebraSpec:
-    """Read a non-catalog algebra from a JSON spec file (the CLI escape hatch)."""
+    """Read a JSON spec file (the CLI escape hatch); a malformed or too deeply nested one raises ValueError."""
     with open(path, "r", encoding="utf-8") as fh:
-        return LieAlgebraSpec.from_json_dict(json.load(fh))
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise ValueError("the JSON document nests too deeply") from None
+    return LieAlgebraSpec.from_json_dict(data)
 
 
 def parse_assignment(text: str) -> dict[str, Fraction]:

@@ -31,14 +31,16 @@ from .algebra import (
     Vec3,
     ZERO_VEC,
     antisymmetric,
+    check_keys,
     vec_neg,
     vec3,
 )
 from .geometry import Conn, Mat3, Tor, Tri, tri_table
-from .poly import IntegerEvaluator, Poly, parse_poly
+from .poly import IntegerEvaluator, Poly, PolyParseError, parse_poly
 from .soliton import SolitonKind, SolitonVerdict
 
 ALL_GROUPS = ("g1", "g2", "g3", "g4", "g5", "g6", "g7")
+_GROUP_KEYS = ("brackets", "claimed", "constraints", "notes", "shorthands", "soliton_systems", "theorems", "unimodular")
 
 
 class CatalogError(ValueError):
@@ -211,7 +213,8 @@ def _mat3(rows: Sequence[Sequence[str]], parse) -> Mat3:
 
 
 def _load_group(gid: str, data: Mapping) -> GroupEntry:
-    shorthands = {k: parse_poly(v) for k, v in data.get("shorthands", {}).items()}
+    check_keys(f"{gid} group", data, _GROUP_KEYS, _GROUP_KEYS, CatalogError)
+    shorthands = {k: parse_poly(v) for k, v in data["shorthands"].items()}
 
     @functools.cache
     def p(text: str) -> Poly:
@@ -247,7 +250,7 @@ def _load_group(gid: str, data: Mapping) -> GroupEntry:
     )
 
     systems: dict[SolitonKind, tuple[Poly, ...]] = {}
-    for kind_name, eqs in data.get("soliton_systems", {}).items():
+    for kind_name, eqs in data["soliton_systems"].items():
         kind = SolitonKind(kind_name)
         parsed = tuple(p(s) for s in eqs)
         for eq in parsed:
@@ -293,7 +296,7 @@ def _load_group(gid: str, data: Mapping) -> GroupEntry:
         claimed=claimed,
         systems=systems,
         theorems=theorems,
-        notes=tuple(data.get("notes", ())),
+        notes=tuple(data["notes"]),
     )
     _check_case_constraints(entry)
     return entry
@@ -337,7 +340,7 @@ def load_catalog(path: str | None = None) -> Catalog:
             raw = json.load(fh)
     except FileNotFoundError:
         raise CatalogError(f"catalog file not found: {path}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply to decode
         raise CatalogError(f"catalog file {path} is not valid JSON: {exc}") from None
 
     expected = raw.get("checksum")
@@ -351,7 +354,10 @@ def load_catalog(path: str | None = None) -> Catalog:
     for gid in ALL_GROUPS:
         if gid not in raw["groups"]:
             raise CatalogError(f"catalog is missing group {gid}")
-        groups[gid] = _load_group(gid, raw["groups"][gid])
+        try:
+            groups[gid] = _load_group(gid, raw["groups"][gid])
+        except PolyParseError as exc:  # a bad polynomial string, e.g. a non-ASCII digit or deep nesting
+            raise CatalogError(f"catalog group {gid}: {exc}") from None
     return Catalog(
         path=path,
         checksum=actual,

@@ -23,14 +23,14 @@ from .algebra import (
     load_spec_file,
     parse_assignment,
 )
-from .catalog import ALL_GROUPS, Catalog, CatalogError, load_catalog
+from .catalog import Catalog, CatalogError, load_catalog
 from .geometry import (
     compute_tensors,
     matrix_json,
     render_matrix,
     render_vector,
 )
-from .poly import DegreeOverflowError, MissingVariableError, PolyParseError, format_rational, parse_rational
+from .poly import DegreeOverflowError, MissingVariableError, PolyParseError, format_rational, is_digits, parse_rational
 from .soliton import SolitonKind, soliton_decide, wan_for_kind
 from .verify import GridSpec, classify_grid, default_grid, generate_grid, verify_paper
 
@@ -187,7 +187,7 @@ def _cmd_check(args, catalog: Catalog) -> int:
 
 def _positive_int(text: str) -> int:
     """argparse type of the grid point bounds: a vacuous grid is refused."""
-    if not text.isdecimal() or int(text) < 1:
+    if not is_digits(text) or int(text) < 1:
         raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
     return int(text)
 
@@ -233,12 +233,8 @@ def _cmd_classify(args, catalog: Catalog) -> int:
 
 
 def _cmd_verify_paper(args, catalog: Catalog) -> int:
-    groups = None
-    if args.group:
-        groups = tuple(g.lower() for g in args.group)
-        for g in groups:
-            if g not in ALL_GROUPS:
-                _fail(f"unknown group {g!r}; expected one of {', '.join(ALL_GROUPS)}")
+    # an unknown group is refused before any group is verified
+    groups = tuple(catalog.get_group(g.lower()).id for g in args.group) if args.group else None
     ladder = _parse_ladder(args.grid_ladder) if args.grid_ladder else None
     report = verify_paper(
         catalog,

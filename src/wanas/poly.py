@@ -613,15 +613,18 @@ def _int_str(n: int) -> str:
         return str(Decimal(n))
 
 
+def is_digits(text: str) -> bool:
+    """Whether ``text`` is one or more ASCII digits 0-9 (``str.isdigit`` also takes "٣" and "²")."""
+    return text.isascii() and text.isdigit()
+
+
 def _int(text: str) -> int:
-    """int(text) of a decimal integer literal of any number of digits."""
-    try:
-        return int(text)
-    except ValueError:
-        body = text.strip()
-        if not (body[1:] if body[:1] in "+-" else body).isdecimal():
-            raise
-        return int(Decimal(body))
+    """The integer of a decimal literal (an optional sign, then ASCII digits)
+    of any number of digits: past 640, CPython's least int/str digit limit, through decimal."""
+    body = text.strip()
+    if not is_digits(body[1:] if body[:1] in "+-" else body):
+        raise ValueError(f"invalid integer literal {text!r}")
+    return int(body) if len(body) <= 640 else int(Decimal(body))
 
 
 def format_rational(value: Scalar) -> str:
@@ -647,6 +650,7 @@ def parse_rational(text: str) -> Fraction:
 # -- polynomial expression parser ---------------------------------------
 
 _TOKEN_CHARS = {"+", "-", "*", "/", "^", "(", ")"}
+MAX_NESTING = 100  # parenthesis levels; the parser recurses once per level
 
 
 def _tokenize(text: str) -> list[str]:
@@ -660,9 +664,9 @@ def _tokenize(text: str) -> list[str]:
         elif ch in _TOKEN_CHARS:
             tokens.append(ch)
             i += 1
-        elif ch.isdigit():
+        elif is_digits(ch):
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and is_digits(text[j]):
                 j += 1
             if j < len(text) and text[j] == ".":
                 raise PolyParseError(
@@ -684,7 +688,7 @@ def _tokenize(text: str) -> list[str]:
 class _Parser:
     def __init__(self, tokens: list[str], names: Mapping[str, Poly]):
         self.tokens = tokens
-        self.pos = 0
+        self.pos = self.depth = 0
         self.names = names
 
     def peek(self) -> str | None:
@@ -733,7 +737,7 @@ class _Parser:
         if self.peek() == "^":
             self.take()
             exp_tok = self.take()
-            if not exp_tok.isdigit():
+            if not is_digits(exp_tok):
                 raise PolyParseError(f"exponent must be a non-negative integer, got {exp_tok!r}")
             # a prefix one digit longer than the bound's, so no int() of a long literal
             exponent = int(exp_tok.lstrip("0")[: len(str(MAX_DEGREE)) + 1] or 0)
@@ -745,11 +749,15 @@ class _Parser:
     def parse_atom(self) -> Poly:
         tok = self.take()
         if tok == "(":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise PolyParseError(f"parentheses nest deeper than {MAX_NESTING} levels")
             inner = self.parse_expr()
             if self.take() != ")":
                 raise PolyParseError("unbalanced parentheses")
+            self.depth -= 1
             return inner
-        if tok.isdigit():
+        if is_digits(tok):
             return Poly.const(_int(tok))
         if tok in _VAR_INDEX:
             return Poly.var(tok)
@@ -764,8 +772,9 @@ def parse_poly(text: str, names: Mapping[str, Poly] | None = None) -> Poly:
 
     ``names`` can supply extra symbols (shorthands) that expand to
     polynomials.  Supports + - * / ^ and parentheses; division only by
-    nonzero rational constants; no decimal literals.  A degree or exponent
-    above ``MAX_DEGREE`` raises ``PolyParseError``.
+    nonzero rational constants; no decimal literals; digits are ASCII.  A
+    degree or exponent above ``MAX_DEGREE``, or parentheses nested deeper
+    than ``MAX_NESTING``, raise ``PolyParseError``.
     """
     parser = _Parser(_tokenize(text), names or {})
     try:

@@ -70,17 +70,15 @@ def derivation_residual(d: Mat3, spec: LieAlgebraSpec) -> tuple[Vec3, Vec3, Vec3
     )
 
 
-def affine_residuals(spec: LieAlgebraSpec, wan: Mat3) -> tuple[tuple[Poly, Poly], ...]:
-    """The nine residual equations of Wan = c*Id + D as (constant, slope)
-    pairs, in PAIRS order: constant + slope*c is the derivation residual of
-    D = Wan - c*Id.
+def residual_constants(spec: LieAlgebraSpec, wan: Mat3) -> tuple[Poly, ...]:
+    """The constants of the nine residual equations of Wan = c*Id + D, in
+    PAIRS order: the derivation residual of Wan.
 
-    The residual is linear in D and the residual of -Id is [e_i, e_j], so
-    the constants are the derivation residual of Wan and the slopes are the
-    bracket components.
+    The residual of D = Wan - c*Id is constant + slope*c with the slopes
+    ``spec.components``: the residual is linear in D and that of -Id is
+    [e_i, e_j].
     """
-    constants = [comp for vec in derivation_residual(wan, spec) for comp in vec]
-    return tuple(zip(constants, spec.components))
+    return tuple(comp for vec in derivation_residual(wan, spec) for comp in vec)
 
 
 @dataclass(frozen=True)
@@ -190,7 +188,7 @@ def soliton_decide(spec: LieAlgebraSpec, kind: SolitonKind, wan: Mat3) -> Solito
     ``wan`` the matching numeric decision operator for ``kind``.  The Wan
     entries become Fractions only for a soliton's D.
     """
-    pairs = [(a.constant_value(), b.constant_value()) for a, b in affine_residuals(spec, wan)]
+    pairs = [(a.constant_value(), b.constant_value()) for a, b in zip(residual_constants(spec, wan), spec.components)]
     outcome, c_value, witness = solve_affine(pairs)
     if outcome == "none":
         witness = tuple(AffineEquation(PAIRS[k // 3], k % 3, *pairs[k]) for k in witness)
@@ -204,20 +202,11 @@ def soliton_decide(spec: LieAlgebraSpec, kind: SolitonKind, wan: Mat3) -> Solito
     return SolitonVerdict("soliton", c=c_value, d=d)
 
 
-def decision_rows(spec: LieAlgebraSpec, kind: SolitonKind) -> list[Poly]:
-    """The nine constants and then the nine slopes of ``affine_residuals``,
-    then the nine Wan entries (row-major)."""
-    wan = wan_for_kind(spec, kind)
-    constants, slopes = zip(*affine_residuals(spec, wan))
-    return [*constants, *slopes, *(p for row in wan for p in row)]
-
-
 def residual_system(spec: LieAlgebraSpec, kind: SolitonKind) -> tuple[Poly, ...]:
     """The nine symbolic residual polynomials before any elimination:
-    ``affine_residuals`` as constant + slope*c, with c a genuine polynomial
-    variable."""
+    constant + slope*c, with c a genuine polynomial variable."""
     c = Poly.var("c")
-    return tuple(a + b * c for a, b in affine_residuals(spec, wan_for_kind(spec, kind)))
+    return tuple(a + b * c for a, b in zip(residual_constants(spec, wan_for_kind(spec, kind)), spec.components))
 
 
 ETA_RELATION = Poly.var("eta") ** 2 - 1

@@ -34,8 +34,8 @@ from .soliton import (
     SolitonKind,
     SolitonVerdict,
     check_claimed_solution,
-    decision_rows,
     normalize_eta,
+    residual_constants,
     soliton_decide,
     solve_affine,
     wan_for_kind,
@@ -45,23 +45,12 @@ MATCH = "match"
 MATCH_ON_VARIETY = "match_on_variety"
 MISMATCH = "mismatch"
 
-BASE_LADDER: tuple[Fraction, ...] = (
-    Fraction(-2),
-    Fraction(-1),
-    Fraction(-1, 2),
-    Fraction(1, 2),
-    Fraction(1),
-    Fraction(2),
-    Fraction(3),
-)
+BASE_LADDER: tuple[Fraction, ...] = tuple(map(Fraction, ("-2", "-1", "-1/2", "1/2", "1", "2", "3")))
 
 
-def _ladder_extension() -> Iterable[Fraction]:
-    k = 3
-    while True:
-        yield Fraction(-k)
-        yield Fraction(k + 1)
-        k += 1
+def _ladder_extension() -> Iterator[Fraction]:
+    """-3, 4, -4, 5, ...: the values past the base ladder, in the order grids take them."""
+    return (Fraction(x) for k in itertools.count(3) for x in (-k, k + 1))
 
 
 @dataclass(frozen=True)
@@ -392,23 +381,27 @@ def classify_group(
 class _GroupKernel:
     """One ``IntegerEvaluator`` for the classification of a group's points.
 
-    Its rows, in order: the spec's constraints (so ``spec.admitted``
-    reads its values); each claim's kind's ``decision_rows``, unless an
-    earlier claim has the same cases object, claim type and equal decision
-    rows (then the two decide alike, and ``shares`` holds the earlier
-    one's position, else the claim's own); each distinct claim's ``layout``
-    rows (by the identity of its cases).  All values sit over one
-    denominator.  ``claims`` holds each claim with the start of its decision
-    rows and of its layout rows.
+    Its rows, in order: ``spec._point_values``'s, the constraints (so
+    ``spec.admitted`` reads its values) and the nine bracket components,
+    every kind's slopes; each claim's kind's ``residual_constants`` and Wan
+    entries (row-major), unless an earlier claim has the same cases object,
+    claim type and equal rows (then the two decide alike, and ``shares``
+    holds the earlier one's position, else the claim's own); each distinct
+    claim's ``layout`` rows (by the identity of its cases).  All values sit
+    over one denominator.  ``slopes`` is the start of the bracket block;
+    ``claims`` holds each claim with the start of its decision rows and of
+    its layout rows.
     """
 
     def __init__(self, spec: LieAlgebraSpec, claims: Sequence[TheoremClaim]):
-        rows = [con.poly for con in spec.constraints]
+        self.slopes = len(spec.constraints)
+        rows = [con.poly for con in spec.constraints] + list(spec.components)
         decided: list[list[Poly]] = []
         self.shares: list[int] = []
         starts: list[int] = []
         for index, claim in enumerate(claims):
-            decided.append(decision_rows(spec, claim.kind))
+            wan = wan_for_kind(spec, claim.kind)
+            decided.append([*residual_constants(spec, wan), *(p for row in wan for p in row)])
             alike = (other.cases is claim.cases and other.claim_type == claim.claim_type for other in claims)
             share = next(j for j, same in enumerate(alike) if same and decided[j] == decided[index])
             self.shares.append(share)
@@ -435,17 +428,17 @@ class _GroupKernel:
         D(0) == w and D(1) - D(0) == -den on the diagonal and 0 off it.
         """
         claim, start, offset = self.claims[index]
-        outcome, _, witness = solve_affine(zip(values[start : start + 9], values[start + 9 : start + 18]))
+        outcome, _, witness = solve_affine(zip(values[start : start + 9], values[self.slopes : self.slopes + 9]))
         hit = claim.case_at(values, offset)
         if hit is None or outcome == "none":
             return hit is None and outcome == "none"
         case, s = hit
-        w = start + 18  # the Wan entries, row-major
+        w = start + 9  # the Wan entries, row-major
         if case.any_c or outcome == "any":
             return case.any_c and outcome == "any" and s is not None and all(
                 values[s + k] == values[w + k] and values[s + 9 + k] == (0 if k % 4 else -den) for k in range(9)
             )
-        a, b = values[start + witness[0]], values[start + 9 + witness[0]]
+        a, b = values[start + witness[0]], values[self.slopes + witness[0]]
         return -a * den == values[s] * b and all(
             values[w + k] == values[s + 1 + k] if k % 4 else values[w + k] * b + a * den == values[s + 1 + k] * b
             for k in range(9)

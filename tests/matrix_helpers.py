@@ -12,12 +12,25 @@ both give the same polynomial."""
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from typing import Sequence
 
-from wanas.algebra import LieAlgebraSpec, MetricSignature, PAIRS, Vec3, vec_sub
+from wanas.algebra import LORENTZ, PAIRS, ZERO_VEC, LieAlgebraSpec, MetricSignature, Vec3, vec_sub
 from wanas.geometry import Conn, Mat3, Tri, tri_table
-from wanas.poly import Poly, dot
+from wanas.poly import VARIABLES, Poly, dot
+
+
+def generic_two_bracket_specs(sig: MetricSignature = LORENTZ) -> list[LieAlgebraSpec]:
+    """The three algebras ``wan_forms`` reads: two brackets generic (the six
+    polynomial variables as placeholders), the third zero."""
+    specs = []
+    for generic in itertools.combinations(range(3), 2):
+        brackets = [ZERO_VEC] * 3
+        for n, p in enumerate(generic):
+            brackets[p] = tuple(Poly.var(VARIABLES[3 * n + k]) for k in range(3))
+        specs.append(LieAlgebraSpec(tuple(brackets), sig))
+    return specs
 
 
 def vec_combination(coeffs: Sequence[Poly], vectors: Sequence[Vec3]) -> Vec3:

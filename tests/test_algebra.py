@@ -335,6 +335,13 @@ def test_load_spec_file(tmp_path, groups):
     assert restored.constants == groups["g1"].spec.constants
 
 
+def test_load_spec_file_refuses_a_document_nested_too_deeply(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text('{"brackets": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    with pytest.raises(ValueError, match="nests too deeply"):
+        load_spec_file(str(path))
+
+
 def test_parse_assignment():
     sigma = parse_assignment("alpha=1,beta=-1/2")
     assert sigma == {"alpha": Fraction(1), "beta": Fraction(-1, 2)}

@@ -67,6 +67,32 @@ def test_missing_catalog_rejected(tmp_path):
         load_catalog(str(tmp_path / "nope.json"))
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda group: group.pop("unimodular"), "missing g4 group key 'unimodular'"),
+        (lambda group: group.pop("notes"), "missing g4 group key 'notes'"),
+        (lambda group: group.update(soliton_sytems=group.pop("soliton_systems")), "unknown g4 group key 'soliton_sytems'"),
+    ],
+    ids=["without_unimodular", "without_notes", "misspelt_systems"],
+)
+def test_group_keys_are_exactly_the_schema(catalog, tmp_path, edit, message):
+    raw = _raw_catalog(catalog)
+    edit(raw["groups"]["g4"])
+    raw["checksum"] = compute_checksum(raw["groups"])
+    bad = tmp_path / "catalog.json"
+    bad.write_text(json.dumps(raw))
+    with pytest.raises(CatalogError, match=message):
+        load_catalog(str(bad))
+
+
+def test_catalog_nested_too_deeply_rejected(tmp_path):
+    bad = tmp_path / "catalog.json"
+    bad.write_text('{"groups": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    with pytest.raises(CatalogError, match="not valid JSON"):
+        load_catalog(str(bad))
+
+
 def test_rehash_utility_repairs_checksum(catalog, tmp_path):
     from wanas.catalog import _main
 

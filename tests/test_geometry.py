@@ -9,7 +9,6 @@ from fractions import Fraction
 
 from wanas.algebra import (
     LORENTZ,
-    ZERO_VEC,
     LieAlgebraSpec,
     MetricSignature,
     vec3,
@@ -29,12 +28,13 @@ from wanas.geometry import (
     symmetrize_operator,
     torsion,
 )
-from wanas.poly import VARIABLES, Poly, parse_poly
+from wanas.poly import Poly, parse_poly
 
 from matrix_helpers import (
     contract,
     contract_shortcut,
     curvature_chained,
+    generic_two_bracket_specs,
     identity3,
     koszul_oracle,
     mat_eq,
@@ -49,18 +49,6 @@ P = parse_poly
 def abelian_spec() -> LieAlgebraSpec:
     zero = vec3(0, 0, 0)
     return LieAlgebraSpec((zero, zero, zero), LORENTZ)
-
-
-def generic_two_bracket_specs(sig: MetricSignature = LORENTZ) -> list[LieAlgebraSpec]:
-    """The three algebras ``wan_forms`` reads: two brackets generic (the six
-    polynomial variables as placeholders), the third zero."""
-    specs = []
-    for generic in itertools.combinations(range(3), 2):
-        brackets = [ZERO_VEC] * 3
-        for n, p in enumerate(generic):
-            brackets[p] = tuple(Poly.var(VARIABLES[3 * n + k]) for k in range(3))
-        specs.append(LieAlgebraSpec(tuple(brackets), sig))
-    return specs
 
 
 def every_signature_specs(groups) -> list[LieAlgebraSpec]:

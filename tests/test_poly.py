@@ -225,6 +225,9 @@ def test_rational_rendering():
         ("0.5", "not an integer ratio"),
         ("1/x", "not an integer ratio"),
         ("", "not an integer ratio"),
+        ("٣", "not an integer ratio"),
+        ("1_000", "not an integer ratio"),
+        ("1/²", "not an integer ratio"),
     ],
 )
 def test_parse_rational_names_the_cause(text, cause):
@@ -294,6 +297,22 @@ def test_parse_rejects_decimals_and_unknown_names():
         P("alpha + x")
     with pytest.raises(PolyParseError):
         P("alpha +")
+
+
+@pytest.mark.parametrize("text", ["alpha^٣", "alpha^²", "٣*alpha", "alpha^1_0", "１"])
+def test_parse_takes_only_ascii_digits(text):
+    with pytest.raises(PolyParseError):
+        P(text)
+
+
+def test_parse_nesting_bound():
+    bound = poly_module.MAX_NESTING
+    assert P("(" * bound + "alpha" + ")" * bound) == ALPHA
+    assert P("-(" * bound + "2" + ")" * bound) == 2 * (-1) ** bound
+    assert P(" + ".join(["(alpha)"] * (2 * bound))) == 2 * bound * ALPHA  # siblings do not nest
+    for depth in (bound + 1, 100_000):
+        with pytest.raises(PolyParseError, match=f"deeper than {bound} levels"):
+            P("(" * depth + "alpha" + ")" * depth)
 
 
 def test_parse_signs_bind_below_powers():

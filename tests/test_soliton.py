@@ -4,6 +4,7 @@ symbolic residual systems, and claimed-solution checking."""
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import random
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -18,14 +19,16 @@ from wanas.poly import Poly, parse_poly
 from wanas.soliton import (
     AffineEquation,
     SolitonKind,
-    affine_residuals,
     check_claimed_solution,
     derivation_residual,
+    residual_constants,
     residual_system,
     solve_affine,
     soliton_decide,
     wan_for_kind,
 )
+
+from matrix_helpers import generic_two_bracket_specs
 
 P = parse_poly
 F = Fraction
@@ -314,19 +317,41 @@ def written_out_affine_pairs(spec, wan):
     return tuple(pairs)
 
 
+def random_integer_tables(count: int) -> list[tuple]:
+    """Seeded bracket tables of small integers, Jacobi or not."""
+    rng = random.Random(26_2026)
+    return [tuple(vec3(*(rng.randint(-3, 3) for _ in range(3))) for _ in range(3)) for _ in range(count)]
+
+
 @pytest.mark.parametrize("kind", list(SolitonKind))
 def test_affine_residuals_match_written_out_formula(groups, kind):
-    """For every group: the shared pairs equal the written-out formula, and
-    the residual system is the derivation residual of Wan - c*Id."""
+    """For every group, the generic two-bracket algebras and random integer
+    tables under all eight signatures: the residual constants equal the
+    written-out formula, and the residual system is the derivation residual
+    of Wan - c*Id, whose c-coefficient is ``spec.components`` and whose
+    c-free part is ``residual_constants``.  The generic algebras use c as a
+    bracket placeholder, so that split is read off at c = 0 and c = 1 (the
+    residual is affine in c)."""
     c = Poly.var("c")
-    for entry in groups.values():
-        wan = wan_for_kind(entry.spec, kind)
-        pairs = affine_residuals(entry.spec, wan)
-        assert pairs == written_out_affine_pairs(entry.spec, wan), entry.id
-        shifted = derivation_residual(mat_sub(wan, scalar_matrix(c)), entry.spec)
-        system = residual_system(entry.spec, kind)
-        assert system == tuple(p for vec in shifted for p in vec), entry.id
-        assert system == tuple(a + c * b for a, b in pairs), entry.id
+    specs = [entry.spec for entry in groups.values()]
+    for eps in itertools.product((1, -1), repeat=3):
+        sig = MetricSignature(eps)
+        specs += generic_two_bracket_specs(sig)
+        specs += [LieAlgebraSpec(brackets, sig) for brackets in random_integer_tables(4)]
+    for spec in specs:
+        wan = wan_for_kind(spec, kind)
+        constants = residual_constants(spec, wan)
+        assert tuple(zip(constants, spec.components)) == written_out_affine_pairs(spec, wan), spec
+        system = residual_system(spec, kind)
+        shifted = derivation_residual(mat_sub(wan, scalar_matrix(c)), spec)
+        assert system == tuple(p for vec in shifted for p in vec), spec
+        assert system == tuple(a + c * b for a, b in zip(constants, spec.components)), spec
+        at0, at1 = (
+            [p for vec in derivation_residual(mat_sub(wan, scalar_matrix(Poly.const(t))), spec) for p in vec]
+            for t in (0, 1)
+        )
+        assert tuple(q - p for p, q in zip(at0, at1)) == spec.components, spec
+        assert tuple(at0) == constants, spec
 
 
 def test_residual_system_abelian_identically_zero():

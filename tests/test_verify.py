@@ -632,6 +632,28 @@ def test_only_g3_and_g5_second_kind_share_the_first_kinds_agreement(catalog):
         assert rec.computed.outcome == rec.expected.outcome
 
 
+def test_group_kernel_reads_every_slope_from_one_bracket_block(catalog):
+    """The kernel's rows: the constraints and the nine bracket components
+    (the values ``spec._point_values`` gives), 18 rows per deciding kind
+    (nine residual constants, nine Wan entries) and the layout rows of each
+    distinct cases object.  No kind compiles a slope row of its own."""
+    from wanas.verify import _GroupKernel
+
+    for gid in ALL_GROUPS:
+        entry = catalog.get_group(gid)
+        claims = [catalog.theorem_claim(gid, kind) for kind in SolitonKind]
+        kernel = _GroupKernel(entry.spec, claims)
+        deciding = len(set(kernel.shares))
+        layouts = {id(claim.cases): len(claim.layout[0]) for claim in claims}
+        sigma = generate_grid(entry.spec, GridSpec(gid))[0]
+        values, den = kernel.evaluate(sigma)
+        bracket_block = len(entry.spec.constraints) + 9
+        assert len(values) == bracket_block + 18 * deciding + sum(layouts.values()), gid
+        own, own_den = entry.spec._point_values(sigma)
+        assert [F(v, den) for v in values[:bracket_block]] == [F(v, own_den) for v in own], gid
+        assert kernel.slopes == len(entry.spec.constraints)
+
+
 @pytest.mark.parametrize("perturbed", [False, True], ids=["equal_cases", "c_plus_1_7"])
 def test_a_second_claim_with_its_own_cases_keeps_its_own_agreement(catalog, perturbed):
     """A g5 second-kind claim whose cases are a separately built tuple, equal
