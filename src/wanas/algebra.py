@@ -168,7 +168,7 @@ class LieAlgebraSpec:
         """Empty list if sigma is admissible, else the violated conditions."""
         if "c" in sigma:
             return ["the soliton scalar c is not a group parameter"]
-        values, den = self._point_values(sigma)
+        values, den = self._admission(sigma)
         # violated: an equation row that is nonzero, a NonVanishing row that is zero
         return [
             f"{con.poly} = {format_rational(Fraction(value, den))}, expected 0" if eq
@@ -179,7 +179,7 @@ class LieAlgebraSpec:
 
     def is_admissible(self, sigma: Assignment) -> bool:
         """validate_assignment(sigma) == [] for a sigma with every variable, without the messages."""
-        return "c" not in sigma and self.admits(self._point_values(sigma)[0])
+        return "c" not in sigma and self.admits(self._admission(sigma)[0])
 
     def admits(self, values: Sequence[int]) -> bool:
         """Whether the constraint values that lead ``values``, in constraint
@@ -199,6 +199,12 @@ class LieAlgebraSpec:
     @cached_property
     def _vanishing_rows(self) -> list[bool]:
         return [con.kind == "eq" for con in self.constraints]
+
+    @cached_property
+    def _admission(self) -> IntegerEvaluator:
+        """The constraints, then as bare rows the variables they lack, so that every value is read and checked."""
+        lacked = [Poly.var(v) for v in self.variables() if not any(v in con.poly.variables() for con in self.constraints)]
+        return IntegerEvaluator([con.poly for con in self.constraints] + lacked)
 
     @cached_property
     def _point_values(self) -> IntegerEvaluator:
@@ -277,7 +283,9 @@ class LieAlgebraSpec:
 
 
 def check_keys(what: str, given: Mapping, known: Sequence[str], required: Sequence[str] = (), error=ValueError) -> None:
-    """Raise ``error`` naming a key of ``given`` outside ``known``, else a missing one of ``required``."""
+    """Raise ``error`` if ``given`` is not an object, naming a key of it outside ``known``, or a missing one of ``required``."""
+    if not isinstance(given, Mapping):
+        raise error(f"{what} must be an object")
     for key in given:
         if key not in known:
             raise error(f"unknown {what} key {key!r}; expected {' or '.join(map(repr, known))}")

@@ -41,6 +41,8 @@ from .soliton import SolitonKind, SolitonVerdict
 
 ALL_GROUPS = ("g1", "g2", "g3", "g4", "g5", "g6", "g7")
 _GROUP_KEYS = ("brackets", "claimed", "constraints", "notes", "shorthands", "soliton_systems", "theorems", "unimodular")
+_CLAIMED_KEYS = ("a_tensor", "abar", "connection", "ric", "torsion", "wan", "wan_tilde")
+_CASE_KEYS = ("name", "d", "subs", "extra_eq", "neq", "any_c", "c", "branches", "constraint_conflict")
 
 
 class CatalogError(ValueError):
@@ -99,25 +101,25 @@ class TheoremClaim:
     cases: tuple[TheoremCase, ...] = ()
 
     @cached_property
-    def layout(self) -> tuple[list[Poly], tuple[tuple, ...]]:
-        """The rows of the claim's cases and one ``_case_rows`` entry per
-        case: a function of ``cases`` alone."""
-        rows: list[Poly] = []
-        return rows, tuple(_case_rows(case, rows) for case in self.cases)
+    def layout(self) -> tuple[list[Poly], list[Poly], tuple[tuple, ...]]:
+        """The condition rows of the claim's cases, their solution rows and
+        one ``_case_rows`` entry per case: a function of ``cases`` alone."""
+        conditions, solutions = [], []
+        return conditions, solutions, tuple(_case_rows(case, conditions, solutions) for case in self.cases)
 
     @cached_property
     def evaluate(self) -> IntegerEvaluator:
-        """The layout's rows compiled once, on first use."""
-        return IntegerEvaluator(self.layout[0])
+        """The layout's condition and then solution rows compiled once, on first use."""
+        return IntegerEvaluator(self.layout[0] + self.layout[1])
 
     def case_at(self, values: Sequence[int], offset: int = 0) -> tuple[TheoremCase, int | None] | None:
-        """(case, start of its solution) for the one case whose conditions
-        hold, its eq rows vanishing and its neq rows not, where the layout's
-        rows start at ``offset`` of ``values``; None when no case holds or
-        the claim is no_soliton.  Several raise AmbiguousCaseError."""
-        entries = () if self.claim_type == "no_soliton" else self.layout[1]
+        """(case, start of its solution rows) for the one case whose
+        conditions hold, its eq rows vanishing and its neq rows not, where the
+        condition rows start at ``offset`` of ``values``; None when no case
+        holds or the claim is no_soliton.  Several raise AmbiguousCaseError."""
+        entries = () if self.claim_type == "no_soliton" else self.layout[2]
         matched = [
-            (case, s if s is None else offset + s)
+            (case, s)
             for case, start, nonzero, end, s in entries
             if not any(values[offset + start : offset + nonzero]) and all(values[offset + nonzero : offset + end])
         ]
@@ -126,29 +128,29 @@ class TheoremClaim:
         return matched[0] if matched else None
 
 
-def _case_rows(case: TheoremCase, rows: list[Poly]) -> tuple:
-    """Append a case's rows and return (case, start, start of the neq rows,
-    their end, start of the solution or None).
+def _case_rows(case: TheoremCase, conditions: list[Poly], solutions: list[Poly]) -> tuple:
+    """Append a case's rows and return (case, start of its condition rows,
+    start of the neq ones, their end, start of its solution rows or None).
 
-    The rows: each subs as var - expr and each extra_eq, which must vanish;
-    each neq, which must not; then the solution: c and D row-major, or for
-    an any_c case D(0) and D(1) - D(0), the two coefficients of D(c) when D
-    is affine in c.
+    The conditions: each subs as var - expr and each extra_eq, which must
+    vanish; each neq, which must not.  The solution: c and D row-major, or
+    for an any_c case D(0) and D(1) - D(0), the two coefficients of D(c)
+    when D is affine in c.
     """
-    start = len(rows)
-    rows += [Poly.var(var) - expr for var, expr in case.subs] + list(case.extra_eq)
-    nonzero = len(rows)
-    rows += case.neq
-    solution: int | None = len(rows)
+    start = len(conditions)
+    conditions += [Poly.var(var) - expr for var, expr in case.subs] + list(case.extra_eq)
+    nonzero = len(conditions)
+    conditions += case.neq
+    solution: int | None = len(solutions)
     entries = [p for row in case.d for p in row]
     if not case.any_c:
-        rows += [case.c, *entries]
+        solutions += [case.c, *entries]
     elif all(p.degree_in("c") <= 1 for p in entries):
         at0 = [p.substitute({"c": 0}) for p in entries]
-        rows += at0 + [p.substitute({"c": 1}) - q for p, q in zip(entries, at0)]
+        solutions += at0 + [p.substitute({"c": 1}) - q for p, q in zip(entries, at0)]
     else:
         solution = None  # no D(c) of higher degree in c is Wan - c*Id
-    return (case, start, nonzero, nonzero + len(case.neq), solution)
+    return (case, start, nonzero, len(conditions), solution)
 
 
 @dataclass(frozen=True)
@@ -214,6 +216,10 @@ def _mat3(rows: Sequence[Sequence[str]], parse) -> Mat3:
 
 def _load_group(gid: str, data: Mapping) -> GroupEntry:
     check_keys(f"{gid} group", data, _GROUP_KEYS, _GROUP_KEYS, CatalogError)
+    check_keys(f"{gid} claimed", data["claimed"], _CLAIMED_KEYS, _CLAIMED_KEYS, CatalogError)
+    check_keys(f"{gid} constraints", data["constraints"], ("eq", "neq"), ("eq", "neq"), CatalogError)
+    check_keys(f"{gid} soliton_systems", data["soliton_systems"], ("first", "second"), (), CatalogError)
+    check_keys(f"{gid} theorems", data["theorems"], ("first", "second"), ("first", "second"), CatalogError)
     shorthands = {k: parse_poly(v) for k, v in data["shorthands"].items()}
 
     @functools.cache
@@ -261,13 +267,15 @@ def _load_group(gid: str, data: Mapping) -> GroupEntry:
     theorems: dict[SolitonKind, TheoremClaim] = {}
     for kind_name, th in data["theorems"].items():
         kind = SolitonKind(kind_name)
+        check_keys(f"{gid} {kind_name} theorem", th, ("type", "cases"), ("type",), CatalogError)
         claim_type = th["type"]
+        if claim_type not in ("cases", "no_soliton", "same_as_first"):
+            raise CatalogError(f"{gid} {kind_name} theorem type {claim_type!r}; expected 'cases', 'no_soliton' or 'same_as_first'")
         cases = []
         for case in th.get("cases", ()):
+            check_keys(f"{gid} {kind_name} case", case, _CASE_KEYS, ("name", "d"), CatalogError)
             if ("c" in case) == bool(case.get("any_c", False)):
-                raise CatalogError(
-                    f"{gid} {kind_name} case {case['name']}: give exactly one of c and any_c: true"
-                )
+                raise CatalogError(f"{gid} {kind_name} case {case['name']}: give exactly one of c and any_c: true")
             subs = tuple(sorted((k, p(v)) for k, v in case.get("subs", {}).items()))
             branches = tuple(
                 tuple(sorted((k, p(v)) for k, v in b.items()))
@@ -343,8 +351,10 @@ def load_catalog(path: str | None = None) -> Catalog:
     except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply to decode
         raise CatalogError(f"catalog file {path} is not valid JSON: {exc}") from None
 
+    check_keys("catalog", raw, ("checksum", "groups", "schema_version"), ("groups",), CatalogError)
+    check_keys("catalog groups", raw["groups"], ALL_GROUPS, ALL_GROUPS, CatalogError)
     expected = raw.get("checksum")
-    actual = compute_checksum(raw.get("groups", {}))
+    actual = compute_checksum(raw["groups"])
     if expected != actual:
         raise CatalogError(
             f"catalog checksum mismatch in {path}: stored {expected}, computed {actual}"
@@ -352,8 +362,6 @@ def load_catalog(path: str | None = None) -> Catalog:
 
     groups = {}
     for gid in ALL_GROUPS:
-        if gid not in raw["groups"]:
-            raise CatalogError(f"catalog is missing group {gid}")
         try:
             groups[gid] = _load_group(gid, raw["groups"][gid])
         except PolyParseError as exc:  # a bad polynomial string, e.g. a non-ASCII digit or deep nesting
@@ -377,6 +385,7 @@ def predicate_eval(claim: TheoremClaim, sigma: Assignment) -> SolitonVerdict:
         point = {v: Poly.const(x) for v, x in sigma.items()}
         family = tuple(tuple(p.substitute(point) for p in row) for row in case.d)
         return SolitonVerdict("any_c", d_family=family)
+    s += len(claim.layout[0])
     c_val, *d_vals = (Fraction(x, den) for x in values[s : s + 10])
     return SolitonVerdict("soliton", c=c_val, d=tuple(tuple(d_vals[3 * i : 3 * i + 3]) for i in range(3)))
 

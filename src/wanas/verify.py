@@ -360,85 +360,88 @@ def classify_group(
     claims: Mapping[SolitonKind, TheoremClaim],
 ) -> tuple[ClassificationReport, ...]:
     """Decide every grid point for each kind and compare with its theorem
-    predicate, one report per kind in ``claims`` order.  One call of the
-    group's kernel per point gives everything both read, in integers; a kind
-    that decides alike with an earlier one takes its agreement, and each
-    record builds its own kind's verdicts when read."""
+    predicate, one report per kind in ``claims`` order: the group's decide
+    block once per point, its solution block only where some kind has a
+    matching case and a feasible system.  A kind that decides alike with an
+    earlier one takes its agreements; each record builds its verdicts when read."""
     kernel = _GroupKernel(entry.spec, list(claims.values()))
-    sources = [(entry.spec, claim) for claim in claims.values()]
-    records: list[list[PointRecord]] = [[] for _ in sources]
+    sigmas: list[dict[str, Fraction]] = []
+    agreements: list[list[bool]] = [[] for _ in claims]
+    deciding = [(agreements[index], *kernel.claims[index]) for index, share in enumerate(kernel.shares) if share == index]
     for sigma in points:
         sigma = dict(sigma)
-        values, den = entry.spec.admitted(kernel.evaluate, sigma)
-        agreements: list[bool] = []
-        for index, share in enumerate(kernel.shares):
-            agreements.append(agreements[share] if share < index else kernel.agrees(index, values, den))
-        for kind_records, source, agree in zip(records, sources, agreements):
-            kind_records.append(PointRecord(sigma, None, None, agree, source))
-    return tuple(ClassificationReport(entry.id, kind, tuple(recs)) for kind, recs in zip(claims, records))
+        sigmas.append(sigma)
+        values, _ = entry.spec.admitted(kernel.decide, sigma)
+        slopes = values[kernel.slopes : kernel.slopes + 9]
+        solution = None
+        for agree, claim, constants, wan, conditions, solutions in deciding:
+            outcome, _, witness = solve_affine(zip(values[constants : constants + 9], slopes))
+            hit = claim.case_at(values, conditions)
+            if hit is None or outcome == "none" or hit[0].any_c != (outcome == "any") or hit[1] is None:
+                agree.append(hit is None and outcome == "none")
+                continue
+            solution = solution or kernel.solve(sigma)
+            pair = None if outcome == "any" else (values[constants + witness[0]], slopes[witness[0]])
+            agree.append(_GroupKernel.agrees(*solution, wan, solutions + hit[1], pair))
+    sources = [(entry.spec, claim) for claim in claims.values()]
+    return tuple(
+        ClassificationReport(entry.id, kind, tuple(PointRecord(sigma, None, None, agree, source) for sigma, agree in zip(sigmas, agreements[share])))
+        for kind, source, share in zip(claims, sources, kernel.shares)
+    )
 
 
 class _GroupKernel:
-    """One ``IntegerEvaluator`` for the classification of a group's points.
+    """The two ``IntegerEvaluator`` blocks that classify a group's points.
 
-    Its rows, in order: ``spec._point_values``'s, the constraints (so
-    ``spec.admitted`` reads its values) and the nine bracket components,
-    every kind's slopes; each claim's kind's ``residual_constants`` and Wan
-    entries (row-major), unless an earlier claim has the same cases object,
-    claim type and equal rows (then the two decide alike, and ``shares``
-    holds the earlier one's position, else the claim's own); each distinct
-    claim's ``layout`` rows (by the identity of its cases).  All values sit
-    over one denominator.  ``slopes`` is the start of the bracket block;
-    ``claims`` holds each claim with the start of its decision rows and of
-    its layout rows.
-    """
+    ``decide``: the constraints (read by ``spec.admitted``), the nine
+    bracket components (every kind's slopes), each deciding claim's kind's
+    ``residual_constants`` and each distinct claim's condition rows (by the
+    identity of its cases).  ``solve``, compiled on first use: each deciding
+    claim's kind's Wan entries (row-major) and each distinct claim's
+    solution rows.  A claim with the same cases object, claim type and rows
+    as an earlier one decides alike; ``shares`` holds that one's position,
+    else the claim's own.  ``claims`` holds each claim with the starts of
+    its constants, Wan entries, condition rows and solution rows."""
 
     def __init__(self, spec: LieAlgebraSpec, claims: Sequence[TheoremClaim]):
         self.slopes = len(spec.constraints)
-        rows = [con.poly for con in spec.constraints] + list(spec.components)
-        decided: list[list[Poly]] = []
+        blocks: tuple[list[Poly], list[Poly]] = ([con.poly for con in spec.constraints] + list(spec.components), [])
+        decided, starts = [], []  # each claim's (constants, Wan entries), and its starts in the two blocks
         self.shares: list[int] = []
-        starts: list[int] = []
         for index, claim in enumerate(claims):
             wan = wan_for_kind(spec, claim.kind)
-            decided.append([*residual_constants(spec, wan), *(p for row in wan for p in row)])
+            decided.append((list(residual_constants(spec, wan)), [p for row in wan for p in row]))
             alike = (other.cases is claim.cases and other.claim_type == claim.claim_type for other in claims)
             share = next(j for j, same in enumerate(alike) if same and decided[j] == decided[index])
             self.shares.append(share)
-            starts.append(starts[share] if share < index else len(rows))
-            if share == index:
-                rows += decided[index]
-        offsets: dict[int, int] = {}
+            starts.append(starts[share] if share < index else tuple(map(len, blocks)))
+            for block, rows in zip(blocks, decided[index] if share == index else ()):
+                block += rows
+        offsets: dict[int, tuple[int, ...]] = {}
         for claim in claims:
             if id(claim.cases) not in offsets:
-                offsets[id(claim.cases)] = len(rows)
-                rows += claim.layout[0]
-        self.claims = [(claim, start, offsets[id(claim.cases)]) for claim, start in zip(claims, starts)]
-        self.evaluate = IntegerEvaluator(rows)
+                offsets[id(claim.cases)] = tuple(map(len, blocks))
+                for block, rows in zip(blocks, claim.layout):  # the condition and the solution rows
+                    block += rows
+        self.claims = [(claim, *start, *offsets[id(claim.cases)]) for claim, start in zip(claims, starts)]
+        self.decide, self._solution = IntegerEvaluator(blocks[0]), blocks[1]
 
-    def agrees(self, index: int, values: Sequence[int], den: int) -> bool:
-        """``verdicts_equal`` between the decision and ``predicate_eval``
-        for the ``index``-th claim at the point, read off the values in
-        place and compared in integers (the solver's c is not read).
+    @functools.cached_property
+    def solve(self) -> IntegerEvaluator:
+        return IntegerEvaluator(self._solution)
 
-        The pair (a, b) that fixed c gives c = -a/b, so the case's c agrees
-        when -a*den == c*b, an off-diagonal D entry when w == d and a
-        diagonal one (k = 0, 4, 8 row-major), w/den + a/b, when
-        w*b + a*den == d*b.  A family D(c) = Wan - c*Id agrees when
-        D(0) == w and D(1) - D(0) == -den on the diagonal and 0 off it.
-        """
-        claim, start, offset = self.claims[index]
-        outcome, _, witness = solve_affine(zip(values[start : start + 9], values[self.slopes : self.slopes + 9]))
-        hit = claim.case_at(values, offset)
-        if hit is None or outcome == "none":
-            return hit is None and outcome == "none"
-        case, s = hit
-        w = start + 9  # the Wan entries, row-major
-        if case.any_c or outcome == "any":
-            return case.any_c and outcome == "any" and s is not None and all(
-                values[s + k] == values[w + k] and values[s + 9 + k] == (0 if k % 4 else -den) for k in range(9)
-            )
-        a, b = values[start + witness[0]], values[self.slopes + witness[0]]
+    @staticmethod
+    def agrees(values: Sequence[int], den: int, w: int, s: int, pair: tuple[int, int] | None) -> bool:
+        """``verdicts_equal`` of the decision and ``predicate_eval`` in
+        integers, with the Wan entries at ``w`` and the case's solution at
+        ``s`` of the solution block's ``values`` over ``den``.  The decide
+        block's (a, b) that fixed c gives c = -a/b: c agrees when -a*den ==
+        c*b, a D entry off the diagonal when w == d, on it (k = 0, 4, 8) when
+        w*b + a*den == d*b.  With no pair (every c), D(c) = Wan - c*Id agrees
+        when D(0) == w and D(1) - D(0) is -den on the diagonal, 0 off it."""
+        if pair is None:
+            return all(values[s + k] == values[w + k] and values[s + 9 + k] == (0 if k % 4 else -den) for k in range(9))
+        a, b = pair
         return -a * den == values[s] * b and all(
             values[w + k] == values[s + 1 + k] if k % 4 else values[w + k] * b + a * den == values[s + 1 + k] * b
             for k in range(9)

@@ -223,6 +223,22 @@ def test_is_admissible_equals_reference(groups, height_points):
                     assert spec.is_admissible(moved) == (_reference_violations(spec, moved) == []), (gid, moved)
 
 
+def test_admissibility_reads_only_the_constraints(groups, height_points):
+    """validate_assignment and is_admissible evaluate the constraints, and
+    each variable no constraint reads as a bare row, never the bracket rows
+    that spec.evaluate reads: their evaluator is compiled on its own."""
+    for gid, points in height_points.items():
+        spec = groups[gid].spec.substitute({})  # a fresh object: nothing compiled yet
+        assert spec.validate_assignment(points[0]) == [] and spec.is_admissible(points[0])
+        assert "_point_values" not in vars(spec), gid
+        n = len(spec.constraints)
+        values, den = spec._admission(points[0])
+        own, own_den = spec._point_values(points[0])
+        assert [Fraction(v, den) for v in values[:n]] == [Fraction(v, own_den) for v in own[:n]], gid
+        lacked = [v for v in spec.variables() if not any(v in con.poly.variables() for con in spec.constraints)]
+        assert [Fraction(v, den) for v in values[n:]] == [points[0][v] for v in lacked], gid
+
+
 @pytest.mark.parametrize(
     "gid, point, expected",
     [

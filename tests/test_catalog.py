@@ -86,6 +86,66 @@ def test_group_keys_are_exactly_the_schema(catalog, tmp_path, edit, message):
         load_catalog(str(bad))
 
 
+def _first_case(group: dict) -> dict:
+    return group["theorems"]["first"]["cases"][0]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda group: group["claimed"].pop("wan"), "missing g4 claimed key 'wan'"),
+        (lambda group: group["claimed"].update(wan_tilda=[]), "unknown g4 claimed key 'wan_tilda'"),
+        (lambda group: group.update(claimed=[]), "g4 claimed must be an object"),
+        (lambda group: group["constraints"].pop("neq"), "missing g4 constraints key 'neq'"),
+        (lambda group: group["constraints"].update(ne=[]), "unknown g4 constraints key 'ne'"),
+        (lambda group: group["soliton_systems"].update(third=[]), "unknown g4 soliton_systems key 'third'"),
+        (lambda group: group["theorems"].pop("second"), "missing g4 theorems key 'second'"),
+        (lambda group: group["theorems"]["first"].update(type="some"), "g4 first theorem type 'some'"),
+        (lambda group: group["theorems"]["first"].pop("type"), "missing g4 first theorem key 'type'"),
+        (lambda group: group["theorems"]["first"].update(case=[]), "unknown g4 first theorem key 'case'"),
+        (lambda group: _first_case(group).pop("name"), "missing g4 first case key 'name'"),
+        (lambda group: _first_case(group).pop("d"), "missing g4 first case key 'd'"),
+        (lambda group: _first_case(group).update(extra_eqq=["alpha"]), "unknown g4 first case key 'extra_eqq'"),
+        (lambda group: group["theorems"]["first"]["cases"].append("i"), "g4 first case must be an object"),
+    ],
+    ids=[
+        "claimed_without_wan", "claimed_misspelt", "claimed_list", "constraints_without_neq",
+        "constraints_misspelt", "systems_unknown_kind", "theorems_without_second", "theorem_type",
+        "theorem_without_type", "theorem_misspelt", "case_without_name", "case_without_d",
+        "case_misspelt", "case_string",
+    ],
+)
+def test_keys_below_the_group_are_exactly_the_schema(catalog, tmp_path, edit, message):
+    """Every level of a group's data is checked against its keys, so a
+    missing key is refused by name and a misspelt one is not dropped."""
+    raw = _raw_catalog(catalog)
+    edit(raw["groups"]["g4"])
+    raw["checksum"] = compute_checksum(raw["groups"])
+    bad = tmp_path / "catalog.json"
+    bad.write_text(json.dumps(raw))
+    with pytest.raises(CatalogError, match=message):
+        load_catalog(str(bad))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[]", "catalog must be an object"),
+        ('"catalog"', "catalog must be an object"),
+        ('{"checksum": "x"}', "missing catalog key 'groups'"),
+        ('{"groups": {}, "checksun": "x"}', "unknown catalog key 'checksun'"),
+        ('{"groups": ["g1", "g2", "g3", "g4", "g5", "g6", "g7"]}', "catalog groups must be an object"),
+        ('{"groups": {"g1": {}}}', "missing catalog groups key 'g2'"),
+    ],
+    ids=["list", "string", "without_groups", "misspelt_checksum", "groups_list", "groups_missing_g2"],
+)
+def test_catalog_top_level_is_exactly_the_schema(tmp_path, text, message):
+    bad = tmp_path / "catalog.json"
+    bad.write_text(text)
+    with pytest.raises(CatalogError, match=message):
+        load_catalog(str(bad))
+
+
 def test_catalog_nested_too_deeply_rejected(tmp_path):
     bad = tmp_path / "catalog.json"
     bad.write_text('{"groups": ' + "[" * 100_000 + "]" * 100_000 + "}")

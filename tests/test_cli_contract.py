@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from wanas import cli
-from wanas.catalog import compute_checksum, default_catalog_path
+from wanas.catalog import ALL_GROUPS, compute_checksum, default_catalog_path
 from wanas.poly import MAX_DEGREE
 
 DEEP_JSON = '{"brackets": ' + "[" * 100_000 + "]" * 100_000 + "}"
@@ -32,9 +32,20 @@ def _misspell_systems(group: dict) -> None:
     group["soliton_sytems"] = group.pop("soliton_systems")
 
 
+def _case_without_name(group: dict) -> None:
+    group["theorems"]["first"]["cases"][0].pop("name")
+
+
+def _misspelt_case_key(group: dict) -> None:
+    group["theorems"]["first"]["cases"][0]["extra_eqq"] = ["alpha"]
+
+
 def _arabic_indic_digit(group: dict) -> None:
     group["claimed"]["wan"][0][0] += " + 0^٣"
 
+
+# a groups value that names every group but is a list, under its own checksum
+_GROUPS_LIST = json.dumps({"checksum": compute_checksum(list(ALL_GROUPS)), "groups": list(ALL_GROUPS)})
 
 G2 = ["check", "--group", "g2", "--kind", "first", "--at"]
 TENSORS = ["tensors", "--spec-file", "{spec}", "--tensor"]
@@ -62,6 +73,11 @@ CASES = [
     ("catalog_misspelt_key", ["verify-paper", "--group", "g4"], None, _catalog(_misspell_systems), 2),
     ("deep_json_catalog", ["verify-paper", "--group", "g4"], None, DEEP_JSON, 2),
     ("catalog_arabic_indic_digit", ["verify-paper", "--group", "g4"], None, _catalog(_arabic_indic_digit), 2),
+    ("catalog_claimed_without_wan", ["verify-paper", "--group", "g4"], None, _catalog(lambda g: g["claimed"].pop("wan")), 2),
+    ("catalog_case_without_name", ["verify-paper", "--group", "g4"], None, _catalog(_case_without_name), 2),
+    ("catalog_misspelt_case_key", ["verify-paper", "--group", "g4"], None, _catalog(_misspelt_case_key), 2),
+    ("catalog_list", ["verify-paper", "--group", "g4"], None, "[]", 2),
+    ("catalog_groups_list", ["verify-paper", "--group", "g4"], None, _GROUPS_LIST, 2),
 ]
 
 

@@ -616,7 +616,7 @@ def test_only_g3_and_g5_second_kind_share_the_first_kinds_agreement(catalog):
         kernel = _GroupKernel(catalog.get_group(gid).spec, [first, second])
         if kernel.shares == [0, 0]:
             shared.append(gid)
-            assert [start for _, start, _ in kernel.claims] == [kernel.claims[0][1]] * 2
+            assert [starts[1:3] for starts in kernel.claims] == [kernel.claims[0][1:3]] * 2
         else:
             assert kernel.shares == [0, 1], gid
         # the first kind's own claim for the second kind still decides apart where W~an != Wan
@@ -633,10 +633,13 @@ def test_only_g3_and_g5_second_kind_share_the_first_kinds_agreement(catalog):
 
 
 def test_group_kernel_reads_every_slope_from_one_bracket_block(catalog):
-    """The kernel's rows: the constraints and the nine bracket components
-    (the values ``spec._point_values`` gives), 18 rows per deciding kind
-    (nine residual constants, nine Wan entries) and the layout rows of each
-    distinct cases object.  No kind compiles a slope row of its own."""
+    """The decide block's rows: the constraints and the nine bracket
+    components (the values ``spec._point_values`` gives), nine residual
+    constants per deciding kind and the condition rows of each distinct
+    cases object.  The solution block's: nine Wan entries per deciding kind
+    and the solution rows of each distinct cases object.  No kind compiles
+    a slope row of its own."""
+    from wanas.soliton import residual_constants, wan_for_kind
     from wanas.verify import _GroupKernel
 
     for gid in ALL_GROUPS:
@@ -644,14 +647,22 @@ def test_group_kernel_reads_every_slope_from_one_bracket_block(catalog):
         claims = [catalog.theorem_claim(gid, kind) for kind in SolitonKind]
         kernel = _GroupKernel(entry.spec, claims)
         deciding = len(set(kernel.shares))
-        layouts = {id(claim.cases): len(claim.layout[0]) for claim in claims}
+        layouts = {id(claim.cases): claim.layout for claim in claims}
         sigma = generate_grid(entry.spec, GridSpec(gid))[0]
-        values, den = kernel.evaluate(sigma)
+        values, den = kernel.decide(sigma)
         bracket_block = len(entry.spec.constraints) + 9
-        assert len(values) == bracket_block + 18 * deciding + sum(layouts.values()), gid
+        assert len(values) == bracket_block + 9 * deciding + sum(len(rows) for rows, _, _ in layouts.values()), gid
         own, own_den = entry.spec._point_values(sigma)
         assert [F(v, den) for v in values[:bracket_block]] == [F(v, own_den) for v in own], gid
         assert kernel.slopes == len(entry.spec.constraints)
+        solution, solution_den = kernel.solve(sigma)
+        assert len(solution) == 9 * deciding + sum(len(rows) for _, rows, _ in layouts.values()), gid
+        for claim, constants, wan, _, _ in kernel.claims:
+            matrix = wan_for_kind(entry.spec, claim.kind)
+            expected = [p.evaluate(sigma) for p in residual_constants(entry.spec, matrix)]
+            assert [F(v, den) for v in values[constants : constants + 9]] == expected, gid
+            expected = [p.evaluate(sigma) for row in matrix for p in row]
+            assert [F(v, solution_den) for v in solution[wan : wan + 9]] == expected, gid
 
 
 @pytest.mark.parametrize("perturbed", [False, True], ids=["equal_cases", "c_plus_1_7"])
@@ -894,6 +905,31 @@ def test_integer_agreement_checks_the_whole_any_c_family(catalog):
         assert rec.agree == verdicts_equal(rec.computed, rec.expected) == (name == "claimed"), name
 
 
+def test_a_case_of_the_other_outcome_disagrees(catalog):
+    """A case whose c is unique where every c solves, or the reverse, is a
+    disagreement read off the decide block alone.  At the g3 origin
+    (every c) the any_c case becomes a last case with c = 0 and D = 0 but
+    for D[2][2] = -1, whose rows, read as a family D(c), would run past the
+    solution block; on g2's soliton slice (one c) its case claims
+    D(c) = -c*Id for every c."""
+    d = tuple(tuple(Poly.const(-1 if i == j == 2 else 0) for j in range(3)) for i in range(3))
+    claim = catalog.theorem_claim("g3", SolitonKind.FIRST)
+    any_c = next(case for case in claim.cases if case.any_c)
+    one_c = dataclasses.replace(any_c, any_c=False, c=Poly.zero(), d=d)
+    wrong = dataclasses.replace(claim, cases=tuple(case for case in claim.cases if not case.any_c) + (one_c,))
+    origin = {"alpha": F(0), "beta": F(0), "gamma": F(0)}
+    (rec,) = classify_grid(catalog.get_group("g3"), SolitonKind.FIRST, [origin], wrong).points
+    assert (rec.computed.outcome, rec.expected.outcome, rec.agree) == ("any_c", "soliton", False)
+    entry = catalog.get_group("g2")
+    claim = catalog.theorem_claim("g2", SolitonKind.FIRST)
+    minus_c = tuple(tuple(-Poly.var("c") if i == j else Poly.zero() for j in range(3)) for i in range(3))
+    every_c = tuple(dataclasses.replace(case, any_c=True, c=None, d=minus_c) for case in claim.cases)
+    report = classify_grid(entry, SolitonKind.FIRST, default_grid(entry)[1], dataclasses.replace(claim, cases=every_c))
+    assert report.disagreements and all(
+        (rec.computed.outcome, rec.expected.outcome) == ("soliton", "any_c") for rec in report.disagreements
+    )
+
+
 def test_verdicts_equal_semantics():
     a = SolitonVerdict("soliton", c=F(1), d=((F(0),) * 3,) * 3)
     b = SolitonVerdict("soliton", c=F(1), d=((F(0),) * 3,) * 3)
@@ -1068,9 +1104,82 @@ def _count_claim_kernel(monkeypatch, count):
     monkeypatch.setattr(TheoremClaim, "evaluate", property(evaluate))
 
 
+def _count_block_calls(monkeypatch):
+    """Record every ``_GroupKernel`` built from now on, and, once a run is
+    over, the calls of each one's decide and solution block in ``blocks``
+    (one (decide, solution) pair per kernel)."""
+    from wanas.poly import IntegerEvaluator
+
+    kernels, calls, blocks = [], collections.Counter(), []
+    original_call, original_init = IntegerEvaluator.__call__, verify_module._GroupKernel.__init__
+
+    def call(self, assignment):
+        calls[id(self)] += 1
+        return original_call(self, assignment)
+
+    def init(self, *args):
+        original_init(self, *args)
+        kernels.append(self)
+
+    def counts():
+        blocks[:] = [(calls[id(k.decide)], calls[id(vars(k)["solve"])] if "solve" in vars(k) else 0) for k in kernels]
+
+    monkeypatch.setattr(IntegerEvaluator, "__call__", call)
+    monkeypatch.setattr(verify_module._GroupKernel, "__init__", init)
+    original_classify = verify_module.classify_group
+
+    def classify(*args):
+        try:
+            return original_classify(*args)
+        finally:
+            counts()
+
+    monkeypatch.setattr(verify_module, "classify_group", classify)
+    return kernels, blocks
+
+
+def test_solution_block_is_evaluated_only_at_points_in_a_case(monkeypatch):
+    """One verify_paper run evaluates each group's decide block at every
+    grid point (3,123 in all) and its solution block only at the 660 points
+    where some kind has a matching case and a feasible system; g1, whose
+    claims have no case, compiles no solution block.  A fresh catalog, so
+    that each claim's layout is built in the run."""
+    kernels, blocks = _count_block_calls(monkeypatch)
+    report = verify_paper(load_catalog())
+    assert report.ok
+    totals = [c.total for c in report.classifications[::2]]
+    assert blocks == list(zip(totals, [0, 7, 85, 6, 449, 57, 56]))
+    assert sum(totals) == 3123 and sum(solved for _, solved in blocks) == 660
+    assert "solve" not in vars(kernels[0]) and all("solve" in vars(k) for k in kernels[1:])
+
+
+def test_a_wrong_diagonal_d_entry_disagrees_exactly_at_its_cases_points(catalog):
+    """g6 case ii with D[0][0] + 1 in both kinds' claims disagrees at exactly
+    the grid points of that case (beta = gamma = 0, delta != 0), in each
+    kind, and the solution block finds it."""
+    from wanas.verify import classify_group
+
+    entry = catalog.get_group("g6")
+    _, points = default_grid(entry)
+    claims = {}
+    for kind in SolitonKind:
+        claim = catalog.theorem_claim("g6", kind)
+        index = next(k for k, case in enumerate(claim.cases) if case.name == "ii")
+        d = [list(row) for row in claim.cases[index].d]
+        d[0][0] += 1
+        wrong = dataclasses.replace(claim.cases[index], d=tuple(map(tuple, d)))
+        claims[kind] = dataclasses.replace(claim, cases=claim.cases[:index] + (wrong,) + claim.cases[index + 1 :])
+    in_case = [s for s in points if s["beta"] == s["gamma"] == 0 and s["delta"] != 0 and s["alpha"] + s["delta"] != 0]
+    assert in_case
+    for report in classify_group(entry, points, claims):
+        assert [rec.sigma for rec in report.disagreements] == in_case, report.kind
+        assert all(rec.expected.d[0][0] - rec.computed.d[0][0] == 1 for rec in report.disagreements)
+
+
 def test_classification_evaluates_one_kernel_per_point(catalog, monkeypatch):
-    """verify_paper classifies both kinds of a grid point with one integer
-    kernel call, and calls no claim kernel and no predicate_eval and
+    """verify_paper classifies both kinds of a grid point with one call of
+    the group's decide block, and of its solution block only at the 85 g3
+    points in a case; it calls no claim kernel and no predicate_eval and
     validates no point on the way; default_grid's calls are the only other
     kernel calls of the run."""
     from wanas.algebra import LieAlgebraSpec
@@ -1096,6 +1205,7 @@ def test_classification_evaluates_one_kernel_per_point(catalog, monkeypatch):
 
         return wrapper
 
+    kernels, blocks = _count_block_calls(monkeypatch)
     monkeypatch.setattr(IntegerEvaluator, "__call__", counted("kernel", IntegerEvaluator.__call__))
     _count_claim_kernel(monkeypatch, counted("claim_kernel", lambda: None))
     monkeypatch.setattr(verify_module, "predicate_eval", counted("predicate_eval", verify_module.predicate_eval))
@@ -1107,7 +1217,8 @@ def test_classification_evaluates_one_kernel_per_point(catalog, monkeypatch):
     report = verify_paper(catalog, groups=("g3",))
     assert report.ok
     assert [c.total for c in report.classifications] == [512, 512]
-    assert calls["classify_group", "kernel"] == 512
+    assert blocks == [(512, 85)] and len(kernels) == 1
+    assert calls["classify_group", "kernel"] == 512 + 85
     assert calls["default_grid", "kernel"] > 0
     assert {key for key in calls if key[0] != "default_grid"} == {("classify_group", "kernel")}
     assert "claim_kernel" not in {name for _, name in calls}
