@@ -249,49 +249,60 @@ class LieAlgebraSpec:
         }
 
     @classmethod
-    def from_json_dict(cls, data: Mapping) -> LieAlgebraSpec:
-        """Inverse of to_json_dict; a malformed document raises ValueError."""
-        if not isinstance(data, Mapping) or not isinstance(data.get("brackets"), Mapping):
-            raise ValueError("an algebra spec must be a JSON object with a 'brackets' object")
-        signature = data.get("signature", (1, 1, -1))
+    def from_json_dict(cls, data, parse: Callable[[str], Poly] = parse_poly) -> LieAlgebraSpec:
+        """Inverse of to_json_dict, reading each polynomial string with
+        ``parse``; a document outside SPEC_SHAPE raises ValueError."""
+        check_shape(data, SPEC_SHAPE, "spec")
         cons = data.get("constraints", {})
-        if not isinstance(signature, (list, tuple)) or not isinstance(cons, Mapping):
-            raise ValueError("'signature' must be a list and 'constraints' an object")
-        check_keys("spec", data, ("brackets", "signature", "constraints"))
-        check_keys("bracket", data["brackets"], PAIR_KEYS)
-        check_keys("constraints", cons, ("eq", "neq"))
-
-        def polys(what: str, value) -> list[Poly]:
-            if not isinstance(value, (list, tuple)) or not all(isinstance(s, str) for s in value):
-                raise ValueError(f"{what} must be a list of polynomial strings")
-            return [parse_poly(s) for s in value]
 
         def vec(key: str) -> Vec3:
-            comps = polys(f"bracket {key}", data["brackets"].get(key, ["0", "0", "0"]))
-            if len(comps) != 3:
-                raise ValueError(f"bracket {key} needs 3 components")
+            comps = tuple(map(parse, data["brackets"].get(key, ("0", "0", "0"))))
             for p in comps:
                 if "c" in p.variables():
-                    raise ValueError(f"bracket {key} may not involve the soliton scalar c: {p}")
-            return tuple(comps)
+                    raise ValueError(f"brackets {key} may not involve the soliton scalar c: {p}")
+            return comps
 
-        constraints = tuple(
-            [Constraint("eq", p) for p in polys("constraints eq", cons.get("eq", ()))]
-            + [Constraint("neq", p) for p in polys("constraints neq", cons.get("neq", ()))]
-        )
-        return cls(tuple(map(vec, PAIR_KEYS)), MetricSignature(tuple(signature)), constraints)
+        constraints = tuple(Constraint(kind, parse(s)) for kind in ("eq", "neq") for s in cons.get(kind, ()))
+        return cls(tuple(map(vec, PAIR_KEYS)), MetricSignature(tuple(data.get("signature", (1, 1, -1)))), constraints)
 
 
-def check_keys(what: str, given: Mapping, known: Sequence[str], required: Sequence[str] = (), error=ValueError) -> None:
-    """Raise ``error`` if ``given`` is not an object, naming a key of it outside ``known``, or a missing one of ``required``."""
-    if not isinstance(given, Mapping):
-        raise error(f"{what} must be an object")
-    for key in given:
-        if key not in known:
-            raise error(f"unknown {what} key {key!r}; expected {' or '.join(map(repr, known))}")
-    for key in required:
-        if key not in given:
-            raise error(f"missing {what} key {key!r}")
+def check_shape(value, shape, what: str, error: type[Exception] = ValueError) -> None:
+    """Raise ``error``, naming the JSON path ``what``, unless ``value`` has ``shape``:
+    ``str``, ``bool`` or ``int`` match exactly, a tuple lists the allowed values,
+    ``[s]`` is a list of ``s`` and ``[s] * 3`` one of exactly 3, and a dict an object with
+    exactly its keys (a key ending in ``?`` is optional; the key ``str`` allows any)."""
+    if isinstance(shape, tuple):
+        if not any(type(value) is type(v) and value == v for v in shape):
+            raise error(f"{what} must be {' or '.join(map(repr, shape))}")
+    elif isinstance(shape, type):
+        if type(value) is not shape:
+            name = {str: "a string", bool: "true or false", int: "an integer"}[shape]
+            raise error(f"{what} must be {name}")
+    elif type(value) is not type(shape):
+        raise error(f"{what} must be {'a list' if isinstance(shape, list) else 'an object'}")
+    elif isinstance(shape, list):
+        if len(shape) > 1 and len(value) != len(shape):
+            raise error(f"{what} must have {len(shape)} items, not {len(value)}")
+        for i, item in enumerate(value):
+            check_shape(item, shape[0], f"{what}[{i}]", error)
+    else:
+        fields = {key.rstrip("?"): sub for key, sub in shape.items() if key is not str}
+        for key in value:
+            if key not in fields and str not in shape:
+                raise error(f"unknown {what} key {key!r}; expected {' or '.join(map(repr, fields))}")
+        for key in fields:
+            if key in shape and key not in value:
+                raise error(f"missing {what} key {key!r}")
+        for key, item in value.items():  # an open object's key may hold a line break; the path stays one line
+            check_shape(item, fields.get(key, shape.get(str)), f"{what} {key if key.isprintable() else repr(key)}", error)
+
+
+# the spec-file format: to_json_dict's document, each part but the brackets optional
+SPEC_SHAPE = {
+    "brackets": {f"{key}?": [str] * 3 for key in PAIR_KEYS},
+    "signature?": [(1, -1)] * 3,
+    "constraints?": {"eq?": [str], "neq?": [str]},
+}
 
 
 def load_spec_file(path: str) -> LieAlgebraSpec:

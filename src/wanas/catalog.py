@@ -25,24 +25,40 @@ from typing import Mapping, Sequence
 from .algebra import (
     PAIR_KEYS,
     Assignment,
-    Constraint,
     LieAlgebraSpec,
-    LORENTZ,
     Vec3,
     ZERO_VEC,
     antisymmetric,
-    check_keys,
+    check_shape,
     vec_neg,
-    vec3,
 )
 from .geometry import Conn, Mat3, Tor, Tri, tri_table
-from .poly import IntegerEvaluator, Poly, PolyParseError, parse_poly
+from .poly import IntegerEvaluator, Poly, parse_poly
 from .soliton import SolitonKind, SolitonVerdict
 
 ALL_GROUPS = ("g1", "g2", "g3", "g4", "g5", "g6", "g7")
-_GROUP_KEYS = ("brackets", "claimed", "constraints", "notes", "shorthands", "soliton_systems", "theorems", "unimodular")
-_CLAIMED_KEYS = ("a_tensor", "abar", "connection", "ric", "torsion", "wan", "wan_tilde")
-_CASE_KEYS = ("name", "d", "subs", "extra_eq", "neq", "any_c", "c", "branches", "constraint_conflict")
+
+# the catalog file format (check_shape); every polynomial is a string
+_VEC = [str] * 3
+_MAT = [_VEC] * 3
+_CASE_SHAPE = {
+    "name": str, "d": _MAT, "subs?": {str: str}, "extra_eq?": [str], "neq?": [str],
+    "any_c?": bool, "c?": str, "branches?": [{str: str}], "constraint_conflict?": bool,
+}
+GROUP_SHAPE = {
+    "brackets": dict.fromkeys(PAIR_KEYS, _VEC),
+    "constraints": {"eq": [str], "neq": [str]},
+    "shorthands": {str: str},
+    "claimed": {
+        "connection": [[_VEC] * 3] * 3, "torsion": dict.fromkeys(PAIR_KEYS, _VEC),
+        "a_tensor": dict.fromkeys(PAIR_KEYS, [_VEC] * 3), "abar": _MAT, "ric": _MAT, "wan": _MAT, "wan_tilde": _MAT,
+    },
+    "soliton_systems": {"first?": [str], "second?": [str]},
+    "theorems": dict.fromkeys(("first", "second"), {"type": ("cases", "no_soliton", "same_as_first"), "cases?": [_CASE_SHAPE]}),
+    "unimodular": bool,
+    "notes": [str],
+}
+CATALOG_SHAPE = {"checksum?": str, "groups": dict.fromkeys(ALL_GROUPS, GROUP_SHAPE), "schema_version?": int}
 
 
 class CatalogError(ValueError):
@@ -208,18 +224,8 @@ def default_catalog_path() -> str:
     return str(resources.files("wanas").joinpath("data/catalog.json"))
 
 
-def _mat3(rows: Sequence[Sequence[str]], parse) -> Mat3:
-    if len(rows) != 3 or any(len(r) != 3 for r in rows):
-        raise CatalogError("matrix data must be 3x3")
-    return tuple(tuple(parse(s) for s in row) for row in rows)
-
-
 def _load_group(gid: str, data: Mapping) -> GroupEntry:
-    check_keys(f"{gid} group", data, _GROUP_KEYS, _GROUP_KEYS, CatalogError)
-    check_keys(f"{gid} claimed", data["claimed"], _CLAIMED_KEYS, _CLAIMED_KEYS, CatalogError)
-    check_keys(f"{gid} constraints", data["constraints"], ("eq", "neq"), ("eq", "neq"), CatalogError)
-    check_keys(f"{gid} soliton_systems", data["soliton_systems"], ("first", "second"), (), CatalogError)
-    check_keys(f"{gid} theorems", data["theorems"], ("first", "second"), ("first", "second"), CatalogError)
+    """A group's entry from data of GROUP_SHAPE; an inconsistency raises ValueError."""
     shorthands = {k: parse_poly(v) for k, v in data["shorthands"].items()}
 
     @functools.cache
@@ -228,77 +234,55 @@ def _load_group(gid: str, data: Mapping) -> GroupEntry:
         return parse_poly(text, shorthands)
 
     def vec(strings: Sequence[str]) -> Vec3:
-        return vec3(*map(p, strings))
+        return tuple(map(p, strings))
 
-    spec = LieAlgebraSpec(
-        tuple(vec(data["brackets"][key]) for key in PAIR_KEYS),
-        LORENTZ,
-        tuple(
-            [Constraint("eq", p(s)) for s in data["constraints"]["eq"]]
-            + [Constraint("neq", p(s)) for s in data["constraints"]["neq"]]
-        ),
-    )
+    def mat(rows: Sequence[Sequence[str]]) -> Mat3:
+        return tuple(map(vec, rows))
+
+    def pairs(images: Mapping[str, str]) -> tuple[tuple[str, Poly], ...]:
+        return tuple(sorted((k, p(v)) for k, v in images.items()))
+
+    spec = LieAlgebraSpec.from_json_dict({"brackets": data["brackets"], "constraints": data["constraints"]}, p)
 
     cl = data["claimed"]
-    connection = tuple(tuple(vec(cl["connection"][i][j]) for j in range(3)) for i in range(3))
-    torsion = antisymmetric([vec(cl["torsion"][key]) for key in PAIR_KEYS], ZERO_VEC, vec_neg)
-    a_tensor = tri_table(
-        [tuple(vec(cl["a_tensor"][key][k]) for k in range(3)) for key in PAIR_KEYS]
-    )
     claimed = ClaimedTensors(
-        connection=connection,
-        torsion=torsion,
-        a_tensor=a_tensor,
-        abar=_mat3(cl["abar"], p),
-        ric=_mat3(cl["ric"], p),
-        wan=_mat3(cl["wan"], p),
-        wan_tilde=_mat3(cl["wan_tilde"], p),
+        connection=tuple(map(mat, cl["connection"])),
+        torsion=antisymmetric([vec(cl["torsion"][key]) for key in PAIR_KEYS], ZERO_VEC, vec_neg),
+        a_tensor=tri_table([mat(cl["a_tensor"][key]) for key in PAIR_KEYS]),
+        **{name: mat(cl[name]) for name in ("abar", "ric", "wan", "wan_tilde")},
     )
 
-    systems: dict[SolitonKind, tuple[Poly, ...]] = {}
-    for kind_name, eqs in data["soliton_systems"].items():
-        kind = SolitonKind(kind_name)
-        parsed = tuple(p(s) for s in eqs)
-        for eq in parsed:
+    systems = {SolitonKind(name): tuple(map(p, eqs)) for name, eqs in data["soliton_systems"].items()}
+    for kind, eqs in systems.items():
+        for eq in eqs:
             if eq.degree_in("c") > 1:
-                raise CatalogError(f"{gid} {kind_name}: system equation not affine in c: {eq}")
-        systems[kind] = parsed
+                raise ValueError(f"soliton_systems {kind.value}: equation not affine in c: {eq}")
 
     theorems: dict[SolitonKind, TheoremClaim] = {}
     for kind_name, th in data["theorems"].items():
         kind = SolitonKind(kind_name)
-        check_keys(f"{gid} {kind_name} theorem", th, ("type", "cases"), ("type",), CatalogError)
-        claim_type = th["type"]
-        if claim_type not in ("cases", "no_soliton", "same_as_first"):
-            raise CatalogError(f"{gid} {kind_name} theorem type {claim_type!r}; expected 'cases', 'no_soliton' or 'same_as_first'")
         cases = []
         for case in th.get("cases", ()):
-            check_keys(f"{gid} {kind_name} case", case, _CASE_KEYS, ("name", "d"), CatalogError)
-            if ("c" in case) == bool(case.get("any_c", False)):
-                raise CatalogError(f"{gid} {kind_name} case {case['name']}: give exactly one of c and any_c: true")
-            subs = tuple(sorted((k, p(v)) for k, v in case.get("subs", {}).items()))
-            branches = tuple(
-                tuple(sorted((k, p(v)) for k, v in b.items()))
-                for b in case.get("branches", ())
-            )
+            if ("c" in case) == case.get("any_c", False):
+                raise ValueError(f"theorems {kind_name} case {case['name']}: give exactly one of c and any_c: true")
             cases.append(
                 TheoremCase(
                     name=case["name"],
-                    subs=subs,
+                    subs=pairs(case.get("subs", {})),
                     extra_eq=tuple(p(s) for s in case.get("extra_eq", ())),
                     neq=tuple(p(s) for s in case.get("neq", ())),
-                    any_c=bool(case.get("any_c", False)),
+                    any_c=case.get("any_c", False),
                     c=p(case["c"]) if "c" in case else None,
-                    d=_mat3(case["d"], p),
-                    branches=branches,
-                    constraint_conflict=bool(case.get("constraint_conflict", False)),
+                    d=mat(case["d"]),
+                    branches=tuple(map(pairs, case.get("branches", ()))),
+                    constraint_conflict=case.get("constraint_conflict", False),
                 )
             )
-        theorems[kind] = TheoremClaim(gid, kind, claim_type, tuple(cases))
+        theorems[kind] = TheoremClaim(gid, kind, th["type"], tuple(cases))
 
     entry = GroupEntry(
         id=gid,
-        unimodular=bool(data["unimodular"]),
+        unimodular=data["unimodular"],
         spec=spec,
         shorthands=shorthands,
         claimed=claimed,
@@ -329,13 +313,13 @@ def _check_case_constraints(entry: GroupEntry) -> None:
                 if con.kind == "neq" and image.is_zero():
                     conflicts.append(f"{con.describe()} becomes 0 != 0")
             if conflicts and not case.constraint_conflict:
-                raise CatalogError(
-                    f"{entry.id} {claim.kind.value} case {case.name} contradicts "
+                raise ValueError(
+                    f"theorems {claim.kind.value} case {case.name} contradicts "
                     f"standing constraints: {'; '.join(conflicts)}"
                 )
             if case.constraint_conflict and not conflicts:
-                raise CatalogError(
-                    f"{entry.id} {claim.kind.value} case {case.name} is annotated as "
+                raise ValueError(
+                    f"theorems {claim.kind.value} case {case.name} is annotated as "
                     "conflicting but no contradiction was found"
                 )
 
@@ -351,8 +335,7 @@ def load_catalog(path: str | None = None) -> Catalog:
     except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply to decode
         raise CatalogError(f"catalog file {path} is not valid JSON: {exc}") from None
 
-    check_keys("catalog", raw, ("checksum", "groups", "schema_version"), ("groups",), CatalogError)
-    check_keys("catalog groups", raw["groups"], ALL_GROUPS, ALL_GROUPS, CatalogError)
+    check_shape(raw, CATALOG_SHAPE, "catalog", CatalogError)
     expected = raw.get("checksum")
     actual = compute_checksum(raw["groups"])
     if expected != actual:
@@ -364,12 +347,12 @@ def load_catalog(path: str | None = None) -> Catalog:
     for gid in ALL_GROUPS:
         try:
             groups[gid] = _load_group(gid, raw["groups"][gid])
-        except PolyParseError as exc:  # a bad polynomial string, e.g. a non-ASCII digit or deep nesting
-            raise CatalogError(f"catalog group {gid}: {exc}") from None
+        except ValueError as exc:  # e.g. a polynomial string that does not parse, or c in a bracket
+            raise CatalogError(f"catalog groups {gid}: {exc}") from None
     return Catalog(
         path=path,
         checksum=actual,
-        schema_version=int(raw.get("schema_version", 0)),
+        schema_version=raw.get("schema_version", 0),
         groups=groups,
     )
 

@@ -32,7 +32,7 @@ from .geometry import (
 )
 from .poly import DegreeOverflowError, MissingVariableError, PolyParseError, format_rational, is_digits, parse_rational
 from .soliton import SolitonKind, soliton_decide, wan_for_kind
-from .verify import GridSpec, classify_grid, default_grid, generate_grid, verify_paper
+from .verify import GridError, GridSpec, classify_grid, default_grid, generate_grid, verify_paper
 
 _MATRIX_TENSORS = ("abar", "ric", "wan", "wan-tilde")
 _TENSOR_CHOICES = (
@@ -350,7 +350,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, load_catalog())
-    except (_CliError, CatalogError, DegreeOverflowError) as exc:
+    except (_CliError, CatalogError, DegreeOverflowError, GridError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InvalidAssignmentError as exc:

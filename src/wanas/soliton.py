@@ -158,11 +158,11 @@ def solve_affine(pairs: Iterable[tuple[Scalar, Scalar]]):
     The pairs are Fractions, or integer numerators over one shared positive
     denominator: values are only tested for zero and compared by
     cross-multiplication, so both give the same outcome and witness.
-    Returns ("one", x, witness), ("any", None, ()) or ("none", None, witness).
-    The witness holds indices into ``pairs``: for "one" the equation that
-    fixed x; for "none" the first sloped equation and the first one
-    disagreeing with it, else the first flat contradiction and the first
-    sloped equation, else the first two flat contradictions.
+    Returns ("one", witness), ("any", ()) or ("none", witness), with no root
+    formed: the witness holds indices into ``pairs``; for "one" the equation
+    (a, b) that fixes x = -a/b; for "none" the first sloped equation and the
+    first one disagreeing with it, else the first flat contradiction and the
+    first sloped equation, else the first two flat contradictions.
     """
     first = None
     flat_bad: list[int] = []
@@ -173,12 +173,10 @@ def solve_affine(pairs: Iterable[tuple[Scalar, Scalar]]):
         elif first is None:
             first, a, b = k, constant, slope
         elif constant * b != a * slope:
-            return ("none", None, (first, k))
+            return ("none", (first, k))
     if first is None:
-        return ("none", None, tuple(flat_bad)) if flat_bad else ("any", None, ())
-    if flat_bad:
-        return ("none", None, (flat_bad[0], first))
-    return ("one", Fraction(-a, b), (first,))
+        return ("none", tuple(flat_bad)) if flat_bad else ("any", ())
+    return ("none", (flat_bad[0], first)) if flat_bad else ("one", (first,))
 
 
 def soliton_decide(spec: LieAlgebraSpec, kind: SolitonKind, wan: Mat3) -> SolitonVerdict:
@@ -189,12 +187,13 @@ def soliton_decide(spec: LieAlgebraSpec, kind: SolitonKind, wan: Mat3) -> Solito
     entries become Fractions only for a soliton's D.
     """
     pairs = [(a.constant_value(), b.constant_value()) for a, b in zip(residual_constants(spec, wan), spec.components)]
-    outcome, c_value, witness = solve_affine(pairs)
+    outcome, witness = solve_affine(pairs)
     if outcome == "none":
         witness = tuple(AffineEquation(PAIRS[k // 3], k % 3, *pairs[k]) for k in witness)
         return SolitonVerdict("no_soliton", witness=witness)
     if outcome == "any":
         return SolitonVerdict("any_c", d_family=mat_sub(wan, scalar_matrix(Poly.var("c"))))
+    c_value = Fraction(-pairs[witness[0]][0], pairs[witness[0]][1])
     d = tuple(
         tuple(wan[i][j].constant_value() - (c_value if i == j else 0) for j in range(3))
         for i in range(3)

@@ -129,6 +129,10 @@ def _is_sign_constraint(con: Constraint) -> str | None:
     return None
 
 
+class GridError(ValueError):
+    """A spec's constraints are outside what a grid enumerates: two defining equations, or one it cannot solve."""
+
+
 class _GridKernel:
     """The admissible points of one algebra's grids, in sorted order.
 
@@ -151,14 +155,14 @@ class _GridKernel:
         self.sign_vars = {v for con in spec.constraints if (v := _is_sign_constraint(con))}
         eqs = [con.poly for con in spec.constraints if con.kind == "eq" and not _is_sign_constraint(con)]
         if len(eqs) > 1:
-            raise ValueError("grids support at most one defining equation")
+            raise GridError(f"grids support at most one defining equation, not {len(eqs)}: {', '.join(map(str, eqs))}")
         # the solved variable's index, past the end when none is; points keep it last among their keys
         self.solved, self.keys = len(self.variables), self.variables
         if eqs:
             (solve_eq,) = eqs
             solved_var = solve_eq.variables()[-1]
             if solve_eq.degree_in(solved_var) != 1:
-                raise ValueError(f"cannot solve {solve_eq} = 0 for {solved_var}")
+                raise GridError(f"grids cannot solve {solve_eq} = 0 for {solved_var}")
             self.solved = self.variables.index(solved_var)
             self.keys = tuple(v for v in self.variables if v != solved_var) + (solved_var,)
             # the equation as constant + slope*solved_var, both free of solved_var
@@ -181,9 +185,9 @@ class _GridKernel:
             solutions: Sequence[tuple] = [()]
             if s < len(self.variables):
                 pair, _ = self.solve_pair(dict(zip(self.variables, head)))
-                outcome, root, _ = solve_affine([pair])
+                outcome, _ = solve_affine([pair])
                 if outcome == "one":
-                    solutions = [(root,)] if solved_one else []
+                    solutions = [(Fraction(-pair[0], pair[1]),)] if solved_one else []
                 else:
                     solutions = [(x,) for x in domains[s]] if outcome == "any" else []
             for x in solutions:
@@ -375,7 +379,7 @@ def classify_group(
         slopes = values[kernel.slopes : kernel.slopes + 9]
         solution = None
         for agree, claim, constants, wan, conditions, solutions in deciding:
-            outcome, _, witness = solve_affine(zip(values[constants : constants + 9], slopes))
+            outcome, witness = solve_affine(zip(values[constants : constants + 9], slopes))
             hit = claim.case_at(values, conditions)
             if hit is None or outcome == "none" or hit[0].any_c != (outcome == "any") or hit[1] is None:
                 agree.append(hit is None and outcome == "none")

@@ -6,6 +6,7 @@ import collections
 import dataclasses
 import itertools
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -70,9 +71,9 @@ def test_missing_catalog_rejected(tmp_path):
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (lambda group: group.pop("unimodular"), "missing g4 group key 'unimodular'"),
-        (lambda group: group.pop("notes"), "missing g4 group key 'notes'"),
-        (lambda group: group.update(soliton_sytems=group.pop("soliton_systems")), "unknown g4 group key 'soliton_sytems'"),
+        (lambda group: group.pop("unimodular"), "missing catalog groups g4 key 'unimodular'"),
+        (lambda group: group.pop("notes"), "missing catalog groups g4 key 'notes'"),
+        (lambda group: group.update(soliton_sytems=group.pop("soliton_systems")), "unknown catalog groups g4 key 'soliton_sytems'"),
     ],
     ids=["without_unimodular", "without_notes", "misspelt_systems"],
 )
@@ -93,20 +94,20 @@ def _first_case(group: dict) -> dict:
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (lambda group: group["claimed"].pop("wan"), "missing g4 claimed key 'wan'"),
-        (lambda group: group["claimed"].update(wan_tilda=[]), "unknown g4 claimed key 'wan_tilda'"),
+        (lambda group: group["claimed"].pop("wan"), "missing catalog groups g4 claimed key 'wan'"),
+        (lambda group: group["claimed"].update(wan_tilda=[]), "unknown catalog groups g4 claimed key 'wan_tilda'"),
         (lambda group: group.update(claimed=[]), "g4 claimed must be an object"),
-        (lambda group: group["constraints"].pop("neq"), "missing g4 constraints key 'neq'"),
-        (lambda group: group["constraints"].update(ne=[]), "unknown g4 constraints key 'ne'"),
-        (lambda group: group["soliton_systems"].update(third=[]), "unknown g4 soliton_systems key 'third'"),
-        (lambda group: group["theorems"].pop("second"), "missing g4 theorems key 'second'"),
-        (lambda group: group["theorems"]["first"].update(type="some"), "g4 first theorem type 'some'"),
-        (lambda group: group["theorems"]["first"].pop("type"), "missing g4 first theorem key 'type'"),
-        (lambda group: group["theorems"]["first"].update(case=[]), "unknown g4 first theorem key 'case'"),
-        (lambda group: _first_case(group).pop("name"), "missing g4 first case key 'name'"),
-        (lambda group: _first_case(group).pop("d"), "missing g4 first case key 'd'"),
-        (lambda group: _first_case(group).update(extra_eqq=["alpha"]), "unknown g4 first case key 'extra_eqq'"),
-        (lambda group: group["theorems"]["first"]["cases"].append("i"), "g4 first case must be an object"),
+        (lambda group: group["constraints"].pop("neq"), "missing catalog groups g4 constraints key 'neq'"),
+        (lambda group: group["constraints"].update(ne=[]), "unknown catalog groups g4 constraints key 'ne'"),
+        (lambda group: group["soliton_systems"].update(third=[]), "unknown catalog groups g4 soliton_systems key 'third'"),
+        (lambda group: group["theorems"].pop("second"), "missing catalog groups g4 theorems key 'second'"),
+        (lambda group: group["theorems"]["first"].update(type="some"), "catalog groups g4 theorems first type must be 'cases' or 'no_soliton' or 'same_as_first'"),
+        (lambda group: group["theorems"]["first"].pop("type"), "missing catalog groups g4 theorems first key 'type'"),
+        (lambda group: group["theorems"]["first"].update(case=[]), "unknown catalog groups g4 theorems first key 'case'"),
+        (lambda group: _first_case(group).pop("name"), "missing catalog groups g4 theorems first cases[0] key 'name'"),
+        (lambda group: _first_case(group).pop("d"), "missing catalog groups g4 theorems first cases[0] key 'd'"),
+        (lambda group: _first_case(group).update(extra_eqq=["alpha"]), "unknown catalog groups g4 theorems first cases[0] key 'extra_eqq'"),
+        (lambda group: group["theorems"]["first"]["cases"].append("i"), "catalog groups g4 theorems first cases[2] must be an object"),
     ],
     ids=[
         "claimed_without_wan", "claimed_misspelt", "claimed_list", "constraints_without_neq",
@@ -117,13 +118,13 @@ def _first_case(group: dict) -> dict:
 )
 def test_keys_below_the_group_are_exactly_the_schema(catalog, tmp_path, edit, message):
     """Every level of a group's data is checked against its keys, so a
-    missing key is refused by name and a misspelt one is not dropped."""
+    missing key is refused, its path named, and a misspelt one is not dropped."""
     raw = _raw_catalog(catalog)
     edit(raw["groups"]["g4"])
     raw["checksum"] = compute_checksum(raw["groups"])
     bad = tmp_path / "catalog.json"
     bad.write_text(json.dumps(raw))
-    with pytest.raises(CatalogError, match=message):
+    with pytest.raises(CatalogError, match=re.escape(message)):
         load_catalog(str(bad))
 
 

@@ -1,11 +1,14 @@
 """The exit-code contract on inputs outside the documented grammar: each
 runs through ``cli.main`` in-process, exits 0, 1 or 2 with no exception
 escaping, and an exit 2 prints exactly one ``error:`` line and nothing on
-stdout.  An argparse refusal is its ``SystemExit`` code."""
+stdout.  An argparse refusal is its ``SystemExit`` code.  Besides the table
+of hand-picked inputs, a seeded generator plants one fault in each of ~250
+copies of the shipped catalog and of a spec document."""
 
 from __future__ import annotations
 
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -44,6 +47,41 @@ def _arabic_indic_digit(group: dict) -> None:
     group["claimed"]["wan"][0][0] += " + 0^٣"
 
 
+def _plant(*path, value=None):
+    """An edit of a g4 group that sets the value at ``path`` (drops it when ``value`` is None)."""
+    def edit(group: dict) -> None:
+        *head, last = path
+        for key in head:
+            group = group[key]
+        if value is None:
+            del group[last]
+        else:
+            group[last] = value
+    return edit
+
+
+# (id, planted fault in g4, what the one error line names)
+PLANTED = [
+    ("brackets_without_e1e2", _plant("brackets", "e1,e2"), "missing catalog groups g4 brackets key 'e1,e2'"),
+    ("torsion_without_e1e2", _plant("claimed", "torsion", "e1,e2"), "missing catalog groups g4 claimed torsion key 'e1,e2'"),
+    ("brackets_list", _plant("brackets", value=[["0", "0", "0"]] * 3), "catalog groups g4 brackets must be an object"),
+    ("notes_number", _plant("notes", value=5), "catalog groups g4 notes must be a list"),
+    ("constraint_number", _plant("constraints", "eq", value=[1]), "catalog groups g4 constraints eq[0] must be a string"),
+    ("shorthand_number", _plant("shorthands", "b1", value=1), "catalog groups g4 shorthands b1 must be a string"),
+    ("subs_list", _plant("theorems", "first", "cases", 0, "subs", value=[["alpha", "0"]]), "catalog groups g4 theorems first cases[0] subs must be an object"),
+    ("connection_row_of_two", _plant("claimed", "connection", 0, value=[["0", "0", "0"]] * 2), "catalog groups g4 claimed connection[0] must have 3 items, not 2"),
+    ("bracket_of_two", _plant("brackets", "e1,e2", value=["0", "-1"]), "catalog groups g4 brackets e1,e2 must have 3 items, not 2"),
+    ("c_in_a_bracket", _plant("brackets", "e1,e2", 0, value="c"), "catalog groups g4: brackets e1,e2 may not involve the soliton scalar c"),
+    ("bracket_key_e2e1", _plant("brackets", "e2,e1", value=["0", "1", "0"]), "unknown catalog groups g4 brackets key 'e2,e1'"),
+    ("unimodular_string", _plant("unimodular", value="no"), "catalog groups g4 unimodular must be true or false"),
+    ("case_name_number", _plant("theorems", "first", "cases", 0, "name", value=5), "catalog groups g4 theorems first cases[0] name must be a string"),
+    # a shorthand name is free text, but the error stays one line
+    ("shorthand_name_with_a_line_break", _plant("shorthands", "b\n1", value=1), "catalog groups g4 shorthands 'b\\n1' must be a string"),
+    # well formed, but a grid solves at most one defining equation
+    ("two_defining_equations", _plant("constraints", "eq", value=["eta^2-1", "alpha", "alpha"]), "grids support at most one defining equation, not 2: alpha, alpha"),
+]
+NAMED = {f"catalog_{name}": named for name, _, named in PLANTED}
+
 # a groups value that names every group but is a list, under its own checksum
 _GROUPS_LIST = json.dumps({"checksum": compute_checksum(list(ALL_GROUPS)), "groups": list(ALL_GROUPS)})
 
@@ -78,11 +116,15 @@ CASES = [
     ("catalog_misspelt_case_key", ["verify-paper", "--group", "g4"], None, _catalog(_misspelt_case_key), 2),
     ("catalog_list", ["verify-paper", "--group", "g4"], None, "[]", 2),
     ("catalog_groups_list", ["verify-paper", "--group", "g4"], None, _GROUPS_LIST, 2),
-]
+] + [(f"catalog_{name}", ["verify-paper", "--group", "g4"], None, _catalog(edit), 2) for name, edit, _ in PLANTED]
 
 
-@pytest.mark.parametrize("argv, spec, catalog_text, expected", [case[1:] for case in CASES], ids=[case[0] for case in CASES])
-def test_exit_code_contract(tmp_path, monkeypatch, capsys, argv, spec, catalog_text, expected):
+@pytest.mark.parametrize(
+    "argv, spec, catalog_text, expected, named",
+    [(*case[1:], NAMED.get(case[0], "")) for case in CASES],
+    ids=[case[0] for case in CASES],
+)
+def test_exit_code_contract(tmp_path, monkeypatch, capsys, argv, spec, catalog_text, expected, named):
     if spec is not None:
         (tmp_path / "spec.json").write_text(spec, encoding="utf-8")
     if catalog_text is not None:
@@ -96,6 +138,127 @@ def test_exit_code_contract(tmp_path, monkeypatch, capsys, argv, spec, catalog_t
     out, err = capsys.readouterr()
     assert code in (0, 1, 2) and "Traceback" not in err
     assert code == expected, err
+    assert named in err
     if code == 2:
         assert out == ""
         assert [line for line in err.splitlines() if "error:" in line] == [err.splitlines()[-1]]
+
+
+# -- seeded document mutants -------------------------------------------------------------------
+
+# one value of each JSON type; a retyped node takes one of another type
+JSON_VALUES = ("x", 7, True, None, [], {})
+# objects whose keys are data (shorthand names, substituted variables), so any key is allowed
+OPEN_OBJECTS = ("shorthands", "subs", "branches")
+
+
+def _nodes(doc, path=()):
+    """Every (path, value) of a JSON document, the root first."""
+    yield path, doc
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _nodes(value, path + (key,))
+
+
+def _name(path) -> str | None:
+    """The last object key on ``path``, which names what a node is."""
+    return next((key for key in reversed(path) if isinstance(key, str)), None)
+
+
+def _place(path) -> tuple:
+    """A node's place in the format: list indices, group ids and the keys of open objects become '*'."""
+    return tuple("*" if isinstance(key, int) or _name(path[:n]) in ("groups", *OPEN_OBJECTS) else key for n, key in enumerate(path))
+
+
+MUTATIONS = {
+    "dropped": lambda path, value: bool(path) and isinstance(path[-1], str),
+    "unknown": lambda path, value: isinstance(value, dict) and _name(path) not in OPEN_OBJECTS,
+    "retyped": lambda path, value: True,
+    "resized": lambda path, value: isinstance(value, list) and bool(value),
+}
+
+
+def _mutants(doc, seed: int):
+    """(kind, path, mutant) copies of ``doc`` with one planted fault each: a
+    dropped key, an unknown key, a value of another JSON type, or a list one
+    item short or long.  Each kind is planted once at every place of the
+    document where it applies, at a node of that place chosen by ``seed``."""
+    rng = random.Random(seed)
+    places: dict[tuple, list] = {}
+    for path, value in _nodes(doc):
+        places.setdefault(_place(path), []).append((path, value))
+    text = json.dumps(doc)
+    for kind, applies in MUTATIONS.items():
+        for nodes in places.values():
+            nodes = [path for path, value in nodes if applies(path, value)]
+            if not nodes:
+                continue
+            path = rng.choice(nodes)
+            mutant = json.loads(text)
+            parent = mutant
+            for key in path[:-1]:
+                parent = parent[key]
+            node = parent[path[-1]] if path else mutant
+            if kind == "dropped":
+                del parent[path[-1]]
+            elif kind == "unknown":  # a sibling's value, so that only the key is wrong
+                node["unknown_key"] = next(iter(node.values()), "0")
+            elif kind == "resized" and rng.random() < 0.5:
+                node.append(node[-1])
+            elif kind == "resized":
+                node.pop()
+            else:
+                other = rng.choice([v for v in JSON_VALUES if type(v) is not type(node)])
+                if path:
+                    parent[path[-1]] = other
+                else:
+                    mutant = other
+            yield kind, path, mutant
+
+
+def _run_mutant(capsys, argv, kind, path) -> int:
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # pragma: no cover - no argv here is an argparse error
+        code = exc.code
+    out, err = capsys.readouterr()
+    where = (kind, path, err)
+    assert code in (0, 1, 2), where
+    if code == 2:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, where
+    if kind in ("unknown", "retyped"):
+        assert code == 2, where
+    return code
+
+
+def test_catalog_mutants_honour_the_contract(tmp_path, monkeypatch, capsys):
+    """Every seeded catalog mutant, re-checksummed, through ``verify-paper``
+    on the group it touches (g4 for a fault above the groups)."""
+    raw = json.loads(Path(default_catalog_path()).read_text(encoding="utf-8"))
+    path = tmp_path / "catalog.json"
+    monkeypatch.setenv("WANAS_CATALOG", str(path))
+    codes = []
+    for kind, where, mutant in _mutants(raw, seed=28):
+        if isinstance(mutant, dict) and where[:1] != ("checksum",):
+            mutant["checksum"] = compute_checksum(mutant.get("groups"))
+        path.write_text(json.dumps(mutant), encoding="utf-8")
+        group = where[1] if where[:1] == ("groups",) and len(where) > 1 else "g4"
+        codes.append(_run_mutant(capsys, ["verify-paper", "--group", group], kind, where))
+    assert len(codes) > 150 and set(codes) == {0, 1, 2}
+
+
+def test_spec_mutants_honour_the_contract(tmp_path, monkeypatch, capsys, catalog):
+    """Every seeded mutant of g6's spec document, through ``jacobi``,
+    ``tensors`` and ``check`` in turn (the shipped catalog loaded once)."""
+    monkeypatch.setattr(cli, "load_catalog", lambda: catalog)
+    path = str(tmp_path / "spec.json")
+    commands = (
+        ["jacobi", "--spec-file", path],
+        ["tensors", "--spec-file", path, "--tensor", "wan"],
+        ["check", "--spec-file", path, "--kind", "first", "--at", "alpha=1,beta=1,gamma=1,delta=1"],
+    )
+    codes = []
+    for n, (kind, where, mutant) in enumerate(_mutants(catalog.get_group("g6").spec.to_json_dict(), seed=28)):
+        Path(path).write_text(json.dumps(mutant), encoding="utf-8")
+        codes.append(_run_mutant(capsys, commands[n % 3], kind, where))
+    assert len(codes) > 30 and set(codes) == {0, 2}

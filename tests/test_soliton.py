@@ -54,8 +54,9 @@ def split_in_c(equations: Sequence[Poly]) -> list[tuple[Poly, Poly]]:
 def solve_split_in_c(pairs: Sequence[tuple[Poly, Poly]], sigma: Mapping[str, Fraction]):
     """Solution set in c of split_in_c's pairs at the point sigma: ("any",
     None), ("one", c), or ("none", None)."""
-    outcome, c_value, _ = solve_affine([(a.evaluate(sigma), b.evaluate(sigma)) for a, b in pairs])
-    return (outcome, c_value)
+    values = [(a.evaluate(sigma), b.evaluate(sigma)) for a, b in pairs]
+    outcome, witness = solve_affine(values)
+    return (outcome, -values[witness[0]][0] / values[witness[0]][1] if outcome == "one" else None)
 
 
 def solve_affine_in_c(equations: Sequence[Poly], sigma: Mapping[str, Fraction]):
@@ -200,16 +201,17 @@ def test_decide_flat_infeasible_equation_witness():
 
 
 def test_solve_affine_outcomes_and_witnesses():
-    assert solve_affine([(F(2), F(-1)), (F(0), F(0)), (F(4), F(-2))]) == ("one", F(2), (0,))
-    assert solve_affine([(F(0), F(0))] * 3) == ("any", None, ())
-    assert solve_affine([]) == ("any", None, ())
+    # "one" names the equation that fixes the root, here 2 - x = 0, and forms no root
+    assert solve_affine([(F(2), F(-1)), (F(0), F(0)), (F(4), F(-2))]) == ("one", (0,))
+    assert solve_affine([(F(0), F(0))] * 3) == ("any", ())
+    assert solve_affine([]) == ("any", ())
     # the first two flat contradictions, when nothing is sloped
-    assert solve_affine([(F(1), F(0)), (F(0), F(0)), (F(2), F(0)), (F(3), F(0))]) == ("none", None, (0, 2))
-    assert solve_affine([(F(0), F(0)), (F(1), F(0))]) == ("none", None, (1,))
+    assert solve_affine([(F(1), F(0)), (F(0), F(0)), (F(2), F(0)), (F(3), F(0))]) == ("none", (0, 2))
+    assert solve_affine([(F(0), F(0)), (F(1), F(0))]) == ("none", (1,))
     # the first sloped equation and the first one disagreeing with it, before any flat one
-    assert solve_affine([(F(1), F(0)), (F(1), F(1)), (F(2), F(2)), (F(1), F(2))]) == ("none", None, (1, 3))
+    assert solve_affine([(F(1), F(0)), (F(1), F(1)), (F(2), F(2)), (F(1), F(2))]) == ("none", (1, 3))
     # else the first flat contradiction and the first sloped equation
-    assert solve_affine([(F(1), F(1)), (F(5), F(0))]) == ("none", None, (1, 0))
+    assert solve_affine([(F(1), F(1)), (F(5), F(0))]) == ("none", (1, 0))
 
 
 def two_list_solve(pairs):
@@ -218,20 +220,20 @@ def two_list_solve(pairs):
     sloped = [k for k, (_, slope) in enumerate(pairs) if slope]
     flat_bad = [k for k, (constant, slope) in enumerate(pairs) if constant and not slope]
     if not sloped:
-        return ("none", None, tuple(flat_bad[:2])) if flat_bad else ("any", None, ())
+        return ("none", tuple(flat_bad[:2])) if flat_bad else ("any", ())
     first = sloped[0]
     constant, slope = pairs[first]
     for k in sloped[1:]:
         if pairs[k][0] * slope != constant * pairs[k][1]:
-            return ("none", None, (first, k))
+            return ("none", (first, k))
     if flat_bad:
-        return ("none", None, (flat_bad[0], first))
-    return ("one", Fraction(-constant, slope), (first,))
+        return ("none", (flat_bad[0], first))
+    return ("one", (first,))
 
 
 def test_solve_affine_integer_pairs_over_common_denominator():
     """Integer numerators over a shared positive denominator decide exactly
-    like the Fractions they stand for: same outcome, value and witness.  The
+    like the Fractions they stand for: same outcome and witness.  The
     one-pass solver equals the two-list reference on every system, on each
     of its prefixes and on each of its pairs alone."""
     rng = random.Random(31337)
@@ -255,11 +257,11 @@ def test_solve_affine_integer_pairs_over_common_denominator():
         for system in [pairs[:n] for n in range(len(pairs) + 1)] + [[pair] for pair in pairs]:
             assert solve_affine(system) == two_list_solve(system), system
         assert result == solve_affine([(F(a, den), F(b, den)) for a, b in pairs])
-        outcome, x, witness = result
+        outcome, witness = result
         if outcome == "any":
             assert affine_roots(pairs) is None
         elif outcome == "one":
-            assert affine_roots(pairs) == {x}
+            assert affine_roots(pairs) == {F(-pairs[witness[0]][0], pairs[witness[0]][1])}
         else:
             contradiction = affine_roots([pairs[k] for k in witness])
             assert contradiction is not None and len(contradiction) != 1
