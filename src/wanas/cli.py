@@ -2,9 +2,10 @@
 the full catalog verification, and validate Jacobi.
 
 Every command is a thin adapter over the library; no computation logic lives
-here.  Exit codes: 0 success, 1 verification discrepancies, 2 usage errors
+here, and only --group, ``classify`` and ``verify-paper`` read the catalog.
+Exit codes: 0 success, 1 verification discrepancies, 2 usage errors
 (including invalid parameter points, bad flags and a polynomial degree above
-``poly.MAX_DEGREE``).
+``poly.MAX_DEGREE``), reported on one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .algebra import (
     load_spec_file,
     parse_assignment,
 )
-from .catalog import Catalog, CatalogError, load_catalog
+from .catalog import CatalogError, load_catalog
 from .geometry import (
     compute_tensors,
     matrix_json,
@@ -32,7 +33,7 @@ from .geometry import (
 )
 from .poly import DegreeOverflowError, MissingVariableError, PolyParseError, format_rational, is_digits, parse_rational
 from .soliton import SolitonKind, soliton_decide, wan_for_kind
-from .verify import GridError, GridSpec, classify_grid, default_grid, generate_grid, verify_paper
+from .verify import GridError, classify_grid, grid_points, verify_paper
 
 _MATRIX_TENSORS = ("abar", "ric", "wan", "wan-tilde")
 _TENSOR_CHOICES = (
@@ -56,18 +57,26 @@ def _fail(message: str) -> None:
     raise _CliError(message)
 
 
-def _load_algebra(args, catalog: Catalog | None) -> tuple[str, LieAlgebraSpec]:
+def _load_algebra(args, at: str | None) -> tuple[str, LieAlgebraSpec, dict[str, Fraction] | None]:
+    """The algebra that --group or --spec-file names, evaluated at ``at``
+    unless it is None, and that point.  ``check`` passes its required --at
+    as it is; ``tensors`` and ``jacobi`` read an empty one as none."""
+    if args.spec_file and args.group:
+        _fail("--group and --spec-file are mutually exclusive")
     if args.spec_file:
-        if args.group:
-            _fail("--group and --spec-file are mutually exclusive")
         try:
-            return ("spec-file", load_spec_file(args.spec_file))
+            gid, spec = "spec-file", load_spec_file(args.spec_file)
         except (OSError, ValueError) as exc:
             _fail(f"could not load spec file {args.spec_file}: {exc}")
-    if not args.group:
+    elif args.group:
+        entry = load_catalog().get_group(args.group)
+        gid, spec = entry.id, entry.spec
+    else:
         _fail("one of --group or --spec-file is required")
-    entry = catalog.get_group(args.group)
-    return (entry.id, entry.spec)
+    if at is None:
+        return gid, spec, None
+    sigma = _parse_at(spec, at)
+    return gid, spec.evaluate(sigma), sigma
 
 
 def _require_jacobi(gid: str, spec: LieAlgebraSpec) -> None:
@@ -84,19 +93,18 @@ def _require_jacobi(gid: str, spec: LieAlgebraSpec) -> None:
 
 
 def _parse_at(spec: LieAlgebraSpec, text: str) -> dict[str, Fraction]:
+    """The --at point, with every variable of ``spec`` and no other name;
+    whether it is admissible is ``spec.evaluate``'s check."""
     try:
         sigma = parse_assignment(text)
     except (ValueError, PolyParseError) as exc:
         _fail(f"invalid --at value: {exc}")
-    try:
-        violations = spec.validate_assignment(sigma)
-    except MissingVariableError as exc:
-        _fail(f"incomplete --at assignment: {exc}")
+    missing = [v for v in spec.variables() if v not in sigma]
+    if missing:
+        _fail(f"incomplete --at assignment: {MissingVariableError(missing)}")
     extra = [v for v in sigma if v not in spec.variables()]
     if extra:
         _fail(f"--at assigns parameters the algebra does not use: {', '.join(extra)}")
-    if violations:
-        _fail("invalid parameter point: " + "; ".join(violations))
     return sigma
 
 
@@ -110,66 +118,47 @@ def _emit(args, payload: dict, text: str) -> None:
 # -- tensors -------------------------------------------------------------------
 
 
-def _cmd_tensors(args, catalog: Catalog) -> int:
-    gid, spec = _load_algebra(args, catalog)
-    sigma = _parse_at(spec, args.at) if args.at else None
-    if sigma is not None:
-        spec = spec.evaluate(sigma)
+def _cmd_tensors(args) -> int:
+    gid, spec, sigma = _load_algebra(args, args.at or None)
     _require_jacobi(gid, spec)
 
     base = "levi-civita" if args.tensor == "levi-civita" else args.connection_kind
     bundle = compute_tensors(spec, base)
 
     tensor = args.tensor
-    lines: list[str] = []
     payload: dict = {"group": gid, "tensor": tensor, "connection_kind": base}
     if sigma is not None:
         payload["at"] = {v: format_rational(x) for v, x in sorted(sigma.items())}
 
+    if tensor in _MATRIX_TENSORS:
+        matrix = getattr(bundle, tensor.replace("-", "_"))
+        payload["matrix"] = matrix_json(matrix)
+        _emit(args, payload, f"{tensor} operator (row i = image of e_i):\n{render_matrix(matrix)}")
+        return 0
     if tensor in ("connection", "levi-civita"):
         table = bundle.levi_civita if tensor == "levi-civita" else bundle.connection
         name = "nabla" if tensor == "levi-civita" or base == "levi-civita" else "nabla0"
-        entries = {}
-        for i in range(3):
-            for j in range(3):
-                key = f"{name}[e{i + 1}]e{j + 1}"
-                entries[key] = [str(p) for p in table[i][j]]
-                lines.append(f"{key} = {render_vector(table[i][j])}")
-        payload["entries"] = entries
-    elif tensor in ("torsion", "curvature", "a-tensor", "wanas"):
+        cells = [(f"{name}[e{i + 1}]e{j + 1}", table[i][j]) for i in range(3) for j in range(3)]
+    else:
         # read only the requested table: R, A and W are built when first read
         label = {"torsion": "T", "curvature": "R", "a-tensor": "A", "wanas": "W"}[tensor]
         table = getattr(bundle, tensor.replace("-", "_"))
-        entries = {}
+        cells = []
         for key, (i, j) in zip(PAIR_KEYS, PAIRS):
             # T(e_i, e_j) is one vector; the others act on a third basis vector
-            if tensor == "torsion":
-                cells = [("", table[i][j])]
-            else:
-                cells = [(f"e{k + 1}", v) for k, v in enumerate(table[i][j])]
-            for suffix, v in cells:
-                name = f"{label}({key}){suffix}"
-                entries[name] = [str(p) for p in v]
-                lines.append(f"{name} = {render_vector(v)}")
-        payload["entries"] = entries
-    else:
-        matrix = getattr(bundle, tensor.replace("-", "_"))
-        payload["matrix"] = matrix_json(matrix)
-        lines.append(f"{tensor} operator (row i = image of e_i):")
-        lines.append(render_matrix(matrix))
-
-    _emit(args, payload, "\n".join(lines))
+            vectors = [("", table[i][j])] if tensor == "torsion" else [(f"e{k + 1}", v) for k, v in enumerate(table[i][j])]
+            cells.extend((f"{label}({key}){suffix}", v) for suffix, v in vectors)
+    payload["entries"] = {name: [str(p) for p in v] for name, v in cells}
+    _emit(args, payload, "\n".join(f"{name} = {render_vector(v)}" for name, v in cells))
     return 0
 
 
 # -- check ---------------------------------------------------------------------
 
 
-def _cmd_check(args, catalog: Catalog) -> int:
-    gid, spec = _load_algebra(args, catalog)
-    sigma = _parse_at(spec, args.at)
+def _cmd_check(args) -> int:
+    gid, numeric, sigma = _load_algebra(args, args.at)
     kind = SolitonKind(args.kind)
-    numeric = spec.evaluate(sigma)
     _require_jacobi(gid, numeric)
     verdict = soliton_decide(numeric, kind, wan_for_kind(numeric, kind))
     payload = {
@@ -202,14 +191,12 @@ def _parse_ladder(text: str) -> tuple[Fraction, ...]:
     return values
 
 
-def _cmd_classify(args, catalog: Catalog) -> int:
+def _cmd_classify(args) -> int:
+    catalog = load_catalog()
     entry = catalog.get_group(args.group)
     kind = SolitonKind(args.kind)
-    if args.grid_ladder:
-        ladder = _parse_ladder(args.grid_ladder)
-        points = generate_grid(entry.spec, GridSpec(entry.id, ladder, max_points=args.max_points))
-    else:
-        _, points = default_grid(entry, min_points=args.min_points, max_points=args.max_points)
+    ladder = _parse_ladder(args.grid_ladder) if args.grid_ladder else None
+    points = grid_points(entry, ladder, args.min_points, args.max_points)
     claim = catalog.theorem_claim(entry.id, kind)
     report = classify_grid(entry, kind, points, claim)
     payload = report.to_json_dict()
@@ -232,13 +219,12 @@ def _cmd_classify(args, catalog: Catalog) -> int:
 # -- verify-paper ----------------------------------------------------------------
 
 
-def _cmd_verify_paper(args, catalog: Catalog) -> int:
-    # an unknown group is refused before any group is verified
-    groups = tuple(catalog.get_group(g.lower()).id for g in args.group) if args.group else None
+def _cmd_verify_paper(args) -> int:
+    catalog = load_catalog()
     ladder = _parse_ladder(args.grid_ladder) if args.grid_ladder else None
     report = verify_paper(
         catalog,
-        groups=groups,
+        groups=args.group,
         ladder=ladder,
         min_points=args.min_points,
         max_points=args.max_points,
@@ -257,11 +243,8 @@ def _cmd_verify_paper(args, catalog: Catalog) -> int:
 # -- jacobi ----------------------------------------------------------------------
 
 
-def _cmd_jacobi(args, catalog: Catalog) -> int:
-    gid, spec = _load_algebra(args, catalog)
-    sigma = _parse_at(spec, args.at) if args.at else None
-    if sigma is not None:
-        spec = spec.evaluate(sigma)
+def _cmd_jacobi(args) -> int:
+    gid, spec, _ = _load_algebra(args, args.at or None)
     residual = spec.jacobi_residual()
     payload = {
         "group": gid,
@@ -349,13 +332,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, load_catalog())
+        return args.func(args)
     except (_CliError, CatalogError, DegreeOverflowError, GridError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        message = str(exc)
     except InvalidAssignmentError as exc:
-        print(f"error: invalid parameter point: {exc}", file=sys.stderr)
-        return 2
+        message = f"invalid parameter point: {exc}"
+    # one line, whatever free text (a file name, a catalog case name) the message quotes
+    print("error: " + "\\n".join(message.splitlines()), file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

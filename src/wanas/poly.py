@@ -702,11 +702,7 @@ class _Parser:
         return tok
 
     def parse_expr(self) -> Poly:
-        sign = 1
-        while self.peek() in ("+", "-"):
-            if self.take() == "-":
-                sign = -sign
-        result = -self.parse_term() if sign < 0 else self.parse_term()
+        result = self.parse_term()  # a leading sign is the first factor's
         while self.peek() in ("+", "-"):
             op = self.take()
             term = self.parse_term()

@@ -251,6 +251,16 @@ def default_grid(entry: GroupEntry, min_points: int = 200, max_points: int = 500
     return GridSpec(entry.id, tuple(ladder), max_points=max_points), points
 
 
+def grid_points(
+    entry: GroupEntry, ladder: Sequence[Fraction] | None = None, min_points: int = 200, max_points: int = 5000
+) -> list[dict[str, Fraction]]:
+    """The classification grid: ``ladder``'s when given (``min_points`` then
+    unused), else the default grid."""
+    if ladder is None:
+        return default_grid(entry, min_points=min_points, max_points=max_points)[1]
+    return generate_grid(entry.spec, GridSpec(entry.id, tuple(ladder), max_points=max_points))
+
+
 # -- classification -----------------------------------------------------------
 
 
@@ -623,22 +633,19 @@ def verify_paper(
 ) -> PaperReport:
     """Reproduce every table, check every theorem case, classify every grid.
 
-    A group listed more than once is verified once, at its first position.
-    Each group's tensors are computed once, by ``reproduce_group``; the
-    theorem cases and grid decisions evaluate ``wan_for_kind``.
+    Group ids are read as ``Catalog.get_group`` reads them, and all of them
+    are looked up before any group is verified; a group listed more than
+    once is verified once, at its first position.  Each group's tensors are
+    computed once, by ``reproduce_group``; the theorem cases and grid
+    decisions evaluate ``wan_for_kind``.
     """
-    group_ids = tuple(dict.fromkeys(groups)) if groups else ALL_GROUPS
+    group_ids = tuple(dict.fromkeys(catalog.get_group(g).id for g in groups)) if groups else ALL_GROUPS
     items: list[DiscrepancyReport] = []
     classifications: list[ClassificationReport] = []
     for gid in group_ids:
         entry = catalog.get_group(gid)
         items.extend(reproduce_group(entry))
-        if ladder is None:
-            _, points = default_grid(entry, min_points=min_points, max_points=max_points)
-        else:
-            points = generate_grid(
-                entry.spec, GridSpec(entry.id, tuple(ladder), max_points=max_points)
-            )
+        points = grid_points(entry, ladder, min_points, max_points)
         claims = {kind: catalog.theorem_claim(gid, kind) for kind in (SolitonKind.FIRST, SolitonKind.SECOND)}
         for kind, claim in claims.items():
             items.extend(check_theorem_cases(entry, kind, claim))

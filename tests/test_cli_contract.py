@@ -3,7 +3,8 @@ runs through ``cli.main`` in-process, exits 0, 1 or 2 with no exception
 escaping, and an exit 2 prints exactly one ``error:`` line and nothing on
 stdout.  An argparse refusal is its ``SystemExit`` code.  Besides the table
 of hand-picked inputs, a seeded generator plants one fault in each of ~250
-copies of the shipped catalog and of a spec document."""
+copies of the shipped catalog and of a spec document, and another plants
+faults in ``--at`` points and in the group options."""
 
 from __future__ import annotations
 
@@ -47,6 +48,11 @@ def _arabic_indic_digit(group: dict) -> None:
     group["claimed"]["wan"][0][0] += " + 0^٣"
 
 
+def _any_c_case_named_across_two_lines(group: dict) -> None:
+    case = group["theorems"]["first"]["cases"][0]
+    case["name"], case["any_c"] = "i\nbis", True
+
+
 def _plant(*path, value=None):
     """An edit of a g4 group that sets the value at ``path`` (drops it when ``value`` is None)."""
     def edit(group: dict) -> None:
@@ -77,6 +83,8 @@ PLANTED = [
     ("case_name_number", _plant("theorems", "first", "cases", 0, "name", value=5), "catalog groups g4 theorems first cases[0] name must be a string"),
     # a shorthand name is free text, but the error stays one line
     ("shorthand_name_with_a_line_break", _plant("shorthands", "b\n1", value=1), "catalog groups g4 shorthands 'b\\n1' must be a string"),
+    # a case name is free text too, quoted without repr in a consistency error
+    ("case_name_with_a_line_break", _any_c_case_named_across_two_lines, "theorems first case i\\nbis: give exactly one of c and any_c"),
     # well formed, but a grid solves at most one defining equation
     ("two_defining_equations", _plant("constraints", "eq", value=["eta^2-1", "alpha", "alpha"]), "grids support at most one defining equation, not 2: alpha, alpha"),
 ]
@@ -102,6 +110,7 @@ CASES = [
     ("exponent_past_the_bound", JACOBI, _bracket(f"alpha^{MAX_DEGREE + 1}"), None, 2),
     ("products_past_the_bound", TENSORS + ["connection"], _bracket(f"alpha^{MAX_DEGREE}"), None, 2),
     ("c_in_a_bracket", TENSORS + ["wan"], _bracket("c"), None, 2),
+    ("spec_path_with_a_line_break", ["jacobi", "--spec-file", "{spec}\nx"], None, None, 2),
     ("arabic_indic_at", G2 + ["alpha=٣,beta=1,gamma=1"], None, None, 2),
     ("underscore_at", G2 + ["alpha=1_000,beta=1,gamma=1"], None, None, 2),
     ("zero_denominator_at", G2 + ["alpha=1/0,beta=1,gamma=1"], None, None, 2),
@@ -131,10 +140,11 @@ def test_exit_code_contract(tmp_path, monkeypatch, capsys, argv, spec, catalog_t
         (tmp_path / "catalog.json").write_text(catalog_text, encoding="utf-8")
         monkeypatch.setenv("WANAS_CATALOG", str(tmp_path / "catalog.json"))
     argv = [arg.replace("{spec}", str(tmp_path / "spec.json")) for arg in argv]
+    refused = False
     try:
         code = cli.main(argv)
     except SystemExit as exc:
-        code = exc.code
+        code, refused = exc.code, True
     out, err = capsys.readouterr()
     assert code in (0, 1, 2) and "Traceback" not in err
     assert code == expected, err
@@ -142,6 +152,31 @@ def test_exit_code_contract(tmp_path, monkeypatch, capsys, argv, spec, catalog_t
     if code == 2:
         assert out == ""
         assert [line for line in err.splitlines() if "error:" in line] == [err.splitlines()[-1]]
+        # after argparse's usage lines, or alone
+        assert refused or (err.startswith("error: ") and len(err.splitlines()) == 1), err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["jacobi", "--spec-file", "{spec}"],
+        ["tensors", "--spec-file", "{spec}", "--tensor", "wan", "--at", "alpha=0,beta=0,gamma=1"],
+        ["check", "--spec-file", "{spec}", "--kind", "first", "--at", "alpha=0,beta=0,gamma=1"],
+    ],
+    ids=["jacobi", "tensors", "check"],
+)
+def test_spec_file_commands_read_no_catalog(tmp_path, monkeypatch, capsys, catalog, argv):
+    """A spec-file command prints the same with WANAS_CATALOG naming the
+    shipped catalog or a missing file."""
+    spec = tmp_path / "g2.json"
+    spec.write_text(json.dumps(catalog.get_group("g2").spec.to_json_dict()), encoding="utf-8")
+    argv = [arg.replace("{spec}", str(spec)) for arg in argv]
+    runs = []
+    for path in (default_catalog_path(), str(tmp_path / "missing.json")):
+        monkeypatch.setenv("WANAS_CATALOG", path)
+        runs.append((cli.main(argv), *capsys.readouterr()))
+    shipped, missing = runs
+    assert shipped == missing and shipped[0] == 0 and shipped[1] and not shipped[2]
 
 
 # -- seeded document mutants -------------------------------------------------------------------
@@ -216,7 +251,8 @@ def _mutants(doc, seed: int):
             yield kind, path, mutant
 
 
-def _run_mutant(capsys, argv, kind, path) -> int:
+def _run_mutant(capsys, argv, kind, path) -> tuple[int, str]:
+    """``cli.main(argv)`` under the contract: (exit code, stdout)."""
     try:
         code = cli.main(argv)
     except SystemExit as exc:  # pragma: no cover - no argv here is an argparse error
@@ -228,7 +264,7 @@ def _run_mutant(capsys, argv, kind, path) -> int:
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1, where
     if kind in ("unknown", "retyped"):
         assert code == 2, where
-    return code
+    return code, out
 
 
 def test_catalog_mutants_honour_the_contract(tmp_path, monkeypatch, capsys):
@@ -243,14 +279,15 @@ def test_catalog_mutants_honour_the_contract(tmp_path, monkeypatch, capsys):
             mutant["checksum"] = compute_checksum(mutant.get("groups"))
         path.write_text(json.dumps(mutant), encoding="utf-8")
         group = where[1] if where[:1] == ("groups",) and len(where) > 1 else "g4"
-        codes.append(_run_mutant(capsys, ["verify-paper", "--group", group], kind, where))
+        codes.append(_run_mutant(capsys, ["verify-paper", "--group", group], kind, where)[0])
     assert len(codes) > 150 and set(codes) == {0, 1, 2}
 
 
 def test_spec_mutants_honour_the_contract(tmp_path, monkeypatch, capsys, catalog):
     """Every seeded mutant of g6's spec document, through ``jacobi``,
-    ``tensors`` and ``check`` in turn (the shipped catalog loaded once)."""
-    monkeypatch.setattr(cli, "load_catalog", lambda: catalog)
+    ``tensors`` and ``check`` in turn, with WANAS_CATALOG naming a missing
+    file: a spec-file command reads no catalog."""
+    monkeypatch.setenv("WANAS_CATALOG", str(tmp_path / "missing.json"))
     path = str(tmp_path / "spec.json")
     commands = (
         ["jacobi", "--spec-file", path],
@@ -260,5 +297,68 @@ def test_spec_mutants_honour_the_contract(tmp_path, monkeypatch, capsys, catalog
     codes = []
     for n, (kind, where, mutant) in enumerate(_mutants(catalog.get_group("g6").spec.to_json_dict(), seed=28)):
         Path(path).write_text(json.dumps(mutant), encoding="utf-8")
-        codes.append(_run_mutant(capsys, commands[n % 3], kind, where))
+        codes.append(_run_mutant(capsys, commands[n % 3], kind, where)[0])
     assert len(codes) > 30 and set(codes) == {0, 2}
+
+
+# -- seeded --at and argv mutants --------------------------------------------------------------
+
+# fault -> (the chunk that replaces the chosen name=value chunk, the exit code)
+AT_FAULTS = {
+    "decimal": (lambda name, chunk: f"{name}=1.5", 2),
+    "zero_denominator": (lambda name, chunk: f"{name}=1/0", 2),
+    "unreduced": (lambda name, chunk: f"{name}=2/4", 0),
+    "repeated_name": (lambda name, chunk: f"{chunk},{chunk}", 2),
+    "unknown_name": (lambda name, chunk: f"{chunk},zeta=1", 2),
+    "soliton_scalar": (lambda name, chunk: f"{chunk},c=1", 2),
+    "missing_variable": (lambda name, chunk: None, 2),
+    "underscore": (lambda name, chunk: f"{name}=1_000", 2),
+    "arabic_indic_digit": (lambda name, chunk: f"{name}=٣", 2),
+    "superscript_digit": (lambda name, chunk: f"{name}=²", 2),
+    "no_name": (lambda name, chunk: "=1", 2),
+    "no_value": (lambda name, chunk: f"{name}=", 2),
+    "empty_chunk": (lambda name, chunk: f"{chunk},", 0),
+    # past CPython's 4300-digit int/str limit, which the answer must not hit
+    "digits_4300": (lambda name, chunk: f"{name}={'7' * 4300}", 0),
+    "digits_4400": (lambda name, chunk: f"{name}={'7' * 4400}", 0),
+}
+
+
+def _at_mutants(point: str, rng: random.Random):
+    """(fault, --at text, exit code) for each fault of AT_FAULTS, planted at a chunk of ``point`` chosen by ``rng``."""
+    chunks = point.split(",")
+    for fault, (plant, code) in AT_FAULTS.items():
+        k = rng.randrange(len(chunks))
+        planted = plant(chunks[k].split("=")[0], chunks[k])
+        yield fault, ",".join(chunks[:k] + ([] if planted is None else [planted]) + chunks[k + 1 :]), code
+
+
+def test_generated_at_and_argv_inputs_honour_the_contract(tmp_path, monkeypatch, capsys, catalog):
+    """Seeded faults in a valid g2 point and a spec-file (g3) point through
+    ``check``, ``tensors`` and ``jacobi``, and argv faults around the group
+    options: each exits as its fault says, under the one-line contract."""
+    monkeypatch.setattr(cli, "load_catalog", lambda: catalog)
+    rng = random.Random(30)
+    spec = tmp_path / "g3.json"
+    spec.write_text(json.dumps(catalog.get_group("g3").spec.to_json_dict()), encoding="utf-8")
+    commands = (["check", "--kind", "first"], ["tensors", "--tensor", "wan"], ["jacobi"])
+    for source, point in ((["--group", "g2"], "alpha=0,beta=0,gamma=1"), (["--spec-file", str(spec)], "alpha=1,beta=2,gamma=3")):
+        for fault, at, expected in _at_mutants(point, rng):
+            command, *rest = rng.choice(commands)
+            code, _ = _run_mutant(capsys, [command, *source, *rest, "--at", at], fault, at[:80])
+            assert code == expected, (fault, command, at[:80])
+
+    command, *rest = rng.choice(commands[:2])
+    rest += ["--at", "alpha=0,beta=0,gamma=1"]
+    for fault, argv in (
+        ("group_and_spec_file", [command, "--group", "g2", "--spec-file", str(spec), *rest]),
+        ("neither", [command, *rest]),
+        ("unknown_group", [command, "--group", "g8", *rest]),
+        ("verify_unknown_group", ["verify-paper", "--group", "g9"]),
+    ):
+        assert _run_mutant(capsys, argv, fault, argv)[0] == 2, fault
+    # ids are read case-insensitively: G2 is g2, and G1 and g1 are one g1 block
+    assert _run_mutant(capsys, [command, "--group", "G2", *rest], "G2", ()) == _run_mutant(capsys, [command, "--group", "g2", *rest], "g2", ())
+    repeated = _run_mutant(capsys, ["verify-paper", "--group", "G1", "--group", "g1"], "G1_g1", ())
+    assert repeated == _run_mutant(capsys, ["verify-paper", "--group", "g1"], "g1", ())
+    assert repeated[1].count("classification g1 first kind") == 1

@@ -325,6 +325,15 @@ def test_parse_signs_bind_below_powers():
     assert P("-(alpha+beta)*beta") == -(alpha * beta) - beta**2
     assert P("alpha - -beta") == alpha + beta
     assert P("-0") == Poly.zero()
+    # a leading sign is read by the first factor, as any other sign
+    assert P("-alpha^2*beta") == -(alpha**2) * beta
+    assert P("- -alpha") == alpha
+    assert P("-2/3*alpha") == Fraction(-2, 3) * alpha
+    assert P("+-alpha") == -alpha
+    assert P("-3^2") == Poly.const(-9)
+    for text in ("+", "-", ""):
+        with pytest.raises(PolyParseError, match="unexpected end of expression"):
+            P(text)
 
 
 def test_parse_division_by_constant_only():

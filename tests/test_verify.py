@@ -14,7 +14,7 @@ import pytest
 
 from wanas import verify as verify_module
 from wanas.algebra import Constraint, LORENTZ, LieAlgebraSpec, vec3
-from wanas.catalog import ALL_GROUPS, ClaimedTensors, GroupEntry, load_catalog
+from wanas.catalog import ALL_GROUPS, CatalogError, ClaimedTensors, GroupEntry, load_catalog
 from wanas.geometry import compute_tensors
 from wanas.poly import Poly, parse_poly
 from wanas.soliton import SolitonKind, SolitonVerdict
@@ -1303,6 +1303,17 @@ def test_verify_paper_verifies_a_repeated_group_once(catalog):
     assert twice.groups == ("g1", "g4")
     assert twice.to_json_dict()["groups"][0] == once.to_json_dict()["groups"][0]
     assert twice.classifications[:2] == once.classifications
+
+
+def test_verify_paper_reads_group_ids_as_the_catalog_does(catalog, monkeypatch):
+    """``G1`` names g1, so ``["G1", "g1"]`` is one g1 block; an unknown id is
+    refused before any group is verified."""
+    assert verify_paper(catalog, groups=["G1", "g1"]).to_json() == verify_paper(catalog, groups=["g1"]).to_json()
+    calls = collections.Counter()
+    monkeypatch.setattr(verify_module, "reproduce_group", lambda entry: calls.update([entry.id]) or [])
+    with pytest.raises(CatalogError, match="unknown group 'g9'"):
+        verify_paper(catalog, groups=["g1", "g9"])
+    assert calls == collections.Counter()
 
 
 def test_point_records_of_one_source_compare_without_building_verdicts(catalog, monkeypatch):
