@@ -14,6 +14,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Mapping, Sequence, TypeVar
 
 from .poly import (
@@ -295,6 +296,26 @@ def check_shape(value, shape, what: str, error: type[Exception] = ValueError) ->
                 raise error(f"missing {what} key {key!r}")
         for key, item in value.items():  # an open object's key may hold a line break; the path stays one line
             check_shape(item, fields.get(key, shape.get(str)), f"{what} {key if key.isprintable() else repr(key)}", error)
+
+
+def json_text(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` of str-keyed dicts,
+    lists, tuples, str, int, bool and None, in one recursive writer (the C
+    encoder serves no indent); any other type raises TypeError."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        items, brackets = [json_text(x, inner) for x in value], "[]"
+    elif isinstance(value, dict) and all(isinstance(key, str) for key in value):
+        items, brackets = [f"{encode_basestring_ascii(k)}: {json_text(value[k], inner)}" for k in sorted(value)], "{}"
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    return f"{brackets[0]}{inner}{f',{inner}'.join(items)}{indent}{brackets[1]}" if items else brackets
 
 
 # the spec-file format: to_json_dict's document, each part but the brackets optional

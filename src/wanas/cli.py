@@ -11,7 +11,6 @@ Exit codes: 0 success, 1 verification discrepancies, 2 usage errors
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 from typing import Sequence
@@ -21,6 +20,7 @@ from .algebra import (
     PAIRS,
     InvalidAssignmentError,
     LieAlgebraSpec,
+    json_text,
     load_spec_file,
     parse_assignment,
 )
@@ -33,7 +33,7 @@ from .geometry import (
 )
 from .poly import DegreeOverflowError, MissingVariableError, PolyParseError, format_rational, is_digits, parse_rational
 from .soliton import SolitonKind, soliton_decide, wan_for_kind
-from .verify import GridError, classify_grid, grid_points, verify_paper
+from .verify import GridError, classify_ladder, verify_paper
 
 _MATRIX_TENSORS = ("abar", "ric", "wan", "wan-tilde")
 _TENSOR_CHOICES = (
@@ -110,7 +110,7 @@ def _parse_at(spec: LieAlgebraSpec, text: str) -> dict[str, Fraction]:
 
 def _emit(args, payload: dict, text: str) -> None:
     if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(json_text(payload))
     else:
         print(text, end="" if text.endswith("\n") else "\n")
 
@@ -196,9 +196,8 @@ def _cmd_classify(args) -> int:
     entry = catalog.get_group(args.group)
     kind = SolitonKind(args.kind)
     ladder = _parse_ladder(args.grid_ladder) if args.grid_ladder else None
-    points = grid_points(entry, ladder, args.min_points, args.max_points)
-    claim = catalog.theorem_claim(entry.id, kind)
-    report = classify_grid(entry, kind, points, claim)
+    claims = {kind: catalog.theorem_claim(entry.id, kind)}
+    (report,) = classify_ladder(entry, claims, ladder, args.min_points, args.max_points)
     payload = report.to_json_dict()
     capped = f" (the first {report.total} in sorted order: --max-points reached)" if report.total == args.max_points else ""
     lines = [

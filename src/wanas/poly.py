@@ -28,6 +28,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import re
 from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
@@ -450,12 +451,13 @@ def dot(terms: Iterable[tuple[int, Poly, Poly]], den: int = 1) -> Poly:
                     mono = ma + mb
                     out[mono] = out.get(mono, 0) + ka * kb
     if formed and max(out) >= _PAST_MAX:  # a field carried only if the degree passed the bound
-        raise DegreeOverflowError(f"a product has degree above {MAX_DEGREE}, the limit of a monomial")
+        raise DegreeOverflowError(_OVERFLOW)
     if 0 in out.values():  # a numerator cancelled
         out = {m: k for m, k in out.items() if k}
     return _canonical(out, lcm * den)
 
 
+_OVERFLOW = f"a product has degree above {MAX_DEGREE}, the limit of a monomial"
 _ZERO = _raw({}, 1)
 _ONE = _raw({0: 1}, 1)
 _VARS = tuple(_raw({_pack(tuple(int(i == j) for j in range(_NVARS))): 1}, 1) for i in range(_NVARS))
@@ -649,89 +651,107 @@ def parse_rational(text: str) -> Fraction:
 
 # -- polynomial expression parser ---------------------------------------
 
-_TOKEN_CHARS = {"+", "-", "*", "/", "^", "(", ")"}
 MAX_NESTING = 100  # parenthesis levels; the parser recurses once per level
+_TOKEN_CHARS = {"+", "-", "*", "/", "^", "(", ")"}
+# whitespace, ASCII digits (with a "." and the character after it), a name, or one other character
+_TOKEN = re.compile(r"\s+|[0-9]+(?:\..?)?|\w+|.", re.S)
+_PLAIN, _PLAIN_TOKEN = re.compile(r"[ \w+\-*/^()]*", re.A), re.compile(r"[0-9]+|[A-Za-z_]\w*|\S", re.A)
+_UNIT = {v: next(iter(x._terms)) for v, x in zip(VARIABLES, _VARS)}  # each variable's packed monomial
 
 
 def _tokenize(text: str) -> list[str]:
-    tokens: list[str] = []
-    i = 0
     text = text.replace("**", "^")
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in _TOKEN_CHARS:
-            tokens.append(ch)
-            i += 1
-        elif is_digits(ch):
-            j = i
-            while j < len(text) and is_digits(text[j]):
-                j += 1
-            if j < len(text) and text[j] == ".":
-                raise PolyParseError(
-                    f"decimal literals are not allowed (near {text[i:j + 2]!r}); use p/q"
-                )
-            tokens.append(text[i:j])
-            i = j
-        elif ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(text[i:j])
-            i = j
-        else:
-            raise PolyParseError(f"unexpected character {ch!r} in {text!r}")
+    if _PLAIN.fullmatch(text):  # spaces, ASCII letters, digits, _ and operators: nothing to refuse
+        return _PLAIN_TOKEN.findall(text)
+    tokens = [tok for tok in _TOKEN.findall(text) if not tok.isspace()]
+    for tok in tokens:
+        if "." in tok[1:]:
+            raise PolyParseError(f"decimal literals are not allowed (near {tok!r}); use p/q")
+        if not (tok[0].isalpha() or tok[0] == "_" or is_digits(tok[0]) or tok in _TOKEN_CHARS):  # "\w" also takes "²"
+            raise PolyParseError(f"unexpected character {tok[0]!r} in {text!r}")
     return tokens
 
 
 class _Parser:
+    """Recursive descent: a number or a variable is a factor (integer,
+    packed monomial), a parenthesised group or a shorthand a ``Poly``."""
+
     def __init__(self, tokens: list[str], names: Mapping[str, Poly]):
-        self.tokens = tokens
+        self.tokens = [*tokens, None]  # None ends the input
         self.pos = self.depth = 0
         self.names = names
 
-    def peek(self) -> str | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
     def take(self) -> str:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok is None:
             raise PolyParseError("unexpected end of expression")
         self.pos += 1
         return tok
 
     def parse_expr(self) -> Poly:
-        result = self.parse_term()  # a leading sign is the first factor's
-        while self.peek() in ("+", "-"):
-            op = self.take()
-            term = self.parse_term()
-            result = result + term if op == "+" else result - term
-        return result
+        terms = [(1, self.parse_term(), _ONE)]  # a leading sign is the first factor's
+        while self.tokens[self.pos] in ("+", "-"):
+            terms.append((-1 if self.take() == "-" else 1, self.parse_term(), _ONE))
+        return terms[0][1] if len(terms) == 1 else dot(terms)
 
     def parse_term(self) -> Poly:
-        result = self.parse_factor()
-        while self.peek() in ("*", "/"):
-            op = self.take()
-            rhs = self.parse_factor()
-            if op == "*":
-                result = result * rhs
+        """Each number multiplies one ratio num/den and each variable adds to
+        one monomial; a group or shorthand turns the product into a ``Poly``."""
+        num, den, mono, product = 1, 1, 0, None
+        op = "*"
+        while True:
+            factor = self.parse_factor()
+            if op == "/":
+                if isinstance(factor, tuple) and not factor[1] and factor[0]:
+                    value: Scalar = factor[0]
+                elif isinstance(factor, Poly) and factor.is_constant() and factor:
+                    value = factor.constant_value()
+                else:
+                    raise PolyParseError(f"can only divide by a nonzero rational constant, got {_factor_poly(factor)}")
+                if product is None:
+                    num, den = num * value.denominator, den * value.numerator
+                else:
+                    product = product / value
+            elif product is None and isinstance(factor, tuple):
+                if num and factor[0] and mono + factor[1] >= _PAST_MAX:
+                    raise DegreeOverflowError(_OVERFLOW)
+                num, mono = num * factor[0], mono + factor[1]
+            elif product is None:  # the first group or shorthand: from here on the product is a Poly
+                product = factor if (num, den, mono) == (1, 1, 0) else _factor_poly((num, mono), den) * factor
             else:
-                if not rhs.is_constant() or rhs.is_zero():
-                    raise PolyParseError(
-                        f"can only divide by a nonzero rational constant, got {rhs}"
-                    )
-                result = result / rhs.constant_value()
-        return result
+                product = product * _factor_poly(factor)
+            op = self.tokens[self.pos]
+            if op != "*" and op != "/":
+                return _factor_poly((num, mono), den) if product is None else product
+            self.pos += 1
 
-    def parse_factor(self) -> Poly:
-        sign = 1
-        while self.peek() in ("+", "-"):
-            if self.take() == "-":
+    def parse_factor(self) -> tuple[int, int] | Poly:
+        """Signs, an atom and an optional power; the signs apply to the power."""
+        tokens, sign = self.tokens, 1
+        while tokens[self.pos] in ("+", "-"):
+            if tokens[self.pos] == "-":
                 sign = -sign
-        base = self.parse_atom()
-        if self.peek() == "^":
-            self.take()
+            self.pos += 1
+        tok = self.take()
+        if tok == "(":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise PolyParseError(f"parentheses nest deeper than {MAX_NESTING} levels")
+            base = self.parse_expr()
+            if self.take() != ")":
+                raise PolyParseError("unbalanced parentheses")
+            self.depth -= 1
+        elif tok in _UNIT:
+            base = (1, _UNIT[tok])
+        elif is_digits(tok):
+            base = (_int(tok), 0)
+        elif tok in self.names:
+            base = self.names[tok]
+        else:
+            allowed = list(VARIABLES) + sorted(self.names)
+            raise PolyParseError(f"unknown name {tok!r}; expected one of {', '.join(allowed)}")
+        if tokens[self.pos] == "^":
+            self.pos += 1
             exp_tok = self.take()
             if not is_digits(exp_tok):
                 raise PolyParseError(f"exponent must be a non-negative integer, got {exp_tok!r}")
@@ -739,28 +759,18 @@ class _Parser:
             exponent = int(exp_tok.lstrip("0")[: len(str(MAX_DEGREE)) + 1] or 0)
             if exponent > MAX_DEGREE:
                 raise PolyParseError(f"exponent {exp_tok} is above {MAX_DEGREE}, the limit of a monomial's degree")
-            base = base**exponent
-        return -base if sign < 0 else base
+            base = base**exponent if isinstance(base, Poly) else (base[0] ** exponent, base[1] * exponent)
+        if isinstance(base, Poly):
+            return -base if sign < 0 else base
+        return (sign * base[0], base[1])
 
-    def parse_atom(self) -> Poly:
-        tok = self.take()
-        if tok == "(":
-            self.depth += 1
-            if self.depth > MAX_NESTING:
-                raise PolyParseError(f"parentheses nest deeper than {MAX_NESTING} levels")
-            inner = self.parse_expr()
-            if self.take() != ")":
-                raise PolyParseError("unbalanced parentheses")
-            self.depth -= 1
-            return inner
-        if is_digits(tok):
-            return Poly.const(_int(tok))
-        if tok in _VAR_INDEX:
-            return Poly.var(tok)
-        if tok in self.names:
-            return self.names[tok]
-        allowed = list(VARIABLES) + sorted(self.names)
-        raise PolyParseError(f"unknown name {tok!r}; expected one of {', '.join(allowed)}")
+
+def _factor_poly(factor: tuple[int, int] | Poly, den: int = 1) -> Poly:
+    """The Poly of a factor, or of (integer, monomial) over a nonzero ``den``."""
+    if isinstance(factor, Poly):
+        return factor
+    num, mono = factor
+    return _canonical({mono: num if den > 0 else -num}, abs(den)) if num else _ZERO
 
 
 def parse_poly(text: str, names: Mapping[str, Poly] | None = None) -> Poly:
@@ -777,6 +787,6 @@ def parse_poly(text: str, names: Mapping[str, Poly] | None = None) -> Poly:
         result = parser.parse_expr()
     except DegreeOverflowError as exc:
         raise PolyParseError(str(exc)) from None
-    if parser.peek() is not None:
-        raise PolyParseError(f"trailing input at {parser.peek()!r} in {text!r}")
+    if parser.tokens[parser.pos] is not None:
+        raise PolyParseError(f"trailing input at {parser.tokens[parser.pos]!r} in {text!r}")
     return result

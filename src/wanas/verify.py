@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
-from .algebra import PAIR_KEYS, PAIRS, Constraint, LieAlgebraSpec
+from .algebra import PAIR_KEYS, PAIRS, Constraint, LieAlgebraSpec, json_text
 from .catalog import (
     ALL_GROUPS,
     Catalog,
@@ -46,6 +46,7 @@ MATCH_ON_VARIETY = "match_on_variety"
 MISMATCH = "mismatch"
 
 BASE_LADDER: tuple[Fraction, ...] = tuple(map(Fraction, ("-2", "-1", "-1/2", "1/2", "1", "2", "3")))
+_T = TypeVar("_T")
 
 
 def _ladder_extension() -> Iterator[Fraction]:
@@ -140,12 +141,13 @@ class _GridKernel:
     solved variable is the highest-ordered variable of the defining
     equation, so the equation's (constant, slope) pair is fixed by the
     variables before it: "one" gives x = -a/b, "any" the solved variable's
-    domain, "none" nothing.  Every candidate is tested with spec.is_admissible.
+    domain, "none" nothing.  Each candidate is evaluated once, by a compiled
+    block whose leading rows are the constraints (the spec's admission rows
+    unless ``points`` is given another), and admitted by ``spec.admits``.
     """
 
     def __init__(self, spec: LieAlgebraSpec):
-        self.variables = spec.variables()
-        self.admissible = spec.is_admissible
+        self.spec, self.variables = spec, spec.variables()
         # v != 0 excludes 0 from v's domain; v^2 = 1 makes it {-1, 1}
         self.no_zero = {
             con.poly.variables()[0]
@@ -176,11 +178,14 @@ class _GridKernel:
             for v in self.variables
         ]
 
-    def points(self, domains: Sequence[Sequence[Fraction]], solved_one: bool = True) -> Iterator[dict[str, Fraction]]:
-        """The admissible points over ``domains``, in sorted order; the
+    def points(
+        self, domains: Sequence[Sequence[Fraction]], evaluate: IntegerEvaluator | None = None, solved_one: bool = True
+    ) -> Iterator[tuple[dict[str, Fraction], list[int]]]:
+        """Each admissible point over ``domains``, in sorted order, with the
+        values of ``evaluate`` (the admission rows by default) there; the
         solved variable's list serves its "any" branch, and without
         ``solved_one`` its "one" branch gives nothing."""
-        s = self.solved
+        evaluate, admits, s = evaluate or self.spec._admission, self.spec.admits, self.solved
         for head in itertools.product(*domains[:s]):
             solutions: Sequence[tuple] = [()]
             if s < len(self.variables):
@@ -193,10 +198,11 @@ class _GridKernel:
             for x in solutions:
                 for tail in itertools.product(*domains[s + 1 :]):
                     sigma = dict(zip(self.keys, head + tail + x))
-                    if self.admissible(sigma):
-                        yield sigma
+                    values, _ = evaluate(sigma)
+                    if admits(values):
+                        yield sigma, values
 
-    def new_points(self, old: Sequence[Sequence[Fraction]], new: Sequence[Sequence[Fraction]], value: Fraction) -> Iterator[dict[str, Fraction]]:
+    def new_points(self, old: Sequence[Sequence[Fraction]], new: Sequence[Sequence[Fraction]], value: Fraction) -> Iterator[tuple]:
         """The points over ``new`` that are not over ``old``, where each list
         of ``new`` is its list of ``old`` plus ``value`` or unchanged.
 
@@ -207,6 +213,33 @@ class _GridKernel:
         for i, (before, after) in enumerate(zip(old, new)):
             if before != after:
                 yield from self.points([*old[:i], [value], *new[i + 1 :]], solved_one=i != self.solved)
+
+    def default(
+        self, build: Callable[[list[list[Fraction]]], _T], size: Callable[[_T], int], min_points: int, max_points: int
+    ) -> tuple[list[Fraction], _T]:
+        """(ladder, ``build(domains)``) of the default grid: the base ladder,
+        extended by ``_ladder_extension`` while the grid has fewer than
+        ``min_points`` points (``size`` of what ``build`` gave) and gains
+        points.  A value only adds points, so each step counts the new ones,
+        up to ``max_points`` in all, and an extended grid is built once, at the
+        end; a base grid of fewer candidates than ``min_points`` is counted
+        on the admission rows, not built."""
+        ladder, domains, extension = list(BASE_LADDER), self.domains(BASE_LADDER), _ladder_extension()
+        built = build(domains) if math.prod(map(len, domains)) >= min_points else None
+        total = sum(1 for _ in itertools.islice(self.points(domains), max_points)) if built is None else size(built)
+        while total < min_points:
+            value = next(extension)
+            extended = self.domains([*ladder, value])
+            gained = sum(1 for _ in itertools.islice(self.new_points(domains, extended, value), max_points - total))
+            if not gained:
+                break
+            ladder.append(value)
+            domains, total = extended, total + gained
+        return ladder, build(domains) if built is None or len(ladder) > len(BASE_LADDER) else built
+
+    def sigmas(self, domains: Sequence[Sequence[Fraction]], max_points: int) -> list[dict[str, Fraction]]:
+        """The first ``max_points`` admissible points over ``domains``."""
+        return [sigma for sigma, _ in itertools.islice(self.points(domains), max_points)]
 
 
 def generate_grid(spec: LieAlgebraSpec, grid: GridSpec) -> list[dict[str, Fraction]]:
@@ -221,7 +254,7 @@ def generate_grid(spec: LieAlgebraSpec, grid: GridSpec) -> list[dict[str, Fracti
     Every emitted point passes validate_assignment.
     """
     kernel = _GridKernel(spec)
-    return list(itertools.islice(kernel.points(kernel.domains(grid.ladder)), grid.max_points))
+    return kernel.sigmas(kernel.domains(grid.ladder), grid.max_points)
 
 
 def default_grid(entry: GroupEntry, min_points: int = 200, max_points: int = 5000) -> tuple[GridSpec, list[dict[str, Fraction]]]:
@@ -229,36 +262,11 @@ def default_grid(entry: GroupEntry, min_points: int = 200, max_points: int = 500
 
     Extension stops early when it stops gaining points (an algebra with few
     or no free parameters can exhaust its admissible set); the counts are
-    capped at ``max_points``.  An extension value only adds points, so each
-    step counts just the new ones and the grid is built once, at the end.
+    capped at ``max_points`` (see ``_GridKernel.default``).
     """
     kernel = _GridKernel(entry.spec)
-    ladder = list(BASE_LADDER)
-    domains = kernel.domains(ladder)
-    points = list(itertools.islice(kernel.points(domains), max_points))
-    total = len(points)
-    extension = _ladder_extension()
-    while total < min_points:
-        value = next(extension)
-        extended = kernel.domains([*ladder, value])
-        gained = sum(1 for _ in itertools.islice(kernel.new_points(domains, extended, value), max_points - total))
-        if not gained:
-            break
-        ladder.append(value)
-        domains, total = extended, total + gained
-    if len(ladder) > len(BASE_LADDER):
-        points = list(itertools.islice(kernel.points(domains), max_points))
+    ladder, points = kernel.default(lambda domains: kernel.sigmas(domains, max_points), len, min_points, max_points)
     return GridSpec(entry.id, tuple(ladder), max_points=max_points), points
-
-
-def grid_points(
-    entry: GroupEntry, ladder: Sequence[Fraction] | None = None, min_points: int = 200, max_points: int = 5000
-) -> list[dict[str, Fraction]]:
-    """The classification grid: ``ladder``'s when given (``min_points`` then
-    unused), else the default grid."""
-    if ladder is None:
-        return default_grid(entry, min_points=min_points, max_points=max_points)[1]
-    return generate_grid(entry.spec, GridSpec(entry.id, tuple(ladder), max_points=max_points))
 
 
 # -- classification -----------------------------------------------------------
@@ -373,41 +381,37 @@ def classify_group(
     points: Sequence[Mapping[str, Fraction]],
     claims: Mapping[SolitonKind, TheoremClaim],
 ) -> tuple[ClassificationReport, ...]:
-    """Decide every grid point for each kind and compare with its theorem
-    predicate, one report per kind in ``claims`` order: the group's decide
-    block once per point, its solution block only where some kind has a
-    matching case and a feasible system.  A kind that decides alike with an
-    earlier one takes its agreements; each record builds its verdicts when read."""
+    """Decide every point for each kind and compare with its theorem
+    predicate, one report per kind in ``claims`` order (see
+    ``_GroupKernel.reports``).  Each point is checked by ``spec.admitted``
+    on the group's decide block."""
     kernel = _GroupKernel(entry.spec, list(claims.values()))
-    sigmas: list[dict[str, Fraction]] = []
-    agreements: list[list[bool]] = [[] for _ in claims]
-    deciding = [(agreements[index], *kernel.claims[index]) for index, share in enumerate(kernel.shares) if share == index]
-    for sigma in points:
-        sigma = dict(sigma)
-        sigmas.append(sigma)
-        values, _ = entry.spec.admitted(kernel.decide, sigma)
-        slopes = values[kernel.slopes : kernel.slopes + 9]
-        solution = None
-        for agree, claim, constants, wan, conditions, solutions in deciding:
-            outcome, witness = solve_affine(zip(values[constants : constants + 9], slopes))
-            hit = claim.case_at(values, conditions)
-            if hit is None or outcome == "none" or hit[0].any_c != (outcome == "any") or hit[1] is None:
-                agree.append(hit is None and outcome == "none")
-                continue
-            solution = solution or kernel.solve(sigma)
-            pair = None if outcome == "any" else (values[constants + witness[0]], slopes[witness[0]])
-            agree.append(_GroupKernel.agrees(*solution, wan, solutions + hit[1], pair))
-    sources = [(entry.spec, claim) for claim in claims.values()]
-    return tuple(
-        ClassificationReport(entry.id, kind, tuple(PointRecord(sigma, None, None, agree, source) for sigma, agree in zip(sigmas, agreements[share])))
-        for kind, source, share in zip(claims, sources, kernel.shares)
-    )
+    admitted = ((sigma, entry.spec.admitted(kernel.decide, sigma)[0]) for sigma in map(dict, points))
+    return kernel.reports(entry, claims, admitted)
+
+
+def classify_ladder(
+    entry: GroupEntry, claims: Mapping[SolitonKind, TheoremClaim], ladder: Sequence[Fraction] | None = None,
+    min_points: int = 200, max_points: int = 5000, grid: _GridKernel | None = None,
+) -> tuple[ClassificationReport, ...]:
+    """``classify_group`` on ``generate_grid``'s grid of ``ladder``, else on
+    ``default_grid``'s, with the group's decide block admitting the grid's
+    candidates: each point is evaluated once, and decided from those values.
+    ``grid``: the spec's grid kernel, when the caller has built it."""
+    grid, kernel = grid or _GridKernel(entry.spec), _GroupKernel(entry.spec, list(claims.values()))
+
+    def classify(domains: list[list[Fraction]]) -> tuple[ClassificationReport, ...]:
+        return kernel.reports(entry, claims, itertools.islice(grid.points(domains, kernel.decide), max_points))
+
+    if ladder is not None:
+        return classify(grid.domains(ladder))
+    return grid.default(classify, lambda reports: reports[0].total, min_points, max_points)[1]
 
 
 class _GroupKernel:
     """The two ``IntegerEvaluator`` blocks that classify a group's points.
 
-    ``decide``: the constraints (read by ``spec.admitted``), the nine
+    ``decide``: the constraints (read by ``spec.admits``), the nine
     bracket components (every kind's slopes), each deciding claim's kind's
     ``residual_constants`` and each distinct claim's condition rows (by the
     identity of its cases).  ``solve``, compiled on first use: each deciding
@@ -443,6 +447,38 @@ class _GroupKernel:
     @functools.cached_property
     def solve(self) -> IntegerEvaluator:
         return IntegerEvaluator(self._solution)
+
+    def reports(
+        self, entry: GroupEntry, claims: Mapping[SolitonKind, TheoremClaim], admitted: Iterable[tuple[dict, list[int]]]
+    ) -> tuple[ClassificationReport, ...]:
+        """One report per kind of ``claims`` (the kernel's) from the (point,
+        decide block values) pairs of ``admitted``, with the solution block
+        only where some kind has a matching case and a feasible system.  A
+        kind that decides alike with an earlier one takes its agreements;
+        each record keeps sigma and agree, and builds its verdicts when read."""
+        sigmas: list[dict[str, Fraction]] = []
+        agreements: list[list[bool]] = [[] for _ in claims]
+        deciding = [(agreements[index], *self.claims[index]) for index, share in enumerate(self.shares) if share == index]
+        for sigma, values in admitted:
+            sigmas.append(sigma)
+            slopes = values[self.slopes : self.slopes + 9]
+            solution = None
+            for agree, claim, constants, wan, conditions, solutions in deciding:
+                outcome, witness = solve_affine(zip(values[constants : constants + 9], slopes))
+                hit = claim.case_at(values, conditions)
+                if hit is None or outcome == "none" or hit[0].any_c != (outcome == "any") or hit[1] is None:
+                    agree.append(hit is None and outcome == "none")
+                    continue
+                solution = solution or self.solve(sigma)
+                pair = None if outcome == "any" else (values[constants + witness[0]], slopes[witness[0]])
+                agree.append(self.agrees(*solution, wan, solutions + hit[1], pair))
+        sources = [(entry.spec, claim) for claim in claims.values()]  # one per kind, shared by its records
+        return tuple(
+            ClassificationReport(
+                entry.id, kind, tuple(PointRecord(sigma, None, None, agree, source) for sigma, agree in zip(sigmas, agreements[share]))
+            )
+            for kind, source, share in zip(claims, sources, self.shares)
+        )
 
     @staticmethod
     def agrees(values: Sequence[int], den: int, w: int, s: int, pair: tuple[int, int] | None) -> bool:
@@ -594,7 +630,7 @@ class PaperReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        return json_text(self.to_json_dict()) + "\n"
 
     def to_text(self) -> str:
         counts = self.summary_counts()
@@ -645,11 +681,11 @@ def verify_paper(
     for gid in group_ids:
         entry = catalog.get_group(gid)
         items.extend(reproduce_group(entry))
-        points = grid_points(entry, ladder, min_points, max_points)
+        grid = _GridKernel(entry.spec)  # a spec that no grid serves raises GridError before any theorem case runs
         claims = {kind: catalog.theorem_claim(gid, kind) for kind in (SolitonKind.FIRST, SolitonKind.SECOND)}
         for kind, claim in claims.items():
             items.extend(check_theorem_cases(entry, kind, claim))
-        classifications.extend(classify_group(entry, points, claims))
+        classifications.extend(classify_ladder(entry, claims, ladder, min_points, max_points, grid))
     return PaperReport(
         groups=group_ids,
         items=tuple(items),

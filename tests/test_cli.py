@@ -5,17 +5,19 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import random
 import shutil
 import sys
 from fractions import Fraction
 
 import pytest
 
+from wanas.algebra import json_text
 from wanas.cli import main
 from wanas.catalog import ALL_GROUPS, compute_checksum, default_catalog_path
 from wanas.poly import MAX_DEGREE, format_rational, parse_rational
 from wanas.soliton import SolitonKind, soliton_decide, wan_for_kind
-from wanas.verify import PaperReport, default_grid
+from wanas.verify import MISMATCH, PaperReport, default_grid, verify_paper
 
 
 def run(capsys, *argv):
@@ -659,23 +661,29 @@ def _check_runs(catalog, height_points):
 def test_golden_cli_outputs(capsys, monkeypatch, catalog, height_points):
     """Every `tensors` table (each group, tensor, connection kind and format,
     symbolic and at three points), every `classify` output and `check` at
-    seeded admissible points of every group, byte for byte."""
+    seeded admissible points of every group, byte for byte.  Each `--json`
+    payload is written by ``json_text`` as ``json.dumps(payload, indent=2,
+    sort_keys=True)`` writes it."""
+    written = []
+
+    def checked(payload):
+        written.append(json_text(payload))
+        assert written[-1] == json.dumps(payload, indent=2, sort_keys=True)
+        return written[-1]
+
     monkeypatch.setattr("wanas.cli.load_catalog", lambda: catalog)
-    digests = {gid: _digest(capsys, _tensor_runs(gid)) for gid in ALL_GROUPS}
-    digests["at"] = _digest(
-        capsys, [argv for gid, at in _AT_POINTS for argv in _tensor_runs(gid, ("--at", at))]
-    )
-    digests["classify"] = _digest(
-        capsys,
-        [
-            ("classify", "--group", gid, "--kind", kind, "--min-points", "40", *fmt)
-            for gid in ALL_GROUPS
-            for kind in ("first", "second")
-            for fmt in ((), ("--json",))
-        ],
-    )
-    digests["check"] = _digest(capsys, _check_runs(catalog, height_points))
-    assert digests == GOLDEN_CLI_SHA256
+    monkeypatch.setattr("wanas.cli.json_text", checked)
+    runs = {gid: _tensor_runs(gid) for gid in ALL_GROUPS}
+    runs["at"] = [argv for gid, at in _AT_POINTS for argv in _tensor_runs(gid, ("--at", at))]
+    runs["classify"] = [
+        ("classify", "--group", gid, "--kind", kind, "--min-points", "40", *fmt)
+        for gid in ALL_GROUPS
+        for kind in ("first", "second")
+        for fmt in ((), ("--json",))
+    ]
+    runs["check"] = _check_runs(catalog, height_points)
+    assert {key: _digest(capsys, argvs) for key, argvs in runs.items()} == GOLDEN_CLI_SHA256
+    assert len(written) == sum("--json" in argv for argvs in runs.values() for argv in argvs) > 500
 
 
 def _planted_catalog(catalog):
@@ -728,3 +736,66 @@ def test_golden_planted_disagreement_outputs(capsys, monkeypatch, catalog):
         h.update(f"{' '.join(argv)}\n{code}\n{out}\n".encode())
     assert codes == [1] * len(invocations)
     assert h.hexdigest() == GOLDEN_PLANTED_SHA256
+
+
+# -- the JSON writer -------------------------------------------------------------------
+
+
+def _dumps(value) -> str:
+    return json.dumps(value, indent=2, sort_keys=True)
+
+
+def test_json_text_equals_json_dumps_on_reports(catalog):
+    """The shipped report, and one with planted disagreements (every
+    verdict type) and planted table mismatches whose texts hold quotes,
+    backslashes, control characters and non-ASCII text."""
+    shipped = verify_paper(catalog).to_json_dict()
+    assert json_text(shipped) == _dumps(shipped)
+    planted = verify_paper(_planted_catalog(catalog), groups=("g1", "g2", "g3"))
+    assert planted.disagreement_count > 0
+    texts = ['say "hi"', "back\\slash", "tab\tnew\nline\x00\x1f", "é ∂ 😀", "\ud800"]
+    items = tuple(
+        dataclasses.replace(item, verdict=MISMATCH, claimed=texts[k % len(texts)], certificate=texts[(k + 1) % len(texts)])
+        if k % 50 == 0 else item
+        for k, item in enumerate(planted.items)
+    )
+    report = dataclasses.replace(planted, items=items).to_json_dict()
+    assert report["summary"]["mismatch"] > 0
+    assert json_text(report) == _dumps(report)
+    assert dataclasses.replace(planted, items=items).to_json() == _dumps(report) + "\n"
+
+
+def _document(rng, depth: int = 0):
+    """A seeded JSON document of the types ``json_text`` writes."""
+    strings = ["", "a", 'q"uote', "back\\slash", "\x00\x07\x1f\x7f", "line\nbreak\r\t", "é", "∂x", "😀", "\ud83d", "/", " "]
+    pick = rng.randrange(10 if depth < 4 else 6)
+    if pick == 0:
+        return "".join(rng.choice(strings) for _ in range(rng.randrange(4)))
+    if pick == 1:
+        return rng.choice([True, False, None])
+    if pick == 2:
+        return rng.choice([0, -1, 1, 2**64, -(10**30)])
+    if pick == 3:
+        return rng.choice([1, -1]) * int("7" * rng.choice([1, 100, 4000]))
+    if pick in (4, 5):
+        return rng.choice(strings)
+    children = [_document(rng, depth + 1) for _ in range(rng.choice([0, 1, 3]))]
+    if pick == 6:
+        return children
+    if pick == 7:
+        return tuple(children)
+    return {rng.choice(strings) + str(k): child for k, child in enumerate(children)}
+
+
+def test_json_text_equals_json_dumps_on_seeded_documents():
+    """600 seeded documents: nested and empty containers, tuples, strings
+    with quotes, backslashes, control and non-ASCII characters, booleans,
+    None and ints up to 4,000 digits; a float or a set is refused."""
+    rng = random.Random(31)
+    documents = [_document(rng) for _ in range(600)]
+    assert any(isinstance(d, dict) and d for d in documents) and any(d == [] or d == {} for d in documents)
+    for document in documents:
+        assert json_text(document) == _dumps(document)
+    for bad in (1.5, {"a": [2.0]}, {1, 2}, [frozenset()], {1: "a"}):
+        with pytest.raises(TypeError):
+            json_text(bad)

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from wanas import cli
+from wanas.algebra import LieAlgebraSpec
 from wanas.catalog import ALL_GROUPS, compute_checksum, default_catalog_path
 from wanas.poly import MAX_DEGREE
 
@@ -286,7 +287,9 @@ def test_catalog_mutants_honour_the_contract(tmp_path, monkeypatch, capsys):
 def test_spec_mutants_honour_the_contract(tmp_path, monkeypatch, capsys, catalog):
     """Every seeded mutant of g6's spec document, through ``jacobi``,
     ``tensors`` and ``check`` in turn, with WANAS_CATALOG naming a missing
-    file: a spec-file command reads no catalog."""
+    file: a spec-file command reads no catalog.  A mutant that exits 0 or 1
+    loads, and round-trips through ``to_json_dict`` to the same constants,
+    signature and constraints."""
     monkeypatch.setenv("WANAS_CATALOG", str(tmp_path / "missing.json"))
     path = str(tmp_path / "spec.json")
     commands = (
@@ -294,11 +297,16 @@ def test_spec_mutants_honour_the_contract(tmp_path, monkeypatch, capsys, catalog
         ["tensors", "--spec-file", path, "--tensor", "wan"],
         ["check", "--spec-file", path, "--kind", "first", "--at", "alpha=1,beta=1,gamma=1,delta=1"],
     )
-    codes = []
+    codes, loaded = [], 0
     for n, (kind, where, mutant) in enumerate(_mutants(catalog.get_group("g6").spec.to_json_dict(), seed=28)):
         Path(path).write_text(json.dumps(mutant), encoding="utf-8")
         codes.append(_run_mutant(capsys, commands[n % 3], kind, where)[0])
-    assert len(codes) > 30 and set(codes) == {0, 2}
+        if codes[-1] != 2:
+            spec = LieAlgebraSpec.from_json_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+            again = LieAlgebraSpec.from_json_dict(spec.to_json_dict())
+            assert (again.constants, again.signature, again.constraints) == (spec.constants, spec.signature, spec.constraints), where
+            loaded += 1
+    assert len(codes) > 30 and set(codes) == {0, 2} and loaded == codes.count(0)
 
 
 # -- seeded --at and argv mutants --------------------------------------------------------------

@@ -1107,14 +1107,15 @@ def _count_claim_kernel(monkeypatch, count):
 def _count_block_calls(monkeypatch):
     """Record every ``_GroupKernel`` built from now on, and, once a run is
     over, the calls of each one's decide and solution block in ``blocks``
-    (one (decide, solution) pair per kernel)."""
+    (one (decide, solution) pair per kernel).  Calls are counted per
+    evaluator object, so an evaluator freed early shares no count."""
     from wanas.poly import IntegerEvaluator
 
     kernels, calls, blocks = [], collections.Counter(), []
     original_call, original_init = IntegerEvaluator.__call__, verify_module._GroupKernel.__init__
 
     def call(self, assignment):
-        calls[id(self)] += 1
+        calls[self] += 1
         return original_call(self, assignment)
 
     def init(self, *args):
@@ -1122,33 +1123,36 @@ def _count_block_calls(monkeypatch):
         kernels.append(self)
 
     def counts():
-        blocks[:] = [(calls[id(k.decide)], calls[id(vars(k)["solve"])] if "solve" in vars(k) else 0) for k in kernels]
+        blocks[:] = [(calls[k.decide], calls[vars(k)["solve"]] if "solve" in vars(k) else 0) for k in kernels]
 
     monkeypatch.setattr(IntegerEvaluator, "__call__", call)
     monkeypatch.setattr(verify_module._GroupKernel, "__init__", init)
-    original_classify = verify_module.classify_group
+    for name in ("classify_group", "classify_ladder"):
 
-    def classify(*args):
-        try:
-            return original_classify(*args)
-        finally:
-            counts()
+        def classify(*args, original=getattr(verify_module, name)):
+            try:
+                return original(*args)
+            finally:
+                counts()
 
-    monkeypatch.setattr(verify_module, "classify_group", classify)
+        monkeypatch.setattr(verify_module, name, classify)
     return kernels, blocks
 
 
 def test_solution_block_is_evaluated_only_at_points_in_a_case(monkeypatch):
-    """One verify_paper run evaluates each group's decide block at every
-    grid point (3,123 in all) and its solution block only at the 660 points
-    where some kind has a matching case and a feasible system; g1, whose
-    claims have no case, compiles no solution block.  A fresh catalog, so
-    that each claim's layout is built in the run."""
+    """One verify_paper run evaluates each group's decide block once per
+    grid candidate, which it also admits: at every grid point (3,123 in
+    all) and at the 343 candidates of g5-g7 that alpha + delta != 0 rejects,
+    and nowhere else.  Its solution block only at the 660 points where some
+    kind has a matching case and a feasible system; g1, whose claims have
+    no case, compiles no solution block.  A fresh catalog, so that each
+    claim's layout is built in the run."""
     kernels, blocks = _count_block_calls(monkeypatch)
     report = verify_paper(load_catalog())
     assert report.ok
     totals = [c.total for c in report.classifications[::2]]
-    assert blocks == list(zip(totals, [0, 7, 85, 6, 449, 57, 56]))
+    assert totals == [210, 448, 512, 200, 449, 456, 848]
+    assert blocks == list(zip([210, 448, 512, 200, 449 + 119, 456 + 112, 848 + 112], [0, 7, 85, 6, 449, 57, 56]))
     assert sum(totals) == 3123 and sum(solved for _, solved in blocks) == 660
     assert "solve" not in vars(kernels[0]) and all("solve" in vars(k) for k in kernels[1:])
 
@@ -1177,11 +1181,11 @@ def test_a_wrong_diagonal_d_entry_disagrees_exactly_at_its_cases_points(catalog)
 
 
 def test_classification_evaluates_one_kernel_per_point(catalog, monkeypatch):
-    """verify_paper classifies both kinds of a grid point with one call of
-    the group's decide block, and of its solution block only at the 85 g3
-    points in a case; it calls no claim kernel and no predicate_eval and
-    validates no point on the way; default_grid's calls are the only other
-    kernel calls of the run."""
+    """verify_paper admits and classifies both kinds of a grid point with
+    one call of the group's decide block, and calls its solution block only
+    at the 85 g3 points in a case; it calls no claim kernel, no admission
+    block and no predicate_eval, and validates no point on the way: those
+    are the only kernel calls of the run."""
     from wanas.algebra import LieAlgebraSpec
     from wanas.poly import IntegerEvaluator
 
@@ -1212,15 +1216,13 @@ def test_classification_evaluates_one_kernel_per_point(catalog, monkeypatch):
     monkeypatch.setattr(
         LieAlgebraSpec, "validate_assignment", counted("validate", LieAlgebraSpec.validate_assignment)
     )
-    for name in ("default_grid", "classify_group"):
+    for name in ("default_grid", "classify_ladder"):
         monkeypatch.setattr(verify_module, name, staged(name, getattr(verify_module, name)))
     report = verify_paper(catalog, groups=("g3",))
     assert report.ok
     assert [c.total for c in report.classifications] == [512, 512]
     assert blocks == [(512, 85)] and len(kernels) == 1
-    assert calls["classify_group", "kernel"] == 512 + 85
-    assert calls["default_grid", "kernel"] > 0
-    assert {key for key in calls if key[0] != "default_grid"} == {("classify_group", "kernel")}
+    assert calls == {("classify_ladder", "kernel"): 512 + 85}
     assert "claim_kernel" not in {name for _, name in calls}
 
 
