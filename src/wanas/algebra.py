@@ -178,10 +178,6 @@ class LieAlgebraSpec:
             if eq == bool(value)
         ]
 
-    def is_admissible(self, sigma: Assignment) -> bool:
-        """validate_assignment(sigma) == [] for a sigma with every variable, without the messages."""
-        return "c" not in sigma and self.admits(self._admission(sigma)[0])
-
     def admits(self, values: Sequence[int]) -> bool:
         """Whether the constraint values that lead ``values``, in constraint
         order, satisfy them: each equation's vanishes, each NonVanishing's not."""

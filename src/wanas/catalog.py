@@ -32,7 +32,7 @@ from .algebra import (
     check_shape,
     vec_neg,
 )
-from .geometry import Conn, Mat3, Tor, Tri, tri_table
+from .geometry import Conn, Mat3, Tor, Tri, mat_substitute, tri_table
 from .poly import IntegerEvaluator, Poly, parse_poly
 from .soliton import SolitonKind, SolitonVerdict
 
@@ -365,12 +365,11 @@ def predicate_eval(claim: TheoremClaim, sigma: Assignment) -> SolitonVerdict:
         return SolitonVerdict("no_soliton")
     case, s = hit
     if case.any_c:
-        point = {v: Poly.const(x) for v, x in sigma.items()}
-        family = tuple(tuple(p.substitute(point) for p in row) for row in case.d)
-        return SolitonVerdict("any_c", d_family=family)
+        return SolitonVerdict("any_c", d=mat_substitute(case.d, {v: Poly.const(x) for v, x in sigma.items()}))
     s += len(claim.layout[0])
     c_val, *d_vals = (Fraction(x, den) for x in values[s : s + 10])
-    return SolitonVerdict("soliton", c=c_val, d=tuple(tuple(d_vals[3 * i : 3 * i + 3]) for i in range(3)))
+    d = tuple(tuple(map(Poly.const, d_vals[3 * i : 3 * i + 3])) for i in range(3))
+    return SolitonVerdict("soliton", c=c_val, d=d)
 
 
 def _main(argv: Sequence[str]) -> int:

@@ -229,9 +229,12 @@ def _cmd_verify_paper(args) -> int:
         max_points=args.max_points,
     )
     text = report.to_json() if args.out or args.json else None
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    if args.out:  # written after the run, so a failed run truncates nothing
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            _fail(f"could not write report {args.out}: {exc}")
     if args.json:
         print(text, end="")
     else:

@@ -115,40 +115,31 @@ class SolitonVerdict:
     outcome is one of:
       "soliton"     unique admissible c; d holds the derivation Wan - c*Id
       "any_c"       the residual system vanishes identically in c (abelian
-                    algebra); d_family holds the affine family Wan - c*Id
+                    algebra); d holds the family Wan - c*Id, affine in c
       "no_soliton"  the affine system is infeasible; witness holds the
                     contradictory equations
     """
 
     outcome: str
     c: Fraction | None = None
-    d: tuple[tuple[Fraction, ...], ...] | None = None
-    d_family: Mat3 | None = None
+    d: Mat3 | None = None
     witness: tuple[AffineEquation, ...] = ()
 
     def to_json_dict(self) -> dict:
-        data: dict = {"outcome": self.outcome}
-        data["c"] = format_rational(self.c) if self.c is not None else None
-        if self.d is not None:
-            data["D"] = [[format_rational(x) for x in row] for row in self.d]
-        elif self.d_family is not None:
-            data["D"] = matrix_json(self.d_family)
-        else:
-            data["D"] = None
-        data["witness"] = [eq.to_json_dict() for eq in self.witness] or None
-        return data
+        return {
+            "outcome": self.outcome,
+            "c": format_rational(self.c) if self.c is not None else None,
+            "D": matrix_json(self.d) if self.d is not None else None,
+            "witness": [eq.to_json_dict() for eq in self.witness] or None,
+        }
 
     def describe(self) -> str:
-        if self.outcome == "soliton":
-            rows = "; ".join(
-                "(" + ", ".join(format_rational(x) for x in row) + ")" for row in self.d
-            )
-            return f"soliton with c = {format_rational(self.c)}, D rows {rows}"
+        if self.outcome == "no_soliton":
+            return f"no soliton ({', '.join(eq.describe() for eq in self.witness)})"
+        rows = "; ".join("(" + ", ".join(map(str, row)) + ")" for row in self.d)
         if self.outcome == "any_c":
-            rows = "; ".join("(" + ", ".join(str(p) for p in row) + ")" for row in self.d_family)
             return f"soliton for every c, D(c) rows {rows}"
-        lines = ", ".join(eq.describe() for eq in self.witness)
-        return f"no soliton ({lines})"
+        return f"soliton with c = {format_rational(self.c)}, D rows {rows}"
 
 
 def solve_affine(pairs: Iterable[tuple[Scalar, Scalar]]):
@@ -183,22 +174,17 @@ def soliton_decide(spec: LieAlgebraSpec, kind: SolitonKind, wan: Mat3) -> Solito
     """Decide solitonhood at a numeric point, exactly.
 
     ``spec`` must be a numeric algebra (constant structure polynomials) and
-    ``wan`` the matching numeric decision operator for ``kind``.  The Wan
-    entries become Fractions only for a soliton's D.
+    ``wan`` the matching numeric decision operator for ``kind``.  A feasible
+    system's D is Wan - c*Id, with c the root or, for "any_c", the variable c.
     """
     pairs = [(a.constant_value(), b.constant_value()) for a, b in zip(residual_constants(spec, wan), spec.components)]
     outcome, witness = solve_affine(pairs)
     if outcome == "none":
         witness = tuple(AffineEquation(PAIRS[k // 3], k % 3, *pairs[k]) for k in witness)
         return SolitonVerdict("no_soliton", witness=witness)
-    if outcome == "any":
-        return SolitonVerdict("any_c", d_family=mat_sub(wan, scalar_matrix(Poly.var("c"))))
-    c_value = Fraction(-pairs[witness[0]][0], pairs[witness[0]][1])
-    d = tuple(
-        tuple(wan[i][j].constant_value() - (c_value if i == j else 0) for j in range(3))
-        for i in range(3)
-    )
-    return SolitonVerdict("soliton", c=c_value, d=d)
+    c_value = None if outcome == "any" else Fraction(-pairs[witness[0]][0], pairs[witness[0]][1])
+    d = mat_sub(wan, scalar_matrix(Poly.var("c") if c_value is None else Poly.const(c_value)))
+    return SolitonVerdict("any_c" if c_value is None else "soliton", c=c_value, d=d)
 
 
 def residual_system(spec: LieAlgebraSpec, kind: SolitonKind) -> tuple[Poly, ...]:

@@ -356,14 +356,8 @@ class ClassificationReport:
 
 
 def verdicts_equal(a: SolitonVerdict, b: SolitonVerdict) -> bool:
-    """Exact agreement: outcome, and c plus D where applicable."""
-    if a.outcome != b.outcome:
-        return False
-    if a.outcome == "soliton":
-        return a.c == b.c and a.d == b.d
-    if a.outcome == "any_c":
-        return a.d_family == b.d_family
-    return True
+    """Exact agreement of outcome, c and D; the witness is not compared."""
+    return (a.outcome, a.c, a.d) == (b.outcome, b.c, b.d)
 
 
 def classify_grid(
@@ -392,13 +386,12 @@ def classify_group(
 
 def classify_ladder(
     entry: GroupEntry, claims: Mapping[SolitonKind, TheoremClaim], ladder: Sequence[Fraction] | None = None,
-    min_points: int = 200, max_points: int = 5000, grid: _GridKernel | None = None,
+    min_points: int = 200, max_points: int = 5000,
 ) -> tuple[ClassificationReport, ...]:
     """``classify_group`` on ``generate_grid``'s grid of ``ladder``, else on
     ``default_grid``'s, with the group's decide block admitting the grid's
-    candidates: each point is evaluated once, and decided from those values.
-    ``grid``: the spec's grid kernel, when the caller has built it."""
-    grid, kernel = grid or _GridKernel(entry.spec), _GroupKernel(entry.spec, list(claims.values()))
+    candidates: each point is evaluated once, and decided from those values."""
+    grid, kernel = _GridKernel(entry.spec), _GroupKernel(entry.spec, list(claims.values()))
 
     def classify(domains: list[list[Fraction]]) -> tuple[ClassificationReport, ...]:
         return kernel.reports(entry, claims, itertools.islice(grid.points(domains, kernel.decide), max_points))
@@ -681,11 +674,11 @@ def verify_paper(
     for gid in group_ids:
         entry = catalog.get_group(gid)
         items.extend(reproduce_group(entry))
-        grid = _GridKernel(entry.spec)  # a spec that no grid serves raises GridError before any theorem case runs
         claims = {kind: catalog.theorem_claim(gid, kind) for kind in (SolitonKind.FIRST, SolitonKind.SECOND)}
+        # classified first, so a spec that no grid serves raises GridError before any theorem case runs
+        classifications.extend(classify_ladder(entry, claims, ladder, min_points, max_points))
         for kind, claim in claims.items():
             items.extend(check_theorem_cases(entry, kind, claim))
-        classifications.extend(classify_ladder(entry, claims, ladder, min_points, max_points, grid))
     return PaperReport(
         groups=group_ids,
         items=tuple(items),

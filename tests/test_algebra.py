@@ -210,26 +210,28 @@ def test_validate_equals_reference_at_height_points(groups, height_points):
 
 
 def test_is_admissible_equals_reference(groups, height_points):
-    """is_admissible(sigma) is whether the Poly.evaluate reference finds no
-    violation: at admissible points, with one coordinate moved off them or
-    to 0, and with the soliton scalar c added."""
+    """sigma is admissible (validate_assignment(sigma) == []) exactly when
+    the Poly.evaluate reference finds no violation: at admissible points,
+    with one coordinate moved off them or to 0, and with the soliton scalar
+    c added."""
     for gid, points in height_points.items():
         spec = groups[gid].spec
         for sigma in points:
-            assert spec.is_admissible(sigma)
-            assert not spec.is_admissible({**sigma, "c": Fraction(1)})
+            assert spec.validate_assignment(sigma) == []
+            assert spec.validate_assignment({**sigma, "c": Fraction(1)}) != []
             for v in spec.variables():
                 for moved in ({**sigma, v: sigma[v] + Fraction(1, 3)}, {**sigma, v: Fraction(0)}):
-                    assert spec.is_admissible(moved) == (_reference_violations(spec, moved) == []), (gid, moved)
+                    admissible = spec.validate_assignment(moved) == []
+                    assert admissible == (_reference_violations(spec, moved) == []), (gid, moved)
 
 
 def test_admissibility_reads_only_the_constraints(groups, height_points):
-    """validate_assignment and is_admissible evaluate the constraints, and
-    each variable no constraint reads as a bare row, never the bracket rows
-    that spec.evaluate reads: their evaluator is compiled on its own."""
+    """validate_assignment evaluates the constraints, and each variable no
+    constraint reads as a bare row, never the bracket rows that
+    spec.evaluate reads: its evaluator is compiled on its own."""
     for gid, points in height_points.items():
         spec = groups[gid].spec.substitute({})  # a fresh object: nothing compiled yet
-        assert spec.validate_assignment(points[0]) == [] and spec.is_admissible(points[0])
+        assert spec.validate_assignment(points[0]) == []
         assert "_point_values" not in vars(spec), gid
         n = len(spec.constraints)
         values, den = spec._admission(points[0])

@@ -382,7 +382,7 @@ def test_predicate_g3_abelian_any_c(catalog):
     claim = catalog.theorem_claim("g3", SolitonKind.FIRST)
     verdict = predicate_eval(claim, {"alpha": F(0), "beta": F(0), "gamma": F(0)})
     assert verdict.outcome == "any_c"
-    assert verdict.d_family[0][0] == P("-c")
+    assert verdict.d[0][0] == P("-c")
 
 
 def test_predicate_unmatched_point_is_no_soliton(catalog):
@@ -456,9 +456,9 @@ def _reference_predicate(claim, sigma):
     if case.any_c:
         images = {v: Poly.const(x) for v, x in numeric.items()}
         family = tuple(tuple(p.substitute(images) for p in row) for row in case.d)
-        return SolitonVerdict("any_c", d_family=family)
+        return SolitonVerdict("any_c", d=family)
     c_val = case.c.evaluate(numeric)
-    d_val = tuple(tuple(p.evaluate(numeric) for p in row) for row in case.d)
+    d_val = tuple(tuple(Poly.const(p.evaluate(numeric)) for p in row) for row in case.d)
     return SolitonVerdict("soliton", c=c_val, d=d_val)
 
 

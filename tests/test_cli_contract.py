@@ -90,6 +90,7 @@ PLANTED = [
     ("two_defining_equations", _plant("constraints", "eq", value=["eta^2-1", "alpha", "alpha"]), "grids support at most one defining equation, not 2: alpha, alpha"),
 ]
 NAMED = {f"catalog_{name}": named for name, _, named in PLANTED}
+NAMED.update(dict.fromkeys(("out_in_a_missing_directory", "out_a_directory"), "error: could not write report"))
 
 # a groups value that names every group but is a list, under its own checksum
 _GROUPS_LIST = json.dumps({"checksum": compute_checksum(list(ALL_GROUPS)), "groups": list(ALL_GROUPS)})
@@ -126,6 +127,8 @@ CASES = [
     ("catalog_misspelt_case_key", ["verify-paper", "--group", "g4"], None, _catalog(_misspelt_case_key), 2),
     ("catalog_list", ["verify-paper", "--group", "g4"], None, "[]", 2),
     ("catalog_groups_list", ["verify-paper", "--group", "g4"], None, _GROUPS_LIST, 2),
+    ("out_in_a_missing_directory", ["verify-paper", "--group", "g3", "--out", "{tmp}/missing/r.json"], None, None, 2),
+    ("out_a_directory", ["verify-paper", "--group", "g3", "--out", "{tmp}"], None, None, 2),
 ] + [(f"catalog_{name}", ["verify-paper", "--group", "g4"], None, _catalog(edit), 2) for name, edit, _ in PLANTED]
 
 
@@ -140,7 +143,7 @@ def test_exit_code_contract(tmp_path, monkeypatch, capsys, argv, spec, catalog_t
     if catalog_text is not None:
         (tmp_path / "catalog.json").write_text(catalog_text, encoding="utf-8")
         monkeypatch.setenv("WANAS_CATALOG", str(tmp_path / "catalog.json"))
-    argv = [arg.replace("{spec}", str(tmp_path / "spec.json")) for arg in argv]
+    argv = [arg.replace("{spec}", str(tmp_path / "spec.json")).replace("{tmp}", str(tmp_path)) for arg in argv]
     refused = False
     try:
         code = cli.main(argv)

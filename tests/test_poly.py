@@ -701,23 +701,21 @@ def test_equality_across_construction_paths():
         lambda: IntegerEvaluator([ALPHA])({"alpha": "1/3"}),
         lambda: load_catalog().groups["g1"].spec.evaluate({"alpha": 0.5, "beta": 1}),
         lambda: load_catalog().groups["g1"].spec.validate_assignment({"alpha": 0.5, "beta": 1}),
-        lambda: load_catalog().groups["g7"].spec.is_admissible(
+        lambda: load_catalog().groups["g7"].spec.validate_assignment(
             {"alpha": 1, "beta": 1, "gamma": 0.0, "delta": 1}
         ),
         lambda: load_catalog().groups["g3"].spec.evaluate({"alpha": 1, "beta": 0.5, "gamma": 1}),
         # variables that no constraint reads: every g3 variable, and g1's beta
         lambda: load_catalog().groups["g3"].spec.validate_assignment({"alpha": 1, "beta": 0.5, "gamma": 1}),
-        lambda: load_catalog().groups["g3"].spec.is_admissible({"alpha": 0.5, "beta": 1, "gamma": 1}),
+        lambda: load_catalog().groups["g3"].spec.validate_assignment({"alpha": 0.5, "beta": 1, "gamma": 1}),
         lambda: load_catalog().groups["g1"].spec.validate_assignment({"alpha": 1, "beta": 0.5}),
-        lambda: load_catalog().groups["g1"].spec.is_admissible({"alpha": 1, "beta": 0.5}),
     ],
     ids=[
         "const", "init", "truediv", "const-str", "evaluate", "mul", "add",
         "format-rational", "format-rational-str", "integer-evaluator",
         "integer-evaluator-str", "spec-evaluate", "validate-assignment",
-        "is-admissible", "spec-evaluate-no-constraints", "validate-assignment-no-constraints",
-        "is-admissible-no-constraints", "validate-assignment-unconstrained-beta",
-        "is-admissible-unconstrained-beta",
+        "validate-assignment-float-zero", "spec-evaluate-no-constraints", "validate-assignment-no-constraints",
+        "validate-assignment-no-constraints-alpha", "validate-assignment-unconstrained-beta",
     ],
 )
 def test_non_exact_scalars_are_rejected(make):
@@ -1079,7 +1077,7 @@ def test_polynomials_of_any_size_parse_render_and_evaluate():
     # the compiled kernel holds the coefficient _BIG^2 as an integer literal
     numerators, den = IntegerEvaluator([p, P("alpha")])({"alpha": Fraction(2, 3)})
     assert [Fraction(n, den) for n in numerators] == [p.evaluate({"alpha": Fraction(2, 3)}), Fraction(2, 3)]
-    verdict = SolitonVerdict("soliton", c=Fraction(_BIG), d=((Fraction(1, _BIG),) * 3,) * 3)
+    verdict = SolitonVerdict("soliton", c=Fraction(_BIG), d=((Poly.const(Fraction(1, _BIG)),) * 3,) * 3)
     data = verdict.to_json_dict()
     assert data["c"] == _SEVENS and data["D"][2][2] == f"1/{_SEVENS}"
 

@@ -17,7 +17,7 @@ from wanas.algebra import Constraint, LORENTZ, LieAlgebraSpec, vec3
 from wanas.catalog import ALL_GROUPS, CatalogError, ClaimedTensors, GroupEntry, load_catalog
 from wanas.geometry import compute_tensors
 from wanas.poly import Poly, parse_poly
-from wanas.soliton import SolitonKind, SolitonVerdict
+from wanas.soliton import AffineEquation, SolitonKind, SolitonVerdict
 from wanas.verify import (
     BASE_LADDER,
     GridSpec,
@@ -930,13 +930,40 @@ def test_a_case_of_the_other_outcome_disagrees(catalog):
     )
 
 
+def _with_entry(d, i, j, p):
+    """D with its (i, j) entry replaced by p."""
+    return tuple(tuple(p if (r, k) == (i, j) else x for k, x in enumerate(row)) for r, row in enumerate(d))
+
+
 def test_verdicts_equal_semantics():
-    a = SolitonVerdict("soliton", c=F(1), d=((F(0),) * 3,) * 3)
-    b = SolitonVerdict("soliton", c=F(1), d=((F(0),) * 3,) * 3)
-    c = SolitonVerdict("soliton", c=F(2), d=((F(0),) * 3,) * 3)
-    assert verdicts_equal(a, b)
-    assert not verdicts_equal(a, c)
-    assert not verdicts_equal(a, SolitonVerdict("no_soliton"))
+    """verdicts_equal compares outcome, c and every D entry, and never the witness."""
+    c = Poly.var("c")
+    d = tuple(tuple(Poly.const(F(i + 1, 2)) if i == j else Poly.zero() for j in range(3)) for i in range(3))
+    soliton = SolitonVerdict("soliton", c=F(1), d=d)
+    any_c = SolitonVerdict("any_c", d=tuple(tuple(-c if i == j else Poly.zero() for j in range(3)) for i in range(3)))
+    none = SolitonVerdict("no_soliton")
+    flat, sloped = AffineEquation((0, 1), 0, F(1), F(0)), AffineEquation((0, 2), 1, F(2), F(-1))
+    equal = [
+        (soliton, SolitonVerdict("soliton", c=F(1), d=tuple(map(tuple, d)))),
+        (soliton, dataclasses.replace(soliton, witness=(sloped,))),
+        (any_c, dataclasses.replace(any_c, witness=(flat,))),
+        (none, SolitonVerdict("no_soliton", witness=(flat, sloped))),
+        (SolitonVerdict("no_soliton", witness=(flat,)), SolitonVerdict("no_soliton", witness=(sloped,))),
+    ]
+    unequal = [
+        (soliton, none),
+        (any_c, none),
+        (any_c, dataclasses.replace(any_c, outcome="soliton")),
+        (soliton, dataclasses.replace(soliton, c=F(2))),
+        (soliton, dataclasses.replace(soliton, d=_with_entry(d, 2, 2, Poly.const(F(3, 2)) + 1))),
+        (soliton, dataclasses.replace(soliton, d=_with_entry(d, 0, 1, Poly.const(F(1, 7))))),
+        (any_c, dataclasses.replace(any_c, d=_with_entry(any_c.d, 1, 1, 1 - c))),
+        (any_c, dataclasses.replace(any_c, d=_with_entry(any_c.d, 2, 0, c))),
+    ]
+    for a, b in equal:
+        assert verdicts_equal(a, b) and verdicts_equal(b, a), (a, b)
+    for a, b in unequal:
+        assert not verdicts_equal(a, b) and not verdicts_equal(b, a), (a, b)
 
 
 # -- theorem case checks ---------------------------------------------------------------------
