@@ -491,12 +491,7 @@ class IntegerEvaluator:
     def __init__(self, polys: Sequence[Poly]):
         names = {v for p in polys for v in p.variables()}
         self.variables = tuple(v for v in VARIABLES if v in names)
-        shifts = [_SHIFTS[_VAR_INDEX[v]] for v in self.variables]
-        self.scale = math.lcm(*(p._den for p in polys))
-        rows = [
-            [(tuple(mono >> s & MAX_DEGREE for s in shifts), k * (self.scale // p._den)) for mono, k in p._terms.items()]
-            for p in polys
-        ]
+        self.scale, rows = _integer_rows(polys, self.variables)
         self.degrees = tuple(map(max, zip(*(mono for row in rows for mono, _ in row))))
         namespace: dict = {}
         exec(compile(_kernel_source(self.degrees, self.scale, rows), "<kernel>", "exec"), namespace)
@@ -540,21 +535,9 @@ def _kernel_source(
     more than ``_CHAIN`` terms is a ``sum`` over a flat tuple of chains.
     """
     n = len(degrees)
-
-    def literal(k: int) -> str:  # compile() keeps the int/str digit limit; hexadecimal has none
-        try:
-            return str(k)
-        except ValueError:
-            return hex(k)
     lines = [f"def kernel({', '.join(f'x{i}' for i in range(n))}):"]
     for i in range(n):
         lines.append(f"    p{i} = x{i}.numerator; q{i} = x{i}.denominator")
-
-    def power(i: int, e: int) -> str:
-        d = degrees[i]
-        p = f"p{i}" if e == 1 else f"p{i}**{e}"
-        q = f"q{i}" if d - e == 1 else f"q{i}**{d - e}"
-        return p if e == d else q if e == 0 else f"{p} * {q}"
 
     powers: dict[tuple[int, int], str] = {}
     monos: dict[tuple[int, ...], str] = {}
@@ -565,7 +548,7 @@ def _kernel_source(
             factors = []
             for i, e in enumerate(mono):
                 if (i, e) not in powers:
-                    expr = power(i, e)
+                    expr = _power(i, e, degrees[i])
                     if "*" in expr:
                         lines.append(f"    w{i}_{e} = {expr}")
                         expr = f"w{i}_{e}"
@@ -576,12 +559,12 @@ def _kernel_source(
             else:
                 name = monos[mono] = f"m{len(monos)}"
                 lines.append(f"    {name} = {' * '.join(factors) or '1'}")
-    den = [literal(scale)] if scale != 1 or not n else []
-    den += [powers.get((i, 0)) or power(i, 0) for i in range(n)]
+    den = [_literal(scale)] if scale != 1 or not n else []
+    den += [powers.get((i, 0)) or _power(i, 0, degrees[i]) for i in range(n)]
 
     def term(mono: tuple[int, ...], k: int, first: bool) -> str:
         sign = "-" if k < 0 else "" if first else "+"
-        body = monos[mono] if abs(k) == 1 else f"{literal(abs(k))}*{monos[mono]}"
+        body = monos[mono] if abs(k) == 1 else f"{_literal(abs(k))}*{monos[mono]}"
         return f"{sign}{body}" if first else f" {sign} {body}"
 
     # each row of several terms by its term set: equal polynomials have equal sets
@@ -605,6 +588,30 @@ def _kernel_source(
         values.append(value)
     lines.append(f"    return [{', '.join(values)}], {' * '.join(den)}")
     return "\n".join(lines) + "\n"
+
+
+def _integer_rows(polys: Sequence[Poly], variables: Sequence[str]) -> tuple[int, list[list[tuple[tuple[int, ...], int]]]]:
+    """(scale, rows): the lcm of the denominators, each polynomial as (exponents over ``variables``, k * scale) terms."""
+    shifts = [_SHIFTS[_VAR_INDEX[v]] for v in variables]
+    scale = math.lcm(*(p._den for p in polys))
+    return scale, [
+        [(tuple(mono >> s & MAX_DEGREE for s in shifts), k * (scale // p._den)) for mono, k in p._terms.items()]
+        for p in polys
+    ]
+
+
+def _literal(k: int) -> str:  # compile() keeps the int/str digit limit; hexadecimal has none
+    try:
+        return str(k)
+    except ValueError:
+        return hex(k)
+
+
+def _power(i: int, e: int, d: int) -> str:
+    """The source of p_i^e * q_i^(d - e), d the largest degree of variable i."""
+    p = f"p{i}" if e == 1 else f"p{i}**{e}"
+    q = f"q{i}" if d - e == 1 else f"q{i}**{d - e}"
+    return p if e == d else q if e == 0 else f"{p} * {q}"
 
 
 def _int_str(n: int) -> str:

@@ -134,8 +134,8 @@ class SolitonVerdict:
         }
 
     def describe(self) -> str:
-        if self.outcome == "no_soliton":
-            return f"no soliton ({', '.join(eq.describe() for eq in self.witness)})"
+        if self.outcome == "no_soliton":  # an expected verdict has no witness
+            return f"no soliton ({', '.join(eq.describe() for eq in self.witness)})" if self.witness else "no soliton"
         rows = "; ".join("(" + ", ".join(map(str, row)) + ")" for row in self.d)
         if self.outcome == "any_c":
             return f"soliton for every c, D(c) rows {rows}"

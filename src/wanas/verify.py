@@ -29,6 +29,7 @@ from .catalog import (
     predicate_eval,
 )
 from .geometry import compute_tensors, mat_substitute
+from .nest import grid_nest
 from .poly import IntegerEvaluator, Poly, UnsupportedRelationError, format_rational
 from .soliton import (
     SolitonKind,
@@ -135,19 +136,20 @@ class GridError(ValueError):
 
 
 class _GridKernel:
-    """The admissible points of one algebra's grids, in sorted order.
+    """The admissible points of one algebra's grids, in sorted order, with
+    the values of rows led by the constraints (by default, only those).
 
     Variables run in canonical order, each over its sorted domain.  The
     solved variable is the highest-ordered variable of the defining
     equation, so the equation's (constant, slope) pair is fixed by the
     variables before it: "one" gives x = -a/b, "any" the solved variable's
-    domain, "none" nothing.  Each candidate is evaluated once, by a compiled
-    block whose leading rows are the constraints (the spec's admission rows
-    unless ``points`` is given another), and admitted by ``spec.admits``.
+    domain, "none" nothing.  ``nest`` is the one generator (``grid_nest``)
+    of loops, pair and rows: each quantity is formed in the outermost loop
+    that binds its variables, and a candidate is yielded if admitted.
     """
 
-    def __init__(self, spec: LieAlgebraSpec):
-        self.spec, self.variables = spec, spec.variables()
+    def __init__(self, spec: LieAlgebraSpec, rows: Sequence[Poly] | None = None):
+        self.variables = spec.variables()
         # v != 0 excludes 0 from v's domain; v^2 = 1 makes it {-1, 1}
         self.no_zero = {
             con.poly.variables()[0]
@@ -158,18 +160,19 @@ class _GridKernel:
         eqs = [con.poly for con in spec.constraints if con.kind == "eq" and not _is_sign_constraint(con)]
         if len(eqs) > 1:
             raise GridError(f"grids support at most one defining equation, not {len(eqs)}: {', '.join(map(str, eqs))}")
-        # the solved variable's index, past the end when none is; points keep it last among their keys
-        self.solved, self.keys = len(self.variables), self.variables
+        # the solved variable's index, past the end when none is
+        self.solved, solved = len(self.variables), None
         if eqs:
             (solve_eq,) = eqs
             solved_var = solve_eq.variables()[-1]
             if solve_eq.degree_in(solved_var) != 1:
                 raise GridError(f"grids cannot solve {solve_eq} = 0 for {solved_var}")
             self.solved = self.variables.index(solved_var)
-            self.keys = tuple(v for v in self.variables if v != solved_var) + (solved_var,)
             # the equation as constant + slope*solved_var, both free of solved_var
             constant = solve_eq.substitute({solved_var: 0})
-            self.solve_pair = IntegerEvaluator([constant, solve_eq.substitute({solved_var: 1}) - constant])
+            solved = (self.solved, constant, solve_eq.substitute({solved_var: 1}) - constant)
+        rows = [con.poly for con in spec.constraints] if rows is None else rows
+        self.nest = grid_nest(rows, self.variables, spec._vanishing_rows, solved)
 
     def domains(self, ladder: Iterable[Fraction]) -> list[list[Fraction]]:
         return [
@@ -178,42 +181,6 @@ class _GridKernel:
             for v in self.variables
         ]
 
-    def points(
-        self, domains: Sequence[Sequence[Fraction]], evaluate: IntegerEvaluator | None = None, solved_one: bool = True
-    ) -> Iterator[tuple[dict[str, Fraction], list[int]]]:
-        """Each admissible point over ``domains``, in sorted order, with the
-        values of ``evaluate`` (the admission rows by default) there; the
-        solved variable's list serves its "any" branch, and without
-        ``solved_one`` its "one" branch gives nothing."""
-        evaluate, admits, s = evaluate or self.spec._admission, self.spec.admits, self.solved
-        for head in itertools.product(*domains[:s]):
-            solutions: Sequence[tuple] = [()]
-            if s < len(self.variables):
-                pair, _ = self.solve_pair(dict(zip(self.variables, head)))
-                outcome, _ = solve_affine([pair])
-                if outcome == "one":
-                    solutions = [(Fraction(-pair[0], pair[1]),)] if solved_one else []
-                else:
-                    solutions = [(x,) for x in domains[s]] if outcome == "any" else []
-            for x in solutions:
-                for tail in itertools.product(*domains[s + 1 :]):
-                    sigma = dict(zip(self.keys, head + tail + x))
-                    values, _ = evaluate(sigma)
-                    if admits(values):
-                        yield sigma, values
-
-    def new_points(self, old: Sequence[Sequence[Fraction]], new: Sequence[Sequence[Fraction]], value: Fraction) -> Iterator[tuple]:
-        """The points over ``new`` that are not over ``old``, where each list
-        of ``new`` is its list of ``old`` plus ``value`` or unchanged.
-
-        Such a point has a free coordinate equal to ``value``, or the solved
-        one on an "any" branch; split by the first such coordinate i, the
-        coordinates before i range over ``old`` and those after over ``new``.
-        """
-        for i, (before, after) in enumerate(zip(old, new)):
-            if before != after:
-                yield from self.points([*old[:i], [value], *new[i + 1 :]], solved_one=i != self.solved)
-
     def default(
         self, build: Callable[[list[list[Fraction]]], _T], size: Callable[[_T], int], min_points: int, max_points: int
     ) -> tuple[list[Fraction], _T]:
@@ -221,25 +188,26 @@ class _GridKernel:
         extended by ``_ladder_extension`` while the grid has fewer than
         ``min_points`` points (``size`` of what ``build`` gave) and gains
         points.  A value only adds points, so each step counts the new ones,
-        up to ``max_points`` in all, and an extended grid is built once, at the
-        end; a base grid of fewer candidates than ``min_points`` is counted
-        on the admission rows, not built."""
+        up to ``max_points`` in all: a new point has a free coordinate equal to
+        the value, or the solved one on an "any" branch (where its root is not
+        new), and split by the first such coordinate i, those before i range
+        over the old lists and those after over the new.  An extended grid is
+        built once, at the end; a base grid of fewer candidates than
+        ``min_points`` is counted, not built."""
         ladder, domains, extension = list(BASE_LADDER), self.domains(BASE_LADDER), _ladder_extension()
         built = build(domains) if math.prod(map(len, domains)) >= min_points else None
-        total = sum(1 for _ in itertools.islice(self.points(domains), max_points)) if built is None else size(built)
+        total = sum(1 for _ in itertools.islice(self.nest(*domains, True), max_points)) if built is None else size(built)
         while total < min_points:
             value = next(extension)
-            extended = self.domains([*ladder, value])
-            gained = sum(1 for _ in itertools.islice(self.new_points(domains, extended, value), max_points - total))
+            new = self.domains([*ladder, value])
+            splits = [i for i, (before, after) in enumerate(zip(domains, new)) if before != after]
+            found = (self.nest(*domains[:i], [value], *new[i + 1 :], i != self.solved) for i in splits)
+            gained = sum(1 for _ in itertools.islice(itertools.chain.from_iterable(found), max_points - total))
             if not gained:
                 break
             ladder.append(value)
-            domains, total = extended, total + gained
+            domains, total = new, total + gained
         return ladder, build(domains) if built is None or len(ladder) > len(BASE_LADDER) else built
-
-    def sigmas(self, domains: Sequence[Sequence[Fraction]], max_points: int) -> list[dict[str, Fraction]]:
-        """The first ``max_points`` admissible points over ``domains``."""
-        return [sigma for sigma, _ in itertools.islice(self.points(domains), max_points)]
 
 
 def generate_grid(spec: LieAlgebraSpec, grid: GridSpec) -> list[dict[str, Fraction]]:
@@ -254,7 +222,7 @@ def generate_grid(spec: LieAlgebraSpec, grid: GridSpec) -> list[dict[str, Fracti
     Every emitted point passes validate_assignment.
     """
     kernel = _GridKernel(spec)
-    return kernel.sigmas(kernel.domains(grid.ladder), grid.max_points)
+    return [sigma for sigma, _ in itertools.islice(kernel.nest(*kernel.domains(grid.ladder), True), grid.max_points)]
 
 
 def default_grid(entry: GroupEntry, min_points: int = 200, max_points: int = 5000) -> tuple[GridSpec, list[dict[str, Fraction]]]:
@@ -265,7 +233,8 @@ def default_grid(entry: GroupEntry, min_points: int = 200, max_points: int = 500
     capped at ``max_points`` (see ``_GridKernel.default``).
     """
     kernel = _GridKernel(entry.spec)
-    ladder, points = kernel.default(lambda domains: kernel.sigmas(domains, max_points), len, min_points, max_points)
+    sigmas = lambda domains: [sigma for sigma, _ in itertools.islice(kernel.nest(*domains, True), max_points)]
+    ladder, points = kernel.default(sigmas, len, min_points, max_points)
     return GridSpec(entry.id, tuple(ladder), max_points=max_points), points
 
 
@@ -391,10 +360,11 @@ def classify_ladder(
     """``classify_group`` on ``generate_grid``'s grid of ``ladder``, else on
     ``default_grid``'s, with the group's decide block admitting the grid's
     candidates: each point is evaluated once, and decided from those values."""
-    grid, kernel = _GridKernel(entry.spec), _GroupKernel(entry.spec, list(claims.values()))
+    kernel = _GroupKernel(entry.spec, list(claims.values()))
+    grid = _GridKernel(entry.spec, kernel.rows)
 
     def classify(domains: list[list[Fraction]]) -> tuple[ClassificationReport, ...]:
-        return kernel.reports(entry, claims, itertools.islice(grid.points(domains, kernel.decide), max_points))
+        return kernel.reports(entry, claims, itertools.islice(grid.nest(*domains, True), max_points))
 
     if ladder is not None:
         return classify(grid.domains(ladder))
@@ -402,17 +372,18 @@ def classify_ladder(
 
 
 class _GroupKernel:
-    """The two ``IntegerEvaluator`` blocks that classify a group's points.
+    """The two blocks of rows that classify a group's points.
 
-    ``decide``: the constraints (read by ``spec.admits``), the nine
-    bracket components (every kind's slopes), each deciding claim's kind's
-    ``residual_constants`` and each distinct claim's condition rows (by the
-    identity of its cases).  ``solve``, compiled on first use: each deciding
-    claim's kind's Wan entries (row-major) and each distinct claim's
-    solution rows.  A claim with the same cases object, claim type and rows
-    as an earlier one decides alike; ``shares`` holds that one's position,
-    else the claim's own.  ``claims`` holds each claim with the starts of
-    its constants, Wan entries, condition rows and solution rows."""
+    ``rows``, the decide block (a grid's nest evaluates it; ``decide``, compiled
+    on first use, at explicit points): the constraints (read by
+    ``spec.admits``), the nine bracket components (every kind's slopes), each
+    deciding claim's kind's ``residual_constants`` and each distinct claim's
+    condition rows (by the identity of its cases).  ``solve``, compiled on first
+    use: each deciding claim's kind's Wan entries (row-major) and each distinct
+    claim's solution rows.  A claim with the same cases object, claim type and
+    rows as an earlier one decides alike; ``shares`` holds that one's position,
+    else the claim's own.  ``claims`` holds each claim with the starts of its
+    constants, Wan entries, condition rows and solution rows."""
 
     def __init__(self, spec: LieAlgebraSpec, claims: Sequence[TheoremClaim]):
         self.slopes = len(spec.constraints)
@@ -435,7 +406,11 @@ class _GroupKernel:
                 for block, rows in zip(blocks, claim.layout):  # the condition and the solution rows
                     block += rows
         self.claims = [(claim, *start, *offsets[id(claim.cases)]) for claim, start in zip(claims, starts)]
-        self.decide, self._solution = IntegerEvaluator(blocks[0]), blocks[1]
+        self.rows, self._solution = blocks
+
+    @functools.cached_property
+    def decide(self) -> IntegerEvaluator:
+        return IntegerEvaluator(self.rows)
 
     @functools.cached_property
     def solve(self) -> IntegerEvaluator:

@@ -713,7 +713,7 @@ def _planted_catalog(catalog):
     return dataclasses.replace(catalog, groups=groups)
 
 
-GOLDEN_PLANTED_SHA256 = "c7d104b5aca9ef87fc0663e6400e19b499eb6452f29f61fa8270ae226c830a52"
+GOLDEN_PLANTED_SHA256 = "7700e62aadcb33fdae195c75dd8d35d5d1556709de9f235c98ee15df41c11148"
 
 
 def test_golden_planted_disagreement_outputs(capsys, monkeypatch, catalog):

@@ -919,24 +919,25 @@ def test_integer_evaluator_forms_each_repeated_row_once(monkeypatch):
 
 _SOURCES_OF_A_RUN = r"""
 import re
-from wanas import poly
+from wanas import nest, poly
 from wanas.catalog import load_catalog
 from wanas.verify import verify_paper
-sources = []
-original = poly._kernel_source
+sources, nests = [], []
+original, original_nest = poly._kernel_source, nest._nest_source
 poly._kernel_source = lambda *args: sources.append(original(*args)) or sources[-1]
+nest._nest_source = lambda *args: nests.append(original_nest(*args)) or nests[-1]
 verify_paper(load_catalog())
-print(len(sources), sum(len(re.findall(r"^    r\d+ = ", source, re.MULTILINE)) for source in sources))
-print("".join(sources))
+print(len(sources), sum(len(re.findall(r"^    r\d+ = ", source, re.MULTILINE)) for source in sources), len(nests))
+print("".join(sources + nests))
 """
 
 
 def test_kernel_sources_of_a_run_do_not_depend_on_the_hash_seed():
-    """Repeated rows are found by hashing each row's term set; the sources
-    that the kernels of one verify_paper run compile are the same under two
-    hash seeds, and they share rows.  18 kernels: each group's decide block
-    admits its grid, so only g1 and g4, whose base grids are too small and
-    are counted, compile the admission rows."""
+    """Repeated rows and sub-rows are found by hashing term sets; the
+    sources that the kernels and grid nests of one verify_paper run compile
+    are the same under two hash seeds, and the kernels share rows.  6
+    kernels, the solution blocks of g2-g7, and 7 nests, one per group's
+    grid with its decide block."""
     import os
     import subprocess
     import sys
@@ -948,18 +949,18 @@ def test_kernel_sources_of_a_run_do_not_depend_on_the_hash_seed():
         run = subprocess.run([sys.executable, "-c", _SOURCES_OF_A_RUN], env=env, capture_output=True, text=True, check=True)
         outputs.append(run.stdout)
     assert outputs[0] == outputs[1]
-    kernels, shared = map(int, outputs[0].split("\n", 1)[0].split())
-    assert kernels == 18 and shared > 0
+    kernels, shared, nests = map(int, outputs[0].split("\n", 1)[0].split())
+    assert (kernels, nests) == (6, 7) and shared > 0
 
 
 def test_integer_evaluator_scale_is_lcm_of_coefficient_denominators(monkeypatch):
     """Every evaluator a verify-paper run builds, and every group's
     solution block, scales by the lcm of the reduced denominators of its
     polynomials' coefficients.  A fresh catalog, since the session one holds
-    evaluators compiled by earlier tests.  The run compiles two
-    classification blocks per group (g1 only the first), so the coverage is
-    counted in polynomials (1,176 in 37 evaluators: the run's 591 in 23, and
-    each group's two blocks built again)."""
+    evaluators compiled by earlier tests.  The run compiles the solution
+    block of each group but g1 and no decide block, so each group's two
+    blocks are built after it, and the coverage is counted in polynomials
+    (903 in 20 evaluators: the run's 6 and each group's two)."""
     from wanas.verify import _GroupKernel
 
     built = []
@@ -973,7 +974,8 @@ def test_integer_evaluator_scale_is_lcm_of_coefficient_denominators(monkeypatch)
     catalog = load_catalog()
     verify_paper(catalog)
     for gid, entry in catalog.groups.items():
-        _GroupKernel(entry.spec, list(entry.claims.values())).solve
+        kernel = _GroupKernel(entry.spec, list(entry.claims.values()))
+        kernel.decide, kernel.solve
     assert sum(len(polys) for _, polys in built) > 650
     for evaluate, polys in built:
         assert evaluate.scale == math.lcm(
@@ -1214,9 +1216,12 @@ def test_parse_refuses_an_exponent_past_the_bound_before_building_a_power(monkey
 
 
 def test_kernel_sources_equal_those_of_rows_built_from_terms(monkeypatch):
-    """For every polynomial list a verify_paper run compiles, the kernel
-    source of rows built from .terms (exponent tuples, scaled Fraction
-    coefficients) equals the evaluator's own source."""
+    """For every polynomial list a verify_paper run compiles (the solution
+    blocks of g2-g7) and each group's decide block, the kernel source of
+    rows built from .terms (exponent tuples, scaled Fraction coefficients)
+    equals the evaluator's own source."""
+    from wanas.verify import _GroupKernel
+
     built = []
     original_init, original_source = IntegerEvaluator.__init__, poly_module._kernel_source
     sources = []
@@ -1227,8 +1232,11 @@ def test_kernel_sources_equal_those_of_rows_built_from_terms(monkeypatch):
 
     monkeypatch.setattr(poly_module, "_kernel_source", lambda *args: sources.append(original_source(*args)) or sources[-1])
     monkeypatch.setattr(IntegerEvaluator, "__init__", recording)
-    verify_paper(load_catalog())
-    assert len(built) >= 17
+    catalog = load_catalog()
+    verify_paper(catalog)
+    for entry in catalog.groups.values():
+        _GroupKernel(entry.spec, list(entry.claims.values())).decide
+    assert len(built) == 13
     for evaluate, polys, source in built:
         slots = [VARIABLES.index(v) for v in evaluate.variables]
         rows = []

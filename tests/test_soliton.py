@@ -19,6 +19,7 @@ from wanas.poly import Poly, parse_poly
 from wanas.soliton import (
     AffineEquation,
     SolitonKind,
+    SolitonVerdict,
     check_claimed_solution,
     derivation_residual,
     residual_constants,
@@ -286,6 +287,16 @@ def test_affine_equation_describe():
     assert text(2, -1) == "residual(e1,e2)[e3]: 2 - c = 0"
     assert text(F(1, 2), F(-3, 2)) == "residual(e1,e2)[e3]: 1/2 - 3/2*c = 0"
     assert text(-1, 0) == "residual(e1,e2)[e3]: -1 = 0"
+
+
+def test_no_soliton_describe_prints_a_witness_only_when_it_has_one():
+    """A decided no_soliton names the equations that rule c out; a theorem's
+    expected no_soliton has no witness and prints no empty parentheses."""
+    witness = (AffineEquation((0, 1), 2, F(-1), F(0)), AffineEquation((0, 2), 0, F(2), F(1)))
+    assert SolitonVerdict("no_soliton", witness=witness).describe() == (
+        "no soliton (residual(e1,e2)[e3]: -1 = 0, residual(e1,e3)[e1]: 2 + c = 0)"
+    )
+    assert SolitonVerdict("no_soliton").describe() == "no soliton"
 
 
 # -- residual systems -----------------------------------------------------------------

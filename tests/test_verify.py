@@ -527,26 +527,109 @@ def test_default_grid_stops_when_the_ladder_gains_nothing():
     assert grid.ladder == BASE_LADDER and points == [{"eta": F(-1)}, {"eta": F(1)}]
 
 
+def _counting_nests(monkeypatch):
+    """Make every grid nest compiled from now on count the candidates it
+    evaluates, keyed by the id of the polynomial list it was compiled for:
+    a call ``count()`` opens its innermost loop body (its function body when
+    it has no loop), which runs once per candidate."""
+    from wanas import nest as nest_module
+
+    counts = collections.Counter()
+    original_source, original_nest = nest_module._nest_source, nest_module.grid_nest
+
+    def source(*args):
+        lines = original_source(*args).splitlines()
+        at = max((k for k, line in enumerate(lines) if line.lstrip().startswith("for ")), default=0)
+        lines.insert(at + 1, " " * (len(lines[at]) - len(lines[at].lstrip()) + 4) + "count()")
+        return "\n".join(lines) + "\n"
+
+    def nest(polys, *args):
+        compiled = original_nest(polys, *args)
+        compiled.__globals__["count"] = lambda key=id(polys): counts.update((key,))
+        return compiled
+
+    monkeypatch.setattr(nest_module, "_nest_source", source)
+    monkeypatch.setattr(verify_module, "grid_nest", nest)
+    return counts
+
+
 def test_default_grid_evaluates_each_candidate_at_most_twice(catalog, monkeypatch):
     """The g1 ladder is extended 134 times to reach 20,000 points; each step
     evaluates only its new candidates and the grid is generated once, so
-    the constraint kernel runs at most twice per candidate of the final
-    grid (g1 solves no equation: every kernel call tests one candidate)."""
-    from wanas.poly import IntegerEvaluator
-
-    calls = [0]
-    original = IntegerEvaluator.__call__
-
-    def counting(self, assignment):
-        calls[0] += 1
-        return original(self, assignment)
-
-    monkeypatch.setattr(IntegerEvaluator, "__call__", counting)
+    the grid's nest evaluates each candidate of the final grid at most
+    twice (g1 solves no equation: each candidate is one point)."""
+    counts = _counting_nests(monkeypatch)
     grid, points = default_grid(catalog.get_group("g1"), min_points=20000, max_points=100000)
     assert (len(grid.ladder), len(points)) == (141, 20022)
     candidates = len(grid.ladder) * (len(grid.ladder) + 1)  # alpha != 0; beta also takes 0
     assert candidates == len(points)
-    assert calls[0] <= 2 * candidates
+    assert candidates < sum(counts.values()) <= 2 * candidates
+
+
+def _product_points(spec, grid, rows, domains, solved_one=True):
+    """The grid nest's contract, by brute force: itertools.product over
+    ``domains`` with the defining equation solved by Poly.evaluate, and each
+    candidate evaluated by ``IntegerEvaluator(rows)`` and admitted by
+    ``spec.admits``; the solved variable is listed last."""
+    from wanas.poly import IntegerEvaluator
+
+    evaluate, s = IntegerEvaluator(rows), grid.solved
+    variables = spec.variables()
+    solved = variables[s : s + 1]
+    equation = next((con.poly for con in spec.constraints if con.kind == "eq" and set(solved) & set(con.poly.variables())), None)
+    points = []
+    for head in itertools.product(*domains[:s]):
+        solutions = [()]
+        if equation is not None:
+            sigma = dict(zip(variables, head))
+            a = equation.evaluate({**sigma, variables[s]: F(0)})
+            b = equation.evaluate({**sigma, variables[s]: F(1)}) - a
+            solutions = ([(-a / b,)] if solved_one else []) if b else [] if a else [(x,) for x in domains[s]]
+        for x in solutions:
+            for tail in itertools.product(*domains[s + 1 :]):
+                sigma = dict(zip(variables[:s] + variables[s + 1 :] + solved, head + tail + x))
+                values, _ = evaluate(sigma)
+                if spec.admits(values):
+                    points.append((list(sigma.items()), values))
+    return points
+
+
+_PARITY = random.Random(33)
+_PARITY_LADDERS = [
+    tuple(F(_PARITY.randint(-1000, 1000), _PARITY.randint(1, 1000)) for _ in range(4)) for _ in range(6)
+]
+
+
+def test_grid_nest_equals_product_grid_with_integer_evaluator(catalog):
+    """For every group, over its constraint rows and over its decide block,
+    the nest gives the points of the product grid in the same order, with
+    the numerators ``IntegerEvaluator`` gives at each: on the default
+    ladders, on seeded ladders of large fractions, on every split that
+    counts the points a ladder extension adds (the solved variable's too,
+    where its one root is left out) and under a ``max_points`` cap."""
+    from wanas.verify import _GridKernel, _GroupKernel
+
+    for gid in ALL_GROUPS:
+        entry = catalog.get_group(gid)
+        claims = [catalog.theorem_claim(gid, kind) for kind in SolitonKind]
+        default = default_grid(entry)[0].ladder
+        for rows in ([con.poly for con in entry.spec.constraints], _GroupKernel(entry.spec, claims).rows):
+            grid = _GridKernel(entry.spec, rows)
+
+            def nest(domains, one=True):
+                return [(list(sigma.items()), values) for sigma, values in grid.nest(*domains, one)]
+
+            for ladder in (default, *_PARITY_LADDERS):
+                domains = grid.domains(ladder)
+                expected = _product_points(entry.spec, grid, rows, domains)
+                assert expected and nest(domains) == expected, (gid, ladder)
+                assert [(list(sigma.items()), values) for sigma, values in itertools.islice(grid.nest(*domains, True), 7)] == expected[:7]
+            old, new = grid.domains(default[:-1]), grid.domains(default)
+            splits = [i for i, (a, b) in enumerate(zip(old, new)) if a != b]
+            assert splits
+            for i in splits:
+                domains = [*old[:i], [default[-1]], *new[i + 1 :]]
+                assert nest(domains, i != grid.solved) == _product_points(entry.spec, grid, rows, domains, i != grid.solved), (gid, i)
 
 
 # -- classification -------------------------------------------------------------------------
@@ -1133,12 +1216,16 @@ def _count_claim_kernel(monkeypatch, count):
 
 def _count_block_calls(monkeypatch):
     """Record every ``_GroupKernel`` built from now on, and, once a run is
-    over, the calls of each one's decide and solution block in ``blocks``
-    (one (decide, solution) pair per kernel).  Calls are counted per
-    evaluator object, so an evaluator freed early shares no count."""
+    over, the evaluations of each one's decide and solution block in
+    ``blocks`` (one (decide, solution) pair per kernel).  The decide block
+    is evaluated at the candidates of a grid nest compiled from its rows
+    and by the calls of its ``decide`` evaluator, if one was built.  Calls
+    are counted per evaluator object, so an evaluator freed early shares
+    no count."""
     from wanas.poly import IntegerEvaluator
 
     kernels, calls, blocks = [], collections.Counter(), []
+    candidates = _counting_nests(monkeypatch)
     original_call, original_init = IntegerEvaluator.__call__, verify_module._GroupKernel.__init__
 
     def call(self, assignment):
@@ -1150,7 +1237,7 @@ def _count_block_calls(monkeypatch):
         kernels.append(self)
 
     def counts():
-        blocks[:] = [(calls[k.decide], calls[vars(k)["solve"]] if "solve" in vars(k) else 0) for k in kernels]
+        blocks[:] = [(candidates[id(k.rows)] + calls[vars(k).get("decide")], calls[vars(k).get("solve")]) for k in kernels]
 
     monkeypatch.setattr(IntegerEvaluator, "__call__", call)
     monkeypatch.setattr(verify_module._GroupKernel, "__init__", init)
@@ -1167,21 +1254,25 @@ def _count_block_calls(monkeypatch):
 
 
 def test_solution_block_is_evaluated_only_at_points_in_a_case(monkeypatch):
-    """One verify_paper run evaluates each group's decide block once per
-    grid candidate, which it also admits: at every grid point (3,123 in
-    all) and at the 343 candidates of g5-g7 that alpha + delta != 0 rejects,
-    and nowhere else.  Its solution block only at the 660 points where some
-    kind has a matching case and a feasible system; g1, whose claims have
-    no case, compiles no solution block.  A fresh catalog, so that each
-    claim's layout is built in the run."""
+    """One verify_paper run evaluates each group's decide block in the
+    grid's nest, once per grid candidate, which it also admits: at every
+    grid point (3,123 in all) and at the 343 candidates of g5-g7 that
+    alpha + delta != 0 rejects; the g1 and g4 candidates twice, since
+    their base grids are too small to classify and their ladders are
+    extended by counting in the same nest.  No decide evaluator is built.
+    Its solution block only at the 660 points where some kind has a
+    matching case and a feasible system; g1, whose claims have no case,
+    compiles no solution block.  A fresh catalog, so that each claim's
+    layout is built in the run."""
     kernels, blocks = _count_block_calls(monkeypatch)
     report = verify_paper(load_catalog())
     assert report.ok
     totals = [c.total for c in report.classifications[::2]]
     assert totals == [210, 448, 512, 200, 449, 456, 848]
-    assert blocks == list(zip([210, 448, 512, 200, 449 + 119, 456 + 112, 848 + 112], [0, 7, 85, 6, 449, 57, 56]))
+    assert blocks == list(zip([2 * 210, 448, 512, 2 * 200, 449 + 119, 456 + 112, 848 + 112], [0, 7, 85, 6, 449, 57, 56]))
     assert sum(totals) == 3123 and sum(solved for _, solved in blocks) == 660
     assert "solve" not in vars(kernels[0]) and all("solve" in vars(k) for k in kernels[1:])
+    assert not any("decide" in vars(k) for k in kernels)
 
 
 def test_a_wrong_diagonal_d_entry_disagrees_exactly_at_its_cases_points(catalog):
@@ -1209,10 +1300,11 @@ def test_a_wrong_diagonal_d_entry_disagrees_exactly_at_its_cases_points(catalog)
 
 def test_classification_evaluates_one_kernel_per_point(catalog, monkeypatch):
     """verify_paper admits and classifies both kinds of a grid point with
-    one call of the group's decide block, and calls its solution block only
-    at the 85 g3 points in a case; it calls no claim kernel, no admission
-    block and no predicate_eval, and validates no point on the way: those
-    are the only kernel calls of the run."""
+    one evaluation of the group's decide block, in the grid's nest, and
+    calls its solution block only at the 85 g3 points in a case; it calls
+    no claim kernel, no admission block and no predicate_eval, and
+    validates no point on the way: the solution block's are the only
+    kernel calls of the run."""
     from wanas.algebra import LieAlgebraSpec
     from wanas.poly import IntegerEvaluator
 
@@ -1249,7 +1341,7 @@ def test_classification_evaluates_one_kernel_per_point(catalog, monkeypatch):
     assert report.ok
     assert [c.total for c in report.classifications] == [512, 512]
     assert blocks == [(512, 85)] and len(kernels) == 1
-    assert calls == {("classify_ladder", "kernel"): 512 + 85}
+    assert calls == {("classify_ladder", "kernel"): 85}
     assert "claim_kernel" not in {name for _, name in calls}
 
 
