@@ -9,8 +9,9 @@ from .poly import _CHAIN, Poly, _integer_rows, _literal, _power
 
 
 def grid_nest(
-    polys: Sequence[Poly], variables: Sequence[str], vanishing: Sequence[bool], solved: tuple[int, Poly, Poly] | None = None
-) -> Callable[..., Iterator[tuple[dict[str, Fraction], list[int]]]]:
+    polys: Sequence[Poly], variables: Sequence[str], vanishing: Sequence[bool], solved: tuple[int, Poly, Poly] | None = None,
+    systems: Sequence[tuple[Sequence[tuple[int, int]], Sequence[tuple[Sequence[int], Sequence[int]]]]] = (),
+) -> Callable[..., Iterator[tuple]]:
     """``polys`` on a product grid, compiled into one generator ``nest(d_0,
     ..., d_n-1, one)`` of nested loops, variable i of ``variables`` over the
     sorted Fractions d_i.  It yields (point, values) for each point whose
@@ -19,22 +20,30 @@ def grid_nest(
     ``polys`` hold the equation that ``solved`` solves.  ``solved`` = (i,
     a, b), a and b free of x_i and the variables after it, runs x_i (listed
     last in a point) over the roots of a + b*x_i = 0: -a/b where b != 0
-    (only when ``one``), all of d_i where a = b = 0, none otherwise."""
+    (only when ``one``), all of d_i where a = b = 0, none otherwise.
+
+    Each of ``systems``, (pairs, cases) of row indices, is decided at each
+    point: the (constant, slope) pairs of constant + slope*c = 0, the cases
+    as (rows that vanish, rows that do not).  The nest then yields (point,
+    decisions, values): per system ``solve_affine``'s outcome, the first
+    pair (a, b) of b != 0 (c = -a/b for "one") and the index of the first
+    case that holds, else None; the values only if some case holds."""
     s, pair = (solved[0], _integer_rows(solved[1:], variables)[1]) if solved else (len(variables), [])
     rows = _integer_rows(polys, variables)[1]
     degrees = [max((mono[i] for row in rows + pair for mono, _ in row), default=0) for i in range(len(variables))]
     namespace: dict = {"Fraction": Fraction}
-    exec(compile(_nest_source(degrees, rows, vanishing, variables, s, pair), "<nest>", "exec"), namespace)
+    exec(compile(_nest_source(degrees, rows, vanishing, variables, s, pair, systems), "<nest>", "exec"), namespace)
     return namespace["nest"]
 
 
-def _nest_source(degrees, rows, vanishing, variables, solved, pair) -> str:
+def _nest_source(degrees, rows, vanishing, variables, solved, pair, systems) -> str:
     """Python source of ``grid_nest``'s generator, by the multivariate Horner
     scheme (J. M. Peña & T. Sauer, SIAM J. Numer. Anal. 37(4), 2000).  In the
     loop of variable L - 1, a row's terms of equal exponents from variable L on
     form a sub-row sum k * prod_(i < L) w_i_(e_i), w_i_e = p_i^e * q_i^(d_i - e),
     named once per term set: sum_e w_(L-1)_e times a sub-row of the loop
-    before.  The solved variable's (a, b) are two more in its loop."""
+    before.  The solved variable's (a, b) are two more in its loop, and
+    ``systems`` are decided after the admission test (``_decisions``)."""
     n, named, powers = len(degrees), {}, {}
     levels: list[list[str]] = [[] for _ in range(n + 1)]
 
@@ -74,5 +83,28 @@ def _nest_source(degrees, rows, vanishing, variables, solved, pair) -> str:
         lines += [pad + line for line in body]
     point = ", ".join(f"{variables[i]!r}: x{i}" for i in sorted(range(n), key=lambda i: i == solved))
     test = " and ".join(f"not {value}" if eq else value for value, eq in zip(values, vanishing))
-    found = f"yield {{{point}}}, [{', '.join(values)}]"
-    return "\n".join([*lines, f"{pad}if {test}:", f"{pad}    {found}"] if test else [*lines, pad + found]) + "\n"
+    found = _decisions(values, systems, point) if systems else [f"yield {{{point}}}, [{', '.join(values)}]"]
+    head, pad = ([f"{pad}if {test}:"], pad + "    ") if test else ([], pad)
+    return "\n".join([*lines, *head, *(pad + line for line in found)]) + "\n"
+
+
+def _decisions(values: list[str], systems, point: str) -> list[str]:
+    """The statements that decide ``systems`` on the named ``values`` of a
+    point, then yield it.  A pair of two zero rows never changes the outcome
+    and is left out.  Where b != 0 every pair needs constant*b == a*slope
+    (a flat pair, slope 0: constant 0); where b = 0 every slope is 0."""
+    lines, decisions = [], []
+    for t, (pairs, cases) in enumerate(systems):
+        live = [(values[c], values[s]) for c, s in pairs if values[c] != "0" or values[s] != "0"]
+        first = " else ".join([*(f"({c}, {s}) if {s}" for c, s in live if s != "0"), "(0, 0)"])
+        chain = " and ".join(f"{c}*b{t} == a{t}*{s}" if s != "0" else f"not {c}" for c, s in live) or "True"
+        nonzero = " or ".join(c for c, _ in live if c != "0") or "0"
+        lines += [f"a{t}, b{t} = {first}", f"o{t} = 'one' if b{t} and {chain} else 'none' if b{t} or {nonzero} else 'any'"]
+        if cases:
+            conditions = ([f"not ({' or '.join(values[r] for r in eq)})"] * bool(eq) + [values[r] for r in neq] for eq, neq in cases)
+            holds = (" and ".join(parts) or "True" for parts in conditions)
+            lines.append(f"k{t} = {' else '.join(f'{k} if {test}' for k, test in enumerate(holds))} else None")
+        decisions.append(f"(o{t}, a{t}, b{t}, {f'k{t}' if cases else None})")
+    matched = " or ".join(f"k{t} is not None" for t, (_, cases) in enumerate(systems) if cases)
+    found = f"[{', '.join(values)}] if {matched} else None" if matched else "None"
+    return [*lines, f"yield {{{point}}}, ({', '.join(decisions)},), {found}"]

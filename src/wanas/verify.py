@@ -38,7 +38,6 @@ from .soliton import (
     normalize_eta,
     residual_constants,
     soliton_decide,
-    solve_affine,
     wan_for_kind,
 )
 
@@ -122,12 +121,10 @@ class GridSpec:
 
 
 def _is_sign_constraint(con: Constraint) -> str | None:
-    """The variable v when the constraint is v^2 - 1 = 0 (domain {1, -1})."""
-    if con.kind != "eq":
-        return None
-    for v in con.poly.variables():
-        if con.poly == Poly.var(v) ** 2 - 1:
-            return v
+    """The variable v when the constraint is k*(v^2 - 1) = 0, k != 0 rational (domain {1, -1})."""
+    v, *others = con.poly.variables() or ("",)
+    if con.kind == "eq" and v and not others and con.poly == (1 - Poly.var(v) ** 2) * con.poly.substitute({v: 0}):
+        return v
     return None
 
 
@@ -137,7 +134,8 @@ class GridError(ValueError):
 
 class _GridKernel:
     """The admissible points of one algebra's grids, in sorted order, with
-    the values of rows led by the constraints (by default, only those).
+    the values of rows led by the constraints (by default, only those), or
+    with the decisions of ``systems`` on those rows (see ``grid_nest``).
 
     Variables run in canonical order, each over its sorted domain.  The
     solved variable is the highest-ordered variable of the defining
@@ -148,7 +146,7 @@ class _GridKernel:
     that binds its variables, and a candidate is yielded if admitted.
     """
 
-    def __init__(self, spec: LieAlgebraSpec, rows: Sequence[Poly] | None = None):
+    def __init__(self, spec: LieAlgebraSpec, rows: Sequence[Poly] | None = None, systems: Sequence = ()):
         self.variables = spec.variables()
         # v != 0 excludes 0 from v's domain; v^2 = 1 makes it {-1, 1}
         self.no_zero = {
@@ -172,7 +170,7 @@ class _GridKernel:
             constant = solve_eq.substitute({solved_var: 0})
             solved = (self.solved, constant, solve_eq.substitute({solved_var: 1}) - constant)
         rows = [con.poly for con in spec.constraints] if rows is None else rows
-        self.nest = grid_nest(rows, self.variables, spec._vanishing_rows, solved)
+        self.nest = grid_nest(rows, self.variables, spec._vanishing_rows, solved, systems)
 
     def domains(self, ladder: Iterable[Fraction]) -> list[list[Fraction]]:
         return [
@@ -346,11 +344,16 @@ def classify_group(
 ) -> tuple[ClassificationReport, ...]:
     """Decide every point for each kind and compare with its theorem
     predicate, one report per kind in ``claims`` order (see
-    ``_GroupKernel.reports``).  Each point is checked by ``spec.admitted``
-    on the group's decide block."""
-    kernel = _GroupKernel(entry.spec, list(claims.values()))
-    admitted = ((sigma, entry.spec.admitted(kernel.decide, sigma)[0]) for sigma in map(dict, points))
-    return kernel.reports(entry, claims, admitted)
+    ``_GroupKernel.reports``).  Each point, once ``spec.admitted`` admits
+    it, is a one-point grid of the group's decide nest, no variable solved."""
+    spec, kernel = entry.spec, _GroupKernel(entry.spec, list(claims.values()))
+    nest = grid_nest(kernel.rows, spec.variables(), spec._vanishing_rows, None, kernel.systems)
+
+    def decided(sigma: dict) -> tuple:
+        spec.admitted(spec._admission, sigma)  # raises for an inadmissible point or a missing value
+        return sigma, *next(nest(*([sigma[v]] for v in spec.variables()), True))[1:]
+
+    return kernel.reports(entry, claims, map(decided, map(dict, points)))
 
 
 def classify_ladder(
@@ -361,7 +364,7 @@ def classify_ladder(
     ``default_grid``'s, with the group's decide block admitting the grid's
     candidates: each point is evaluated once, and decided from those values."""
     kernel = _GroupKernel(entry.spec, list(claims.values()))
-    grid = _GridKernel(entry.spec, kernel.rows)
+    grid = _GridKernel(entry.spec, kernel.rows, kernel.systems)
 
     def classify(domains: list[list[Fraction]]) -> tuple[ClassificationReport, ...]:
         return kernel.reports(entry, claims, itertools.islice(grid.nest(*domains, True), max_points))
@@ -374,16 +377,17 @@ def classify_ladder(
 class _GroupKernel:
     """The two blocks of rows that classify a group's points.
 
-    ``rows``, the decide block (a grid's nest evaluates it; ``decide``, compiled
-    on first use, at explicit points): the constraints (read by
-    ``spec.admits``), the nine bracket components (every kind's slopes), each
+    ``rows``, the decide block, evaluated and decided in a grid nest: the
+    constraints, the nine bracket components (every kind's slopes), each
     deciding claim's kind's ``residual_constants`` and each distinct claim's
-    condition rows (by the identity of its cases).  ``solve``, compiled on first
-    use: each deciding claim's kind's Wan entries (row-major) and each distinct
-    claim's solution rows.  A claim with the same cases object, claim type and
-    rows as an earlier one decides alike; ``shares`` holds that one's position,
-    else the claim's own.  ``claims`` holds each claim with the starts of its
-    constants, Wan entries, condition rows and solution rows."""
+    condition rows (by the identity of its cases), with one of ``systems``
+    per deciding claim (see ``grid_nest``).  ``solve``, compiled on first
+    use: each deciding claim's kind's Wan entries (row-major) and each
+    distinct claim's solution rows.  A claim with the same cases object,
+    claim type and rows as an earlier one decides alike; ``shares`` holds
+    that one's position, else the claim's own.  ``claims`` holds each claim
+    with the starts of its constants, Wan entries, condition rows and
+    solution rows."""
 
     def __init__(self, spec: LieAlgebraSpec, claims: Sequence[TheoremClaim]):
         self.slopes = len(spec.constraints)
@@ -407,39 +411,42 @@ class _GroupKernel:
                     block += rows
         self.claims = [(claim, *start, *offsets[id(claim.cases)]) for claim, start in zip(claims, starts)]
         self.rows, self._solution = blocks
-
-    @functools.cached_property
-    def decide(self) -> IntegerEvaluator:
-        return IntegerEvaluator(self.rows)
+        self.systems = []  # per deciding claim: its nine (constant, slope) rows, its cases' (vanishing, nonzero) rows
+        for index, (claim, constants, _, at, _) in enumerate(self.claims):
+            entries = () if claim.claim_type == "no_soliton" else claim.layout[2]  # as case_at reads them
+            cases = [(range(at + start, at + nonzero), range(at + nonzero, at + end)) for _, start, nonzero, end, _ in entries]
+            self.systems += [([(constants + k, self.slopes + k) for k in range(9)], cases)] if self.shares[index] == index else []
 
     @functools.cached_property
     def solve(self) -> IntegerEvaluator:
         return IntegerEvaluator(self._solution)
 
     def reports(
-        self, entry: GroupEntry, claims: Mapping[SolitonKind, TheoremClaim], admitted: Iterable[tuple[dict, list[int]]]
+        self, entry: GroupEntry, claims: Mapping[SolitonKind, TheoremClaim], admitted: Iterable[tuple[dict, tuple, list | None]]
     ) -> tuple[ClassificationReport, ...]:
         """One report per kind of ``claims`` (the kernel's) from the (point,
-        decide block values) pairs of ``admitted``, with the solution block
-        only where some kind has a matching case and a feasible system.  A
-        kind that decides alike with an earlier one takes its agreements;
-        each record keeps sigma and agree, and builds its verdicts when read."""
+        decisions, decide block values) a nest of ``systems`` yields.  A point
+        in no case agrees when its system has no solution; in a case,
+        ``case_at`` reads it again (so overlapping cases raise) and the
+        solution block is evaluated where the system is feasible.  A kind
+        that decides alike with an earlier one takes its agreements; each
+        record keeps sigma and agree, and builds its verdicts when read."""
         sigmas: list[dict[str, Fraction]] = []
         agreements: list[list[bool]] = [[] for _ in claims]
         deciding = [(agreements[index], *self.claims[index]) for index, share in enumerate(self.shares) if share == index]
-        for sigma, values in admitted:
+        for sigma, decisions, values in admitted:
             sigmas.append(sigma)
-            slopes = values[self.slopes : self.slopes + 9]
             solution = None
-            for agree, claim, constants, wan, conditions, solutions in deciding:
-                outcome, witness = solve_affine(zip(values[constants : constants + 9], slopes))
+            for (agree, claim, _, wan, conditions, solutions), (outcome, a, b, case) in zip(deciding, decisions):
+                if case is None:
+                    agree.append(outcome == "none")
+                    continue
                 hit = claim.case_at(values, conditions)
-                if hit is None or outcome == "none" or hit[0].any_c != (outcome == "any") or hit[1] is None:
-                    agree.append(hit is None and outcome == "none")
+                if outcome == "none" or hit[0].any_c != (outcome == "any") or hit[1] is None:
+                    agree.append(False)
                     continue
                 solution = solution or self.solve(sigma)
-                pair = None if outcome == "any" else (values[constants + witness[0]], slopes[witness[0]])
-                agree.append(self.agrees(*solution, wan, solutions + hit[1], pair))
+                agree.append(self.agrees(*solution, wan, solutions + hit[1], None if outcome == "any" else (a, b)))
         sources = [(entry.spec, claim) for claim in claims.values()]  # one per kind, shared by its records
         return tuple(
             ClassificationReport(

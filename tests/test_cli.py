@@ -591,6 +591,23 @@ def test_catalog_with_a_wrong_claim_off_the_variety_exits_1(capsys, tmp_path, mo
     assert [line.split(":")[0].strip() for line in out.splitlines() if "MISMATCH" in line] == ["MISMATCH g7 wan (1, 1)"]
 
 
+@pytest.mark.parametrize("equation", ["1-eta^2", "2*eta^2-2"])
+def test_a_rescaled_sign_equation_verifies_as_the_shipped_one(capsys, tmp_path, monkeypatch, equation):
+    """g4's defining equation eta^2 - 1 = 0 written as another nonzero
+    rational multiple has the same variety: under a valid checksum,
+    verify-paper --group g4 prints exactly what the shipped catalog gives."""
+    code, shipped, _ = run(capsys, "verify-paper", "--group", "g4")
+    assert code == 0 and "table entries: 103 match, 0 match on variety, 0 mismatch" in shipped
+    assert shipped.count("kind: 200 points, all agree") == 2
+    data = json.loads(open(default_catalog_path()).read())
+    data["groups"]["g4"]["constraints"]["eq"] = [equation]
+    data["checksum"] = compute_checksum(data["groups"])
+    rescaled = tmp_path / "catalog.json"
+    rescaled.write_text(json.dumps(data))
+    monkeypatch.setenv("WANAS_CATALOG", str(rescaled))
+    assert run(capsys, "verify-paper", "--group", "g4") == (0, shipped, "")
+
+
 # -- golden outputs ------------------------------------------------------------------
 
 _TENSORS = (

@@ -67,6 +67,9 @@ def _plant(*path, value=None):
     return edit
 
 
+# case ii without its subs beta = 0 holds wherever case i does
+_OVERLAPPING_CASES = _plant("theorems", "first", "cases", 1, "subs", "beta")
+
 # (id, planted fault in g4, what the one error line names)
 PLANTED = [
     ("brackets_without_e1e2", _plant("brackets", "e1,e2"), "missing catalog groups g4 brackets key 'e1,e2'"),
@@ -88,8 +91,11 @@ PLANTED = [
     ("case_name_with_a_line_break", _any_c_case_named_across_two_lines, "theorems first case i\\nbis: give exactly one of c and any_c"),
     # well formed, but a grid solves at most one defining equation
     ("two_defining_equations", _plant("constraints", "eq", value=["eta^2-1", "alpha", "alpha"]), "grids support at most one defining equation, not 2: alpha, alpha"),
+    # well formed, but two cases hold at one grid point: the grid's compiled decision finds both
+    ("overlapping_cases", _OVERLAPPING_CASES, "g4 first: point matches cases i, ii"),
 ]
 NAMED = {f"catalog_{name}": named for name, _, named in PLANTED}
+NAMED.update(dict.fromkeys(("catalog_overlapping_cases_all_groups", "catalog_overlapping_cases_classify"), NAMED["catalog_overlapping_cases"]))
 NAMED.update(dict.fromkeys(("out_in_a_missing_directory", "out_a_directory"), "error: could not write report"))
 
 # a groups value that names every group but is a list, under its own checksum
@@ -129,6 +135,8 @@ CASES = [
     ("catalog_groups_list", ["verify-paper", "--group", "g4"], None, _GROUPS_LIST, 2),
     ("out_in_a_missing_directory", ["verify-paper", "--group", "g3", "--out", "{tmp}/missing/r.json"], None, None, 2),
     ("out_a_directory", ["verify-paper", "--group", "g3", "--out", "{tmp}"], None, None, 2),
+    ("catalog_overlapping_cases_all_groups", ["verify-paper"], None, _catalog(_OVERLAPPING_CASES), 2),
+    ("catalog_overlapping_cases_classify", ["classify", "--group", "g4", "--kind", "first"], None, _catalog(_OVERLAPPING_CASES), 2),
 ] + [(f"catalog_{name}", ["verify-paper", "--group", "g4"], None, _catalog(edit), 2) for name, edit, _ in PLANTED]
 
 

@@ -975,7 +975,7 @@ def test_integer_evaluator_scale_is_lcm_of_coefficient_denominators(monkeypatch)
     verify_paper(catalog)
     for gid, entry in catalog.groups.items():
         kernel = _GroupKernel(entry.spec, list(entry.claims.values()))
-        kernel.decide, kernel.solve
+        IntegerEvaluator(kernel.rows), kernel.solve
     assert sum(len(polys) for _, polys in built) > 650
     for evaluate, polys in built:
         assert evaluate.scale == math.lcm(
@@ -1235,7 +1235,7 @@ def test_kernel_sources_equal_those_of_rows_built_from_terms(monkeypatch):
     catalog = load_catalog()
     verify_paper(catalog)
     for entry in catalog.groups.values():
-        _GroupKernel(entry.spec, list(entry.claims.values())).decide
+        IntegerEvaluator(_GroupKernel(entry.spec, list(entry.claims.values())).rows)
     assert len(built) == 13
     for evaluate, polys, source in built:
         slots = [VARIABLES.index(v) for v in evaluate.variables]

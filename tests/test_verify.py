@@ -16,7 +16,7 @@ from wanas import verify as verify_module
 from wanas.algebra import Constraint, LORENTZ, LieAlgebraSpec, vec3
 from wanas.catalog import ALL_GROUPS, CatalogError, ClaimedTensors, GroupEntry, load_catalog
 from wanas.geometry import compute_tensors
-from wanas.poly import Poly, parse_poly
+from wanas.poly import IntegerEvaluator, Poly, parse_poly
 from wanas.soliton import AffineEquation, SolitonKind, SolitonVerdict
 from wanas.verify import (
     BASE_LADDER,
@@ -443,6 +443,18 @@ def test_grid_respects_sign_variable(catalog):
     assert etas == {F(1), F(-1)}
 
 
+@pytest.mark.parametrize(
+    "text, sign",
+    [("eta^2 - 1", "eta"), ("1 - eta^2", "eta"), ("2*eta^2 - 2", "eta"), ("-alpha^2/3 + 1/3", "alpha"),
+     ("eta^2 + 1", None), ("eta^2 - 2", None), ("eta^2", None), ("eta - 1", None), ("eta^2 - alpha", None), ("0", None)],
+)
+def test_a_sign_constraint_is_any_nonzero_multiple_of_v_squared_minus_1(text, sign):
+    from wanas.verify import _is_sign_constraint
+
+    assert _is_sign_constraint(Constraint("eq", P(text))) == sign
+    assert _is_sign_constraint(Constraint("neq", P(text))) is None
+
+
 def test_grid_covers_soliton_slices(catalog):
     # the necessity check is only meaningful if positive points are on the grid
     entry = catalog.get_group("g2")
@@ -577,13 +589,15 @@ def _product_points(spec, grid, rows, domains, solved_one=True):
     variables = spec.variables()
     solved = variables[s : s + 1]
     equation = next((con.poly for con in spec.constraints if con.kind == "eq" and set(solved) & set(con.poly.variables())), None)
+    if equation is not None:  # a + b*x_s, a and b free of x_s
+        constant = equation.substitute({variables[s]: 0})
+        slope = equation.substitute({variables[s]: 1}) - constant
     points = []
     for head in itertools.product(*domains[:s]):
         solutions = [()]
         if equation is not None:
             sigma = dict(zip(variables, head))
-            a = equation.evaluate({**sigma, variables[s]: F(0)})
-            b = equation.evaluate({**sigma, variables[s]: F(1)}) - a
+            a, b = constant.evaluate(sigma), slope.evaluate(sigma)
             solutions = ([(-a / b,)] if solved_one else []) if b else [] if a else [(x,) for x in domains[s]]
         for x in solutions:
             for tail in itertools.product(*domains[s + 1 :]):
@@ -600,36 +614,99 @@ _PARITY_LADDERS = [
 ]
 
 
+def _decided(kernel, values):
+    """Each deciding claim's (outcome, root, case index) by ``solve_affine``
+    and ``case_at`` on the decide block's ``values``, the root only for "one"."""
+    from wanas.soliton import solve_affine
+
+    decided = []
+    for claim, constants, _, conditions, _ in (kernel.claims[i] for i, share in enumerate(kernel.shares) if share == i):
+        pairs = list(zip(values[constants : constants + 9], values[kernel.slopes : kernel.slopes + 9]))
+        outcome, witness = solve_affine(pairs)
+        hit = claim.case_at(values, conditions)
+        decided.append((
+            outcome,
+            F(-pairs[witness[0]][0], pairs[witness[0]][1]) if outcome == "one" else None,
+            None if hit is None else [case is hit[0] for case in claim.cases].index(True),
+        ))
+    return decided
+
+
 def test_grid_nest_equals_product_grid_with_integer_evaluator(catalog):
     """For every group, over its constraint rows and over its decide block,
     the nest gives the points of the product grid in the same order, with
     the numerators ``IntegerEvaluator`` gives at each: on the default
     ladders, on seeded ladders of large fractions, on every split that
     counts the points a ladder extension adds (the solved variable's too,
-    where its one root is left out) and under a ``max_points`` cap."""
-    from wanas.verify import _GridKernel, _GroupKernel
+    where its one root is left out) and under a ``max_points`` cap.  The
+    decide block's nest decides each deciding claim's system at each point
+    as ``solve_affine`` and ``case_at`` do on those numerators (outcome,
+    root -a/b and case index), and yields the numerators only at points in
+    some case.  A claim of two cases that hold at one point is refused
+    through the grid's decision, naming both, as ``case_at`` refuses it.
+    Seeded systems of a small row pool decide as ``solve_affine`` does
+    where the catalog's do not reach: a flat pair (slope the zero
+    polynomial) with a nonzero constant, slopes that vanish at some points."""
+    from wanas.catalog import AmbiguousCaseError
+    from wanas.nest import grid_nest
+    from wanas.soliton import solve_affine
+    from wanas.verify import _GridKernel, _GroupKernel, classify_ladder
+
+    pool = [P(text) for text in ("0", "alpha", "beta", "alpha - beta", "2*alpha*beta", "alpha^2 - 1", "1", "beta + 1")]
+    rng = random.Random(34)
+    systems = [([(rng.randrange(len(pool)), rng.randrange(len(pool))) for _ in range(rng.randint(1, 9))], []) for _ in range(40)]
+    evaluate, ladder = IntegerEvaluator(pool), [F(-1), F(0), F(1, 2), F(2)]
+    for sigma, decisions, values in grid_nest(pool, ("alpha", "beta"), [], None, systems)(ladder, ladder, True):
+        pool_values = evaluate(sigma)[0]
+        for (pairs, _), (outcome, a, b, case) in zip(systems, decisions):
+            expected, witness = solve_affine([(pool_values[c], pool_values[s]) for c, s in pairs])
+            root = F(-pool_values[pairs[witness[0]][0]], pool_values[pairs[witness[0]][1]]) if expected == "one" else None
+            assert (outcome, F(-a, b) if outcome == "one" else None, case) == (expected, root, None), (sigma, pairs)
+        assert values is None
 
     for gid in ALL_GROUPS:
         entry = catalog.get_group(gid)
         claims = [catalog.theorem_claim(gid, kind) for kind in SolitonKind]
+        kernel = _GroupKernel(entry.spec, claims)
         default = default_grid(entry)[0].ladder
-        for rows in ([con.poly for con in entry.spec.constraints], _GroupKernel(entry.spec, claims).rows):
-            grid = _GridKernel(entry.spec, rows)
+        for rows, systems in (([con.poly for con in entry.spec.constraints], ()), (kernel.rows, kernel.systems)):
+            grid = _GridKernel(entry.spec, rows, systems)
 
-            def nest(domains, one=True):
-                return [(list(sigma.items()), values) for sigma, values in grid.nest(*domains, one)]
+            def nest(domains, one=True, cap=None):
+                found = itertools.islice(grid.nest(*domains, one), cap)
+                if not systems:
+                    return [(list(sigma.items()), values) for sigma, values in found]
+                return [
+                    (list(sigma.items()), [(o, F(-a, b) if o == "one" else None, k) for o, a, b, k in decisions], values)
+                    for sigma, decisions, values in found
+                ]
+
+            def product(domains, one=True):
+                points = _product_points(entry.spec, grid, rows, domains, one)
+                if not systems:
+                    return points
+                decided = [_decided(kernel, values) for _, values in points]
+                return [
+                    (sigma, d, values if any(k is not None for _, _, k in d) else None)
+                    for (sigma, values), d in zip(points, decided)
+                ]
 
             for ladder in (default, *_PARITY_LADDERS):
                 domains = grid.domains(ladder)
-                expected = _product_points(entry.spec, grid, rows, domains)
+                expected = product(domains)
                 assert expected and nest(domains) == expected, (gid, ladder)
-                assert [(list(sigma.items()), values) for sigma, values in itertools.islice(grid.nest(*domains, True), 7)] == expected[:7]
+                assert nest(domains, cap=7) == expected[:7]
             old, new = grid.domains(default[:-1]), grid.domains(default)
             splits = [i for i, (a, b) in enumerate(zip(old, new)) if a != b]
             assert splits
             for i in splits:
                 domains = [*old[:i], [default[-1]], *new[i + 1 :]]
-                assert nest(domains, i != grid.solved) == _product_points(entry.spec, grid, rows, domains, i != grid.solved), (gid, i)
+                assert nest(domains, i != grid.solved) == product(domains, i != grid.solved), (gid, i)
+        for claim in claims[: claims[0].claim_type == "cases"]:  # g1's claims have no case
+            overlapping = dataclasses.replace(claim, cases=(claim.cases[0], dataclasses.replace(claim.cases[0], name="overlap")))
+            with pytest.raises(AmbiguousCaseError) as err:
+                classify_ladder(entry, {claim.kind: overlapping})
+            assert err.value.matched == (claim.cases[0].name, "overlap"), gid
 
 
 # -- classification -------------------------------------------------------------------------
@@ -732,7 +809,7 @@ def test_group_kernel_reads_every_slope_from_one_bracket_block(catalog):
         deciding = len(set(kernel.shares))
         layouts = {id(claim.cases): claim.layout for claim in claims}
         sigma = generate_grid(entry.spec, GridSpec(gid))[0]
-        values, den = kernel.decide(sigma)
+        values, den = IntegerEvaluator(kernel.rows)(sigma)
         bracket_block = len(entry.spec.constraints) + 9
         assert len(values) == bracket_block + 9 * deciding + sum(len(rows) for rows, _, _ in layouts.values()), gid
         own, own_den = entry.spec._point_values(sigma)
@@ -1218,10 +1295,9 @@ def _count_block_calls(monkeypatch):
     """Record every ``_GroupKernel`` built from now on, and, once a run is
     over, the evaluations of each one's decide and solution block in
     ``blocks`` (one (decide, solution) pair per kernel).  The decide block
-    is evaluated at the candidates of a grid nest compiled from its rows
-    and by the calls of its ``decide`` evaluator, if one was built.  Calls
-    are counted per evaluator object, so an evaluator freed early shares
-    no count."""
+    is evaluated at the candidates of a grid nest compiled from its rows.
+    Calls are counted per evaluator object, so an evaluator freed early
+    shares no count."""
     from wanas.poly import IntegerEvaluator
 
     kernels, calls, blocks = [], collections.Counter(), []
@@ -1237,7 +1313,7 @@ def _count_block_calls(monkeypatch):
         kernels.append(self)
 
     def counts():
-        blocks[:] = [(candidates[id(k.rows)] + calls[vars(k).get("decide")], calls[vars(k).get("solve")]) for k in kernels]
+        blocks[:] = [(candidates[id(k.rows)], calls[vars(k).get("solve")]) for k in kernels]
 
     monkeypatch.setattr(IntegerEvaluator, "__call__", call)
     monkeypatch.setattr(verify_module._GroupKernel, "__init__", init)
@@ -1259,12 +1335,32 @@ def test_solution_block_is_evaluated_only_at_points_in_a_case(monkeypatch):
     grid point (3,123 in all) and at the 343 candidates of g5-g7 that
     alpha + delta != 0 rejects; the g1 and g4 candidates twice, since
     their base grids are too small to classify and their ladders are
-    extended by counting in the same nest.  No decide evaluator is built.
+    extended by counting in the same nest.  No decide evaluator exists.
     Its solution block only at the 660 points where some kind has a
     matching case and a feasible system; g1, whose claims have no case,
-    compiles no solution block.  A fresh catalog, so that each claim's
-    layout is built in the run."""
+    compiles no solution block.  The nest decides every point: the run
+    calls no ``solve_affine``, and ``case_at`` only where the nest found a
+    case, once per (point, deciding claim).  A fresh catalog, so that each
+    claim's layout is built in the run."""
+    from wanas import soliton as soliton_module
+    from wanas.catalog import TheoremClaim
+
     kernels, blocks = _count_block_calls(monkeypatch)
+    found, hits = collections.Counter(), []
+    reports, case_at = verify_module._GroupKernel.reports, TheoremClaim.case_at
+
+    def counted_reports(kernel, entry, claims, admitted):
+        def counted():
+            for point in admitted:  # (sigma, one decision per deciding claim, values)
+                found.update(["case"] * sum(case is not None for *_, case in point[1]))
+                yield point
+
+        return reports(kernel, entry, claims, counted())
+
+    monkeypatch.setattr(verify_module._GroupKernel, "reports", counted_reports)
+    monkeypatch.setattr(TheoremClaim, "case_at", lambda claim, *args: hits.append(case_at(claim, *args)) or hits[-1])
+    for module in (soliton_module, verify_module):  # verify_module only if it imported the name again
+        monkeypatch.setattr(module, "solve_affine", lambda pairs: found.update(["solve_affine"]), raising=False)
     report = verify_paper(load_catalog())
     assert report.ok
     totals = [c.total for c in report.classifications[::2]]
@@ -1272,7 +1368,8 @@ def test_solution_block_is_evaluated_only_at_points_in_a_case(monkeypatch):
     assert blocks == list(zip([2 * 210, 448, 512, 2 * 200, 449 + 119, 456 + 112, 848 + 112], [0, 7, 85, 6, 449, 57, 56]))
     assert sum(totals) == 3123 and sum(solved for _, solved in blocks) == 660
     assert "solve" not in vars(kernels[0]) and all("solve" in vars(k) for k in kernels[1:])
-    assert not any("decide" in vars(k) for k in kernels)
+    assert not hasattr(verify_module._GroupKernel, "decide")
+    assert found == collections.Counter(case=len(hits)) and len(hits) == 782 and None not in hits
 
 
 def test_a_wrong_diagonal_d_entry_disagrees_exactly_at_its_cases_points(catalog):
