@@ -332,7 +332,9 @@ def load_catalog(path: str | None = None) -> Catalog:
             raw = json.load(fh)
     except FileNotFoundError:
         raise CatalogError(f"catalog file not found: {path}") from None
-    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply to decode
+    except OSError as exc:  # a directory, say
+        raise CatalogError(f"catalog file {path} cannot be read: {exc.strerror or exc}") from None
+    except (ValueError, RecursionError) as exc:  # not UTF-8 or JSON, an int past the digit limit, or too deeply nested
         raise CatalogError(f"catalog file {path} is not valid JSON: {exc}") from None
 
     check_shape(raw, CATALOG_SHAPE, "catalog", CatalogError)

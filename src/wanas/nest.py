@@ -27,7 +27,8 @@ def grid_nest(
     as (rows that vanish, rows that do not).  The nest then yields (point,
     decisions, values): per system ``solve_affine``'s outcome, the first
     pair (a, b) of b != 0 (c = -a/b for "one") and the index of the first
-    case that holds, else None; the values only if some case holds."""
+    case that holds, else None; the values only if some case holds, and a
+    row that no test reads (admission, pair or case) is formed only then."""
     s, pair = (solved[0], _integer_rows(solved[1:], variables)[1]) if solved else (len(variables), [])
     rows = _integer_rows(polys, variables)[1]
     degrees = [max((mono[i] for row in rows + pair for mono, _ in row), default=0) for i in range(len(variables))]
@@ -43,7 +44,8 @@ def _nest_source(degrees, rows, vanishing, variables, solved, pair, systems) -> 
     form a sub-row sum k * prod_(i < L) w_i_(e_i), w_i_e = p_i^e * q_i^(d_i - e),
     named once per term set: sum_e w_(L-1)_e times a sub-row of the loop
     before.  The solved variable's (a, b) are two more in its loop, and
-    ``systems`` are decided after the admission test (``_decisions``)."""
+    ``systems`` are decided after the admission test (``_decisions``), the
+    last sub-rows of the rows no test reads formed where some case holds."""
     n, named, powers = len(degrees), {}, {}
     levels: list[list[str]] = [[] for _ in range(n + 1)]
 
@@ -70,7 +72,15 @@ def _nest_source(degrees, rows, vanishing, variables, solved, pair, systems) -> 
             levels[level] += [f"{named[key]} = {value}"] if named[key] != value else []
         return named[key]
 
-    values = [sub(n, tuple(row)) for row in rows]
+    read = set(range(len(vanishing) if systems else len(rows)))
+    for pairs, cases in systems:
+        read.update(*pairs, *(part for case in cases for part in case))
+    values = [sub(n, tuple(row)) if j in read else "" for j, row in enumerate(rows)]
+    mark = len(levels[n])
+    if any(cases for _, cases in systems):  # the rows only a point in some case yields, none where no system has a case
+        values = [value or sub(n, tuple(row)) for value, row in zip(values, rows)]
+    formed = levels[n][mark:]
+    del levels[n][mark:]
     if solved < n:
         a, b = (sub(solved, tuple((mono[:solved], k) for mono, k in row)) for row in pair)
         levels[solved].append(f"xs = ((Fraction(-{a}, {b}),) if one else ()) if {b} else () if {a} else d{solved}")
@@ -83,16 +93,17 @@ def _nest_source(degrees, rows, vanishing, variables, solved, pair, systems) -> 
         lines += [pad + line for line in body]
     point = ", ".join(f"{variables[i]!r}: x{i}" for i in sorted(range(n), key=lambda i: i == solved))
     test = " and ".join(f"not {value}" if eq else value for value, eq in zip(values, vanishing))
-    found = _decisions(values, systems, point) if systems else [f"yield {{{point}}}, [{', '.join(values)}]"]
+    found = _decisions(values, systems, point, formed) if systems else [f"yield {{{point}}}, [{', '.join(values)}]"]
     head, pad = ([f"{pad}if {test}:"], pad + "    ") if test else ([], pad)
     return "\n".join([*lines, *head, *(pad + line for line in found)]) + "\n"
 
 
-def _decisions(values: list[str], systems, point: str) -> list[str]:
+def _decisions(values: list[str], systems, point: str, formed: list[str]) -> list[str]:
     """The statements that decide ``systems`` on the named ``values`` of a
-    point, then yield it.  A pair of two zero rows never changes the outcome
-    and is left out.  Where b != 0 every pair needs constant*b == a*slope
-    (a flat pair, slope 0: constant 0); where b = 0 every slope is 0."""
+    point, then yield it, with the ``formed`` statements and the values only
+    where some case holds.  A pair of two zero rows never changes the
+    outcome and is left out.  Where b != 0 every pair needs constant*b ==
+    a*slope (a flat pair, slope 0: constant 0); where b = 0 every slope is 0."""
     lines, decisions = [], []
     for t, (pairs, cases) in enumerate(systems):
         live = [(values[c], values[s]) for c, s in pairs if values[c] != "0" or values[s] != "0"]
@@ -106,5 +117,7 @@ def _decisions(values: list[str], systems, point: str) -> list[str]:
             lines.append(f"k{t} = {' else '.join(f'{k} if {test}' for k, test in enumerate(holds))} else None")
         decisions.append(f"(o{t}, a{t}, b{t}, {f'k{t}' if cases else None})")
     matched = " or ".join(f"k{t} is not None" for t, (_, cases) in enumerate(systems) if cases)
-    found = f"[{', '.join(values)}] if {matched} else None" if matched else "None"
-    return [*lines, f"yield {{{point}}}, ({', '.join(decisions)},), {found}"]
+    found = f"yield {{{point}}}, ({', '.join(decisions)},), "
+    in_case = [*formed, f"{found}[{', '.join(values)}]"]
+    branch = [f"if {matched}:", *(f"    {line}" for line in in_case), "else:", f"    {found}None"]
+    return [*lines, *(branch if matched else [found + "None"])]

@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .algebra import PAIR_KEYS, PAIRS, Constraint, LieAlgebraSpec, json_text
 from .catalog import (
@@ -30,7 +29,7 @@ from .catalog import (
 )
 from .geometry import compute_tensors, mat_substitute
 from .nest import grid_nest
-from .poly import IntegerEvaluator, Poly, UnsupportedRelationError, format_rational
+from .poly import Poly, UnsupportedRelationError, format_rational
 from .soliton import (
     SolitonKind,
     SolitonVerdict,
@@ -46,7 +45,6 @@ MATCH_ON_VARIETY = "match_on_variety"
 MISMATCH = "mismatch"
 
 BASE_LADDER: tuple[Fraction, ...] = tuple(map(Fraction, ("-2", "-1", "-1/2", "1/2", "1", "2", "3")))
-_T = TypeVar("_T")
 
 
 def _ladder_extension() -> Iterator[Fraction]:
@@ -143,7 +141,8 @@ class _GridKernel:
     variables before it: "one" gives x = -a/b, "any" the solved variable's
     domain, "none" nothing.  ``nest`` is the one generator (``grid_nest``)
     of loops, pair and rows: each quantity is formed in the outermost loop
-    that binds its variables, and a candidate is yielded if admitted.
+    that binds its variables (a row no test reads, only at a point in some
+    case), and a candidate is yielded if admitted.
     """
 
     def __init__(self, spec: LieAlgebraSpec, rows: Sequence[Poly] | None = None, systems: Sequence = ()):
@@ -179,22 +178,17 @@ class _GridKernel:
             for v in self.variables
         ]
 
-    def default(
-        self, build: Callable[[list[list[Fraction]]], _T], size: Callable[[_T], int], min_points: int, max_points: int
-    ) -> tuple[list[Fraction], _T]:
-        """(ladder, ``build(domains)``) of the default grid: the base ladder,
-        extended by ``_ladder_extension`` while the grid has fewer than
-        ``min_points`` points (``size`` of what ``build`` gave) and gains
-        points.  A value only adds points, so each step counts the new ones,
-        up to ``max_points`` in all: a new point has a free coordinate equal to
-        the value, or the solved one on an "any" branch (where its root is not
-        new), and split by the first such coordinate i, those before i range
-        over the old lists and those after over the new.  An extended grid is
-        built once, at the end; a base grid of fewer candidates than
-        ``min_points`` is counted, not built."""
+    def default(self, min_points: int, max_points: int) -> list[Fraction]:
+        """The default grid's ladder: the base ladder, extended by
+        ``_ladder_extension`` while the grid has fewer than ``min_points``
+        points (counted in ``nest``, up to ``max_points``) and gains points.
+        A value only adds points, so each step counts the new ones: a new
+        point has a free coordinate equal to the value, or the solved one on
+        an "any" branch (where its root is not new), and split by the first
+        such coordinate i, those before i range over the old lists and those
+        after over the new."""
         ladder, domains, extension = list(BASE_LADDER), self.domains(BASE_LADDER), _ladder_extension()
-        built = build(domains) if math.prod(map(len, domains)) >= min_points else None
-        total = sum(1 for _ in itertools.islice(self.nest(*domains, True), max_points)) if built is None else size(built)
+        total = sum(1 for _ in itertools.islice(self.nest(*domains, True), max_points))
         while total < min_points:
             value = next(extension)
             new = self.domains([*ladder, value])
@@ -205,7 +199,7 @@ class _GridKernel:
                 break
             ladder.append(value)
             domains, total = new, total + gained
-        return ladder, build(domains) if built is None or len(ladder) > len(BASE_LADDER) else built
+        return ladder
 
 
 def generate_grid(spec: LieAlgebraSpec, grid: GridSpec) -> list[dict[str, Fraction]]:
@@ -230,10 +224,8 @@ def default_grid(entry: GroupEntry, min_points: int = 200, max_points: int = 500
     or no free parameters can exhaust its admissible set); the counts are
     capped at ``max_points`` (see ``_GridKernel.default``).
     """
-    kernel = _GridKernel(entry.spec)
-    sigmas = lambda domains: [sigma for sigma, _ in itertools.islice(kernel.nest(*domains, True), max_points)]
-    ladder, points = kernel.default(sigmas, len, min_points, max_points)
-    return GridSpec(entry.id, tuple(ladder), max_points=max_points), points
+    grid = GridSpec(entry.id, tuple(_GridKernel(entry.spec).default(min_points, max_points)), max_points=max_points)
+    return grid, generate_grid(entry.spec, grid)
 
 
 # -- classification -----------------------------------------------------------
@@ -345,7 +337,7 @@ def classify_group(
     """Decide every point for each kind and compare with its theorem
     predicate, one report per kind in ``claims`` order (see
     ``_GroupKernel.reports``).  Each point, once ``spec.admitted`` admits
-    it, is a one-point grid of the group's decide nest, no variable solved."""
+    it, is a one-point grid of the group's nest, no variable solved."""
     spec, kernel = entry.spec, _GroupKernel(entry.spec, list(claims.values()))
     nest = grid_nest(kernel.rows, spec.variables(), spec._vanishing_rows, None, kernel.systems)
 
@@ -360,93 +352,84 @@ def classify_ladder(
     entry: GroupEntry, claims: Mapping[SolitonKind, TheoremClaim], ladder: Sequence[Fraction] | None = None,
     min_points: int = 200, max_points: int = 5000,
 ) -> tuple[ClassificationReport, ...]:
-    """``classify_group`` on ``generate_grid``'s grid of ``ladder``, else on
-    ``default_grid``'s, with the group's decide block admitting the grid's
-    candidates: each point is evaluated once, and decided from those values."""
+    """``classify_group`` on ``generate_grid``'s grid of ``ladder``, else of
+    the base ladder, else (below ``min_points`` and ``max_points`` points) of
+    ``_GridKernel.default``'s: the group's nest admits, evaluates and decides
+    each candidate of a grid once."""
     kernel = _GroupKernel(entry.spec, list(claims.values()))
     grid = _GridKernel(entry.spec, kernel.rows, kernel.systems)
 
-    def classify(domains: list[list[Fraction]]) -> tuple[ClassificationReport, ...]:
-        return kernel.reports(entry, claims, itertools.islice(grid.nest(*domains, True), max_points))
+    def classify(ladder: Sequence[Fraction]) -> tuple[ClassificationReport, ...]:
+        return kernel.reports(entry, claims, itertools.islice(grid.nest(*grid.domains(ladder), True), max_points))
 
-    if ladder is not None:
-        return classify(grid.domains(ladder))
-    return grid.default(classify, lambda reports: reports[0].total, min_points, max_points)[1]
+    reports = classify(BASE_LADDER if ladder is None else ladder)
+    if ladder is None and reports[0].total < min(min_points, max_points):
+        return classify(_GridKernel(entry.spec).default(min_points, max_points))
+    return reports
 
 
 class _GroupKernel:
-    """The two blocks of rows that classify a group's points.
+    """The rows that classify a group's points, in one grid nest.
 
-    ``rows``, the decide block, evaluated and decided in a grid nest: the
-    constraints, the nine bracket components (every kind's slopes), each
-    deciding claim's kind's ``residual_constants`` and each distinct claim's
-    condition rows (by the identity of its cases), with one of ``systems``
-    per deciding claim (see ``grid_nest``).  ``solve``, compiled on first
-    use: each deciding claim's kind's Wan entries (row-major) and each
-    distinct claim's solution rows.  A claim with the same cases object,
-    claim type and rows as an earlier one decides alike; ``shares`` holds
-    that one's position, else the claim's own.  ``claims`` holds each claim
-    with the starts of its constants, Wan entries, condition rows and
-    solution rows."""
+    ``rows``: those the decisions read, the constraints, the nine bracket
+    components (every kind's slopes), each deciding claim's kind's
+    ``residual_constants`` and each distinct claim's condition rows (by the
+    identity of its cases), with one of ``systems`` per deciding claim
+    (see ``grid_nest``); then each deciding claim's kind's Wan entries
+    (row-major) and each distinct claim's solution rows, which only the
+    agreement reads; last the constant 1, whose value is the denominator
+    every value shares.  A claim with the same cases object, claim type and
+    rows as an earlier one decides alike; ``shares`` holds that one's
+    position, else the claim's own.  ``claims`` holds each claim with the
+    starts of its constants, Wan entries, condition rows and solution rows."""
 
     def __init__(self, spec: LieAlgebraSpec, claims: Sequence[TheoremClaim]):
         self.slopes = len(spec.constraints)
-        blocks: tuple[list[Poly], list[Poly]] = ([con.poly for con in spec.constraints] + list(spec.components), [])
-        decided, starts = [], []  # each claim's (constants, Wan entries), and its starts in the two blocks
+        self.rows = [con.poly for con in spec.constraints] + list(spec.components)
+        decided = []  # each claim's (constants, Wan entries)
         self.shares: list[int] = []
         for index, claim in enumerate(claims):
             wan = wan_for_kind(spec, claim.kind)
             decided.append((list(residual_constants(spec, wan)), [p for row in wan for p in row]))
             alike = (other.cases is claim.cases and other.claim_type == claim.claim_type for other in claims)
-            share = next(j for j, same in enumerate(alike) if same and decided[j] == decided[index])
-            self.shares.append(share)
-            starts.append(starts[share] if share < index else tuple(map(len, blocks)))
-            for block, rows in zip(blocks, decided[index] if share == index else ()):
-                block += rows
-        offsets: dict[int, tuple[int, ...]] = {}
-        for claim in claims:
-            if id(claim.cases) not in offsets:
-                offsets[id(claim.cases)] = tuple(map(len, blocks))
-                for block, rows in zip(blocks, claim.layout):  # the condition and the solution rows
-                    block += rows
-        self.claims = [(claim, *start, *offsets[id(claim.cases)]) for claim, start in zip(claims, starts)]
-        self.rows, self._solution = blocks
+            self.shares.append(next(j for j, same in enumerate(alike) if same and decided[j] == decided[index]))
+        # the blocks in row order, constants, conditions, Wan entries, solutions: even ones per share, odd per cases
+        keys = [(share, id(claim.cases)) for share, claim in zip(self.shares, claims)]
+        starts: dict[tuple[int, int], int] = {}
+        for block in range(4):
+            for claim, key, (constants, wan) in zip(claims, keys, decided):
+                if (block, key[block % 2]) not in starts:
+                    starts[block, key[block % 2]] = len(self.rows)
+                    self.rows += (constants, claim.layout[0], wan, claim.layout[1])[block]
+        self.rows.append(Poly.const(1))  # its value is the denominator that every value shares
+        self.claims = [(claim, *(starts[block, key[block % 2]] for block in (0, 2, 1, 3))) for claim, key in zip(claims, keys)]
         self.systems = []  # per deciding claim: its nine (constant, slope) rows, its cases' (vanishing, nonzero) rows
         for index, (claim, constants, _, at, _) in enumerate(self.claims):
             entries = () if claim.claim_type == "no_soliton" else claim.layout[2]  # as case_at reads them
             cases = [(range(at + start, at + nonzero), range(at + nonzero, at + end)) for _, start, nonzero, end, _ in entries]
             self.systems += [([(constants + k, self.slopes + k) for k in range(9)], cases)] if self.shares[index] == index else []
 
-    @functools.cached_property
-    def solve(self) -> IntegerEvaluator:
-        return IntegerEvaluator(self._solution)
-
     def reports(
         self, entry: GroupEntry, claims: Mapping[SolitonKind, TheoremClaim], admitted: Iterable[tuple[dict, tuple, list | None]]
     ) -> tuple[ClassificationReport, ...]:
         """One report per kind of ``claims`` (the kernel's) from the (point,
-        decisions, decide block values) a nest of ``systems`` yields.  A point
-        in no case agrees when its system has no solution; in a case,
-        ``case_at`` reads it again (so overlapping cases raise) and the
-        solution block is evaluated where the system is feasible.  A kind
-        that decides alike with an earlier one takes its agreements; each
-        record keeps sigma and agree, and builds its verdicts when read."""
+        decisions, values of ``rows`` or None) a nest of ``systems`` yields.
+        A point in no case agrees when its system has no solution; in a case,
+        ``case_at`` reads it again (so overlapping cases raise) and ``agrees``
+        reads it where the system is feasible.  A kind that decides alike
+        with an earlier one takes its agreements; each record keeps sigma and
+        agree, and builds its verdicts when read."""
         sigmas: list[dict[str, Fraction]] = []
         agreements: list[list[bool]] = [[] for _ in claims]
         deciding = [(agreements[index], *self.claims[index]) for index, share in enumerate(self.shares) if share == index]
         for sigma, decisions, values in admitted:
             sigmas.append(sigma)
-            solution = None
             for (agree, claim, _, wan, conditions, solutions), (outcome, a, b, case) in zip(deciding, decisions):
-                if case is None:
-                    agree.append(outcome == "none")
-                    continue
-                hit = claim.case_at(values, conditions)
-                if outcome == "none" or hit[0].any_c != (outcome == "any") or hit[1] is None:
-                    agree.append(False)
-                    continue
-                solution = solution or self.solve(sigma)
-                agree.append(self.agrees(*solution, wan, solutions + hit[1], None if outcome == "any" else (a, b)))
+                hit = None if case is None else claim.case_at(values, conditions)
+                if hit is None or outcome == "none" or hit[0].any_c != (outcome == "any") or hit[1] is None:
+                    agree.append(hit is None and outcome == "none")
+                else:
+                    agree.append(self.agrees(values, wan, solutions + hit[1], None if outcome == "any" else (a, b)))
         sources = [(entry.spec, claim) for claim in claims.values()]  # one per kind, shared by its records
         return tuple(
             ClassificationReport(
@@ -456,14 +439,15 @@ class _GroupKernel:
         )
 
     @staticmethod
-    def agrees(values: Sequence[int], den: int, w: int, s: int, pair: tuple[int, int] | None) -> bool:
+    def agrees(values: Sequence[int], w: int, s: int, pair: tuple[int, int] | None) -> bool:
         """``verdicts_equal`` of the decision and ``predicate_eval`` in
         integers, with the Wan entries at ``w`` and the case's solution at
-        ``s`` of the solution block's ``values`` over ``den``.  The decide
-        block's (a, b) that fixed c gives c = -a/b: c agrees when -a*den ==
-        c*b, a D entry off the diagonal when w == d, on it (k = 0, 4, 8) when
-        w*b + a*den == d*b.  With no pair (every c), D(c) = Wan - c*Id agrees
-        when D(0) == w and D(1) - D(0) is -den on the diagonal, 0 off it."""
+        ``s`` of ``values``, all over den, the last value.  The (a, b) that
+        fixed c gives c = -a/b: c agrees when -a*den == c*b, a D entry off the
+        diagonal when w == d, on it (k = 0, 4, 8) when w*b + a*den == d*b.
+        With no pair (every c), D(c) = Wan - c*Id agrees when D(0) == w and
+        D(1) - D(0) is -den on the diagonal, 0 off it."""
+        den = values[-1]
         if pair is None:
             return all(values[s + k] == values[w + k] and values[s + 9 + k] == (0 if k % 4 else -den) for k in range(9))
         a, b = pair

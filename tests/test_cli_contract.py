@@ -98,6 +98,15 @@ NAMED = {f"catalog_{name}": named for name, _, named in PLANTED}
 NAMED.update(dict.fromkeys(("catalog_overlapping_cases_all_groups", "catalog_overlapping_cases_classify"), NAMED["catalog_overlapping_cases"]))
 NAMED.update(dict.fromkeys(("out_in_a_missing_directory", "out_a_directory"), "error: could not write report"))
 
+# catalogs that cannot be read as JSON text: a directory, bytes that are not UTF-8, an int past CPython's digit limit
+CATALOG_DIRECTORY = "<a directory>"
+UNREADABLE = [
+    ("catalog_a_directory", CATALOG_DIRECTORY, "cannot be read"),
+    ("catalog_not_utf8", b'\xff\xfe{"groups": {}}', "is not valid JSON"),
+    ("catalog_int_past_the_digit_limit", '{"checksum": ' + "7" * 5000 + "}", "is not valid JSON"),
+]
+NAMED.update({f"{name}_{command}": named for name, _, named in UNREADABLE for command in ("verify_paper", "tensors")})
+
 # a groups value that names every group but is a list, under its own checksum
 _GROUPS_LIST = json.dumps({"checksum": compute_checksum(list(ALL_GROUPS)), "groups": list(ALL_GROUPS)})
 
@@ -137,7 +146,11 @@ CASES = [
     ("out_a_directory", ["verify-paper", "--group", "g3", "--out", "{tmp}"], None, None, 2),
     ("catalog_overlapping_cases_all_groups", ["verify-paper"], None, _catalog(_OVERLAPPING_CASES), 2),
     ("catalog_overlapping_cases_classify", ["classify", "--group", "g4", "--kind", "first"], None, _catalog(_OVERLAPPING_CASES), 2),
-] + [(f"catalog_{name}", ["verify-paper", "--group", "g4"], None, _catalog(edit), 2) for name, edit, _ in PLANTED]
+] + [(f"catalog_{name}", ["verify-paper", "--group", "g4"], None, _catalog(edit), 2) for name, edit, _ in PLANTED] + [
+    (f"{name}_{command}", argv, None, catalog_text, 2)
+    for name, catalog_text, _ in UNREADABLE
+    for command, argv in (("verify_paper", ["verify-paper", "--group", "g1"]), ("tensors", ["tensors", "--group", "g1", "--tensor", "wan"]))
+]
 
 
 @pytest.mark.parametrize(
@@ -148,8 +161,13 @@ CASES = [
 def test_exit_code_contract(tmp_path, monkeypatch, capsys, argv, spec, catalog_text, expected, named):
     if spec is not None:
         (tmp_path / "spec.json").write_text(spec, encoding="utf-8")
-    if catalog_text is not None:
+    if catalog_text == CATALOG_DIRECTORY:
+        (tmp_path / "catalog.json").mkdir()
+    elif isinstance(catalog_text, bytes):
+        (tmp_path / "catalog.json").write_bytes(catalog_text)
+    elif catalog_text is not None:
         (tmp_path / "catalog.json").write_text(catalog_text, encoding="utf-8")
+    if catalog_text is not None:
         monkeypatch.setenv("WANAS_CATALOG", str(tmp_path / "catalog.json"))
     argv = [arg.replace("{spec}", str(tmp_path / "spec.json")).replace("{tmp}", str(tmp_path)) for arg in argv]
     refused = False

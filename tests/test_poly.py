@@ -920,14 +920,20 @@ def test_integer_evaluator_forms_each_repeated_row_once(monkeypatch):
 _SOURCES_OF_A_RUN = r"""
 import re
 from wanas import nest, poly
-from wanas.catalog import load_catalog
-from wanas.verify import verify_paper
+from wanas.catalog import load_catalog, predicate_eval
+from wanas.verify import GridSpec, generate_grid, verify_paper
 sources, nests = [], []
 original, original_nest = poly._kernel_source, nest._nest_source
 poly._kernel_source = lambda *args: sources.append(original(*args)) or sources[-1]
 nest._nest_source = lambda *args: nests.append(original_nest(*args)) or nests[-1]
 verify_paper(load_catalog())
-print(len(sources), sum(len(re.findall(r"^    r\d+ = ", source, re.MULTILINE)) for source in sources), len(nests))
+run = len(sources), len(nests)
+for entry in load_catalog().groups.values():  # the kernels of a check and a predicate_eval at a grid point
+    sigma = generate_grid(entry.spec, GridSpec(entry.id))[0]
+    entry.spec.evaluate(sigma)
+    for claim in entry.claims.values():
+        predicate_eval(claim, sigma)
+print(*run, len(sources), sum(len(re.findall(r"^    r\d+ = ", source, re.MULTILINE)) for source in sources))
 print("".join(sources + nests))
 """
 
@@ -935,9 +941,11 @@ print("".join(sources + nests))
 def test_kernel_sources_of_a_run_do_not_depend_on_the_hash_seed():
     """Repeated rows and sub-rows are found by hashing term sets; the
     sources that the kernels and grid nests of one verify_paper run compile
-    are the same under two hash seeds, and the kernels share rows.  6
-    kernels, the solution blocks of g2-g7, and 7 nests, one per group's
-    grid with its decide block."""
+    are the same under two hash seeds, and the kernels share rows.  The
+    run compiles no kernel and 9 nests: one per group's grid with its rows,
+    and the constraints-only nests that extend the g1 and g4 ladders; the
+    kernels that a ``check`` and a ``predicate_eval`` at a grid point
+    compile share rows."""
     import os
     import subprocess
     import sys
@@ -949,18 +957,17 @@ def test_kernel_sources_of_a_run_do_not_depend_on_the_hash_seed():
         run = subprocess.run([sys.executable, "-c", _SOURCES_OF_A_RUN], env=env, capture_output=True, text=True, check=True)
         outputs.append(run.stdout)
     assert outputs[0] == outputs[1]
-    kernels, shared, nests = map(int, outputs[0].split("\n", 1)[0].split())
-    assert (kernels, nests) == (6, 7) and shared > 0
+    run_kernels, run_nests, kernels, shared = map(int, outputs[0].split("\n", 1)[0].split())
+    assert (run_kernels, run_nests) == (0, 9) and kernels > 0 and shared > 0
 
 
 def test_integer_evaluator_scale_is_lcm_of_coefficient_denominators(monkeypatch):
-    """Every evaluator a verify-paper run builds, and every group's
-    solution block, scales by the lcm of the reduced denominators of its
-    polynomials' coefficients.  A fresh catalog, since the session one holds
-    evaluators compiled by earlier tests.  The run compiles the solution
-    block of each group but g1 and no decide block, so each group's two
-    blocks are built after it, and the coverage is counted in polynomials
-    (903 in 20 evaluators: the run's 6 and each group's two)."""
+    """Every evaluator a verify-paper run builds (none), every group's
+    kernel rows and every claim's ``predicate_eval`` kernel scale by the
+    lcm of the reduced denominators of their polynomials' coefficients.  A
+    fresh catalog, since the session one holds evaluators compiled by
+    earlier tests; the coverage is counted in polynomials (1,000 in 21
+    evaluators: each group's rows and each of its claims' kernels)."""
     from wanas.verify import _GroupKernel
 
     built = []
@@ -973,9 +980,11 @@ def test_integer_evaluator_scale_is_lcm_of_coefficient_denominators(monkeypatch)
     monkeypatch.setattr(IntegerEvaluator, "__init__", recording)
     catalog = load_catalog()
     verify_paper(catalog)
-    for gid, entry in catalog.groups.items():
-        kernel = _GroupKernel(entry.spec, list(entry.claims.values()))
-        IntegerEvaluator(kernel.rows), kernel.solve
+    assert built == []
+    for entry in catalog.groups.values():
+        IntegerEvaluator(_GroupKernel(entry.spec, list(entry.claims.values())).rows)
+        for claim in entry.claims.values():
+            claim.evaluate
     assert sum(len(polys) for _, polys in built) > 650
     for evaluate, polys in built:
         assert evaluate.scale == math.lcm(
@@ -1216,10 +1225,10 @@ def test_parse_refuses_an_exponent_past_the_bound_before_building_a_power(monkey
 
 
 def test_kernel_sources_equal_those_of_rows_built_from_terms(monkeypatch):
-    """For every polynomial list a verify_paper run compiles (the solution
-    blocks of g2-g7) and each group's decide block, the kernel source of
-    rows built from .terms (exponent tuples, scaled Fraction coefficients)
-    equals the evaluator's own source."""
+    """For each group's row list, which a verify_paper run compiles into
+    its grid nest and into no kernel, the kernel source of rows built from
+    .terms (exponent tuples, scaled Fraction coefficients) equals the
+    evaluator's own source."""
     from wanas.verify import _GroupKernel
 
     built = []
@@ -1236,7 +1245,7 @@ def test_kernel_sources_equal_those_of_rows_built_from_terms(monkeypatch):
     verify_paper(catalog)
     for entry in catalog.groups.values():
         IntegerEvaluator(_GroupKernel(entry.spec, list(entry.claims.values())).rows)
-    assert len(built) == 13
+    assert len(built) == 7
     for evaluate, polys, source in built:
         slots = [VARIABLES.index(v) for v in evaluate.variables]
         rows = []

@@ -543,21 +543,28 @@ def _counting_nests(monkeypatch):
     """Make every grid nest compiled from now on count the candidates it
     evaluates, keyed by the id of the polynomial list it was compiled for:
     a call ``count()`` opens its innermost loop body (its function body when
-    it has no loop), which runs once per candidate."""
+    it has no loop), which runs once per candidate.  The branch a point in
+    some case takes (see ``grid_nest``) opens with ``count("case")``, which
+    counts under ("case", id)."""
     from wanas import nest as nest_module
 
     counts = collections.Counter()
     original_source, original_nest = nest_module._nest_source, nest_module.grid_nest
 
+    def opened(line: str, call: str) -> str:
+        return " " * (len(line) - len(line.lstrip()) + 4) + call
+
     def source(*args):
         lines = original_source(*args).splitlines()
         at = max((k for k, line in enumerate(lines) if line.lstrip().startswith("for ")), default=0)
-        lines.insert(at + 1, " " * (len(lines[at]) - len(lines[at].lstrip()) + 4) + "count()")
+        lines.insert(at + 1, opened(lines[at], "count()"))
+        for k in [k for k, line in enumerate(lines) if line.lstrip().startswith("if k") and "is not None" in line][::-1]:
+            lines.insert(k + 1, opened(lines[k], 'count("case")'))
         return "\n".join(lines) + "\n"
 
     def nest(polys, *args):
         compiled = original_nest(polys, *args)
-        compiled.__globals__["count"] = lambda key=id(polys): counts.update((key,))
+        compiled.__globals__["count"] = lambda tag=None, key=id(polys): counts.update([(tag, key) if tag else key])
         return compiled
 
     monkeypatch.setattr(nest_module, "_nest_source", source)
@@ -616,7 +623,7 @@ _PARITY_LADDERS = [
 
 def _decided(kernel, values):
     """Each deciding claim's (outcome, root, case index) by ``solve_affine``
-    and ``case_at`` on the decide block's ``values``, the root only for "one"."""
+    and ``case_at`` on the group kernel's ``values``, the root only for "one"."""
     from wanas.soliton import solve_affine
 
     decided = []
@@ -633,16 +640,17 @@ def _decided(kernel, values):
 
 
 def test_grid_nest_equals_product_grid_with_integer_evaluator(catalog):
-    """For every group, over its constraint rows and over its decide block,
+    """For every group, over its constraint rows and over its kernel's rows,
     the nest gives the points of the product grid in the same order, with
     the numerators ``IntegerEvaluator`` gives at each: on the default
     ladders, on seeded ladders of large fractions, on every split that
     counts the points a ladder extension adds (the solved variable's too,
     where its one root is left out) and under a ``max_points`` cap.  The
-    decide block's nest decides each deciding claim's system at each point
+    kernel's nest decides each deciding claim's system at each point
     as ``solve_affine`` and ``case_at`` do on those numerators (outcome,
     root -a/b and case index), and yields the numerators only at points in
-    some case.  A claim of two cases that hold at one point is refused
+    some case: every row's, the solution rows' too, and last the
+    denominator that ``IntegerEvaluator`` gives.  A claim of two cases that hold at one point is refused
     through the grid's decision, naming both, as ``case_at`` refuses it.
     Seeded systems of a small row pool decide as ``solve_affine`` does
     where the catalog's do not reach: a flat pair (slope the zero
@@ -669,6 +677,7 @@ def test_grid_nest_equals_product_grid_with_integer_evaluator(catalog):
         claims = [catalog.theorem_claim(gid, kind) for kind in SolitonKind]
         kernel = _GroupKernel(entry.spec, claims)
         default = default_grid(entry)[0].ladder
+        evaluate = IntegerEvaluator(kernel.rows)
         for rows, systems in (([con.poly for con in entry.spec.constraints], ()), (kernel.rows, kernel.systems)):
             grid = _GridKernel(entry.spec, rows, systems)
 
@@ -696,6 +705,8 @@ def test_grid_nest_equals_product_grid_with_integer_evaluator(catalog):
                 expected = product(domains)
                 assert expected and nest(domains) == expected, (gid, ladder)
                 assert nest(domains, cap=7) == expected[:7]
+                for sigma, _, values in expected if systems else ():
+                    assert values is None or [len(values), values[-1]] == [len(rows), evaluate(dict(sigma))[1]], (gid, sigma)
             old, new = grid.domains(default[:-1]), grid.domains(default)
             splits = [i for i, (a, b) in enumerate(zip(old, new)) if a != b]
             assert splits
@@ -707,6 +718,44 @@ def test_grid_nest_equals_product_grid_with_integer_evaluator(catalog):
             with pytest.raises(AmbiguousCaseError) as err:
                 classify_ladder(entry, {claim.kind: overlapping})
             assert err.value.matched == (claim.cases[0].name, "overlap"), gid
+
+
+def test_a_point_in_no_case_forms_only_the_rows_its_tests_read(catalog, monkeypatch):
+    """In each group's nest, the innermost loop's statements that a point in
+    no case runs (its admission test, decisions and yield of no values)
+    assign no name they do not read, save a variable's numerator or
+    denominator: the rows that only the agreement reads are formed in the
+    branch of a point in some case, which every group but g1 (whose claims
+    have no case) has."""
+    import ast
+
+    from wanas import nest as nest_module
+    from wanas.verify import _GridKernel, _GroupKernel
+
+    sources = []
+    original = nest_module._nest_source
+    monkeypatch.setattr(nest_module, "_nest_source", lambda *args: sources.append(original(*args)) or sources[-1])
+
+    def run(statements, branches):  # what a point in no case runs; ``branches`` gets the in-case branches
+        for statement in statements:
+            if not isinstance(statement, ast.If):
+                yield statement
+                continue
+            yield statement.test
+            in_case = "is not None" in ast.unparse(statement.test)
+            branches += [statement.body] if in_case else []
+            yield from run(statement.orelse if in_case else statement.body + statement.orelse, branches)
+
+    for gid in ALL_GROUPS:
+        entry = catalog.get_group(gid)
+        kernel = _GroupKernel(entry.spec, list(entry.claims.values()))
+        _GridKernel(entry.spec, kernel.rows, kernel.systems)
+        innermost = [node for node in ast.walk(ast.parse(sources[-1])) if isinstance(node, ast.For)][-1]
+        branches = []
+        names = [node for part in run(innermost.body, branches) for node in ast.walk(part) if isinstance(node, ast.Name)]
+        stored = {node.id for node in names if isinstance(node.ctx, ast.Store)}
+        assert stored - {node.id for node in names if isinstance(node.ctx, ast.Load)} <= {f"{v}{i}" for v in "pq" for i in range(4)}, gid
+        assert [any(isinstance(line, ast.Assign) for line in branch) for branch in branches] == ([] if gid == "g1" else [True]), gid
 
 
 # -- classification -------------------------------------------------------------------------
@@ -793,12 +842,13 @@ def test_only_g3_and_g5_second_kind_share_the_first_kinds_agreement(catalog):
 
 
 def test_group_kernel_reads_every_slope_from_one_bracket_block(catalog):
-    """The decide block's rows: the constraints and the nine bracket
-    components (the values ``spec._point_values`` gives), nine residual
-    constants per deciding kind and the condition rows of each distinct
-    cases object.  The solution block's: nine Wan entries per deciding kind
-    and the solution rows of each distinct cases object.  No kind compiles
-    a slope row of its own."""
+    """The group kernel's one row list: first the rows the decisions read,
+    the constraints and the nine bracket components (the values
+    ``spec._point_values`` gives), nine residual constants per deciding
+    kind and the condition rows of each distinct cases object; then nine
+    Wan entries per deciding kind and the solution rows of each distinct
+    cases object; last the constant 1, whose value is the denominator.  No
+    kind compiles a slope row of its own."""
     from wanas.soliton import residual_constants, wan_for_kind
     from wanas.verify import _GroupKernel
 
@@ -811,18 +861,20 @@ def test_group_kernel_reads_every_slope_from_one_bracket_block(catalog):
         sigma = generate_grid(entry.spec, GridSpec(gid))[0]
         values, den = IntegerEvaluator(kernel.rows)(sigma)
         bracket_block = len(entry.spec.constraints) + 9
-        assert len(values) == bracket_block + 9 * deciding + sum(len(rows) for rows, _, _ in layouts.values()), gid
+        decide = bracket_block + 9 * deciding + sum(len(rows) for rows, _, _ in layouts.values())
+        assert len(values) == decide + 9 * deciding + sum(len(rows) for _, rows, _ in layouts.values()) + 1, gid
+        assert kernel.rows[-1] == Poly.const(1) and values[-1] == den, gid
         own, own_den = entry.spec._point_values(sigma)
         assert [F(v, den) for v in values[:bracket_block]] == [F(v, own_den) for v in own], gid
         assert kernel.slopes == len(entry.spec.constraints)
-        solution, solution_den = kernel.solve(sigma)
-        assert len(solution) == 9 * deciding + sum(len(rows) for _, rows, _ in layouts.values()), gid
-        for claim, constants, wan, _, _ in kernel.claims:
+        for claim, constants, wan, conditions, solutions in kernel.claims:
+            assert constants + 9 <= decide and conditions + len(claim.layout[0]) <= decide <= wan and decide <= solutions, gid
             matrix = wan_for_kind(entry.spec, claim.kind)
             expected = [p.evaluate(sigma) for p in residual_constants(entry.spec, matrix)]
             assert [F(v, den) for v in values[constants : constants + 9]] == expected, gid
             expected = [p.evaluate(sigma) for row in matrix for p in row]
-            assert [F(v, solution_den) for v in solution[wan : wan + 9]] == expected, gid
+            assert [F(v, den) for v in values[wan : wan + 9]] == expected, gid
+            assert kernel.rows[solutions : solutions + len(claim.layout[1])] == claim.layout[1], gid
 
 
 @pytest.mark.parametrize("perturbed", [False, True], ids=["equal_cases", "c_plus_1_7"])
@@ -1067,10 +1119,10 @@ def test_integer_agreement_checks_the_whole_any_c_family(catalog):
 
 def test_a_case_of_the_other_outcome_disagrees(catalog):
     """A case whose c is unique where every c solves, or the reverse, is a
-    disagreement read off the decide block alone.  At the g3 origin
+    disagreement read off the decision rows alone.  At the g3 origin
     (every c) the any_c case becomes a last case with c = 0 and D = 0 but
     for D[2][2] = -1, whose rows, read as a family D(c), would run past the
-    solution block; on g2's soliton slice (one c) its case claims
+    solution rows; on g2's soliton slice (one c) its case claims
     D(c) = -c*Id for every c."""
     d = tuple(tuple(Poly.const(-1 if i == j == 2 else 0) for j in range(3)) for i in range(3))
     claim = catalog.theorem_claim("g3", SolitonKind.FIRST)
@@ -1293,29 +1345,21 @@ def _count_claim_kernel(monkeypatch, count):
 
 def _count_block_calls(monkeypatch):
     """Record every ``_GroupKernel`` built from now on, and, once a run is
-    over, the evaluations of each one's decide and solution block in
-    ``blocks`` (one (decide, solution) pair per kernel).  The decide block
-    is evaluated at the candidates of a grid nest compiled from its rows.
-    Calls are counted per evaluator object, so an evaluator freed early
-    shares no count."""
-    from wanas.poly import IntegerEvaluator
-
-    kernels, calls, blocks = [], collections.Counter(), []
+    over, in ``blocks`` one (candidates, points in a case) pair per kernel:
+    the candidates its rows' grid nest evaluated, and the times that nest
+    took the branch of a point in some case, where the rows that only the
+    agreement reads are formed."""
+    kernels, blocks = [], []
     candidates = _counting_nests(monkeypatch)
-    original_call, original_init = IntegerEvaluator.__call__, verify_module._GroupKernel.__init__
-
-    def call(self, assignment):
-        calls[self] += 1
-        return original_call(self, assignment)
+    original_init = verify_module._GroupKernel.__init__
 
     def init(self, *args):
         original_init(self, *args)
         kernels.append(self)
 
     def counts():
-        blocks[:] = [(candidates[id(k.rows)], calls[vars(k).get("solve")]) for k in kernels]
+        blocks[:] = [(candidates[id(k.rows)], candidates["case", id(k.rows)]) for k in kernels]
 
-    monkeypatch.setattr(IntegerEvaluator, "__call__", call)
     monkeypatch.setattr(verify_module._GroupKernel, "__init__", init)
     for name in ("classify_group", "classify_ladder"):
 
@@ -1330,22 +1374,26 @@ def _count_block_calls(monkeypatch):
 
 
 def test_solution_block_is_evaluated_only_at_points_in_a_case(monkeypatch):
-    """One verify_paper run evaluates each group's decide block in the
-    grid's nest, once per grid candidate, which it also admits: at every
-    grid point (3,123 in all) and at the 343 candidates of g5-g7 that
-    alpha + delta != 0 rejects; the g1 and g4 candidates twice, since
-    their base grids are too small to classify and their ladders are
-    extended by counting in the same nest.  No decide evaluator exists.
-    Its solution block only at the 660 points where some kind has a
-    matching case and a feasible system; g1, whose claims have no case,
-    compiles no solution block.  The nest decides every point: the run
-    calls no ``solve_affine``, and ``case_at`` only where the nest found a
-    case, once per (point, deciding claim).  A fresh catalog, so that each
-    claim's layout is built in the run."""
+    """One verify_paper run evaluates each group's rows in the grid's nest,
+    once per grid candidate, which it also admits: at every grid point
+    (3,123 in all) and at the 343 candidates of g5-g7 that alpha + delta
+    != 0 rejects, and at the candidates of the base grids of g1 (56) and
+    g4 (128), classified and then dropped, since each has fewer than 200
+    points and its ladder is extended.  The nest forms the solution rows
+    only in the branch of a point in some case, taken 666 times: at the
+    660 classified points where some kind has a matching case, and at 6
+    points of g4's base grid; g1, whose claims have no case, has no such
+    branch.  The run builds no ``IntegerEvaluator``.  The nest decides
+    every point: the run calls no ``solve_affine``, and ``case_at`` only
+    where the nest found a case, once per (point, deciding claim).  A
+    fresh catalog, so that each claim's layout is built in the run."""
     from wanas import soliton as soliton_module
     from wanas.catalog import TheoremClaim
+    from wanas.poly import IntegerEvaluator
 
     kernels, blocks = _count_block_calls(monkeypatch)
+    built, init = [], IntegerEvaluator.__init__
+    monkeypatch.setattr(IntegerEvaluator, "__init__", lambda self, polys: built.append(polys) or init(self, polys))
     found, hits = collections.Counter(), []
     reports, case_at = verify_module._GroupKernel.reports, TheoremClaim.case_at
 
@@ -1365,17 +1413,17 @@ def test_solution_block_is_evaluated_only_at_points_in_a_case(monkeypatch):
     assert report.ok
     totals = [c.total for c in report.classifications[::2]]
     assert totals == [210, 448, 512, 200, 449, 456, 848]
-    assert blocks == list(zip([2 * 210, 448, 512, 2 * 200, 449 + 119, 456 + 112, 848 + 112], [0, 7, 85, 6, 449, 57, 56]))
-    assert sum(totals) == 3123 and sum(solved for _, solved in blocks) == 660
-    assert "solve" not in vars(kernels[0]) and all("solve" in vars(k) for k in kernels[1:])
-    assert not hasattr(verify_module._GroupKernel, "decide")
-    assert found == collections.Counter(case=len(hits)) and len(hits) == 782 and None not in hits
+    assert blocks == list(zip([56 + 210, 448, 512, 128 + 200, 449 + 119, 456 + 112, 848 + 112], [0, 7, 85, 6 + 6, 449, 57, 56]))
+    assert sum(totals) == 3123 and sum(matched for _, matched in blocks) == 666 and len(kernels) == 7
+    assert built == []
+    assert not hasattr(verify_module._GroupKernel, "decide") and not hasattr(verify_module._GroupKernel, "solve")
+    assert found == collections.Counter(case=len(hits)) and len(hits) == 790 and None not in hits
 
 
 def test_a_wrong_diagonal_d_entry_disagrees_exactly_at_its_cases_points(catalog):
     """g6 case ii with D[0][0] + 1 in both kinds' claims disagrees at exactly
     the grid points of that case (beta = gamma = 0, delta != 0), in each
-    kind, and the solution block finds it."""
+    kind, and the solution rows find it."""
     from wanas.verify import classify_group
 
     entry = catalog.get_group("g6")
@@ -1397,11 +1445,10 @@ def test_a_wrong_diagonal_d_entry_disagrees_exactly_at_its_cases_points(catalog)
 
 def test_classification_evaluates_one_kernel_per_point(catalog, monkeypatch):
     """verify_paper admits and classifies both kinds of a grid point with
-    one evaluation of the group's decide block, in the grid's nest, and
-    calls its solution block only at the 85 g3 points in a case; it calls
-    no claim kernel, no admission block and no predicate_eval, and
-    validates no point on the way: the solution block's are the only
-    kernel calls of the run."""
+    one evaluation of the group's rows, in the grid's nest, which forms the
+    solution rows only at the 85 g3 points in a case; it calls no kernel
+    (no solution block, claim kernel or admission block) and no
+    predicate_eval, and validates no point on the way."""
     from wanas.algebra import LieAlgebraSpec
     from wanas.poly import IntegerEvaluator
 
@@ -1438,7 +1485,7 @@ def test_classification_evaluates_one_kernel_per_point(catalog, monkeypatch):
     assert report.ok
     assert [c.total for c in report.classifications] == [512, 512]
     assert blocks == [(512, 85)] and len(kernels) == 1
-    assert calls == {("classify_ladder", "kernel"): 85}
+    assert calls == {}
     assert "claim_kernel" not in {name for _, name in calls}
 
 
