@@ -6,7 +6,6 @@ from .catalog import load_catalog
 from .geometry import compute_tensors
 from .poly import Poly, parse_poly
 from .soliton import SolitonKind, soliton_decide, wan_for_kind
-from .verify import verify_paper
 
 __version__ = "0.1.0"
 
@@ -23,3 +22,15 @@ __all__ = [
     "wan_for_kind",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    """``verify_paper`` on first read (PEP 562): ``wanas.verify`` and ``wanas.nest`` load only where they run."""
+    if name == "verify_paper":
+        from .verify import verify_paper
+        return verify_paper
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -22,6 +22,7 @@ from .poly import (
     Poly,
     PolyLike,
     VARIABLES,
+    _int,
     as_poly,
     dot,
     format_rational,
@@ -47,6 +48,10 @@ class InvalidAssignmentError(ValueError):
     def __init__(self, violations: Sequence[str]):
         self.violations = tuple(violations)
         super().__init__("; ".join(violations))
+
+
+class GridError(ValueError):
+    """A spec's constraints are outside what a grid enumerates: two defining equations, or one it cannot solve."""
 
 
 def vec3(*components: PolyLike) -> Vec3:
@@ -326,7 +331,7 @@ def load_spec_file(path: str) -> LieAlgebraSpec:
     """Read a JSON spec file (the CLI escape hatch); a malformed or too deeply nested one raises ValueError."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            data = json.load(fh, parse_int=_int)  # an integer of any number of digits
         except RecursionError:
             raise ValueError("the JSON document nests too deeply") from None
     return LieAlgebraSpec.from_json_dict(data)

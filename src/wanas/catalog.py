@@ -19,7 +19,6 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from importlib import resources
 from typing import Mapping, Sequence
 
 from .algebra import (
@@ -33,7 +32,7 @@ from .algebra import (
     vec_neg,
 )
 from .geometry import Conn, Mat3, Tor, Tri, mat_substitute, tri_table
-from .poly import IntegerEvaluator, Poly, parse_poly
+from .poly import IntegerEvaluator, Poly, _int, _int_str, parse_poly
 from .soliton import SolitonKind, SolitonVerdict
 
 ALL_GROUPS = ("g1", "g2", "g3", "g4", "g5", "g6", "g7")
@@ -218,10 +217,8 @@ def compute_checksum(groups_data: Mapping) -> str:
 
 
 def default_catalog_path() -> str:
-    override = os.environ.get("WANAS_CATALOG")
-    if override:
-        return override
-    return str(resources.files("wanas").joinpath("data/catalog.json"))
+    """$WANAS_CATALOG if set, else the catalog shipped beside this module."""
+    return os.environ.get("WANAS_CATALOG") or os.path.join(os.path.dirname(__file__), "data", "catalog.json")
 
 
 def _load_group(gid: str, data: Mapping) -> GroupEntry:
@@ -329,12 +326,12 @@ def load_catalog(path: str | None = None) -> Catalog:
     path = path or default_catalog_path()
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, parse_int=_int)  # an integer of any number of digits
     except FileNotFoundError:
         raise CatalogError(f"catalog file not found: {path}") from None
     except OSError as exc:  # a directory, say
         raise CatalogError(f"catalog file {path} cannot be read: {exc.strerror or exc}") from None
-    except (ValueError, RecursionError) as exc:  # not UTF-8 or JSON, an int past the digit limit, or too deeply nested
+    except (ValueError, RecursionError) as exc:  # not UTF-8 or JSON, or too deeply nested
         raise CatalogError(f"catalog file {path} is not valid JSON: {exc}") from None
 
     check_shape(raw, CATALOG_SHAPE, "catalog", CatalogError)
@@ -387,7 +384,7 @@ def _main(argv: Sequence[str]) -> int:
         print(f"updated checksum in {path}: {raw['checksum']}")
         return 0
     cat = load_catalog(argv[0] if argv else None)
-    print(f"{cat.path}: schema {cat.schema_version}, checksum {cat.checksum}, "
+    print(f"{cat.path}: schema {_int_str(cat.schema_version)}, checksum {cat.checksum}, "
           f"{len(cat.groups)} groups OK")
     return 0
 

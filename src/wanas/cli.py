@@ -18,6 +18,7 @@ from typing import Sequence
 from .algebra import (
     PAIR_KEYS,
     PAIRS,
+    GridError,
     InvalidAssignmentError,
     LieAlgebraSpec,
     json_text,
@@ -33,7 +34,6 @@ from .geometry import (
 )
 from .poly import DegreeOverflowError, MissingVariableError, PolyParseError, format_rational, is_digits, parse_rational
 from .soliton import SolitonKind, soliton_decide, wan_for_kind
-from .verify import GridError, classify_ladder, verify_paper
 
 _MATRIX_TENSORS = ("abar", "ric", "wan", "wan-tilde")
 _TENSOR_CHOICES = (
@@ -192,6 +192,7 @@ def _parse_ladder(text: str) -> tuple[Fraction, ...]:
 
 
 def _cmd_classify(args) -> int:
+    from .verify import classify_ladder  # the grid layer loads only for the commands that classify
     catalog = load_catalog()
     entry = catalog.get_group(args.group)
     kind = SolitonKind(args.kind)
@@ -219,6 +220,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_verify_paper(args) -> int:
+    from .verify import verify_paper
     catalog = load_catalog()
     ladder = _parse_ladder(args.grid_ladder) if args.grid_ladder else None
     report = verify_paper(

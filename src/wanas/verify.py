@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .algebra import PAIR_KEYS, PAIRS, Constraint, LieAlgebraSpec, json_text
+from .algebra import PAIR_KEYS, PAIRS, Constraint, GridError, LieAlgebraSpec, json_text
 from .catalog import (
     ALL_GROUPS,
     Catalog,
@@ -126,10 +126,6 @@ def _is_sign_constraint(con: Constraint) -> str | None:
     return None
 
 
-class GridError(ValueError):
-    """A spec's constraints are outside what a grid enumerates: two defining equations, or one it cannot solve."""
-
-
 class _GridKernel:
     """The admissible points of one algebra's grids, in sorted order, with
     the values of rows led by the constraints (by default, only those), or
@@ -201,6 +197,9 @@ class _GridKernel:
             domains, total = new, total + gained
         return ladder
 
+    def points(self, grid: GridSpec) -> list[dict[str, Fraction]]:
+        return [sigma for sigma, _ in itertools.islice(self.nest(*self.domains(grid.ladder), True), grid.max_points)]
+
 
 def generate_grid(spec: LieAlgebraSpec, grid: GridSpec) -> list[dict[str, Fraction]]:
     """The first ``grid.max_points`` admissible points of the grid, sorted by
@@ -213,8 +212,7 @@ def generate_grid(spec: LieAlgebraSpec, grid: GridSpec) -> list[dict[str, Fracti
     where the equation already holds, and skipping infeasible combinations.
     Every emitted point passes validate_assignment.
     """
-    kernel = _GridKernel(spec)
-    return [sigma for sigma, _ in itertools.islice(kernel.nest(*kernel.domains(grid.ladder), True), grid.max_points)]
+    return _GridKernel(spec).points(grid)
 
 
 def default_grid(entry: GroupEntry, min_points: int = 200, max_points: int = 5000) -> tuple[GridSpec, list[dict[str, Fraction]]]:
@@ -224,8 +222,9 @@ def default_grid(entry: GroupEntry, min_points: int = 200, max_points: int = 500
     or no free parameters can exhaust its admissible set); the counts are
     capped at ``max_points`` (see ``_GridKernel.default``).
     """
-    grid = GridSpec(entry.id, tuple(_GridKernel(entry.spec).default(min_points, max_points)), max_points=max_points)
-    return grid, generate_grid(entry.spec, grid)
+    kernel = _GridKernel(entry.spec)  # one constraints-only nest for the ladder and the points
+    grid = GridSpec(entry.id, tuple(kernel.default(min_points, max_points)), max_points=max_points)
+    return grid, kernel.points(grid)
 
 
 # -- classification -----------------------------------------------------------

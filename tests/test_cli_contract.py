@@ -98,14 +98,18 @@ NAMED = {f"catalog_{name}": named for name, _, named in PLANTED}
 NAMED.update(dict.fromkeys(("catalog_overlapping_cases_all_groups", "catalog_overlapping_cases_classify"), NAMED["catalog_overlapping_cases"]))
 NAMED.update(dict.fromkeys(("out_in_a_missing_directory", "out_a_directory"), "error: could not write report"))
 
-# catalogs that cannot be read as JSON text: a directory, bytes that are not UTF-8, an int past CPython's digit limit
+# catalogs that cannot be read as JSON text (a directory, bytes that are not UTF-8), and one
+# holding an int past CPython's int/str digit limit, which is valid JSON: it is read, and
+# refused by the shape check, not as invalid JSON
 CATALOG_DIRECTORY = "<a directory>"
 UNREADABLE = [
     ("catalog_a_directory", CATALOG_DIRECTORY, "cannot be read"),
     ("catalog_not_utf8", b'\xff\xfe{"groups": {}}', "is not valid JSON"),
-    ("catalog_int_past_the_digit_limit", '{"checksum": ' + "7" * 5000 + "}", "is not valid JSON"),
+    ("catalog_int_past_the_digit_limit", '{"checksum": ' + "7" * 5000 + "}", "error: missing catalog key 'groups'"),
 ]
 NAMED.update({f"{name}_{command}": named for name, _, named in UNREADABLE for command in ("verify_paper", "tensors")})
+# a spec file's int past the digit limit is read as any integer, and refused where a string belongs
+NAMED["spec_int_past_the_digit_limit"] = "spec.json: spec brackets e1,e2[0] must be a string"
 
 # a groups value that names every group but is a list, under its own checksum
 _GROUPS_LIST = json.dumps({"checksum": compute_checksum(list(ALL_GROUPS)), "groups": list(ALL_GROUPS)})
@@ -127,6 +131,7 @@ CASES = [
     ("exponent_past_the_bound", JACOBI, _bracket(f"alpha^{MAX_DEGREE + 1}"), None, 2),
     ("products_past_the_bound", TENSORS + ["connection"], _bracket(f"alpha^{MAX_DEGREE}"), None, 2),
     ("c_in_a_bracket", TENSORS + ["wan"], _bracket("c"), None, 2),
+    ("spec_int_past_the_digit_limit", TENSORS + ["wan"], '{"brackets": {"e1,e2": [' + "7" * 5000 + ', "0", "0"]}}', None, 2),
     ("spec_path_with_a_line_break", ["jacobi", "--spec-file", "{spec}\nx"], None, None, 2),
     ("arabic_indic_at", G2 + ["alpha=٣,beta=1,gamma=1"], None, None, 2),
     ("underscore_at", G2 + ["alpha=1_000,beta=1,gamma=1"], None, None, 2),
