@@ -44,7 +44,7 @@ MAX_DEGREE = (1 << _WIDTH) - 1
 _SHIFTS = tuple(_WIDTH * (_NVARS - 1 - i) for i in range(_NVARS))
 _PAST_MAX = (MAX_DEGREE + 1) << (_WIDTH * _NVARS)  # the least monomial of degree MAX_DEGREE + 1
 _BORROWS = sum(1 << (s + _WIDTH) for s in _SHIFTS)  # the bit above each variable's field
-_FIELDS = tuple((v, MAX_DEGREE << s) for v, s in zip(VARIABLES, _SHIFTS))
+_FIELD = {v: MAX_DEGREE << s for v, s in zip(VARIABLES, _SHIFTS)}
 
 Mono = tuple  # exponent 6-tuple, one entry per VARIABLES slot
 Scalar = Union[int, Fraction]
@@ -194,7 +194,7 @@ class Poly:
     def variables(self) -> tuple[str, ...]:
         """Variables occurring with nonzero exponent, in canonical order."""
         union = functools.reduce(operator.or_, self._terms, 0)
-        return tuple([v for v, field in _FIELDS if union & field])
+        return tuple([v for v, field in _FIELD.items() if union & field])
 
     # -- ring operations ----------------------------------------------
 
@@ -237,13 +237,13 @@ class Poly:
     def __pow__(self, exponent: int) -> Poly:
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial powers must be non-negative integers")
-        result, base, n = _ONE, self, exponent
+        result, base, n = None, self, exponent
         while n:
-            if n & 1:
-                result = result * base
+            if n & 1:  # the first factor is taken as it is, not multiplied by 1
+                result = base if result is None else result * base
             base = base * base if n > 1 else base
             n >>= 1
-        return result
+        return _ONE if result is None else result
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Poly):
@@ -282,17 +282,23 @@ class Poly:
         return Fraction(total, self._den)
 
     def substitute(self, images: Mapping[str, PolyLike]) -> Poly:
-        """Simultaneously substitute polynomials for the listed variables;
-        a polynomial in none of them is returned as it is."""
+        """Simultaneously substitute polynomials for the listed variables; once
+        the image types and names are checked, a polynomial in none of them
+        (one OR over its keys against their fields) is returned as it is."""
         if not images:
             return self
-        images_p = {name: as_poly(p) for name, p in images.items()}
-        for name in images_p:
-            if name not in _VAR_INDEX:
+        for image in images.values():
+            if not isinstance(image, (Poly, int, Fraction)):
+                as_poly(image)  # raises its TypeError
+        mask = 0
+        for name in images:
+            field = _FIELD.get(name)
+            if field is None:
                 raise PolyParseError(f"unknown variable {name!r} in substitution")
-        if images_p.keys().isdisjoint(self.variables()):
+            mask |= field
+        if not functools.reduce(operator.or_, self._terms, 0) & mask:
             return self
-        basis = [images_p.get(v, x) for v, x in zip(VARIABLES, _VARS)]
+        basis = [as_poly(images[v]) if v in images else x for v, x in zip(VARIABLES, _VARS)]
         powers: dict[tuple[int, int], Poly] = {}
         products = []
         for mono, k in self._terms.items():
@@ -304,6 +310,21 @@ class Poly:
                 term = power if term is _ONE else term * power
             products.append((k, term, _ONE))
         return dot(products, self._den)
+
+    def fold_sign(self, name: str) -> Poly:
+        """This polynomial modulo name^2 = 1 (a sign variable): one mask per
+        term takes the even part of its exponent out of the variable's field
+        and the degree field, then one gcd; self when no exponent exceeds 1."""
+        shift = _SHIFTS[_VAR_INDEX[name]]
+        even_field = (MAX_DEGREE - 1) << shift  # the exponent bits above its parity bit
+        if not functools.reduce(operator.or_, self._terms, 0) & even_field:
+            return self
+        out: dict[int, int] = {}
+        for mono, k in self._terms.items():
+            even = mono & even_field
+            mono -= even + (even << (_WIDTH * _NVARS - shift))
+            out[mono] = out.get(mono, 0) + k
+        return _canonical({m: k for m, k in out.items() if k}, self._den)
 
     def reduce(self, relation: Poly, leading: str) -> Poly:
         """Reduce modulo a (at most) binomial rewrite rule.

@@ -17,7 +17,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .algebra import PAIR_KEYS, PAIRS, Constraint, GridError, LieAlgebraSpec, json_text
 from .catalog import (
@@ -52,8 +52,7 @@ def _ladder_extension() -> Iterator[Fraction]:
     return (Fraction(x) for k in itertools.count(3) for x in (-k, k + 1))
 
 
-@dataclass(frozen=True)
-class DiscrepancyReport:
+class DiscrepancyReport(NamedTuple):
     group: str
     item: str      # connection|torsion|a_tensor|abar|ric|wan|wan_tilde|theorem_case
     location: tuple
@@ -469,17 +468,8 @@ def reproduce_group(entry: GroupEntry) -> list[DiscrepancyReport]:
         equal = computed == claimed_p
         verdict, certificate = (MATCH, None) if equal else compare_polys(computed, claimed_p, entry)
         text = str(computed)
-        reports.append(
-            DiscrepancyReport(
-                group=entry.id,
-                item=item,
-                location=location,
-                computed=text,
-                claimed=text if equal else str(claimed_p),
-                verdict=verdict,
-                certificate=certificate,
-            )
-        )
+        # positional: a NamedTuple built from keywords takes twice as long
+        reports.append(DiscrepancyReport(entry.id, item, location, text, text if equal else str(claimed_p), verdict, certificate))
 
     for i, j, k in itertools.product(range(3), repeat=3):
         location = (f"e{i + 1}", f"e{j + 1}", f"e{k + 1}")

@@ -703,6 +703,64 @@ def test_golden_cli_outputs(capsys, monkeypatch, catalog, height_points):
     assert len(written) == sum("--json" in argv for argvs in runs.values() for argv in argvs) > 500
 
 
+# The `tensors` and `check` pins of the installed-package block of
+# .github/workflows/tests.yml, which runs them against the installed `wanas`:
+# argv after the command, and the SHA-256 of stdout or its one line.
+_CI_TENSORS_SHA256 = {
+    ("--group", "g4", "--tensor", "curvature"): "b74ed483108f4347bb3bbeb2ce2c5b6e81464a2fe88af41dacda3abcba09ddbf",
+    ("--group", "g6", "--tensor", "levi-civita", "--json"): "6e4e6b11a904ff429d334b6989b40d4b3dc3c7809edf197c66af09af03e1912c",
+    ("--group", "g5", "--tensor", "a-tensor", "--json"): "f8474a749c7ac441656493a44931fb1219f07c7bcd754fb4c34f42da2c102686",
+    ("--group", "g7", "--tensor", "wanas"): "9b40092b22cd67db604a874d5e89d9ef86317bd61280bedeeb6e17585e722ce2",
+    ("--group", "g3", "--tensor", "levi-civita"): "cb6971eb520b6f15fa329dd5437a8cc423ff45f59a3d94f456627a5403495816",
+    ("--group", "g6", "--connection-kind", "levi-civita", "--tensor", "wan-tilde", "--json"):
+        "801da188c6e74a0f6e0a68bf262709d53c94b920a3c44a350a322161f36fc063",
+    ("--group", "g7", "--connection-kind", "levi-civita", "--tensor", "ric"):
+        "59f0e81d4f63b5c29548ada373e4cbbec0d6846f83a690434fb821109c632201",
+    ("--group", "g6", "--connection-kind", "levi-civita", "--tensor", "curvature", "--json"):
+        "2a5fadbfda057b2b2f44910f7d7247257b2a7598cdd64e6b5f02dd655f4ad8a0",
+}
+_CI_CHECK_LINES = {
+    ("--group", "g2", "--kind", "first", "--at", "alpha=0,beta=0,gamma=1"):
+        "g2 (first kind): soliton with c = -2, D rows (0, 0, 0); (0, 1, 0); (0, 0, 2)",
+    ("--group", "g1", "--kind", "second", "--at", "alpha=1,beta=2"):
+        "g1 (second kind): no soliton (residual(e1,e2)[e1]: 17/2 + c = 0, residual(e1,e2)[e3]: -29 - 2*c = 0)",
+    ("--group", "g3", "--kind", "first", "--at", "alpha=0,beta=0,gamma=0"):
+        "g3 (first kind): soliton for every c, D(c) rows (-c, 0, 0); (0, -c, 0); (0, 0, -c)",
+    ("--group", "g6", "--kind", "first", "--at", "alpha=-153/190,beta=-153/190,delta=249/329,gamma=249/329"):
+        "g6 (first kind): no soliton (residual(e1,e2)[e2]: -269534141593569/488515662502000 - 153/190*c = 0, "
+        "residual(e1,e2)[e3]: -56974769788059/97703132500400 - 153/190*c = 0)",
+}
+# residual constants of ~4,350 digits, past CPython's int/str limit
+_CI_DIGITS_ARGV = ("--group", "g2", "--kind", "first", "--at", f"alpha=1,beta={'7' * 1450},gamma=1")
+_CI_DIGITS_SHA256 = "3d81e04a6af7c9d27972f2062ff907d1ebf41644a95939d03e2cbf8f303de781"
+
+
+def test_installed_package_pins_of_tensors_and_check(capsys, monkeypatch, tmp_path, catalog):
+    """Every `tensors` and `check` pin of the workflow's installed-package
+    block, through `main` in process, so that a local run catches a pin the
+    code no longer meets: each exits 0 with nothing on stderr."""
+
+    def stdout(*argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        return out
+
+    for argv, digest in _CI_TENSORS_SHA256.items():
+        assert hashlib.sha256(stdout("tensors", *argv).encode()).hexdigest() == digest, argv
+    for argv, line in _CI_CHECK_LINES.items():
+        assert stdout("check", *argv) == line + "\n", argv
+    assert hashlib.sha256(stdout("check", *_CI_DIGITS_ARGV).encode()).hexdigest() == _CI_DIGITS_SHA256
+    # a spec file of g2's brackets decides as the catalog group, and reads no catalog
+    spec_file = tmp_path / "g2.json"
+    spec_file.write_text(json.dumps(catalog.groups["g2"].spec.to_json_dict()))
+    argv = ("check", "--spec-file", str(spec_file), "--kind", "first", "--at", "alpha=0,beta=0,gamma=1")
+    expected = "spec-file (first kind): soliton with c = -2, D rows (0, 0, 0); (0, 1, 0); (0, 0, 2)\n"
+    assert stdout(*argv) == expected
+    monkeypatch.setenv("WANAS_CATALOG", str(tmp_path / "missing.json"))
+    assert stdout(*argv) == expected
+    stdout("jacobi", "--spec-file", str(spec_file))
+
+
 def _planted_catalog(catalog):
     """The catalog with four wrong theorem claims: g1 first kind a soliton
     with c = 0 and D = 0 everywhere; g2 first kind's case i with c + 1/7 and
@@ -772,7 +830,7 @@ def test_json_text_equals_json_dumps_on_reports(catalog):
     assert planted.disagreement_count > 0
     texts = ['say "hi"', "back\\slash", "tab\tnew\nline\x00\x1f", "é ∂ 😀", "\ud800"]
     items = tuple(
-        dataclasses.replace(item, verdict=MISMATCH, claimed=texts[k % len(texts)], certificate=texts[(k + 1) % len(texts)])
+        item._replace(verdict=MISMATCH, claimed=texts[k % len(texts)], certificate=texts[(k + 1) % len(texts)])
         if k % 50 == 0 else item
         for k, item in enumerate(planted.items)
     )

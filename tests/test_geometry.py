@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import collections
 import itertools
+import random
 from fractions import Fraction
 
 from wanas.algebra import (
@@ -571,3 +572,55 @@ def test_zero_brackets_and_zero_first_factors_build_no_term(groups):
                     assert _fields(geometry.dot(terms)) == _fields(geometry.dot(full))
                     skipped += len(full) - len(terms)
     assert skipped > 1000
+
+
+# -- first Bianchi identity with torsion -----------------------------------------
+
+
+def _values(table):
+    """A nested table of constant polynomials as nested lists of Fractions."""
+    return table.constant_value() if isinstance(table, Poly) else [_values(x) for x in table]
+
+
+def bianchi_defect(spec: LieAlgebraSpec, kind: str) -> list[list[Fraction]]:
+    """S W(X,Y)Z - S (nabla_X T)(Y,Z) + S [[X,Y],Z] for every basis triple
+    (X, Y, Z) = (e_i, e_j, e_k) of a numeric spec, with S the cyclic sum over
+    (X, Y, Z), W = R - A and every table read from ``compute_tensors``."""
+    bundle = compute_tensors(spec, kind)
+    conn, t, w, c = (_values(x) for x in (bundle.connection, bundle.torsion, bundle.wanas, spec.constants))
+    r3 = range(3)
+    basis = [[int(m == n) for m in r3] for n in r3]
+
+    def nabla(i, v):  # nabla_{e_i} v
+        return [sum(v[m] * conn[i][m][l] for m in r3) for l in r3]
+
+    def tor(u, v):  # T(u, v)
+        return [sum(u[a] * v[b] * t[a][b][l] for a in r3 for b in r3 if u[a] and v[b]) for l in r3]
+
+    def term(i, j, k):  # W(e_i,e_j)e_k - (nabla_i T)(e_j,e_k) + [[e_i,e_j],e_k]
+        dt = [x - y - z for x, y, z in zip(nabla(i, t[j][k]), tor(conn[i][j], basis[k]), tor(basis[j], conn[i][k]))]
+        jacobi = [sum(c[i][j][m] * c[m][k][l] for m in r3) for l in r3]
+        return [x - y + z for x, y, z in zip(w[i][j][k], dt, jacobi)]
+
+    return [
+        [sum(x) for x in zip(term(i, j, k), term(j, k, i), term(k, i, j))]
+        for i, j, k in itertools.product(r3, repeat=3)
+    ]
+
+
+def test_first_bianchi_identity_with_torsion(groups, height_points):
+    """S W(X,Y)Z - S (nabla_X T)(Y,Z) = -S [[X,Y],Z] with W = R - A, exactly,
+    for both connection kinds (Kobayashi & Nomizu I, ch. III, Thm 5.3; the
+    Jacobiator term is zero for a Lie algebra, not for any bracket table): at
+    seeded points of every group, and on seeded random bracket tables, which
+    need not satisfy Jacobi, one under each of the eight signatures."""
+    specs = [groups[gid].spec.evaluate(sigma) for gid, points in height_points.items() for sigma in points[:4]]
+    rng = random.Random(20261021)
+    for eps in itertools.product((1, -1), repeat=3):
+        rows = [[Poly.const(Fraction(rng.randint(-9, 9), rng.randint(1, 4))) for _ in range(3)] for _ in range(3)]
+        specs.append(LieAlgebraSpec(tuple(map(tuple, rows)), MetricSignature(eps)))
+    assert len(specs) == 7 * 4 + 8
+    assert sum(any(spec.jacobi_residual()) for spec in specs[-8:]) == 8
+    for spec in specs:
+        for kind in ("canonical", "levi-civita"):
+            assert all(x == 0 for v in bianchi_defect(spec, kind) for x in v), (spec, kind)

@@ -15,13 +15,14 @@ from wanas import geometry
 from wanas.algebra import LORENTZ, LieAlgebraSpec, MetricSignature, vec3
 from wanas.catalog import ALL_GROUPS
 from wanas.geometry import compute_tensors, mat_sub, scalar_matrix
-from wanas.poly import Poly, parse_poly
+from wanas.poly import VARIABLES, Poly, parse_poly
 from wanas.soliton import (
     AffineEquation,
     SolitonKind,
     SolitonVerdict,
     check_claimed_solution,
     derivation_residual,
+    normalize_eta,
     residual_constants,
     residual_system,
     solve_affine,
@@ -474,6 +475,43 @@ def test_check_claimed_g6_case_iii_needs_branches(groups):
     assert check_claimed_solution(spec, SolitonKind.FIRST, -(alpha**2), d, branches=branches) == []
     # without the alpha^2 = beta^2 case split the identity genuinely fails
     assert check_claimed_solution(spec, SolitonKind.FIRST, -(alpha**2), d) != []
+
+
+def test_normalize_eta_equals_the_binomial_reduction(catalog):
+    """normalize_eta, one parity fold of each eta exponent, equals the
+    general reduction modulo eta^2 - 1 (``Poly.reduce``) field for field: on
+    every Wan, W-tilde, Ric and A-bar entry of g1-g7 and the square and cube
+    of each (756 polynomials), and on 600 seeded random polynomials with eta
+    exponents up to 5.  A polynomial with no eta exponent above 1 is
+    returned as it is."""
+    relation = Poly.var("eta") ** 2 - 1
+    entries = [
+        p
+        for gid in ALL_GROUPS
+        for bundle in (compute_tensors(catalog.get_group(gid).spec),)
+        for m in (bundle.wan, bundle.wan_tilde, bundle.ric, bundle.abar)
+        for row in m
+        for p in row
+    ]
+    polys = [q for p in entries for q in (p, p**2, p**3)]
+    assert len(polys) == 756
+    rng = random.Random(20261021)
+    for _ in range(600):
+        terms = {
+            tuple(rng.randint(0, 5) if v == "eta" else rng.randint(0, 2) * (rng.random() < 0.5) for v in VARIABLES):
+                F(rng.randint(-9, 9), rng.randint(1, 6))
+            for _ in range(rng.randint(0, 6))
+        }
+        polys.append(Poly(terms))
+    folded = []
+    for p in polys:
+        expected = p.reduce(relation, "eta")
+        assert normalize_eta(p) == expected, str(p)
+        if p.degree_in("eta") < 2:
+            assert normalize_eta(p) is p
+        folded.append(expected != p)
+    # 45 of the catalog set (squares and cubes of g4 entries) and 454 random ones fold
+    assert (sum(folded[:756]), sum(folded[756:])) == (45, 454)
 
 
 # -- Wan as quadratic forms in the bracket components ------------------------------------

@@ -1208,6 +1208,35 @@ def test_theorem_case_check_detects_corrupted_any_c_case(catalog):
     assert report.verdict == MATCH
 
 
+def test_theorem_case_check_text_with_a_planted_eta_relation(catalog):
+    """g4 is the one group with eta, and its checks fold eta^2 = 1.  Its first
+    kind's case i plants eta^2 - 1 + alpha in D(3,2): that still passes, as
+    the case sets alpha = 0 and eta^2 - 1 folds to 0.  With eta, the one
+    variable the case leaves free, in place of alpha, the full failure text
+    is pinned, every difference and residual printed after the fold."""
+    entry = catalog.get_group("g4")
+    claim = catalog.theorem_claim("g4", SolitonKind.FIRST)
+    case = claim.cases[0]
+    assert case.subs_map().keys() == {"alpha", "beta"}
+
+    def check(planted: str):
+        d = [list(row) for row in case.d]
+        d[2][1] += P(planted)
+        wrong = dataclasses.replace(case, d=tuple(map(tuple, d)))
+        (report,) = check_theorem_cases(entry, SolitonKind.FIRST, dataclasses.replace(claim, cases=(wrong,)))
+        return report
+
+    assert check("eta^2 - 1 + alpha") == ("g4", "theorem_case", ("first", "i"), "pass", "pass", MATCH, None)
+    report = check("eta^2 - 1 + eta")
+    assert (report.location, report.claimed, report.verdict, report.certificate) == (("first", "i"), "pass", MISMATCH, None)
+    assert report.computed == (
+        "Wan - (c*Id + D) nonzero at (3,2): -eta; "
+        "derivation residual nonzero at (e1,e2)[e2]: 2; "
+        "derivation residual nonzero at (e1,e3)[e2]: 2*eta; "
+        "derivation residual nonzero at (e1,e3)[e3]: -2"
+    )
+
+
 def test_theorem_case_substitution_equals_recomputation(catalog):
     """Substituting each case, then each branch, into the group's decision
     operator from the tensor pipeline equals the operator that
