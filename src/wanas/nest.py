@@ -5,7 +5,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
-from .poly import _CHAIN, Poly, _integer_rows, _literal, _power
+from .poly import Poly, _integer_rows
+
+_CHAIN = 32  # terms per `a + b + ...` chain; longer rows sum a flat tuple of chains
 
 
 def grid_nest(
@@ -16,8 +18,9 @@ def grid_nest(
     ..., d_n-1, one)`` of nested loops, variable i of ``variables`` over the
     sorted Fractions d_i.  It yields (point, values) for each point whose
     leading values vanish as ``vanishing`` says (True: the value is 0), the
-    values being the numerators ``IntegerEvaluator(polys)`` gives there when
-    ``polys`` hold the equation that ``solved`` solves.  ``solved`` = (i,
+    values being integer numerators as ``IntegerEvaluator(polys)`` gives
+    them (it runs this nest on one value per variable) when ``polys`` hold
+    the equation that ``solved`` solves.  ``solved`` = (i,
     a, b), a and b free of x_i and the variables after it, runs x_i (listed
     last in a point) over the roots of a + b*x_i = 0: -a/b where b != 0
     (only when ``one``), all of d_i where a = b = 0, none otherwise.
@@ -121,3 +124,17 @@ def _decisions(values: list[str], systems, point: str, formed: list[str]) -> lis
     in_case = [*formed, f"{found}[{', '.join(values)}]"]
     branch = [f"if {matched}:", *(f"    {line}" for line in in_case), "else:", f"    {found}None"]
     return [*lines, *(branch if matched else [found + "None"])]
+
+
+def _literal(k: int) -> str:  # compile() keeps the int/str digit limit; hexadecimal has none
+    try:
+        return str(k)
+    except ValueError:
+        return hex(k)
+
+
+def _power(i: int, e: int, d: int) -> str:
+    """The source of p_i^e * q_i^(d - e), d the largest degree of variable i."""
+    p = f"p{i}" if e == 1 else f"p{i}**{e}"
+    q = f"q{i}" if d - e == 1 else f"q{i}**{d - e}"
+    return p if e == d else q if e == 0 else f"{p} * {q}"

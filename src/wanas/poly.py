@@ -29,7 +29,6 @@ import functools
 import math
 import operator
 import re
-from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
@@ -503,112 +502,38 @@ class IntegerEvaluator:
     p_v^e_v * q_v^(d_v - e_v).  The variables are those occurring in the
     list, in canonical order.
 
-    The list is compiled once into one straight-line Python function (see
-    ``_kernel_source``) that takes the values of ``variables`` positionally.
+    The list and the constant 1, whose numerator is that denominator, are
+    compiled once into the grid nest of ``nest.grid_nest``; a point is the
+    grid of one value per variable.
     """
 
-    __slots__ = ("variables", "degrees", "scale", "_args", "_kernel")
+    __slots__ = ("variables", "degrees", "scale", "_nest")
 
     def __init__(self, polys: Sequence[Poly]):
+        from .nest import grid_nest  # here, not at import: loading the catalog loads no wanas.nest
+
         names = {v for p in polys for v in p.variables()}
         self.variables = tuple(v for v in VARIABLES if v in names)
         self.scale, rows = _integer_rows(polys, self.variables)
         self.degrees = tuple(map(max, zip(*(mono for row in rows for mono, _ in row))))
-        namespace: dict = {}
-        exec(compile(_kernel_source(self.degrees, self.scale, rows), "<kernel>", "exec"), namespace)
-        self._kernel = namespace["kernel"]
-        # the kernel's arguments in one call: itemgetter gives a tuple for two or more names
-        get = operator.itemgetter(*self.variables) if self.variables else lambda assignment: ()
-        self._args = (lambda assignment: (get(assignment),)) if len(self.variables) == 1 else get
+        self._nest = grid_nest([*polys, _ONE], self.variables, ())
 
     def __call__(self, assignment: Mapping[str, Scalar]) -> tuple[list[int], int]:
         """(numerators, denominator) of every polynomial at the point."""
         try:
-            args = self._args(assignment)
+            domains = [(assignment[v],) for v in self.variables]
         except KeyError:
             raise MissingVariableError(
                 v for v in self.variables if v not in assignment
             ) from None
         try:
-            return self._kernel(*args)
+            _, values = next(self._nest(*domains, True))
+            return values[:-1], values[-1]
         except AttributeError as exc:  # a value without .numerator: checked only now
             error = exc
-        for x in args:
+        for (x,) in domains:
             _ratio(x)  # raises the TypeError of a value that is not int or Fraction
         raise error
-
-
-_CHAIN = 32  # terms per `a + b + ...` chain; longer rows sum a flat tuple of chains
-
-
-def _kernel_source(
-    degrees: Sequence[int], scale: int, rows: Sequence[Sequence[tuple[tuple[int, ...], int]]]
-) -> str:
-    """Python source of ``def kernel(x0, x1, ...)`` for ``IntegerEvaluator``.
-
-    ``rows`` holds each polynomial as (exponents over the evaluator's
-    variables, integer coefficient) terms.  The source contains only integer
-    literals and made-up names: x_i (argument), p_i/q_i (its numerator and
-    denominator), w_i_e (the power p_i^e * q_i^(d_i - e)), m_j (a distinct
-    monomial), r_j (a repeated row of several terms, formed once; named in
-    order of first occurrence).  Every expression has bounded depth: a
-    monomial is a product of at most one power per variable, and a row of
-    more than ``_CHAIN`` terms is a ``sum`` over a flat tuple of chains.
-    """
-    n = len(degrees)
-    lines = [f"def kernel({', '.join(f'x{i}' for i in range(n))}):"]
-    for i in range(n):
-        lines.append(f"    p{i} = x{i}.numerator; q{i} = x{i}.denominator")
-
-    powers: dict[tuple[int, int], str] = {}
-    monos: dict[tuple[int, ...], str] = {}
-    for row in rows:
-        for mono, _ in row:
-            if mono in monos:
-                continue
-            factors = []
-            for i, e in enumerate(mono):
-                if (i, e) not in powers:
-                    expr = _power(i, e, degrees[i])
-                    if "*" in expr:
-                        lines.append(f"    w{i}_{e} = {expr}")
-                        expr = f"w{i}_{e}"
-                    powers[i, e] = expr  # a bare p_i or q_i needs no local
-                factors.append(powers[i, e])
-            if len(factors) == 1:
-                monos[mono] = factors[0]
-            else:
-                name = monos[mono] = f"m{len(monos)}"
-                lines.append(f"    {name} = {' * '.join(factors) or '1'}")
-    den = [_literal(scale)] if scale != 1 or not n else []
-    den += [powers.get((i, 0)) or _power(i, 0, degrees[i]) for i in range(n)]
-
-    def term(mono: tuple[int, ...], k: int, first: bool) -> str:
-        sign = "-" if k < 0 else "" if first else "+"
-        body = monos[mono] if abs(k) == 1 else f"{_literal(abs(k))}*{monos[mono]}"
-        return f"{sign}{body}" if first else f" {sign} {body}"
-
-    # each row of several terms by its term set: equal polynomials have equal sets
-    keys = [frozenset(row) if len(row) > 1 else None for row in rows]
-    counts = Counter(keys)
-    shared: dict[frozenset, str] = {}
-    values = []
-    for row, key in zip(rows, keys):
-        if key in shared:
-            values.append(shared[key])
-            continue
-        chains = [
-            "".join(term(m, k, j == 0) for j, (m, k) in enumerate(row[start : start + _CHAIN]))
-            for start in range(0, len(row), _CHAIN)
-        ]
-        value = "0" if not chains else chains[0] if len(chains) == 1 else f"sum(({', '.join(chains)}))"
-        if key is not None and counts[key] > 1:
-            name = shared[key] = f"r{len(shared)}"
-            lines.append(f"    {name} = {value}")
-            value = name
-        values.append(value)
-    lines.append(f"    return [{', '.join(values)}], {' * '.join(den)}")
-    return "\n".join(lines) + "\n"
 
 
 def _integer_rows(polys: Sequence[Poly], variables: Sequence[str]) -> tuple[int, list[list[tuple[tuple[int, ...], int]]]]:
@@ -619,20 +544,6 @@ def _integer_rows(polys: Sequence[Poly], variables: Sequence[str]) -> tuple[int,
         [(tuple(mono >> s & MAX_DEGREE for s in shifts), k * (scale // p._den)) for mono, k in p._terms.items()]
         for p in polys
     ]
-
-
-def _literal(k: int) -> str:  # compile() keeps the int/str digit limit; hexadecimal has none
-    try:
-        return str(k)
-    except ValueError:
-        return hex(k)
-
-
-def _power(i: int, e: int, d: int) -> str:
-    """The source of p_i^e * q_i^(d - e), d the largest degree of variable i."""
-    p = f"p{i}" if e == 1 else f"p{i}**{e}"
-    q = f"q{i}" if d - e == 1 else f"q{i}**{d - e}"
-    return p if e == d else q if e == 0 else f"{p} * {q}"
 
 
 def _int_str(n: int) -> str:

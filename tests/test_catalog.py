@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from wanas import catalog as catalog_module
-from wanas import poly as poly_module
+from wanas import nest as nest_module
 from wanas.catalog import (
     ALL_GROUPS,
     AmbiguousCaseError,
@@ -510,15 +510,15 @@ def test_case_conditions_equal_reference_off_the_admissible_set(catalog):
 
 def test_loading_compiles_no_evaluator(monkeypatch):
     """The integer evaluators are built on first use, so loading the catalog
-    does no work for them: no kernel source is generated."""
+    does no work for them: no nest source is generated."""
     generated = []
-    original = poly_module._kernel_source
+    original = nest_module._nest_source
 
     def counting(*args):
         generated.append(args)
         return original(*args)
 
-    monkeypatch.setattr(poly_module, "_kernel_source", counting)
+    monkeypatch.setattr(nest_module, "_nest_source", counting)
     fresh = load_catalog()
     assert generated == []
     for entry in fresh.groups.values():
@@ -535,7 +535,7 @@ def test_loading_compiles_no_evaluator(monkeypatch):
 def test_theorem_claim_is_one_object_compiled_once(monkeypatch):
     """theorem_claim returns the same claim on every call, same_as_first
     kinds included, so its kernel is compiled once: 200 predicate_eval
-    calls on g3 second kind generate kernel source once."""
+    calls on g3 second kind generate the source of its nest once."""
     from wanas.verify import default_grid
 
     fresh = load_catalog()
@@ -544,13 +544,13 @@ def test_theorem_claim_is_one_object_compiled_once(monkeypatch):
             assert fresh.theorem_claim(gid, kind) is fresh.theorem_claim(gid, kind)
     _, points = default_grid(fresh.get_group("g3"))
     generated = []
-    original = poly_module._kernel_source
+    original = nest_module._nest_source
 
     def counting(*args):
         generated.append(args)
         return original(*args)
 
-    monkeypatch.setattr(poly_module, "_kernel_source", counting)
+    monkeypatch.setattr(nest_module, "_nest_source", counting)
     outcomes = collections.Counter(
         predicate_eval(fresh.theorem_claim("g3", SolitonKind.SECOND), sigma).outcome
         for sigma in points[:200]

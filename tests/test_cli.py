@@ -761,6 +761,52 @@ def test_installed_package_pins_of_tensors_and_check(capsys, monkeypatch, tmp_pa
     stdout("jacobi", "--spec-file", str(spec_file))
 
 
+# The `classify` pins of the same block: argv after the command, and the line
+# that opens stdout.
+_CI_CLASSIFY_LINES = {
+    **{
+        ("--group", gid, "--kind", kind, "--min-points", least): f"{gid} {kind} kind: {n} grid points, {n} agree with the classification theorem"
+        for gid, kind, least, n in (("g7", "first", "1000", 1224), ("g3", "first", "513", 729), ("g4", "second", "250", 288))
+    },
+    ("--group", "g1", "--kind", "second", "--min-points", "300", "--max-points", "100"):
+        "g1 second kind: 100 grid points (the first 100 in sorted order: --max-points reached), 100 agree with the classification theorem",
+    **{
+        ("--group", gid, "--kind", kind, "--grid-ladder=-999/1000,-2/3,5/7,1000/999", "--min-points", "1"):
+            f"{gid} {kind} kind: {n} grid points, {n} agree with the classification theorem"
+        for gid, kind, n in (("g5", "first", 104), ("g6", "first", 120), ("g7", "second", 200), ("g4", "second", 50))
+    },
+}
+
+
+def _wrong_g6_solution_row(group: dict) -> None:
+    """g6 case ii's D[0][0] + 1, in both kinds."""
+    for kind in ("first", "second"):
+        (case,) = [c for c in group["theorems"][kind]["cases"] if c["name"] == "ii"]
+        case["d"][0][0] = f"({case['d'][0][0]}) + 1"
+
+
+def test_installed_package_pins_of_classify(capsys, monkeypatch, tmp_path):
+    """Every `classify` pin of the workflow's installed-package block, and
+    its planted g6 catalog, through `main` in process: the default ladder
+    extended to --min-points, the capped g1 grid, the large-fraction
+    ladder, and a wrong solution row that disagrees where its case holds
+    (exit 1 from `verify-paper` and `classify`)."""
+    from test_cli_contract import _catalog
+
+    for argv, line in _CI_CLASSIFY_LINES.items():
+        assert run(capsys, "classify", *argv) == (0, line + "\n", ""), argv
+    planted = tmp_path / "bad_g6.json"
+    planted.write_text(_catalog(_wrong_g6_solution_row, "g6"))
+    monkeypatch.setenv("WANAS_CATALOG", str(planted))
+    code, out, err = run(capsys, "verify-paper", "--group", "g6")
+    assert (code, err) == (1, "")
+    for kind in ("first", "second"):
+        assert f"classification g6 {kind} kind: 456 points, 50 DISAGREE" in out.splitlines()
+    code, out, err = run(capsys, "classify", "--group", "g6", "--kind", "first")
+    assert (code, err) == (1, "")
+    assert out.splitlines()[0] == "g6 first kind: 456 grid points, 406 agree with the classification theorem"
+
+
 def _planted_catalog(catalog):
     """The catalog with four wrong theorem claims: g1 first kind a soliton
     with c = 0 and D = 0 everywhere; g2 first kind's case i with c + 1/7 and

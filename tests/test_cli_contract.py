@@ -26,9 +26,10 @@ def _bracket(text: str) -> str:
     return json.dumps({"brackets": {"e1,e2": [text, "0", "0"]}})
 
 
-def _catalog(edit) -> str:
+def _catalog(edit, group: str = "g4") -> str:
+    """The shipped catalog with ``edit`` applied to one group, under a valid checksum."""
     raw = json.loads(Path(default_catalog_path()).read_text(encoding="utf-8"))
-    edit(raw["groups"]["g4"])
+    edit(raw["groups"][group])
     raw["checksum"] = compute_checksum(raw["groups"])
     return json.dumps(raw)
 

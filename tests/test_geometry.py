@@ -602,8 +602,9 @@ def bianchi_defect(spec: LieAlgebraSpec, kind: str) -> list[list[Fraction]]:
         jacobi = [sum(c[i][j][m] * c[m][k][l] for m in r3) for l in r3]
         return [x - y + z for x, y, z in zip(w[i][j][k], dt, jacobi)]
 
+    terms = {ijk: term(*ijk) for ijk in itertools.product(r3, repeat=3)}  # each once, read by three cyclic sums
     return [
-        [sum(x) for x in zip(term(i, j, k), term(j, k, i), term(k, i, j))]
+        [sum(x) for x in zip(terms[i, j, k], terms[j, k, i], terms[k, i, j])]
         for i, j, k in itertools.product(r3, repeat=3)
     ]
 
@@ -612,15 +613,21 @@ def test_first_bianchi_identity_with_torsion(groups, height_points):
     """S W(X,Y)Z - S (nabla_X T)(Y,Z) = -S [[X,Y],Z] with W = R - A, exactly,
     for both connection kinds (Kobayashi & Nomizu I, ch. III, Thm 5.3; the
     Jacobiator term is zero for a Lie algebra, not for any bracket table): at
-    seeded points of every group, and on seeded random bracket tables, which
-    need not satisfy Jacobi, one under each of the eight signatures."""
+    seeded points of every group, each group's brackets at one more point
+    under each of the seven other signatures, and on seeded random bracket
+    tables, which need not satisfy Jacobi, one under each of the eight
+    signatures."""
+    assert {entry.spec.signature for entry in groups.values()} == {LORENTZ}
     specs = [groups[gid].spec.evaluate(sigma) for gid, points in height_points.items() for sigma in points[:4]]
-    rng = random.Random(20261021)
-    for eps in itertools.product((1, -1), repeat=3):
+    brackets = [groups[gid].spec.evaluate(points[4]).brackets for gid, points in height_points.items()]
+    rng, tables = random.Random(20261021), []
+    for sig in map(MetricSignature, itertools.product((1, -1), repeat=3)):
+        specs += [LieAlgebraSpec(b, sig) for b in brackets] if sig != LORENTZ else []
         rows = [[Poly.const(Fraction(rng.randint(-9, 9), rng.randint(1, 4))) for _ in range(3)] for _ in range(3)]
-        specs.append(LieAlgebraSpec(tuple(map(tuple, rows)), MetricSignature(eps)))
-    assert len(specs) == 7 * 4 + 8
-    assert sum(any(spec.jacobi_residual()) for spec in specs[-8:]) == 8
+        tables.append(LieAlgebraSpec(tuple(map(tuple, rows)), sig))
+    assert len(specs) == 7 * 4 + 7 * 7
+    assert sum(any(spec.jacobi_residual()) for spec in tables) == 8
+    specs += tables
     for spec in specs:
         for kind in ("canonical", "levi-civita"):
             assert all(x == 0 for v in bianchi_defect(spec, kind) for x in v), (spec, kind)

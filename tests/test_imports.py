@@ -1,6 +1,7 @@
-"""The import graph of a cold start: the grid and verification layer
-(``wanas.verify`` and ``wanas.nest``) loads only for the commands that
-classify, and loading the catalog reads the package data by plain path.
+"""The import graph of a cold start: the verification layer
+(``wanas.verify``) loads only for the commands that classify, the grid
+nest (``wanas.nest``) also for those that evaluate at a point, and loading
+the catalog reads the package data by plain path.
 
 Each check runs in a fresh interpreter, since this test process has long
 since imported every module."""
@@ -36,19 +37,30 @@ def test_loading_the_catalog_loads_no_grid_layer_and_no_cli():
     assert not loaded & {*GRID_LAYER, "wanas.cli"}
 
 
-def test_check_and_tensors_load_no_grid_layer():
+def test_tensors_loads_no_grid_layer():
     loaded = _loaded(
         "import contextlib, io\n"
         "from wanas import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    assert cli.main(['check', '--group', 'g2', '--kind', 'first', '--at', 'alpha=0,beta=0,gamma=1']) == 0\n"
         "    assert cli.main(['tensors', '--group', 'g4', '--tensor', 'wan']) == 0\n"
     )
     assert "wanas.cli" in loaded and not loaded & set(GRID_LAYER)
 
 
+def test_check_loads_the_nest_but_not_verify():
+    """``check`` evaluates through ``IntegerEvaluator``, which compiles a
+    one-point grid nest; the verification layer stays unloaded."""
+    loaded = _loaded(
+        "import contextlib, io\n"
+        "from wanas import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['check', '--group', 'g2', '--kind', 'first', '--at', 'alpha=0,beta=0,gamma=1']) == 0\n"
+    )
+    assert {"wanas.cli", "wanas.nest"} <= loaded and "wanas.verify" not in loaded
+
+
 def test_classify_loads_the_grid_layer():
-    """The other side of the two tests above: the check sees the layer when it is loaded."""
+    """The other side of the tests above: the check sees the layer when it is loaded."""
     loaded = _loaded(
         "import contextlib, io\n"
         "from wanas import cli\n"

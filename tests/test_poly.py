@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import pytest
 
+from wanas import nest as nest_module
 from wanas import poly as poly_module
 from wanas.algebra import PAIRS
 from wanas.catalog import load_catalog
@@ -843,48 +844,59 @@ def test_integer_evaluator_missing_variables_are_named_sorted():
     assert info.value.names == ("eta", "gamma")
 
 
-_KERNEL_NAME = re.compile(r"(def|kernel|return|sum|numerator|denominator|[xpqmr]\d+|w\d+_\d+)")
+_KERNEL_NAME = re.compile(r"(def|nest|one|for|in|yield|sum|numerator|denominator|[dxpqs]\d+|w\d+_\d+)")
 
 
 def _kernel_sources(monkeypatch) -> list[str]:
-    """Record the source of every kernel compiled from now on."""
+    """Record the source of every grid nest compiled from now on, an evaluator's included."""
     sources: list[str] = []
-    original = poly_module._kernel_source
+    original = nest_module._nest_source
 
     def recording(*args):
         sources.append(original(*args))
         return sources[-1]
 
-    monkeypatch.setattr(poly_module, "_kernel_source", recording)
+    monkeypatch.setattr(nest_module, "_nest_source", recording)
     return sources
 
 
+def _yielded(source: str) -> list[str]:
+    """The value list that a grid nest without tests yields, one expression per row."""
+    (values,) = re.findall(r"^ *yield \{.*\}, \[(.*)\]$", source, re.MULTILINE)
+    return values.split(", ")
+
+
 def test_integer_evaluator_kernel_source_has_only_its_own_names(monkeypatch):
-    """The generated source holds integer literals and names the evaluator
-    makes up; nothing of a polynomial or a variable name is copied in."""
+    """The generated source of an evaluator's nest holds integer literals
+    and names the nest makes up; nothing of a polynomial is copied in, and
+    a variable name occurs only as a string key of the point it yields."""
     sources = _kernel_sources(monkeypatch)
     IntegerEvaluator([P("-1/2*alpha^3*eta + 7*c - 4"), P("eta^2*c"), Poly.zero(), P("-3/7")])
     IntegerEvaluator([P("beta - 1")] * 40 + [P("(beta + c + 1)^12")])
     IntegerEvaluator([])
     assert len(sources) == 3
-    for source in sources:
+    for source, keys in zip(sources, (("alpha", "eta", "c"), ("beta", "c"), ())):
+        strings = []
         for tok in tokenize.generate_tokens(io.StringIO(source).readline):
             if tok.type == tokenize.NAME:
                 assert _KERNEL_NAME.fullmatch(tok.string), tok.string
             elif tok.type == tokenize.NUMBER:
                 assert tok.string.isdigit(), tok.string
+            elif tok.type == tokenize.STRING:
+                strings.append(tok.string)
             else:
                 assert tok.type in (
                     tokenize.OP, tokenize.NEWLINE, tokenize.NL, tokenize.INDENT,
                     tokenize.DEDENT, tokenize.ENDMARKER,
                 ), tok
+        assert strings == [repr(v) for v in keys]
 
 
 def test_integer_evaluator_forms_each_repeated_row_once(monkeypatch):
-    """A row of several terms that occurs more than once, however it was
-    built, is formed once as a local r_j (numbered in order of first
-    occurrence) that the return list repeats; a zero row stays 0 and a
-    one-term row its own expression.  Every value equals Poly.evaluate."""
+    """A row that occurs more than once, however it was built, is formed
+    once as a local s_j that the yielded value list repeats, and no sub-row
+    is formed twice; a zero row stays 0, and the last value is the
+    denominator's row, the constant 1.  Every value equals Poly.evaluate."""
     sources = _kernel_sources(monkeypatch)
     sum_a, sum_b = P("alpha*beta - 2*gamma"), -2 * GAMMA + ALPHA * BETA
     square_a, square_b = P("alpha^2 - gamma^2/4"), (ALPHA - GAMMA / 2) * (ALPHA + GAMMA / 2)
@@ -896,20 +908,17 @@ def test_integer_evaluator_forms_each_repeated_row_once(monkeypatch):
     ]
     evaluate = IntegerEvaluator(polys)
     (source,) = sources
-    assignments = re.findall(r"^    (r\d+) = (.*)$", source, re.MULTILINE)
-    assert [name for name, _ in assignments] == ["r0", "r1"]
-    assert len({expr for _, expr in assignments}) == 2
-    (returned,) = re.findall(r"^    return \[(.*)\], ", source, re.MULTILINE)
-    values = returned.split(", ")
-    assert len(values) == len(polys)
-    assert [values[k] for k in (1, 5, 11)] == ["r0"] * 3
-    assert [values[k] for k in (3, 8)] == ["r1"] * 2
+    assignments = re.findall(r"^ *(s\d+) = (.*)$", source, re.MULTILINE)
+    assert len({name for name, _ in assignments}) == len({expr for _, expr in assignments}) == len(assignments)
+    values = _yielded(source)
+    assert len(values) == len(polys) + 1
+    assert values[1] == values[5] == values[11]
+    assert values[3] == values[8]
     assert values[2] == values[6] == "0"
-    assert values[0] == values[4] and re.fullmatch(r"(\d+\*)?m\d+", values[0])  # one term: k times its monomial
-    assert values[7] == values[10] and not values[7].startswith("r")
-    assert not values[9].startswith("r")  # several terms, but once
-    for expr in (expr for _, expr in assignments):
-        assert source.count(expr) == 1
+    assert values[0] == values[4]
+    assert values[7] == values[10]
+    assert len({values[k] for k in (0, 1, 3, 7, 9, 12)}) == 6
+    assert all(re.fullmatch(r"s\d+", values[k]) for k in (0, 1, 3, 7, 9, 12))
     rng = random.Random(20261019)
     for _ in range(40):
         sigma = {v: Fraction(rng.randint(-50, 50), rng.randint(1, 30)) for v in ("alpha", "beta", "gamma")}
@@ -922,30 +931,38 @@ import re
 from wanas import nest, poly
 from wanas.catalog import load_catalog, predicate_eval
 from wanas.verify import GridSpec, generate_grid, verify_paper
-sources, nests = [], []
-original, original_nest = poly._kernel_source, nest._nest_source
-poly._kernel_source = lambda *args: sources.append(original(*args)) or sources[-1]
+nests, kernels = [], []
+original_nest, original_init = nest._nest_source, poly.IntegerEvaluator.__init__
 nest._nest_source = lambda *args: nests.append(original_nest(*args)) or nests[-1]
+
+def init(self, polys):  # the nests that building one evaluator compiles
+    before = len(nests)
+    original_init(self, polys)
+    kernels.append(nests[before:])
+
+poly.IntegerEvaluator.__init__ = init
 verify_paper(load_catalog())
-run = len(sources), len(nests)
+run = len(kernels), len(nests)
 for entry in load_catalog().groups.values():  # the kernels of a check and a predicate_eval at a grid point
     sigma = generate_grid(entry.spec, GridSpec(entry.id))[0]
     entry.spec.evaluate(sigma)
     for claim in entry.claims.values():
         predicate_eval(claim, sigma)
-print(*run, len(sources), sum(len(re.findall(r"^    r\d+ = ", source, re.MULTILINE)) for source in sources))
-print("".join(sources + nests))
+yielded = [re.findall(r"^ *yield \{.*\}, \[(.*)\]$", source, re.MULTILINE)[0].split(", ") for (source,) in kernels]
+shared = sum(len(names) - len(set(names)) for names in ([v for v in values if v.startswith("s")] for values in yielded))
+print(*run, len(kernels), shared)
+print("".join(nests))
 """
 
 
 def test_kernel_sources_of_a_run_do_not_depend_on_the_hash_seed():
     """Repeated rows and sub-rows are found by hashing term sets; the
-    sources that the kernels and grid nests of one verify_paper run compile
-    are the same under two hash seeds, and the kernels share rows.  The
-    run compiles no kernel and 9 nests: one per group's grid with its rows,
-    and the constraints-only nests that extend the g1 and g4 ladders; the
-    kernels that a ``check`` and a ``predicate_eval`` at a grid point
-    compile share rows."""
+    sources that the grid nests of one verify_paper run compile, and those
+    of the evaluators after it, are the same under two hash seeds.  The
+    run builds no evaluator and compiles 9 nests: one per group's grid with
+    its rows, and the constraints-only nests that extend the g1 and g4
+    ladders; the evaluators that a ``check`` and a ``predicate_eval`` at a
+    grid point build each compile one nest, and they share rows."""
     import os
     import subprocess
     import sys
@@ -1226,20 +1243,21 @@ def test_parse_refuses_an_exponent_past_the_bound_before_building_a_power(monkey
 
 def test_kernel_sources_equal_those_of_rows_built_from_terms(monkeypatch):
     """For each group's row list, which a verify_paper run compiles into
-    its grid nest and into no kernel, the kernel source of rows built from
-    .terms (exponent tuples, scaled Fraction coefficients) equals the
-    evaluator's own source."""
+    its grid nest and into no evaluator, the nest source of rows built from
+    .terms (exponent tuples, scaled Fraction coefficients), with the
+    constant row of the shared denominator last, equals the evaluator's
+    own source."""
     from wanas.verify import _GroupKernel
 
     built = []
-    original_init, original_source = IntegerEvaluator.__init__, poly_module._kernel_source
+    original_init, original_source = IntegerEvaluator.__init__, nest_module._nest_source
     sources = []
 
     def recording(self, polys):
         original_init(self, polys)
         built.append((self, list(polys), sources[-1]))
 
-    monkeypatch.setattr(poly_module, "_kernel_source", lambda *args: sources.append(original_source(*args)) or sources[-1])
+    monkeypatch.setattr(nest_module, "_nest_source", lambda *args: sources.append(original_source(*args)) or sources[-1])
     monkeypatch.setattr(IntegerEvaluator, "__init__", recording)
     catalog = load_catalog()
     verify_paper(catalog)
@@ -1256,9 +1274,10 @@ def test_kernel_sources_equal_those_of_rows_built_from_terms(monkeypatch):
                 assert scaled.denominator == 1
                 row.append((tuple(mono[i] for i in slots), scaled.numerator))
             rows.append(row)
+        rows.append([((0,) * len(slots), evaluate.scale)])
         degrees = tuple(max((m[i] for p in polys for m in p.terms), default=0) for i in slots)
         assert degrees == evaluate.degrees
-        assert poly_module._kernel_source(degrees, evaluate.scale, rows) == source
+        assert nest_module._nest_source(degrees, rows, (), evaluate.variables, len(slots), [], ()) == source
 
 
 def test_monomial_memos_are_bounded_and_keyed_by_the_monomial():
